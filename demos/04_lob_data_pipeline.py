@@ -63,21 +63,23 @@ def main():
     fabricate_event_file(raw)
     print(f"fabricated event file: {raw}")
 
-    records = parse_lob_csv(raw.read_text(encoding="utf-8"))
-    print(f"parsed {len(records)} events spanning "
-          f"{(records[-1].ts - records[0].ts) / SEC:.0f} s")
+    book = parse_lob_csv(raw.read_text(encoding="utf-8"))
+    print(f"parsed {len(book)} events spanning "
+          f"{(book.ts[-1] - book.ts[0]) / SEC:.0f} s")
 
-    stats = trade_size_stats(records)
+    stats = trade_size_stats(book)
     print(f"trade sizes: mean {stats.mean_size:.2f}, median {stats.median_size:.0f}, "
           f"count {stats.count}")
 
     params = default_params()
-    series = resample_forward_fill(records, params.dt)
+    series = resample_forward_fill(book, params.dt)
     print(f"resampled to {len(series)} one-second samples "
           f"(forward fill from the last event at or before each boundary)")
 
-    # round-trip sanity: serialize and re-parse the records
-    assert parse_lob_csv(render_lob_csv(records)) == records
+    # round-trip sanity: serialize and re-parse the book (NaN marks absent cells)
+    again = parse_lob_csv(render_lob_csv(book))
+    assert np.array_equal(again.ts, book.ts)
+    assert np.array_equal(again.cells, book.cells, equal_nan=True)
 
     surface = solve_dpe(params, default_grid())
     policy = extract_policy(surface, params)

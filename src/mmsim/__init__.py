@@ -43,7 +43,7 @@ from .fills import (
     step_fills,
 )
 from .market_data import (
-    LOBRecord,
+    LOBBook,
     PriceSeries,
     TradeStats,
     parse_lob_csv,

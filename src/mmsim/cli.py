@@ -21,7 +21,6 @@ from . import basic_poster, reporting
 from .fills import EnvMode, write_fill_log
 from .market_data import parse_lob_csv, resample_forward_fill, synthetic_quotes
 from .params import (
-    ConfigParseError,
     MarketParams,
     SolverGrid,
     ValidationError,
@@ -32,14 +31,12 @@ from .params import (
 )
 from .simulator import (
     PolicyShapeMismatchError,
-    SeriesTooShortError,
     run_batch,
     run_simulation,
     write_batch_wealth_csv,
     write_snapshot_csv,
 )
 from .solver import (
-    GridTooCoarseError,
     UnstableSchemeError,
     export_policy_csv,
     export_surface_csv,
@@ -49,15 +46,8 @@ from .solver import (
 )
 from .dynamics import RngStream
 
-_VALIDATION_ERRORS = (
-    ValidationError,
-    ConfigParseError,
-    PolicyShapeMismatchError,
-    SeriesTooShortError,
-    GridTooCoarseError,
-    UnstableSchemeError,
-    ValueError,
-)
+# every other validation error of the package subclasses ValueError
+_VALIDATION_ERRORS = (ValueError, UnstableSchemeError)
 
 
 def _load_params(config: str | None) -> tuple[MarketParams, SolverGrid]:
@@ -89,8 +79,8 @@ def _cmd_solve(args) -> int:
 
 def _load_series(args, params):
     if args.data is not None:
-        records = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
-        return resample_forward_fill(records, params.dt)
+        book = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
+        return resample_forward_fill(book, params.dt)
     n_steps = args.windows * params.n_dt
     return synthetic_quotes(params, n_steps, RngStream(seed=args.seed, stream_id=10_000))
 
@@ -147,8 +137,8 @@ def _cmd_basic_post(args) -> int:
     if offset is None:
         offset = basic_poster.OFFSET_TICKS_PRESETS[args.contract]
     if args.data is not None:
-        records = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
-        series = resample_forward_fill(records, params.dt)
+        book = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
+        series = resample_forward_fill(book, params.dt)
     else:
         # two-tick spread keeps synthetic touches on the tick grid so the
         # ladder's queue model sees orders at the touch

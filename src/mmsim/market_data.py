@@ -7,13 +7,17 @@ LOB CSV schema (header mandatory, UTF-8, LF):
 
 ``ts`` is integer nanoseconds since epoch; price/size fields may be empty
 for absent levels, and trade_px/trade_sz are empty on non-trade events.
+An empty cell is the only way to write "absent": literal ``nan``/``inf``
+cells are rejected.  :func:`parse_lob_csv` returns the file as columns
+(:class:`LOBBook`), with NaN for each empty cell.
 """
 
 from __future__ import annotations
 
 import logging
-import statistics
+import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .dynamics import RngStream, round_to_tick
 from .params import MarketParams
 
 __all__ = [
-    "LOBRecord",
+    "LOBBook",
     "PriceSeries",
     "TradeStats",
     "SchemaMismatchError",
@@ -47,6 +51,20 @@ LOB_CSV_HEADER = (
     + [f"ask_{kind}_{lvl}" for lvl in range(1, N_LEVELS + 1) for kind in ("px", "sz")]
     + ["trade_px", "trade_sz"]
 )
+
+LOB_COLUMNS = LOB_CSV_HEADER[1:]
+_N_FIELDS = len(LOB_CSV_HEADER)
+_BID_PX_1 = LOB_COLUMNS.index("bid_px_1")
+_BID_SZ_1 = LOB_COLUMNS.index("bid_sz_1")
+_ASK_PX_1 = LOB_COLUMNS.index("ask_px_1")
+_ASK_SZ_1 = LOB_COLUMNS.index("ask_sz_1")
+_BOOK_SIZES = [LOB_COLUMNS.index(f"{side}_sz_{lvl}")
+               for side in ("bid", "ask") for lvl in range(1, N_LEVELS + 1)]
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# Rows parsed per block: bounds the parser's transient strings to one
+# block while keeping the per-block numpy calls few.
+BLOCK_ROWS = 8192
 
 NANOS = 1_000_000_000
 
@@ -79,17 +97,31 @@ class NoTradesError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LOBRecord:
-    """One book event: up to five levels per side plus an optional trade."""
+@dataclass(frozen=True, eq=False)
+class LOBBook:
+    """Book events as columns.
 
-    ts: int
-    bid_px: tuple
-    bid_sz: tuple
-    ask_px: tuple
-    ask_sz: tuple
-    trade_px: float | None = None
-    trade_sz: float | None = None
+    ``ts`` is int64 nanoseconds, shape (n,).  ``cells`` is float64, shape
+    (n, 22): one column per CSV field after ``ts`` (:data:`LOB_COLUMNS`
+    order), NaN where the cell is empty (absent level, no trade).
+    """
+
+    ts: np.ndarray
+    cells: np.ndarray
+
+    def __post_init__(self):
+        if self.ts.ndim != 1 or self.cells.shape != (self.ts.size, len(LOB_COLUMNS)):
+            raise ValueError(
+                f"book needs ts (n,) and cells (n, {len(LOB_COLUMNS)}), "
+                f"got {self.ts.shape} and {self.cells.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def column(self, name: str) -> np.ndarray:
+        """The cells of one CSV column, e.g. ``book.column("bid_px_1")``."""
+        return self.cells[:, LOB_COLUMNS.index(name)]
 
 
 @dataclass(eq=False)
@@ -107,6 +139,8 @@ class PriceSeries:
         n = self.bid.size
         if not (self.ask.size == self.level1_bid_sz.size == self.level1_ask_sz.size == n):
             raise ValueError("series arrays must have equal length")
+        if not (np.isfinite(self.bid).all() and np.isfinite(self.ask).all()):
+            raise ValueError("non-finite quotes: every sample needs a bid and an ask")
         if np.any(self.bid >= self.ask):
             raise ValueError("crossed quotes: bid must stay below ask")
 
@@ -139,17 +173,19 @@ class TradeStats:
     count: int
 
 
-def _opt_float(text: str) -> float | None:
-    return float(text) if text else None
+def parse_lob_csv(stream) -> LOBBook:
+    """Parse LOB CSV text (a string or line iterable) into a :class:`LOBBook`.
 
-
-def parse_lob_csv(stream) -> list[LOBRecord]:
-    """Parse LOB CSV text (a string or line iterable) into records."""
+    Rows are converted :data:`BLOCK_ROWS` at a time.  The first bad row in
+    file order raises; within a row the checks run in the order field count,
+    number parsing, crossed level 1, negative size, timestamp order.
+    """
     if isinstance(stream, str):
-        stream = stream.splitlines()
-    lines = iter(stream)
+        lines = iter(stream.splitlines())
+    else:
+        lines = (raw.rstrip("\n") for raw in stream)
     try:
-        header = next(lines).rstrip("\n").split(",")
+        header = next(lines).split(",")
     except StopIteration:
         raise SchemaMismatchError("empty input, header row required") from None
     if header != LOB_CSV_HEADER:
@@ -157,56 +193,120 @@ def parse_lob_csv(stream) -> list[LOBRecord]:
             f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
         )
 
-    records: list[LOBRecord] = []
-    prev_ts: int | None = None
-    for lineno, raw in enumerate(lines, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(LOB_CSV_HEADER):
-            raise MalformedRowError(lineno, f"expected {len(LOB_CSV_HEADER)} fields, got {len(parts)}")
+    ts_blocks = [np.empty(0, dtype=np.int64)]
+    cell_blocks = [np.empty((0, len(LOB_COLUMNS)))]
+    prev_ts = None
+    first_line = 2
+    while block := list(islice(lines, BLOCK_ROWS)):
+        linenos = range(first_line, first_line + len(block))
+        first_line += len(block)
+        if "" in block:
+            kept = [i for i, line in enumerate(block) if line]
+            block = [block[i] for i in kept]
+            linenos = [linenos[i] for i in kept]
+            if not block:
+                continue
+        ts, cells = _parse_block(block, linenos, prev_ts)
+        ts_blocks.append(ts)
+        cell_blocks.append(cells)
+        prev_ts = int(ts[-1])
+    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+
+
+def _parse_block(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of non-empty rows; raises for the first bad row.
+
+    ``linenos[r]`` is the file line of ``rows[r]``; ``prev_ts`` is the last
+    timestamp before the block.  A field-count or parse failure at row r
+    first checks rows[:r], so that an earlier crossed, negative-size or
+    time-travel row wins.
+    """
+    n = len(rows)
+    commas = list(map(str.count, rows, repeat(",", n)))
+    if commas.count(_N_FIELDS - 1) != n:
+        r = next(i for i, c in enumerate(commas) if c != _N_FIELDS - 1)
+        if r:
+            _parse_block(rows[:r], linenos, prev_ts)
+        raise MalformedRowError(linenos[r], f"expected {_N_FIELDS} fields, got {commas[r] + 1}")
+
+    fields = ",".join(rows).split(",")
+    ts_text = fields[0::_N_FIELDS]
+    del fields[0::_N_FIELDS]
+    try:
+        ts = np.fromiter(map(int, ts_text), np.int64, n)
+        cells = np.array(list(map(_CellValues().__getitem__, fields)), dtype=np.float64)
+        # every non-empty cell must be finite: "" is the only spelling of absent
+        parsed = np.isfinite(cells).sum() == cells.size - fields.count("")
+    except (ValueError, OverflowError):
+        parsed = False
+    if not parsed:
+        r, reason = _first_unparseable(ts_text, fields)
+        if r:
+            _parse_block(rows[:r], linenos, prev_ts)
+        raise MalformedRowError(linenos[r], reason)
+    cells = cells.reshape(n, len(LOB_COLUMNS))
+
+    bid, ask = cells[:, _BID_PX_1], cells[:, _ASK_PX_1]
+    crossed = bid >= ask  # false where either side is absent
+    negative = (cells[:, _BOOK_SIZES] < 0).any(axis=1)
+    prev = np.concatenate(([ts[0] if prev_ts is None else prev_ts], ts[:-1]))
+    back = ts < prev
+    bad = crossed | negative | back
+    if bad.any():
+        r = int(bad.argmax())
+        if crossed[r]:
+            raise MalformedRowError(
+                linenos[r], f"crossed book: bid {float(bid[r])} >= ask {float(ask[r])}"
+            )
+        if negative[r]:
+            raise MalformedRowError(linenos[r], "negative size")
+        raise NonMonotoneTimestampError(linenos[r], int(ts[r]), int(prev[r]))
+    return ts, cells
+
+
+class _CellValues(dict):
+    """Cell text -> float, NaN for an empty cell; float() runs once per
+    distinct text, since prices and sizes repeat within a block."""
+
+    def __init__(self):
+        super().__init__({"": math.nan})
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def _first_unparseable(ts_text: list[str], fields: list[str]) -> tuple[int, str]:
+    """Row index and reason of the first cell that is not a valid number."""
+    width = len(LOB_COLUMNS)
+    for r, text in enumerate(ts_text):
         try:
-            ts = int(parts[0])
-            bid_px = tuple(_opt_float(parts[1 + 2 * i]) for i in range(N_LEVELS))
-            bid_sz = tuple(_opt_float(parts[2 + 2 * i]) for i in range(N_LEVELS))
-            ask_px = tuple(_opt_float(parts[11 + 2 * i]) for i in range(N_LEVELS))
-            ask_sz = tuple(_opt_float(parts[12 + 2 * i]) for i in range(N_LEVELS))
-            trade_px = _opt_float(parts[21])
-            trade_sz = _opt_float(parts[22])
+            if not _INT64_MIN <= int(text) <= _INT64_MAX:
+                return r, f"timestamp {text} outside the int64 range"
         except ValueError as exc:
-            raise MalformedRowError(lineno, str(exc)) from None
-        if bid_px[0] is not None and ask_px[0] is not None and bid_px[0] >= ask_px[0]:
-            raise MalformedRowError(lineno, f"crossed book: bid {bid_px[0]} >= ask {ask_px[0]}")
-        if any(sz is not None and sz < 0 for sz in bid_sz + ask_sz):
-            raise MalformedRowError(lineno, "negative size")
-        if prev_ts is not None and ts < prev_ts:
-            raise NonMonotoneTimestampError(lineno, ts, prev_ts)
-        prev_ts = ts
-        records.append(LOBRecord(ts, bid_px, bid_sz, ask_px, ask_sz, trade_px, trade_sz))
-    return records
+            return r, str(exc)
+        for cell in fields[r * width:(r + 1) * width]:
+            if not cell:
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                return r, str(exc)
+            if not math.isfinite(value):
+                return r, f"non-finite value {cell!r}; leave absent cells empty"
+    raise AssertionError("block has no unparseable cell")
 
 
-def render_lob_csv(records: list[LOBRecord]) -> str:
-    """Inverse of :func:`parse_lob_csv` for well-formed records."""
-
-    def _cell(value) -> str:
-        return "" if value is None else repr(value)
-
+def render_lob_csv(book: LOBBook) -> str:
+    """Inverse of :func:`parse_lob_csv`: NaN cells are written empty."""
     out = [",".join(LOB_CSV_HEADER)]
-    for r in records:
-        cells = [str(r.ts)]
-        for px, sz in zip(r.bid_px, r.bid_sz):
-            cells += [_cell(px), _cell(sz)]
-        for px, sz in zip(r.ask_px, r.ask_sz):
-            cells += [_cell(px), _cell(sz)]
-        cells += [_cell(r.trade_px), _cell(r.trade_sz)]
-        out.append(",".join(cells))
+    for ts, row in zip(book.ts.tolist(), book.cells.tolist()):
+        out.append(",".join([str(ts)] + ["" if math.isnan(v) else repr(v) for v in row]))
     return "\n".join(out) + "\n"
 
 
 def resample_forward_fill(
-    records: list[LOBRecord],
+    book: LOBBook,
     dt: float,
     start: int | None = None,
     end: int | None = None,
@@ -218,60 +318,57 @@ def resample_forward_fill(
     ``start`` is omitted it defaults to the first whole second at or after
     the first record.  Leading boundaries with no prior record are dropped
     with a warning; if none remain the input starts too late and
-    :class:`NoDataBeforeStartError` is raised.
+    :class:`NoDataBeforeStartError` is raised.  Absent level-1 sizes sample
+    as 0; an absent level-1 price is rejected by :class:`PriceSeries`.
     """
-    if not records:
+    if not len(book):
         raise EmptyInputError("no records to resample")
     step = int(round(dt * NANOS))
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if start is None:
-        start = ((records[0].ts + NANOS - 1) // NANOS) * NANOS
+        start = ((int(book.ts[0]) + NANOS - 1) // NANOS) * NANOS
     if end is None:
-        end = records[-1].ts
+        end = int(book.ts[-1])
     if end < start:
         raise ValueError("end precedes start")
 
     boundaries = np.arange(start, end + 1, step, dtype=np.int64)
-    ts = np.array([r.ts for r in records], dtype=np.int64)
-    last = np.searchsorted(ts, boundaries, side="right") - 1
+    last = np.searchsorted(book.ts, boundaries, side="right") - 1
 
     covered = last >= 0
     if not covered.any():
         raise NoDataBeforeStartError(
-            f"all {len(records)} records arrive after the final boundary {boundaries[-1]}"
+            f"all {len(book)} records arrive after the final boundary {boundaries[-1]}"
         )
     n_dropped = int(np.argmax(covered))
     if n_dropped:
         log.warning("dropped %d leading boundaries with no prior record", n_dropped)
-    boundaries = boundaries[n_dropped:]
-    last = last[n_dropped:]
-
-    def _col(getter, missing=np.nan):
-        return np.array(
-            [missing if getter(records[i]) is None else getter(records[i]) for i in last]
-        )
-
-    series = PriceSeries(
-        t0=int(boundaries[0]),
+    rows = last[n_dropped:]
+    return PriceSeries(
+        t0=int(boundaries[n_dropped]),
         dt=dt,
-        bid=_col(lambda r: r.bid_px[0]),
-        ask=_col(lambda r: r.ask_px[0]),
-        level1_bid_sz=_col(lambda r: r.bid_sz[0], missing=0.0),
-        level1_ask_sz=_col(lambda r: r.ask_sz[0], missing=0.0),
+        bid=book.cells[rows, _BID_PX_1],
+        ask=book.cells[rows, _ASK_PX_1],
+        level1_bid_sz=_absent_as_zero(book.cells[rows, _BID_SZ_1]),
+        level1_ask_sz=_absent_as_zero(book.cells[rows, _ASK_SZ_1]),
     )
-    return series
 
 
-def trade_size_stats(records: list[LOBRecord]) -> TradeStats:
+def _absent_as_zero(sizes: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(sizes), 0.0, sizes)
+
+
+def trade_size_stats(book: LOBBook) -> TradeStats:
     """Mean and median executed size over all trade events."""
-    sizes = [r.trade_sz for r in records if r.trade_sz is not None]
-    if not sizes:
+    sizes = book.column("trade_sz")
+    sizes = sizes[~np.isnan(sizes)]
+    if not sizes.size:
         raise NoTradesError("no trade sizes present in the input")
     return TradeStats(
-        mean_size=sum(sizes) / len(sizes),
-        median_size=statistics.median(sizes),
-        count=len(sizes),
+        mean_size=float(sizes.mean()),
+        median_size=float(np.median(sizes)),
+        count=int(sizes.size),
     )
 
 

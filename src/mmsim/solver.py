@@ -281,33 +281,52 @@ def export_policy_csv(policy: PostingPolicy, path) -> None:
 
 
 def load_policy_csv(path) -> PostingPolicy:
-    """Rebuild a policy from either CSV layout written by the exporters."""
+    """Rebuild a policy from either CSV layout written by the exporters.
+
+    The file must list every node of the (t, alpha, q) grid it spans
+    exactly once.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        required = {"t_index", "alpha", "q", "post_bid", "post_ask"}
-        if not required.issubset(header):
-            raise ValueError(f"policy file missing columns {sorted(required - set(header))}")
-        col = {name: header.index(name) for name in required}
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        rows = fh.read().split()
+    required = {"t_index", "alpha", "q", "post_bid", "post_ask"}
+    if not required.issubset(header):
+        raise ValueError(f"policy file missing columns {sorted(required - set(header))}")
+    if not rows:
+        raise ValueError("policy file has no rows")
+    n, width = len(rows), len(header)
+    fields = ",".join(rows).split(",")
+    if len(fields) != n * width:
+        raise ValueError(f"policy file rows must have {width} fields")
 
-    t_idx = np.array([int(r[col["t_index"]]) for r in rows])
-    alphas = np.array([float(r[col["alpha"]]) for r in rows])
-    qs = np.array([int(r[col["q"]]) for r in rows])
-    bid = np.array([r[col["post_bid"]] == "1" for r in rows])
-    ask = np.array([r[col["post_ask"]] == "1" for r in rows])
+    def column(name, convert, dtype):
+        # convert runs once per distinct text: the grid repeats every value
+        texts = fields[header.index(name)::width]
+        distinct = set(texts)
+        value = dict(zip(distinct, map(convert, distinct)))
+        return np.array(list(map(value.__getitem__, texts)), dtype=dtype)
+
+    t_idx = column("t_index", int, np.int64)
+    alphas = column("alpha", float, np.float64)
+    qs = column("q", int, np.int64)
+    bid = column("post_bid", "1".__eq__, bool)
+    ask = column("post_ask", "1".__eq__, bool)
 
     alpha_nodes = np.unique(alphas)
     q_nodes = np.unique(qs)
-    n_t = int(t_idx.max()) + 1
-    shape = (n_t, alpha_nodes.size, q_nodes.size)
-    if len(rows) != n_t * alpha_nodes.size * q_nodes.size:
-        raise ValueError("policy file does not cover a full (t, alpha, q) grid")
+    shape = (int(t_idx.max()) + 1, alpha_nodes.size, q_nodes.size)
+    node = np.ravel_multi_index(
+        (t_idx, np.searchsorted(alpha_nodes, alphas), np.searchsorted(q_nodes, qs)), shape
+    )
+    # as many rows as nodes, and every node hit: each node appears exactly once
+    covered = np.zeros(int(np.prod(shape)), dtype=bool)
+    covered[node] = True
+    if n != covered.size or not covered.all():
+        raise ValueError("policy file does not cover a full (t, alpha, q) grid exactly once")
 
-    post_ask = np.zeros(shape, dtype=bool)
-    post_bid = np.zeros(shape, dtype=bool)
-    ai = np.searchsorted(alpha_nodes, alphas)
-    qi = np.searchsorted(q_nodes, qs)
-    post_ask[t_idx, ai, qi] = ask
-    post_bid[t_idx, ai, qi] = bid
-    return PostingPolicy(post_ask=post_ask, post_bid=post_bid,
+    post_ask = np.zeros_like(covered)
+    post_bid = np.zeros_like(covered)
+    post_ask[node] = ask
+    post_bid[node] = bid
+    return PostingPolicy(post_ask=post_ask.reshape(shape), post_bid=post_bid.reshape(shape),
                          alpha_nodes=alpha_nodes, q_nodes=q_nodes)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mmsim.cli import cli_main
 from mmsim.params import ValidationError, default_grid, default_params
 from mmsim.solver import (
     GridTooCoarseError,
@@ -234,6 +235,22 @@ def test_policy_csv_round_trip(tmp_path, default_solution):
     export_surface_csv(surface, policy, combined)
     loaded2 = load_policy_csv(combined)
     assert np.array_equal(loaded2.post_ask, policy.post_ask)
+
+
+def test_policy_csv_requires_exact_node_coverage(tmp_path, default_solution):
+    _, _, policy = default_solution
+    path = tmp_path / "policy.csv"
+    export_policy_csv(policy, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows[1] = rows[0]  # one node twice, the next one missing: the row count still fits
+    bad = tmp_path / "bad_policy.csv"
+    bad.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="exactly once"):
+        load_policy_csv(bad)
+    code = cli_main(["simulate", "--policy", str(bad), "--windows", "2",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert not (tmp_path / "run" / "batch_wealth.csv").exists()
 
 
 def test_surface_fingerprint_depends_on_inputs():
