@@ -27,8 +27,9 @@ import logging
 from dataclasses import dataclass, replace
 
 from .dynamics import RngStream, round_to_tick
-from .fills import FillCounters, FillEvent, FillKind, Side, accumulate, classify_fill
+from .fills import FillCounters, FillEvent, FillKind, Side, classify_fill
 from .market_data import PriceSeries
+from .table import write_table
 
 __all__ = [
     "RestingOrder",
@@ -85,7 +86,7 @@ def queue_fill_check(order: RestingOrder, traded_at_price: float) -> tuple[bool,
 
 
 def _log_from_fills(fills: list[FillEvent]) -> FillLog:
-    return FillLog(fills=fills, totals=accumulate(FillCounters(), fills))
+    return FillLog(fills=fills, totals=FillCounters.from_fills(fills))
 
 
 def run_example1(
@@ -261,15 +262,17 @@ def run_basic_posting(
 
 def fill_type_table(log_: FillLog) -> FillTypeSummary:
     """Collapse a fill log into (total, adverse, non-adverse) counts."""
-    adverse = sum(1 for f in log_.fills if f.kind is FillKind.ADVERSE)
+    t = log_.totals
     return FillTypeSummary(
-        total=len(log_.fills), adverse=adverse, non_adverse=len(log_.fills) - adverse
+        total=t.n_plus + t.n_minus, adverse=t.afa + t.afb, non_adverse=t.nfa + t.nfb
     )
 
 
 def write_fill_summary_csv(rows: list[tuple[str, str, FillTypeSummary]], path) -> None:
     """Summary CSV: date, contract, total, adverse, non_adverse."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,contract,total,adverse,non_adverse\n")
-        for date, contract, s in rows:
-            fh.write(f"{date},{contract},{s.total},{s.adverse},{s.non_adverse}\n")
+    write_table(
+        path,
+        ["date", "contract", "total", "adverse", "non_adverse"],
+        list(zip(*((date, contract, s.total, s.adverse, s.non_adverse)
+                   for date, contract, s in rows))),
+    )

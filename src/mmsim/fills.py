@@ -7,18 +7,19 @@ Two fill channels per step and side, with adverse fills taking precedence:
 * non-adverse: the agent is posted, a market order arrives on that side,
   no adverse fill happened, and a Bernoulli(rho) draw succeeds.
 
-Cumulative counters keep the identity  total(side) = adverse + non-adverse
-at every step.
+Counters keep the identity  total(side) = adverse + non-adverse.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import MarketParams
+from .table import read_table, write_table
 
 __all__ = [
     "Side",
@@ -30,7 +31,6 @@ __all__ = [
     "classify_fill",
     "detect_adverse_fills",
     "sample_nonadverse_fill",
-    "accumulate",
     "step_fills",
     "write_fill_log",
     "read_fill_log",
@@ -59,7 +59,7 @@ class FillEvent:
 
 @dataclass(frozen=True)
 class FillCounters:
-    """Cumulative fill counts by side and kind."""
+    """Fill counts by side and kind."""
 
     afa: int = 0
     nfa: int = 0
@@ -75,6 +75,21 @@ class FillCounters:
     def n_minus(self) -> int:
         """Total bid-side fills (buy orders hit)."""
         return self.afb + self.nfb
+
+    @classmethod
+    def from_fills(cls, fills: list[FillEvent]) -> "FillCounters":
+        """Count fills by side and kind in one pass."""
+        tally = Counter((f.side, f.kind) for f in fills)
+        return cls(
+            afa=tally[Side.ASK, FillKind.ADVERSE],
+            nfa=tally[Side.ASK, FillKind.NON_ADVERSE],
+            afb=tally[Side.BID, FillKind.ADVERSE],
+            nfb=tally[Side.BID, FillKind.NON_ADVERSE],
+        )
+
+    def __add__(self, other: "FillCounters") -> "FillCounters":
+        return FillCounters(afa=self.afa + other.afa, nfa=self.nfa + other.nfa,
+                            afb=self.afb + other.afb, nfb=self.nfb + other.nfb)
 
 
 class EnvVariant(enum.Enum):
@@ -147,23 +162,6 @@ def sample_nonadverse_fill(
     return rng.random() < rho
 
 
-def accumulate(counters: FillCounters, fills: list[FillEvent]) -> FillCounters:
-    """Fold a step's fills into the cumulative counters."""
-    afa, nfa, afb, nfb = counters.afa, counters.nfa, counters.afb, counters.nfb
-    for fill in fills:
-        if fill.side is Side.ASK:
-            if fill.kind is FillKind.ADVERSE:
-                afa += 1
-            else:
-                nfa += 1
-        else:
-            if fill.kind is FillKind.ADVERSE:
-                afb += 1
-            else:
-                nfb += 1
-    return FillCounters(afa=afa, nfa=nfa, afb=afb, nfb=nfb)
-
-
 def step_fills(
     posted_bid: bool,
     posted_ask: bool,
@@ -197,23 +195,23 @@ def step_fills(
     return fills
 
 
+FILL_LOG_HEADER = ["t_index", "side", "price", "kind"]
+
+
 def write_fill_log(fills: list[FillEvent], path) -> None:
     """Fill log CSV: t_index, side, price, kind."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_index,side,price,kind\n")
-        for f in fills:
-            fh.write(f"{f.t_index},{f.side.value},{float(f.price)!r},{f.kind.value}\n")
+    write_table(path, FILL_LOG_HEADER, [
+        [f.t_index for f in fills],
+        [f.side.value for f in fills],
+        [float(f.price) for f in fills],
+        [f.kind.value for f in fills],
+    ])
 
 
 def read_fill_log(path) -> list[FillEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t_index,side,price,kind":
-            raise ValueError(f"unexpected fill log header {header!r}")
-        fills = []
-        for line in fh:
-            if not line.strip():
-                continue
-            t, side, price, kind = line.rstrip("\n").split(",")
-            fills.append(FillEvent(int(t), Side(side), float(price), FillKind(kind)))
-    return fills
+    header, columns = read_table(path)
+    if header != FILL_LOG_HEADER:
+        raise ValueError(f"unexpected fill log header {','.join(header)!r}")
+    t, side, price, kind = columns
+    return list(map(FillEvent, map(int, t), map(Side, side), map(float, price),
+                    map(FillKind, kind)))

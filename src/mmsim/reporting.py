@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fills import FillCounters, FillEvent, FillKind, Side
+from .fills import FillCounters, FillEvent
+from .table import read_table, write_table
 
 __all__ = [
     "Histogram",
@@ -52,38 +53,22 @@ def summarize_fills(fill_totals: FillCounters) -> list[tuple[str, int]]:
 
 
 def counters_from_fills(fills: list[FillEvent]) -> FillCounters:
-    afa = sum(1 for f in fills if f.side is Side.ASK and f.kind is FillKind.ADVERSE)
-    nfa = sum(1 for f in fills if f.side is Side.ASK and f.kind is FillKind.NON_ADVERSE)
-    afb = sum(1 for f in fills if f.side is Side.BID and f.kind is FillKind.ADVERSE)
-    nfb = sum(1 for f in fills if f.side is Side.BID and f.kind is FillKind.NON_ADVERSE)
-    return FillCounters(afa=afa, nfa=nfa, afb=afb, nfb=nfb)
+    return FillCounters.from_fills(fills)
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for i in range(hist.counts.size):
-            fh.write(f"{float(hist.bin_edges[i])!r},{float(hist.bin_edges[i + 1])!r},{int(hist.counts[i])}\n")
+    write_table(path, ["bin_lo", "bin_hi", "count"],
+                [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts])
 
 
 def write_fill_type_summary_csv(rows: list[tuple[str, int]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fill_type,count\n")
-        for name, count in rows:
-            fh.write(f"{name},{count}\n")
+    write_table(path, ["fill_type", "count"], list(zip(*rows)))
 
 
 def read_batch_wealth_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (terminal_wealths, objectives) written by the simulator."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "window,terminal_wealth,objective":
-            raise ValueError(f"unexpected batch wealth header {header!r}")
-        wealths, objectives = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            _, tw, obj = line.rstrip("\n").split(",")
-            wealths.append(float(tw))
-            objectives.append(float(obj))
-    return np.asarray(wealths), np.asarray(objectives)
+    header, columns = read_table(path)
+    if header != ["window", "terminal_wealth", "objective"]:
+        raise ValueError(f"unexpected batch wealth header {','.join(header)!r}")
+    _, wealths, objectives = columns
+    return np.array(list(map(float, wealths))), np.array(list(map(float, objectives)))

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RngStream, sample_mo_arrivals, step_alpha
-from .fills import EnvMode, FillCounters, FillEvent, Side, accumulate, step_fills
+from .fills import EnvMode, FillCounters, FillEvent, Side, step_fills
 from .market_data import PriceSeries
 from .params import MarketParams
 from .solver import PostingPolicy, terminal_condition
+from .table import write_table
 
 __all__ = [
     "SimResult",
@@ -144,7 +145,6 @@ def run_simulation(
     posted_bid = np.zeros(n, dtype=bool)
     posted_ask = np.zeros(n, dtype=bool)
     fills: list[FillEvent] = []
-    counters = FillCounters()
 
     q = 0
     c = 0.0
@@ -171,7 +171,6 @@ def run_simulation(
         q = update_inventory(q, new_fills, params.q_max)
         c = update_cash(c, new_fills)
         fills.extend(new_fills)
-        counters = accumulate(counters, new_fills)
 
         inventory[i + 1] = q
         cash[i + 1] = c
@@ -186,7 +185,7 @@ def run_simulation(
         fills=fills,
         posted_bid=posted_bid,
         posted_ask=posted_ask,
-        counters=counters,
+        counters=FillCounters.from_fills(fills),
         terminal_wealth=final,
         objective=final - penalty,
     )
@@ -221,41 +220,37 @@ def run_batch(
         result = run_simulation(policy, window, mode, params, RngStream(master_seed, w))
         wealths[w] = result.terminal_wealth
         objectives[w] = result.objective
-        totals = accumulate_counters(totals, result.counters)
+        totals += result.counters
     return BatchResult(
         terminal_wealths=wealths, objectives=objectives, fill_totals=totals, n_paths=count
     )
 
 
-def accumulate_counters(a: FillCounters, b: FillCounters) -> FillCounters:
-    return FillCounters(afa=a.afa + b.afa, nfa=a.nfa + b.nfa,
-                        afb=a.afb + b.afb, nfb=a.nfb + b.nfb)
-
-
 def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:
-    """Per-step path snapshot; multiple same-step fills join with ';'."""
+    """Per-step path snapshot; multiple same-step fills join with ';'.
+
+    The last row is the terminal state: no posting flags and no fills.
+    """
     n = result.posted_bid.size
     by_step: dict[int, list[FillEvent]] = {}
     for f in result.fills:
         by_step.setdefault(f.t_index, []).append(f)
-    mid = series.mid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_index,bid,ask,mid,posted_bid,posted_ask,fill_side,fill_kind,q,cash,wealth\n")
-        for i in range(n + 1):
-            step_fills_ = by_step.get(i, []) if i < n else []
-            sides = ";".join(f.side.value for f in step_fills_)
-            kinds = ";".join(f.kind.value for f in step_fills_)
-            pb = int(result.posted_bid[i]) if i < n else ""
-            pa = int(result.posted_ask[i]) if i < n else ""
-            fh.write(
-                f"{i},{float(series.bid[i])!r},{float(series.ask[i])!r},{float(mid[i])!r},"
-                f"{pb},{pa},{sides},{kinds},"
-                f"{int(result.inventory[i])},{float(result.cash[i])!r},{float(result.wealth[i])!r}\n"
-            )
+    steps = [by_step.get(i, []) for i in range(n)] + [[]]
+    write_table(
+        path,
+        ["t_index", "bid", "ask", "mid", "posted_bid", "posted_ask",
+         "fill_side", "fill_kind", "q", "cash", "wealth"],
+        [
+            range(n + 1), series.bid[:n + 1], series.ask[:n + 1], series.mid[:n + 1],
+            [*result.posted_bid.astype(int).tolist(), ""],
+            [*result.posted_ask.astype(int).tolist(), ""],
+            [";".join(f.side.value for f in fills) for fills in steps],
+            [";".join(f.kind.value for f in fills) for fills in steps],
+            result.inventory, result.cash, result.wealth,
+        ],
+    )
 
 
 def write_batch_wealth_csv(batch: BatchResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window,terminal_wealth,objective\n")
-        for w in range(batch.n_paths):
-            fh.write(f"{w},{float(batch.terminal_wealths[w])!r},{float(batch.objectives[w])!r}\n")
+    write_table(path, ["window", "terminal_wealth", "objective"],
+                [range(batch.n_paths), batch.terminal_wealths, batch.objectives])

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MarketParams, SolverGrid, ValidationError, render_config, validate
+from .table import read_table, write_table
 
 __all__ = [
     "ValueSurface",
@@ -258,33 +259,30 @@ def reconstruct_value(
     return c + q * s + interp_alpha(surface.h[t_index, :, j], surface.alpha_nodes, alpha)
 
 
+def _node_columns(alpha_nodes: np.ndarray, q_nodes: np.ndarray, shape) -> list[np.ndarray]:
+    """t_index, alpha and q of every node, in row-major (t, alpha, q) order."""
+    k, i, j = (axis.ravel() for axis in np.indices(shape))
+    return [k, alpha_nodes[i], q_nodes[j]]
+
+
 def export_surface_csv(surface: ValueSurface, policy: PostingPolicy, path) -> None:
     """Flat node-per-row CSV: t_index, alpha, q, h, post_bid, post_ask."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_index,alpha,q,h,post_bid,post_ask\n")
-        n_t, n_a, n_q = surface.h.shape
-        for k in range(n_t):
-            for i in range(n_a):
-                for j in range(n_q):
-                    fh.write(
-                        f"{k},{float(surface.alpha_nodes[i])!r},{int(surface.q_nodes[j])},"
-                        f"{float(surface.h[k, i, j])!r},"
-                        f"{int(policy.post_bid[k, i, j])},{int(policy.post_ask[k, i, j])}\n"
-                    )
+    write_table(
+        path,
+        ["t_index", "alpha", "q", "h", "post_bid", "post_ask"],
+        _node_columns(surface.alpha_nodes, surface.q_nodes, surface.h.shape)
+        + [surface.h.ravel(), policy.post_bid.ravel(), policy.post_ask.ravel()],
+    )
 
 
 def export_policy_csv(policy: PostingPolicy, path) -> None:
     """Posting decisions only: t_index, alpha, q, post_bid, post_ask."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_index,alpha,q,post_bid,post_ask\n")
-        n_t, n_a, n_q = policy.post_ask.shape
-        for k in range(n_t):
-            for i in range(n_a):
-                for j in range(n_q):
-                    fh.write(
-                        f"{k},{float(policy.alpha_nodes[i])!r},{int(policy.q_nodes[j])},"
-                        f"{int(policy.post_bid[k, i, j])},{int(policy.post_ask[k, i, j])}\n"
-                    )
+    write_table(
+        path,
+        ["t_index", "alpha", "q", "post_bid", "post_ask"],
+        _node_columns(policy.alpha_nodes, policy.q_nodes, policy.post_ask.shape)
+        + [policy.post_bid.ravel(), policy.post_ask.ravel()],
+    )
 
 
 def load_policy_csv(path) -> PostingPolicy:
@@ -293,22 +291,17 @@ def load_policy_csv(path) -> PostingPolicy:
     The file must list every node of the (t, alpha, q) grid it spans
     exactly once.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = fh.read().split()
+    header, columns = read_table(path)
     required = {"t_index", "alpha", "q", "post_bid", "post_ask"}
     if not required.issubset(header):
         raise ValueError(f"policy file missing columns {sorted(required - set(header))}")
-    if not rows:
+    n = len(columns[0])
+    if not n:
         raise ValueError("policy file has no rows")
-    n, width = len(rows), len(header)
-    fields = ",".join(rows).split(",")
-    if len(fields) != n * width:
-        raise ValueError(f"policy file rows must have {width} fields")
 
     def column(name, convert, dtype):
         # convert runs once per distinct text: the grid repeats every value
-        texts = fields[header.index(name)::width]
+        texts = columns[header.index(name)]
         distinct = set(texts)
         value = dict(zip(distinct, map(convert, distinct)))
         return np.array(list(map(value.__getitem__, texts)), dtype=dtype)

@@ -24,7 +24,6 @@ from mmsim.fills import (
     FillEvent,
     FillKind,
     Side,
-    accumulate,
     sample_nonadverse_fill,
     step_fills,
 )
@@ -186,7 +185,7 @@ def test_criterion_7_fill_probability_calibration():
                 bid[i], ask[i], bid[i + 1], ask[i + 1],
                 bool(mo_buy[i]), bool(mo_sell[i]), mode, gen, t_index=i,
             )
-            counters = accumulate(counters, fills)
+            counters = counters + FillCounters.from_fills(fills)
             for f in fills:
                 key = ("a" if f.kind is FillKind.ADVERSE else "n") + (
                     "fa" if f.side is Side.ASK else "fb"

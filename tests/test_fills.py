@@ -10,7 +10,6 @@ from mmsim.fills import (
     FillEvent,
     FillKind,
     Side,
-    accumulate,
     classify_fill,
     detect_adverse_fills,
     read_fill_log,
@@ -73,14 +72,15 @@ def test_nonadverse_frequency_matches_rho():
 
 
 def test_accumulate_cases():
+    # accumulating a step's fills is adding their count to the running total
     zero = FillCounters()
-    assert accumulate(zero, []) == zero
+    assert zero + FillCounters.from_fills([]) == zero
 
-    one = accumulate(zero, [FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE)])
+    one = zero + FillCounters.from_fills([FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE)])
     assert (one.afa, one.n_plus) == (1, 1)
     assert (one.nfa, one.afb, one.nfb, one.n_minus) == (0, 0, 0, 0)
 
-    mixed = accumulate(zero, [
+    mixed = zero + FillCounters.from_fills([
         FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE),
         FillEvent(0, Side.ASK, 100.0, FillKind.NON_ADVERSE),
         FillEvent(1, Side.BID, 99.0, FillKind.ADVERSE),
@@ -88,6 +88,7 @@ def test_accumulate_cases():
     ])
     assert (mixed.afa, mixed.nfa, mixed.afb, mixed.nfb) == (1, 1, 1, 1)
     assert mixed.n_plus == mixed.n_minus == 2
+    assert (one + mixed).afa == 2 and (one + mixed).nfb == 1
 
 
 fill_events = st.builds(
@@ -101,7 +102,7 @@ fill_events = st.builds(
 
 @given(st.lists(fill_events, max_size=50))
 def test_counter_identity_always_holds(fills):
-    c = accumulate(FillCounters(), fills)
+    c = FillCounters.from_fills(fills)
     assert c.n_plus == c.afa + c.nfa
     assert c.n_minus == c.afb + c.nfb
     assert c.n_plus + c.n_minus == len(fills)
