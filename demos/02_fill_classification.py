@@ -20,7 +20,7 @@ from pathlib import Path
 
 from mmsim import default_params, run_basic_posting, run_example1, synthetic_quotes
 from mmsim.basic_poster import OFFSET_TICKS_PRESETS, fill_type_table
-from mmsim.fills import write_fill_log
+from mmsim.fills import FillColumns, write_fill_log
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -49,7 +49,7 @@ def main():
         s = fill_type_table(log)
         print(f"{contract + f' ({offset}t)':>16} {s.total:>7} {s.adverse:>8} {s.non_adverse:>12}")
         if contract == "ES":
-            write_fill_log(log.fills, OUT / "ladder_fills.csv")
+            write_fill_log(FillColumns.from_events(log.fills), OUT / "ladder_fills.csv")
     print("\nresting away from the market, the overwhelming share of fills is")
     print("adverse: the market reaches a resting order mostly by trading")
     print(f"through it.  ES ladder fill log written to {OUT / 'ladder_fills.csv'}")

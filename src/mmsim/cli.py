@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import basic_poster, reporting
-from .fills import EnvMode, write_fill_log
+from .fills import EnvMode, FillColumns, write_fill_log
 from .market_data import parse_lob_csv, resample_forward_fill, synthetic_quotes
 from .params import (
     MarketParams,
@@ -97,17 +97,12 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_batch_wealth_csv(batch, out / "batch_wealth.csv")
 
-    # replay windows on their batch streams for the fill log and snapshots
-    fills = []
-    for w in range(batch.n_paths):
+    write_fill_log(batch.fills, out / "fills.csv")
+    # snapshot windows rerun alone on their batch streams for the full paths
+    for w in range(min(args.snapshots, batch.n_paths)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
         result = run_simulation(policy, window, mode, params, RngStream(args.seed, w))
-        if w < args.snapshots:
-            write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
-        fills.extend(
-            replace(f, t_index=f.t_index + w * params.n_dt) for f in result.fills
-        )
-    write_fill_log(fills, out / "fills.csv")
+        write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
     print(
         f"{batch.n_paths} windows in {mode.variant.value} mode: "
         f"mean terminal wealth {batch.terminal_wealths.mean():.6f}"
@@ -151,7 +146,7 @@ def _cmd_basic_post(args) -> int:
     )
     summary = basic_poster.fill_type_table(log)
     out = _out_dir(args)
-    write_fill_log(log.fills, out / "fills.csv")
+    write_fill_log(FillColumns.from_events(log.fills), out / "fills.csv")
     basic_poster.write_fill_summary_csv(
         [(args.date, args.contract, summary)], out / "summary.csv"
     )
@@ -164,7 +159,7 @@ def _cmd_example1(args) -> int:
     log = basic_poster.run_example1(args.steps, walk_p=args.walk_p, seed=args.seed)
     summary = basic_poster.fill_type_table(log)
     out = _out_dir(args)
-    write_fill_log(log.fills, out / "fills.csv")
+    write_fill_log(FillColumns.from_events(log.fills), out / "fills.csv")
     basic_poster.write_fill_summary_csv([(args.date, "SYN", summary)], out / "summary.csv")
     print(f"{summary.total} fills, {summary.adverse} adverse, "
           f"{summary.non_adverse} non-adverse")

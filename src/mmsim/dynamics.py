@@ -21,6 +21,7 @@ __all__ = [
     "MOArrivals",
     "PathState",
     "SyntheticPath",
+    "draw_window_events",
     "sample_mo_arrivals",
     "step_alpha",
     "step_midprice",
@@ -50,46 +51,63 @@ class RngStream:
 
 @dataclass(frozen=True)
 class MOArrivals:
-    """Market-order arrival indicators for one step (at most one per side)."""
+    """Market-order arrival indicators for one step (at most one per side),
+    or per window for arrays of steps."""
 
-    buy: bool = False
-    sell: bool = False
+    buy: bool | np.ndarray = False
+    sell: bool | np.ndarray = False
+
+
+# columns of a window's uniforms: buy arrival, sell arrival, ask and bid thinning
+WINDOW_UNIFORMS = 4
+
+
+def draw_window_events(
+    rng: RngStream | np.random.Generator, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a window's random events in their fixed layout.
+
+    Returns ``(u, z)``: ``u = gen.random((n_steps, 4))`` holds per step the
+    buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms, then
+    ``z = gen.standard_normal(n_steps)`` the alpha shocks.  Every uniform
+    is drawn whether or not it is used, so no draw depends on the state.
+    """
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    return gen.random((n_steps, WINDOW_UNIFORMS)), gen.standard_normal(n_steps)
 
 
 def sample_mo_arrivals(
     lambda_plus: float,
     lambda_minus: float,
     dt: float,
-    rng: np.random.Generator,
+    u_buy: float | np.ndarray,
+    u_sell: float | np.ndarray,
 ) -> MOArrivals:
-    """Draw one step of Poisson-thinned arrivals, independently per side."""
+    """Poisson-thinned arrivals, independently per side, from pre-drawn
+    uniforms (scalars or arrays): a side arrives when its uniform falls
+    below 1 - exp(-lambda dt)."""
     p_buy = 1.0 - math.exp(-lambda_plus * dt)
     p_sell = 1.0 - math.exp(-lambda_minus * dt)
-    return MOArrivals(buy=rng.random() < p_buy, sell=rng.random() < p_sell)
+    return MOArrivals(buy=u_buy < p_buy, sell=u_sell < p_sell)
 
 
 def step_alpha(
-    alpha: float,
+    alpha: float | np.ndarray,
     arrivals: MOArrivals,
     dt: float,
     params: MarketParams,
-    rng: np.random.Generator,
-) -> float:
-    """One Euler step of the short-term drift.
+    z: float | np.ndarray,
+) -> float | np.ndarray:
+    """One Euler step of the short-term drift, for scalars or arrays.
 
     alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z
              + eps_plus 1{buy} - eps_minus 1{sell}
 
-    A normal variate is always consumed so the draw sequence per step does
-    not depend on parameter values.
+    Adding a zero jump leaves the sum unchanged, so the expression equals
+    adding each jump only on its arrival, term by term.
     """
-    z = rng.standard_normal()
     out = alpha * (1.0 - params.zeta * dt) + params.eta * math.sqrt(dt) * z
-    if arrivals.buy:
-        out += params.eps_plus
-    if arrivals.sell:
-        out -= params.eps_minus
-    return out
+    return out + params.eps_plus * arrivals.buy - params.eps_minus * arrivals.sell
 
 
 def step_midprice(
@@ -183,10 +201,11 @@ def simulate_synthetic_path(
     alpha[0] = alpha0
 
     for i in range(n_steps):
-        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt, gen)
+        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
+                                      gen.random(), gen.random())
         buys[i] = arrivals.buy
         sells[i] = arrivals.sell
-        alpha[i + 1] = step_alpha(alpha[i], arrivals, params.dt, params, gen)
+        alpha[i + 1] = step_alpha(alpha[i], arrivals, params.dt, params, gen.standard_normal())
         mid[i + 1] = step_midprice(mid[i], alpha[i], params.dt, params, gen, tick=tick_size)
 
     half = params.delta / 2.0

@@ -26,6 +26,7 @@ __all__ = [
     "FillKind",
     "FillEvent",
     "FillCounters",
+    "FillColumns",
     "EnvVariant",
     "EnvMode",
     "classify_fill",
@@ -149,17 +150,16 @@ def sample_nonadverse_fill(
     mo_arrived: bool,
     adverse_already: bool,
     rho: float,
-    rng: np.random.Generator,
+    u: float,
 ) -> bool:
-    """Bernoulli(rho) fill for a posted side an arriving MO could match.
+    """Bernoulli(rho) fill, from the step's pre-drawn uniform ``u``, for a
+    posted side an arriving MO could match.
 
     Sides already filled adversely this step are ineligible: each posted
-    unit can fill at most once per step.  The draw is only consumed when
-    the side is eligible.
+    unit can fill at most once per step.  The uniform is drawn whether or
+    not the side is eligible.
     """
-    if not (posted and mo_arrived and not adverse_already):
-        return False
-    return rng.random() < rho
+    return posted and mo_arrived and not adverse_already and u < rho
 
 
 def step_fills(
@@ -172,13 +172,16 @@ def step_fills(
     mo_buy: bool,
     mo_sell: bool,
     mode: EnvMode,
-    rng: np.random.Generator,
+    u_ask: float,
+    u_bid: float,
     t_index: int = 0,
 ) -> list[FillEvent]:
     """Full fill pipeline for one step: adverse first, then thinned fills.
 
-    Arriving buy MOs lift the posted ask; sell MOs hit the posted bid.  The
-    ask side is always evaluated before the bid so the draw order is fixed.
+    Arriving buy MOs lift the posted ask; sell MOs hit the posted bid.
+    ``u_ask`` and ``u_bid`` are the step's thinning uniforms.  Fills come
+    in a fixed event order: adverse ask, adverse bid, non-adverse ask,
+    non-adverse bid.
     """
     fills: list[FillEvent] = []
     adverse_ask = adverse_bid = False
@@ -188,23 +191,49 @@ def step_fills(
         )
         adverse_ask = any(f.side is Side.ASK for f in fills)
         adverse_bid = any(f.side is Side.BID for f in fills)
-    if sample_nonadverse_fill(posted_ask, mo_buy, adverse_ask, mode.rho_effective, rng):
+    if sample_nonadverse_fill(posted_ask, mo_buy, adverse_ask, mode.rho_effective, u_ask):
         fills.append(FillEvent(t_index, Side.ASK, ask_now, FillKind.NON_ADVERSE))
-    if sample_nonadverse_fill(posted_bid, mo_sell, adverse_bid, mode.rho_effective, rng):
+    if sample_nonadverse_fill(posted_bid, mo_sell, adverse_bid, mode.rho_effective, u_bid):
         fills.append(FillEvent(t_index, Side.BID, bid_now, FillKind.NON_ADVERSE))
     return fills
+
+
+@dataclass(eq=False)
+class FillColumns:
+    """Fills as columns, one entry per fill in log order.
+
+    ``is_ask`` marks ask-side fills (the rest are bids) and ``is_adverse``
+    adverse ones; prices are the posted quote each fill executed at.
+    """
+
+    t_index: np.ndarray
+    is_ask: np.ndarray
+    price: np.ndarray
+    is_adverse: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t_index.size
+
+    @classmethod
+    def from_events(cls, fills: list[FillEvent]) -> "FillColumns":
+        return cls(
+            t_index=np.array([f.t_index for f in fills], dtype=np.int64),
+            is_ask=np.array([f.side is Side.ASK for f in fills], dtype=bool),
+            price=np.array([f.price for f in fills], dtype=float),
+            is_adverse=np.array([f.kind is FillKind.ADVERSE for f in fills], dtype=bool),
+        )
 
 
 FILL_LOG_HEADER = ["t_index", "side", "price", "kind"]
 
 
-def write_fill_log(fills: list[FillEvent], path) -> None:
+def write_fill_log(fills: FillColumns, path) -> None:
     """Fill log CSV: t_index, side, price, kind."""
     write_table(path, FILL_LOG_HEADER, [
-        [f.t_index for f in fills],
-        [f.side.value for f in fills],
-        [float(f.price) for f in fills],
-        [f.kind.value for f in fills],
+        fills.t_index,
+        np.where(fills.is_ask, Side.ASK.value, Side.BID.value),
+        fills.price,
+        np.where(fills.is_adverse, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
     ])
 
 

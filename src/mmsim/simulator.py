@@ -6,7 +6,9 @@ looked up at the nearest drift node for the current inventory, fills are
 generated by the environment's fill rules, and cash/inventory/wealth paths
 are recorded.  Batches split a session into consecutive non-overlapping
 windows that share only their boundary sample, each with its own
-deterministic RNG stream.
+deterministic RNG stream.  A window's random events are drawn before its
+first step, so ``run_batch`` steps many windows at once in numpy, and the
+scalar ``run_simulation`` is the reference it must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RngStream, sample_mo_arrivals, step_alpha
-from .fills import EnvMode, FillCounters, FillEvent, Side, step_fills
+from .dynamics import (
+    WINDOW_UNIFORMS,
+    MOArrivals,
+    RngStream,
+    draw_window_events,
+    sample_mo_arrivals,
+    step_alpha,
+)
+from .fills import EnvMode, FillColumns, FillCounters, FillEvent, Side, step_fills
 from .market_data import PriceSeries
 from .params import MarketParams
 from .solver import PostingPolicy, terminal_condition
@@ -67,10 +76,14 @@ class SimResult:
 
 @dataclass(eq=False)
 class BatchResult:
+    """Per-window terminal wealths and objectives, fill totals, and every
+    fill as columns with session-global ``t_index = w n_dt + i``."""
+
     terminal_wealths: np.ndarray
     objectives: np.ndarray
     fill_totals: FillCounters
     n_paths: int
+    fills: FillColumns
 
 
 def update_inventory(q: int, fills: list[FillEvent], q_max: int) -> int:
@@ -79,11 +92,15 @@ def update_inventory(q: int, fills: list[FillEvent], q_max: int) -> int:
     for f in fills:
         out += 1 if f.side is Side.BID else -1
     if abs(out) > q_max:
-        raise InventoryBoundBreachError(
-            f"inventory {out} outside [-{q_max}, {q_max}]; "
-            "the policy must not post at an inventory bound"
-        )
+        raise _bound_breach(out, q_max)
     return out
+
+
+def _bound_breach(q: int, q_max: int) -> InventoryBoundBreachError:
+    return InventoryBoundBreachError(
+        f"inventory {q} outside [-{q_max}, {q_max}]; "
+        "the policy must not post at an inventory bound"
+    )
 
 
 def update_cash(c: float, fills: list[FillEvent]) -> float:
@@ -119,21 +136,23 @@ def run_simulation(
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 
-    Step i (state at sample i, transition to i+1):
+    The window's events are drawn first (``draw_window_events``).  Step i
+    (state at sample i, transition to i+1):
       1. read the posting decision at (i, nearest drift node, inventory);
-      2. draw market-order arrivals and advance the drift with them;
+      2. take the step's market-order arrivals and advance the drift;
       3. improved mode: force adverse fills from the i -> i+1 quote move;
       4. thin the remaining posted sides by rho_effective on MO arrival;
       5. settle cash and inventory; mark wealth to the mid.
 
     At i = n_dt the terminal liquidation value replaces the mark-to-market,
     and the objective subtracts the running inventory penalty integral.
+    This scalar loop is the reference that ``run_batch`` reproduces.
     """
     n = params.n_dt
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
     _check_policy(policy, params)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    u, z = draw_window_events(rng, n)
 
     bid, ask, mid = series.bid, series.ask, series.mid
     nodes = policy.alpha_nodes
@@ -160,12 +179,14 @@ def run_simulation(
         posted_ask[i] = p_ask
         posted_bid[i] = p_bid
 
-        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt, gen)
-        alpha = step_alpha(alpha, arrivals, params.dt, params, gen)
+        u_buy, u_sell, u_ask, u_bid = u[i]
+        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
+                                      u_buy, u_sell)
+        alpha = step_alpha(alpha, arrivals, params.dt, params, z[i])
 
         new_fills = step_fills(
             p_bid, p_ask, bid[i], ask[i], bid[i + 1], ask[i + 1],
-            arrivals.buy, arrivals.sell, mode, gen, t_index=i,
+            arrivals.buy, arrivals.sell, mode, u_ask, u_bid, t_index=i,
         )
         penalty += params.phi * (q * q) * params.dt
         q = update_inventory(q, new_fills, params.q_max)
@@ -195,6 +216,10 @@ def n_windows(series_len: int, n_dt: int) -> int:
     return (series_len - 1) // n_dt
 
 
+# Windows stepped together: bounds the events and fill flags held at once.
+BLOCK_WINDOWS = 256
+
+
 def run_batch(
     policy: PostingPolicy,
     series: PriceSeries,
@@ -206,24 +231,103 @@ def run_batch(
 
     Windows cover samples [w n_dt, (w+1) n_dt] so consecutive windows share
     one boundary sample, and results do not depend on execution order.
+    The windows of a block are stepped together, each step one set of
+    array operations over the block.  Every operation is the one
+    ``run_simulation`` applies to a single window, in the same order, so
+    each window's results equal its scalar run bit for bit.
     """
-    count = n_windows(len(series), params.n_dt)
+    n = params.n_dt
+    count = n_windows(len(series), n)
     if count < 1:
         raise SeriesTooShortError(
-            f"series of {len(series)} samples holds no full window of {params.n_dt + 1}"
+            f"series of {len(series)} samples holds no full window of {n + 1}"
         )
-    wealths = np.empty(count)
-    objectives = np.empty(count)
-    totals = FillCounters()
-    for w in range(count):
-        window = series.window(w * params.n_dt, params.n_dt + 1)
-        result = run_simulation(policy, window, mode, params, RngStream(master_seed, w))
-        wealths[w] = result.terminal_wealth
-        objectives[w] = result.objective
-        totals += result.counters
-    return BatchResult(
-        terminal_wealths=wealths, objectives=objectives, fill_totals=totals, n_paths=count
+    _check_policy(policy, params)
+    blocks = [
+        _run_block(policy, series, mode, params, master_seed, w0, min(BLOCK_WINDOWS, count - w0))
+        for w0 in range(0, count, BLOCK_WINDOWS)
+    ]
+    wealths, objectives, codes, t_index = (np.concatenate(part) for part in zip(*blocks))
+    is_ask = codes % 2 == 0
+    afa, afb, nfa, nfb = np.bincount(codes, minlength=4).tolist()
+    fills = FillColumns(
+        t_index=t_index,
+        is_ask=is_ask,
+        price=np.where(is_ask, series.ask[t_index], series.bid[t_index]),
+        is_adverse=codes < 2,
     )
+    return BatchResult(
+        terminal_wealths=wealths, objectives=objectives,
+        fill_totals=FillCounters(afa=afa, nfa=nfa, afb=afb, nfb=nfb),
+        n_paths=count, fills=fills,
+    )
+
+
+def _run_block(policy, series, mode, params, master_seed, w0, size):
+    """Step windows w0 .. w0+size-1 together.
+
+    Returns their terminal wealths and objectives, then their fills as
+    event codes and session-global t_index, in window, step and event
+    order.  Codes are 0 adverse ask, 1 adverse bid,
+    2 non-adverse ask and 3 non-adverse bid, the order ``step_fills``
+    emits and ``run_simulation`` settles cash in.
+    """
+    n = params.n_dt
+    u = np.empty((size, n, WINDOW_UNIFORMS))
+    z = np.empty((size, n))
+    for k in range(size):
+        u[k], z[k] = draw_window_events(RngStream(master_seed, w0 + k), n)
+    arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
+                                  u[:, :, 0], u[:, :, 1])
+    thin_ask = u[:, :, 2] < mode.rho_effective
+    thin_bid = u[:, :, 3] < mode.rho_effective
+
+    base = w0 * n
+    span = size * n
+
+    def quotes(prices, i):
+        # sample i of every window in the block: a strided view, no copy
+        return prices[base + i:base + i + span:n]
+
+    nodes = policy.alpha_nodes
+    j0 = params.q_max
+    events = np.zeros((size, n, 4), dtype=bool)
+    q = np.zeros(size, dtype=np.int64)
+    c = np.zeros(size)
+    alpha = np.zeros(size)
+    penalty = np.zeros(size)
+
+    for i in range(n):
+        a_idx = np.abs(nodes - alpha[:, None]).argmin(axis=1)
+        j = q + j0
+        p_ask = policy.post_ask[i, a_idx, j]
+        p_bid = policy.post_bid[i, a_idx, j]
+
+        buy, sell = arrivals.buy[:, i], arrivals.sell[:, i]
+        alpha = step_alpha(alpha, MOArrivals(buy, sell), params.dt, params, z[:, i])
+
+        ask_now, bid_now = quotes(series.ask, i), quotes(series.bid, i)
+        step = events[:, i]
+        if mode.detect_adverse:
+            np.logical_and(p_ask, quotes(series.ask, i + 1) > ask_now, out=step[:, 0])
+            np.logical_and(p_bid, quotes(series.bid, i + 1) < bid_now, out=step[:, 1])
+        step[:, 2] = p_ask & buy & ~step[:, 0] & thin_ask[:, i]
+        step[:, 3] = p_bid & sell & ~step[:, 1] & thin_bid[:, i]
+
+        penalty += params.phi * (q * q) * params.dt
+        q += step[:, 1].astype(np.int64) + step[:, 3] - step[:, 0] - step[:, 2]
+        outside = np.abs(q) > params.q_max
+        if outside.any():
+            raise _bound_breach(int(q[outside.argmax()]), params.q_max)
+        np.add(c, ask_now, out=c, where=step[:, 0])
+        np.subtract(c, bid_now, out=c, where=step[:, 1])
+        np.add(c, ask_now, out=c, where=step[:, 2])
+        np.subtract(c, bid_now, out=c, where=step[:, 3])
+
+    mid = (quotes(series.bid, n) + quotes(series.ask, n)) / 2.0
+    final = terminal_wealth(c, q, mid, params)
+    flat = np.flatnonzero(events)
+    return final, final - penalty, flat % 4, base + flat // 4
 
 
 def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:

@@ -138,7 +138,7 @@ def test_criterion_6_adverse_fill_guarantee():
         n = 100_000
         bid, ask, posted_bid, posted_ask, mo_buy, mo_sell = _random_market(n, seed=60)
         mode = EnvMode.improved(default_params())
-        gen = RngStream(seed=61).generator()
+        u = RngStream(seed=61).generator().random((n, 2))
 
         missing = 0
         spurious = 0
@@ -146,7 +146,7 @@ def test_criterion_6_adverse_fill_guarantee():
             fills = step_fills(
                 bool(posted_bid[i]), bool(posted_ask[i]),
                 bid[i], ask[i], bid[i + 1], ask[i + 1],
-                bool(mo_buy[i]), bool(mo_sell[i]), mode, gen, t_index=i,
+                bool(mo_buy[i]), bool(mo_sell[i]), mode, u[i, 0], u[i, 1], t_index=i,
             )
             ask_adverse = [f for f in fills if f.side is Side.ASK and f.kind is FillKind.ADVERSE]
             bid_adverse = [f for f in fills if f.side is Side.BID and f.kind is FillKind.ADVERSE]
@@ -169,21 +169,21 @@ def test_criterion_7_fill_probability_calibration():
         rho = default_params().rho
         gen = RngStream(seed=70).generator()
         n = 100_000
-        hits = sum(sample_nonadverse_fill(True, True, False, rho, gen) for _ in range(n))
+        hits = sum(sample_nonadverse_fill(True, True, False, rho, u) for u in gen.random(n))
         assert abs(hits / n - rho) <= 0.005
 
         # counter identity checked after every step of a simulated run
         steps = 20_000
         bid, ask, posted_bid, posted_ask, mo_buy, mo_sell = _random_market(steps, seed=71)
         mode = EnvMode.improved(default_params())
-        gen = RngStream(seed=72).generator()
+        u = RngStream(seed=72).generator().random((steps, 2))
         counters = FillCounters()
         tally = {"afa": 0, "nfa": 0, "afb": 0, "nfb": 0}
         for i in range(steps):
             fills = step_fills(
                 bool(posted_bid[i]), bool(posted_ask[i]),
                 bid[i], ask[i], bid[i + 1], ask[i + 1],
-                bool(mo_buy[i]), bool(mo_sell[i]), mode, gen, t_index=i,
+                bool(mo_buy[i]), bool(mo_sell[i]), mode, u[i, 0], u[i, 1], t_index=i,
             )
             counters = counters + FillCounters.from_fills(fills)
             for f in fills:

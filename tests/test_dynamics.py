@@ -8,6 +8,7 @@ from mmsim.dynamics import (
     MOArrivals,
     PathState,
     RngStream,
+    draw_window_events,
     round_to_tick,
     sample_mo_arrivals,
     simulate_synthetic_path,
@@ -27,10 +28,29 @@ def test_rng_stream_replays_identically():
     assert not np.array_equal(a, c)
 
 
+def test_window_events_follow_the_documented_layout():
+    # one (n, 4) block of uniforms, then n normal shocks, from the stream's start
+    u, z = draw_window_events(RngStream(seed=31, stream_id=3), 120)
+    gen = RngStream(seed=31, stream_id=3).generator()
+    assert np.array_equal(u, gen.random((120, 4)))
+    assert np.array_equal(z, gen.standard_normal(120))
+
+
+def test_alpha_step_is_one_expression_for_scalars_and_arrays():
+    p = default_params()
+    gen = RngStream(seed=32).generator()
+    alpha, z = gen.normal(0.0, 0.01, 64), gen.standard_normal(64)
+    buy, sell = gen.random(64) < 0.5, gen.random(64) < 0.5
+    stepped = step_alpha(alpha, MOArrivals(buy, sell), p.dt, p, z)
+    for k in range(64):
+        one = step_alpha(float(alpha[k]), MOArrivals(bool(buy[k]), bool(sell[k])), p.dt, p, z[k])
+        assert one == stepped[k]
+
+
 def test_zero_intensity_never_arrives():
     gen = RngStream(seed=0).generator()
     for _ in range(1000):
-        assert not sample_mo_arrivals(0.0, 0.0, 1.0, gen).buy
+        assert not sample_mo_arrivals(0.0, 0.0, 1.0, gen.random(), gen.random()).buy
 
 
 def test_arrival_probability_matches_thinning_formula():
@@ -39,7 +59,7 @@ def test_arrival_probability_matches_thinning_formula():
     assert expected == pytest.approx(0.4419, abs=5e-4)
     gen = RngStream(seed=7).generator()
     n = 100_000
-    hits = sum(sample_mo_arrivals(lam, lam, 1.0, gen).buy for _ in range(n))
+    hits = sum(sample_mo_arrivals(lam, lam, 1.0, u[0], u[1]).buy for u in gen.random((n, 2)))
     assert hits / n == pytest.approx(expected, abs=0.01)
 
 
@@ -48,8 +68,8 @@ def test_symmetric_intensities_give_matching_frequencies():
     gen = RngStream(seed=11).generator()
     n = 100_000
     buys = sells = 0
-    for _ in range(n):
-        arr = sample_mo_arrivals(lam, lam, 1.0, gen)
+    for u_buy, u_sell in gen.random((n, 2)):
+        arr = sample_mo_arrivals(lam, lam, 1.0, u_buy, u_sell)
         buys += arr.buy
         sells += arr.sell
     assert abs(buys - sells) / n < 0.01
@@ -57,11 +77,11 @@ def test_symmetric_intensities_give_matching_frequencies():
 
 def test_alpha_step_deterministic_cases():
     p = replace(default_params(), eta=0.0)
-    gen = RngStream(seed=0).generator()
-    assert step_alpha(0.01, NO_ARRIVALS, 1.0, p, gen) == pytest.approx(0.0095, rel=1e-12)
-    assert step_alpha(0.0, MOArrivals(buy=True), 1.0, p, gen) == pytest.approx(0.002, rel=1e-12)
-    assert step_alpha(0.0, NO_ARRIVALS, 1.0, p, gen) == 0.0
-    assert step_alpha(0.0, MOArrivals(sell=True), 1.0, p, gen) == pytest.approx(-0.002, rel=1e-12)
+    z = RngStream(seed=0).generator().standard_normal(4)
+    assert step_alpha(0.01, NO_ARRIVALS, 1.0, p, z[0]) == pytest.approx(0.0095, rel=1e-12)
+    assert step_alpha(0.0, MOArrivals(buy=True), 1.0, p, z[1]) == pytest.approx(0.002, rel=1e-12)
+    assert step_alpha(0.0, NO_ARRIVALS, 1.0, p, z[2]) == 0.0
+    assert step_alpha(0.0, MOArrivals(sell=True), 1.0, p, z[3]) == pytest.approx(-0.002, rel=1e-12)
 
 
 def test_midprice_step_deterministic_cases():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mmsim.dynamics import RngStream
 from mmsim.fills import (
     EnvMode,
+    FillColumns,
     FillCounters,
     FillEvent,
     FillKind,
@@ -54,20 +55,20 @@ def test_detect_both_sides_on_widening():
 def test_nonadverse_requires_posting_and_arrival():
     gen = RngStream(seed=0).generator()
     for _ in range(200):
-        assert not sample_nonadverse_fill(False, True, False, 1.0, gen)
-        assert not sample_nonadverse_fill(True, False, False, 1.0, gen)
-        assert not sample_nonadverse_fill(True, True, True, 1.0, gen)
+        assert not sample_nonadverse_fill(False, True, False, 1.0, gen.random())
+        assert not sample_nonadverse_fill(True, False, False, 1.0, gen.random())
+        assert not sample_nonadverse_fill(True, True, True, 1.0, gen.random())
 
 
 def test_nonadverse_certain_at_rho_one():
     gen = RngStream(seed=1).generator()
-    assert all(sample_nonadverse_fill(True, True, False, 1.0, gen) for _ in range(2000))
+    assert all(sample_nonadverse_fill(True, True, False, 1.0, u) for u in gen.random(2000))
 
 
 def test_nonadverse_frequency_matches_rho():
     gen = RngStream(seed=2).generator()
     n = 100_000
-    hits = sum(sample_nonadverse_fill(True, True, False, 0.2, gen) for _ in range(n))
+    hits = sum(sample_nonadverse_fill(True, True, False, 0.2, u) for u in gen.random(n))
     assert hits / n == pytest.approx(0.2, abs=0.005)
 
 
@@ -115,7 +116,8 @@ def test_adverse_takes_precedence_over_thinning():
     # ask moved through while a buy MO arrives: exactly one fill, adverse
     for _ in range(500):
         fills = step_fills(False, True, 81.86, 81.90, 81.86, 81.91,
-                           mo_buy=True, mo_sell=False, mode=mode, rng=gen)
+                           mo_buy=True, mo_sell=False, mode=mode,
+                           u_ask=gen.random(), u_bid=gen.random())
         assert len(fills) == 1
         assert fills[0].kind is FillKind.ADVERSE
 
@@ -125,7 +127,8 @@ def test_benchmark_mode_never_emits_adverse():
     gen = RngStream(seed=4).generator()
     for _ in range(500):
         fills = step_fills(True, True, 81.86, 81.90, 81.50, 82.50,
-                           mo_buy=True, mo_sell=True, mode=mode, rng=gen)
+                           mo_buy=True, mo_sell=True, mode=mode,
+                           u_ask=gen.random(), u_bid=gen.random())
         assert all(f.kind is FillKind.NON_ADVERSE for f in fills)
         assert len(fills) == 2  # rho_effective = 1 fills both matched sides
 
@@ -138,8 +141,9 @@ def test_env_mode_constructors():
     assert improved.rho_effective == p.rho and improved.detect_adverse
 
 
-def _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, gen):
-    """Step-by-step literal restatement of the fill rules."""
+def _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, u):
+    """Step-by-step literal restatement of the fill rules; ``u[i]`` holds
+    step i's ask and bid thinning uniforms."""
     out = []
     for i in range(len(bids) - 1):
         ask_adverse = bid_adverse = False
@@ -151,10 +155,10 @@ def _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, gen
                 out.append(FillEvent(i, Side.BID, bids[i], FillKind.ADVERSE))
                 bid_adverse = True
         if posted_ask[i] and mo_buy[i] and not ask_adverse:
-            if gen.random() < mode.rho_effective:
+            if u[i, 0] < mode.rho_effective:
                 out.append(FillEvent(i, Side.ASK, asks[i], FillKind.NON_ADVERSE))
         if posted_bid[i] and mo_sell[i] and not bid_adverse:
-            if gen.random() < mode.rho_effective:
+            if u[i, 1] < mode.rho_effective:
                 out.append(FillEvent(i, Side.BID, bids[i], FillKind.NON_ADVERSE))
     return out
 
@@ -173,16 +177,15 @@ def test_step_fills_matches_naive_replay(variant):
     mo_buy = setup.random(n) < 0.4
     mo_sell = setup.random(n) < 0.4
 
-    gen_a = RngStream(seed=51).generator()
+    u = RngStream(seed=51).generator().random((n, 2))
     got = []
     for i in range(n):
         got.extend(step_fills(
             bool(posted_bid[i]), bool(posted_ask[i]),
             bids[i], asks[i], bids[i + 1], asks[i + 1],
-            bool(mo_buy[i]), bool(mo_sell[i]), mode, gen_a, t_index=i,
+            bool(mo_buy[i]), bool(mo_sell[i]), mode, u[i, 0], u[i, 1], t_index=i,
         ))
-    gen_b = RngStream(seed=51).generator()
-    want = _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, gen_b)
+    want = _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, u)
     assert got == want
 
 
@@ -192,6 +195,6 @@ def test_fill_log_round_trip(tmp_path):
         FillEvent(5, Side.BID, 81.86, FillKind.NON_ADVERSE),
     ]
     path = tmp_path / "fills.csv"
-    write_fill_log(fills, path)
+    write_fill_log(FillColumns.from_events(fills), path)
     assert read_fill_log(path) == fills
     assert path.read_text().startswith("t_index,side,price,kind\n")

@@ -4,8 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mmsim import simulator
+from mmsim.cli import cli_main
 from mmsim.dynamics import RngStream
-from mmsim.fills import EnvMode, FillEvent, FillKind, Side
+from mmsim.fills import (
+    EnvMode,
+    FillColumns,
+    FillCounters,
+    FillEvent,
+    FillKind,
+    Side,
+    write_fill_log,
+)
 from mmsim.market_data import PriceSeries, synthetic_quotes
 from mmsim.params import default_grid, default_params
 from mmsim.simulator import (
@@ -18,7 +28,7 @@ from mmsim.simulator import (
     update_cash,
     update_inventory,
 )
-from mmsim.solver import extract_policy, solve_dpe
+from mmsim.solver import PostingPolicy, export_policy_csv, extract_policy, solve_dpe
 
 
 @pytest.fixture(scope="module")
@@ -143,28 +153,25 @@ def test_inventory_stays_bounded_and_unposted_at_bounds(solved):
 
 
 def test_benchmark_fills_exactly_on_posted_arrivals(solved):
-    """Replay the documented draw order to recover the arrival flags, then
+    """Recover the arrival flags from the documented draw layout, then
     check fills == posted AND arrival, side by side."""
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=11)
     mode = EnvMode.benchmark()
     result = run_simulation(policy, series, mode, params, RngStream(4, 0))
 
-    gen = RngStream(4, 0).generator()
+    # one block of uniforms (buy arrival, sell arrival, ask and bid
+    # thinning per step), then the alpha shocks
+    u = RngStream(4, 0).generator().random((params.n_dt, 4))
     p_arr = 1.0 - math.exp(-params.lambda_plus * params.dt)
     fills_by_step = {}
     for f in result.fills:
         fills_by_step.setdefault((f.t_index, f.side), []).append(f)
     for i in range(params.n_dt):
-        buy = gen.random() < p_arr
-        sell = gen.random() < p_arr
-        gen.standard_normal()
+        buy = u[i, 0] < p_arr
+        sell = u[i, 1] < p_arr
         expect_ask = bool(result.posted_ask[i]) and buy
         expect_bid = bool(result.posted_bid[i]) and sell
-        if expect_ask:
-            gen.random()  # thinning draw consumed at rho_effective = 1
-        if expect_bid:
-            gen.random()
         got_ask = fills_by_step.get((i, Side.ASK), [])
         got_bid = fills_by_step.get((i, Side.BID), [])
         assert len(got_ask) == int(expect_ask)
@@ -172,6 +179,43 @@ def test_benchmark_fills_exactly_on_posted_arrivals(solved):
         if expect_ask:
             assert got_ask[0].kind is FillKind.NON_ADVERSE
             assert got_ask[0].price == series.ask[i]
+
+
+def _constant_policy(params, nodes, post_ask: bool, post_bid: bool) -> PostingPolicy:
+    shape = (params.n_dt + 1, nodes.size, 2 * params.q_max + 1)
+    return PostingPolicy(
+        post_ask=np.full(shape, post_ask), post_bid=np.full(shape, post_bid),
+        alpha_nodes=nodes, q_nodes=np.arange(-params.q_max, params.q_max + 1),
+    )
+
+
+def test_window_events_do_not_depend_on_policy(solved):
+    """An always-posted book in the benchmark environment fills exactly on
+    the arrival flags recovered from each window's stream."""
+    params, policy = solved
+    # a bound no window can reach: inventory moves at most one lot a step
+    roomy = replace(params, q_max=params.n_dt)
+    always = _constant_policy(roomy, policy.alpha_nodes, True, True)
+    windows = 3
+    series = synthetic_quotes(roomy, windows * roomy.n_dt, seed=18)
+    batch = run_batch(always, series, EnvMode.benchmark(), roomy, master_seed=19)
+
+    p_arr = 1.0 - math.exp(-roomy.lambda_plus * roomy.dt)
+    want_ask, want_bid = [], []
+    for w in range(windows):
+        u = RngStream(19, w).generator().random((roomy.n_dt, 4))
+        want_ask += (w * roomy.n_dt + np.flatnonzero(u[:, 0] < p_arr)).tolist()
+        want_bid += (w * roomy.n_dt + np.flatnonzero(u[:, 1] < p_arr)).tolist()
+        window = series.window(w * roomy.n_dt, roomy.n_dt + 1)
+        r = run_simulation(always, window, EnvMode.benchmark(), roomy, RngStream(19, w))
+        assert [f.t_index for f in r.fills if f.side is Side.ASK] == np.flatnonzero(
+            u[:, 0] < p_arr).tolist()
+        assert [f.t_index for f in r.fills if f.side is Side.BID] == np.flatnonzero(
+            u[:, 1] < p_arr).tolist()
+    fills = batch.fills
+    assert fills.t_index[fills.is_ask].tolist() == want_ask
+    assert fills.t_index[~fills.is_ask].tolist() == want_bid
+    assert not fills.is_adverse.any()
 
 
 def test_nonadverse_count_matches_expectation(solved):
@@ -227,6 +271,100 @@ def test_batch_equals_orderless_window_runs(solved):
         wealths[w] = run_simulation(policy, window, mode, params,
                                     RngStream(21, w)).terminal_wealth
     assert np.array_equal(wealths, batch.terminal_wealths)
+
+
+def _assert_same_fills(got: FillColumns, want: list[FillEvent]):
+    want = FillColumns.from_events(want)
+    assert len(got) == len(want)
+    for name in ("t_index", "is_ask", "price", "is_adverse"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("lam", [None, 5.0])
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, lam):
+    """Every window of the vectorised batch equals its run_simulation run:
+    wealth, objective, counters and fills, with no tolerance."""
+    monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 3)  # blocks of 3, 3 and 1 windows
+    params, policy = solved
+    params = replace(params, phi=1e-4)  # a running penalty, so objectives differ from wealth
+    if lam is not None:
+        params = replace(params, lambda_plus=lam, lambda_minus=lam)
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    windows = 7
+    series = synthetic_quotes(params, windows * params.n_dt + 5, seed=22)
+    batch = run_batch(policy, series, mode, params, master_seed=23)
+    assert batch.n_paths == windows
+
+    fills, totals, at_bound = [], FillCounters(), False
+    for w in range(windows):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        r = run_simulation(policy, window, mode, params, RngStream(23, w))
+        assert batch.terminal_wealths[w] == r.terminal_wealth
+        assert batch.objectives[w] == r.objective
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        totals += r.counters
+        at_bound |= bool(np.any(np.abs(r.inventory) == params.q_max))
+    assert batch.fill_totals == totals
+    _assert_same_fills(batch.fills, fills)
+    if lam is not None:
+        assert at_bound, "hot arrival rates should drive inventory to a bound"
+
+
+def test_batch_settles_cash_in_event_order(solved):
+    """An always-posted book with certain thinning fills a non-adverse ask
+    in most steps where the bid is hit adversely; cash must take the
+    adverse bid first, as the scalar run does, to agree in the last bit."""
+    params, policy = solved
+    busy = replace(params, q_max=params.n_dt, rho=1.0, lambda_plus=5.0, lambda_minus=5.0)
+    always = _constant_policy(busy, policy.alpha_nodes, True, True)
+    mode = EnvMode.improved(busy)
+    windows = 7
+    series = synthetic_quotes(busy, windows * busy.n_dt, seed=27)
+    batch = run_batch(always, series, mode, busy, master_seed=28)
+    for w in range(windows):
+        window = series.window(w * busy.n_dt, busy.n_dt + 1)
+        r = run_simulation(always, window, mode, busy, RngStream(28, w))
+        assert batch.terminal_wealths[w] == r.terminal_wealth
+
+
+@pytest.mark.parametrize("post_bid", [True, False])
+def test_posting_at_a_bound_raises_in_batch_and_oracle(solved, post_bid):
+    """A policy that keeps posting the bid at +q_max (or the ask at -q_max)
+    breaches the bound under hot rates, in both simulators."""
+    params, policy = solved
+    hot = replace(params, lambda_plus=5.0, lambda_minus=5.0)
+    one_sided = _constant_policy(hot, policy.alpha_nodes, not post_bid, post_bid)
+    series = synthetic_quotes(hot, 2 * hot.n_dt, seed=24)
+    with pytest.raises(InventoryBoundBreachError):
+        run_batch(one_sided, series, EnvMode.benchmark(), hot, master_seed=25)
+    with pytest.raises(InventoryBoundBreachError):
+        run_simulation(one_sided, series, EnvMode.benchmark(), hot, RngStream(25, 0))
+
+
+def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
+    """`simulate` writes the batch's fill log without rerunning windows; it
+    must equal the log of each window run alone, and only the requested
+    snapshots are written."""
+    params, policy = solved
+    export_policy_csv(policy, tmp_path / "policy.csv")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--mode", "improved",
+                     "--windows", "5", "--snapshots", "2", "--seed", "26",
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "batch_wealth.csv", "fills.csv", "snapshot_0.csv", "snapshot_1.csv"]
+
+    series = synthetic_quotes(params, 5 * params.n_dt, RngStream(seed=26, stream_id=10_000))
+    mode = EnvMode.improved(params)
+    fills = []
+    for w in range(5):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        r = run_simulation(policy, window, mode, params, RngStream(26, w))
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+    assert fills
+    write_fill_log(FillColumns.from_events(fills), tmp_path / "replayed.csv")
+    assert (out / "fills.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()
 
 
 def test_policy_shape_mismatch_detected(solved):

@@ -7,7 +7,15 @@ import pytest
 from mmsim import table
 from mmsim.basic_poster import FillTypeSummary, write_fill_summary_csv
 from mmsim.cli import cli_main
-from mmsim.fills import FillCounters, FillEvent, FillKind, Side, read_fill_log, write_fill_log
+from mmsim.fills import (
+    FillColumns,
+    FillCounters,
+    FillEvent,
+    FillKind,
+    Side,
+    read_fill_log,
+    write_fill_log,
+)
 from mmsim.market_data import PriceSeries
 from mmsim.reporting import (
     Histogram,
@@ -129,18 +137,19 @@ WRITERS = {
         lambda path: write_batch_wealth_csv(
             BatchResult(terminal_wealths=np.array([0.1, -2.5]),
                         objectives=np.array([1e-17, 0.1 + 0.2]),
-                        fill_totals=FillCounters(), n_paths=2),
+                        fill_totals=FillCounters(), n_paths=2,
+                        fills=FillColumns.from_events([])),
             path,
         ),
         "window,terminal_wealth,objective\n0,0.1,1e-17\n1,-2.5,0.30000000000000004\n",
     ),
     "fill_log": (
-        lambda path: write_fill_log(FILLS, path),
+        lambda path: write_fill_log(FillColumns.from_events(FILLS), path),
         "t_index,side,price,kind\n"
         "1,ask,100.02,adverse\n1,bid,100.0,non_adverse\n0,bid,99.99,non_adverse\n",
     ),
     "fill_log_empty": (
-        lambda path: write_fill_log([], path),
+        lambda path: write_fill_log(FillColumns.from_events([]), path),
         "t_index,side,price,kind\n",
     ),
     "histogram": (
