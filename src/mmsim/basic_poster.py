@@ -24,7 +24,10 @@ back through a canonical rounding so equal ticks compare equal as floats.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .dynamics import RngStream, round_to_tick
 from .fills import FillCounters, FillEvent, FillKind, Side, classify_fill
@@ -48,6 +51,9 @@ log = logging.getLogger(__name__)
 
 # Ladder spacing per contract, in ticks.
 OFFSET_TICKS_PRESETS = {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
+
+# Steps ahead compared at once when searching for the next active step.
+SEARCH_STEPS = 256
 
 
 class EmptySeriesError(ValueError):
@@ -145,23 +151,51 @@ def run_basic_posting(
     """Run the static ladder strategy over a top-of-book series.
 
     Queue consumption at the touch is simulated: per step one unit of
-    volume trades on each side independently with probability ``mo_prob``
-    (two draws per step, bid side first, regardless of order state).
+    volume trades on each side independently with probability ``mo_prob``.
+    The uniforms are drawn up front as one ``gen.random((n - 1, 2))`` block
+    for the series' n samples, whatever the orders do: row i is step i,
+    column 0 the sell order (it hits the bid queue), column 1 the buy order.
     Orders placed at the current touch inherit the visible level-1 size as
     their queue; orders placed away from the market start with
     ``default_queue`` ahead.
+
+    At each step the buys are visited high to low, then the sells low to
+    high; fills are removed, then reposted against the next sample, then
+    rungs beyond the cancel distance are dropped.  Only steps where a rung
+    can act are visited.  While the rungs stay put, whether step i can
+    touch the book is a threshold on the highest buy, the lowest sell and
+    the outermost rungs, so the next such step is found with array compares
+    over the samples ahead, and every other step is skipped.
     """
-    if len(series) == 0:
+    n = len(series)
+    if n == 0:
         raise EmptySeriesError("series holds no samples")
     if offset_ticks < 1:
         raise ValueError(f"offset_ticks must be >= 1, got {offset_ticks}")
 
-    gen = RngStream(seed=seed).generator()
-    bid_t = [round(b / tick) for b in series.bid]
-    ask_t = [round(a / tick) for a in series.ask]
+    mo = RngStream(seed=seed).generator().random((n - 1, 2)) < mo_prob
+    bid_a = np.rint(series.bid / tick).astype(np.int64)
+    ask_a = np.rint(series.ask / tick).astype(np.int64)
+    b0, b1, a0, a1 = bid_a[:-1], bid_a[1:], ask_a[:-1], ask_a[1:]
+    # step i can act on a buy rung only if the highest one is at least
+    # buy_reach[i]: the bid falls below it, the ask drops onto it, or a sell
+    # order meets it at or inside the touch; sell_reach mirrors it
+    buy_reach = np.minimum(a1, np.where(b1 < b0, b1 + 1, a1))
+    buy_reach = np.where(mo[:, 0], np.minimum(buy_reach, b0), buy_reach)
+    sell_reach = np.maximum(b1, np.where(a1 > a0, a1 - 1, b1))
+    sell_reach = np.where(mo[:, 1], np.maximum(sell_reach, a0), sell_reach)
+    if cancel_distance_ticks is not None:
+        # a rung leaves the band when twice its tick is beyond these
+        band_hi = b1 + a1 + 2 * cancel_distance_ticks
+        band_lo = b1 + a1 - 2 * cancel_distance_ticks
+    bid_t, ask_t = bid_a.tolist(), ask_a.tolist()
+    mo_sell, mo_buy = mo[:, 0].tolist(), mo[:, 1].tolist()
 
-    buys: dict[int, RestingOrder] = {}
-    sells: dict[int, RestingOrder] = {}
+    # each side's rung ticks, ascending, and the queue ahead of each rung
+    buys: list[int] = []
+    sells: list[int] = []
+    buy_queue: dict[int, float] = {}
+    sell_queue: dict[int, float] = {}
 
     def _queue_at_placement(side: Side, ticks: int, i: int) -> float:
         if side is Side.BID:
@@ -177,23 +211,87 @@ def run_basic_posting(
         return default_queue
 
     def _place(side: Side, ticks: int, i: int) -> None:
-        book = buys if side is Side.BID else sells
-        if ticks in book:
+        rungs, queue = (buys, buy_queue) if side is Side.BID else (sells, sell_queue)
+        if ticks in queue:
             log.debug("step %d: %s rung %d already posted, repost skipped", i, side.value, ticks)
             return
         if side is Side.BID:
-            if sells and ticks >= min(sells):
+            if sells and ticks >= sells[0]:
                 log.debug("step %d: bid rung %d would cross lowest ask, skipped", i, ticks)
                 return
             if ticks >= ask_t[i]:
                 return
         else:
-            if buys and ticks <= max(buys):
+            if buys and ticks <= buys[-1]:
                 log.debug("step %d: ask rung %d would cross highest bid, skipped", i, ticks)
                 return
             if ticks <= bid_t[i]:
                 return
-        book[ticks] = RestingOrder(side, _price(ticks, tick), _queue_at_placement(side, ticks, i))
+        queue[ticks] = _queue_at_placement(side, ticks, i)
+        insort(rungs, ticks)
+
+    def _step(i: int) -> bool:
+        """Apply step i's rules; True when a rung was filled or cancelled."""
+        bid_now, bid_next, ask_now, ask_next = bid_t[i], bid_t[i + 1], ask_t[i], ask_t[i + 1]
+        filled: list[tuple[Side, int]] = []
+        # buys below this floor can be neither swept nor reached
+        floor = min(bid_now, bid_next + 1, ask_next)
+        for ticks in reversed(buys[bisect_left(buys, floor):]):
+            if (bid_now >= ticks > bid_next) or ask_next <= ticks:
+                fills.append(FillEvent(i, Side.BID, _price(ticks, tick), FillKind.ADVERSE))
+                filled.append((Side.BID, ticks))
+            elif ticks >= bid_now and mo_sell[i]:
+                # queue_fill_check(order, 1.0): fill once volume exceeds the queue
+                ahead = buy_queue[ticks]
+                if 1.0 > ahead:
+                    price = _price(ticks, tick)
+                    kind = classify_fill(Side.BID, price, _price(bid_next, tick))
+                    fills.append(FillEvent(i, Side.BID, price, kind))
+                    filled.append((Side.BID, ticks))
+                else:
+                    buy_queue[ticks] = ahead - 1.0
+        ceiling = max(ask_now, ask_next - 1, bid_next)
+        for ticks in sells[:bisect_right(sells, ceiling)]:
+            if (ask_now <= ticks < ask_next) or bid_next >= ticks:
+                fills.append(FillEvent(i, Side.ASK, _price(ticks, tick), FillKind.ADVERSE))
+                filled.append((Side.ASK, ticks))
+            elif ticks <= ask_now and mo_buy[i]:
+                ahead = sell_queue[ticks]
+                if 1.0 > ahead:
+                    price = _price(ticks, tick)
+                    kind = classify_fill(Side.ASK, price, _price(ask_next, tick))
+                    fills.append(FillEvent(i, Side.ASK, price, kind))
+                    filled.append((Side.ASK, ticks))
+                else:
+                    sell_queue[ticks] = ahead - 1.0
+
+        for side, ticks in filled:
+            rungs, queue = (buys, buy_queue) if side is Side.BID else (sells, sell_queue)
+            del queue[ticks]
+            rungs.remove(ticks)
+        for side, ticks in filled:
+            if side is Side.BID:
+                _place(Side.BID, ticks - offset_ticks, i + 1)
+                _place(Side.ASK, ticks + offset_ticks, i + 1)
+            else:
+                _place(Side.ASK, ticks + offset_ticks, i + 1)
+                _place(Side.BID, ticks - offset_ticks, i + 1)
+
+        cancelled = False
+        if cancel_distance_ticks is not None:
+            mid2 = (bid_next + ask_next) / 2.0
+            for rungs, queue in ((buys, buy_queue), (sells, sell_queue)):
+                for ticks in [t for t in rungs if abs(t - mid2) > cancel_distance_ticks]:
+                    del queue[ticks]
+                    rungs.remove(ticks)
+                    cancelled = True
+
+        if buys and sells and buys[-1] >= sells[0]:
+            raise RuntimeError(
+                f"ladder discipline broken at step {i}: "
+                f"bid rung {buys[-1]} >= ask rung {sells[0]}"
+            )
+        return bool(filled) or cancelled
 
     # initial rungs straddling the sample-0 market, offset_ticks apart
     spread_t = ask_t[0] - bid_t[0]
@@ -203,59 +301,24 @@ def run_basic_posting(
     _place(Side.ASK, first_buy + offset_ticks, 0)
 
     fills: list[FillEvent] = []
-    for i in range(len(series) - 1):
-        mo_sell = gen.random() < mo_prob  # sell MO consumes the bid queue
-        mo_buy = gen.random() < mo_prob
-
-        filled: list[tuple[Side, int]] = []
-        for ticks in sorted(buys, reverse=True):
-            order = buys[ticks]
-            # swept: the bid fell through the level, or the ask dropped onto
-            # it; a rung improving the current bid is matchable by sell flow
-            swept = (bid_t[i] >= ticks > bid_t[i + 1]) or ask_t[i + 1] <= ticks
-            if swept:
-                fills.append(FillEvent(i, Side.BID, order.price, FillKind.ADVERSE))
-                filled.append((Side.BID, ticks))
-            elif ticks >= bid_t[i] and mo_sell:
-                done, buys[ticks] = queue_fill_check(order, 1.0)
-                if done:
-                    kind = classify_fill(Side.BID, order.price, _price(bid_t[i + 1], tick))
-                    fills.append(FillEvent(i, Side.BID, order.price, kind))
-                    filled.append((Side.BID, ticks))
-        for ticks in sorted(sells):
-            order = sells[ticks]
-            swept = (ask_t[i] <= ticks < ask_t[i + 1]) or bid_t[i + 1] >= ticks
-            if swept:
-                fills.append(FillEvent(i, Side.ASK, order.price, FillKind.ADVERSE))
-                filled.append((Side.ASK, ticks))
-            elif ticks <= ask_t[i] and mo_buy:
-                done, sells[ticks] = queue_fill_check(order, 1.0)
-                if done:
-                    kind = classify_fill(Side.ASK, order.price, _price(ask_t[i + 1], tick))
-                    fills.append(FillEvent(i, Side.ASK, order.price, kind))
-                    filled.append((Side.ASK, ticks))
-
-        for side, ticks in filled:
-            del (buys if side is Side.BID else sells)[ticks]
-        for side, ticks in filled:
-            if side is Side.BID:
-                _place(Side.BID, ticks - offset_ticks, i + 1)
-                _place(Side.ASK, ticks + offset_ticks, i + 1)
-            else:
-                _place(Side.ASK, ticks + offset_ticks, i + 1)
-                _place(Side.BID, ticks - offset_ticks, i + 1)
-
+    i, n_steps = 0, n - 1
+    while i < n_steps and (buys or sells):
+        stop = min(i + SEARCH_STEPS, n_steps)
+        active = np.zeros(stop - i, dtype=bool)
+        if buys:
+            active |= buy_reach[i:stop] <= buys[-1]
+        if sells:
+            active |= sell_reach[i:stop] >= sells[0]
         if cancel_distance_ticks is not None:
-            mid2 = (bid_t[i + 1] + ask_t[i + 1]) / 2.0
-            for book in (buys, sells):
-                for ticks in [t for t in book if abs(t - mid2) > cancel_distance_ticks]:
-                    del book[ticks]
-
-        if buys and sells and max(buys) >= min(sells):
-            raise RuntimeError(
-                f"ladder discipline broken at step {i}: "
-                f"bid rung {max(buys)} >= ask rung {min(sells)}"
-            )
+            active |= band_hi[i:stop] < 2 * max(buys[-1:] + sells[-1:])
+            active |= band_lo[i:stop] > 2 * min(buys[:1] + sells[:1])
+        for k in np.flatnonzero(active).tolist():
+            if _step(i + k):
+                # the rungs changed: search again from the next step
+                i += k + 1
+                break
+        else:
+            i = stop
 
     return _log_from_fills(fills)
 

@@ -13,7 +13,6 @@ Counters keep the identity  total(side) = adverse + non-adverse.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +78,16 @@ class FillCounters:
 
     @classmethod
     def from_fills(cls, fills: list[FillEvent]) -> "FillCounters":
-        """Count fills by side and kind in one pass."""
-        tally = Counter((f.side, f.kind) for f in fills)
-        return cls(
-            afa=tally[Side.ASK, FillKind.ADVERSE],
-            nfa=tally[Side.ASK, FillKind.NON_ADVERSE],
-            afb=tally[Side.BID, FillKind.ADVERSE],
-            nfb=tally[Side.BID, FillKind.NON_ADVERSE],
-        )
+        """Count fill events by side and kind."""
+        return cls.from_columns(FillColumns.from_events(fills))
+
+    @classmethod
+    def from_columns(cls, fills: "FillColumns") -> "FillCounters":
+        """Count fills by side and kind with one ``bincount``."""
+        # codes 0 adverse ask, 1 adverse bid, 2 non-adverse ask, 3 non-adverse bid
+        codes = 2 * ~fills.is_adverse + ~fills.is_ask
+        afa, afb, nfa, nfb = np.bincount(codes, minlength=4).tolist()
+        return cls(afa=afa, nfa=nfa, afb=afb, nfb=nfb)
 
     def __add__(self, other: "FillCounters") -> "FillCounters":
         return FillCounters(afa=self.afa + other.afa, nfa=self.nfa + other.nfa,
@@ -237,10 +238,23 @@ def write_fill_log(fills: FillColumns, path) -> None:
     ])
 
 
-def read_fill_log(path) -> list[FillEvent]:
+def read_fill_log(path) -> FillColumns:
+    """Read a fill log back as columns; an unknown side or kind raises."""
     header, columns = read_table(path)
     if header != FILL_LOG_HEADER:
         raise ValueError(f"unexpected fill log header {','.join(header)!r}")
     t, side, price, kind = columns
-    return list(map(FillEvent, map(int, t), map(Side, side), map(float, price),
-                    map(FillKind, kind)))
+    return FillColumns(
+        t_index=np.fromiter(map(int, t), np.int64, len(t)),
+        is_ask=_flag_column(side, Side.ASK.value, Side.BID.value),
+        price=np.fromiter(map(float, price), float, len(price)),
+        is_adverse=_flag_column(kind, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
+    )
+
+
+def _flag_column(cells: list[str], true_text: str, false_text: str) -> np.ndarray:
+    unknown = set(cells).difference((true_text, false_text))
+    if unknown:
+        raise ValueError(f"fill log cell {min(unknown)!r} is neither {true_text!r} "
+                         f"nor {false_text!r}")
+    return np.fromiter(map(true_text.__eq__, cells), bool, len(cells))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fills import FillCounters, FillEvent
+from .fills import FillColumns, FillCounters
 from .table import read_table, write_table
 
 __all__ = [
@@ -52,8 +52,8 @@ def summarize_fills(fill_totals: FillCounters) -> list[tuple[str, int]]:
     ]
 
 
-def counters_from_fills(fills: list[FillEvent]) -> FillCounters:
-    return FillCounters.from_fills(fills)
+def counters_from_fills(fills: FillColumns) -> FillCounters:
+    return FillCounters.from_columns(fills)
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:

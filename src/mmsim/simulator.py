@@ -249,7 +249,6 @@ def run_batch(
     ]
     wealths, objectives, codes, t_index = (np.concatenate(part) for part in zip(*blocks))
     is_ask = codes % 2 == 0
-    afa, afb, nfa, nfb = np.bincount(codes, minlength=4).tolist()
     fills = FillColumns(
         t_index=t_index,
         is_ask=is_ask,
@@ -258,8 +257,7 @@ def run_batch(
     )
     return BatchResult(
         terminal_wealths=wealths, objectives=objectives,
-        fill_totals=FillCounters(afa=afa, nfa=nfa, afb=afb, nfb=nfb),
-        n_paths=count, fills=fills,
+        fill_totals=FillCounters.from_columns(fills), n_paths=count, fills=fills,
     )
 
 

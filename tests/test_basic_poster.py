@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsim.basic_poster import (
     EmptySeriesError,
     OFFSET_TICKS_PRESETS,
+    SEARCH_STEPS,
     RestingOrder,
     fill_type_table,
     queue_fill_check,
@@ -11,8 +16,10 @@ from mmsim.basic_poster import (
     run_example1,
     write_fill_summary_csv,
 )
+from mmsim.cli import cli_main
+from mmsim.dynamics import RngStream, round_to_tick
 from mmsim.fills import FillEvent, FillKind, Side, classify_fill
-from mmsim.market_data import PriceSeries
+from mmsim.market_data import LOB_COLUMNS, LOBBook, PriceSeries, render_lob_csv
 
 
 def _series(bids, asks, bid_sz=10.0, ask_sz=10.0):
@@ -198,3 +205,230 @@ def test_summary_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "date,contract,total,adverse,non_adverse"
     assert lines[1].startswith("2024/04/23,CL,100,")
+
+
+def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=10.0,
+                       mo_prob=0.44, cancel_distance_ticks=None):
+    """The ladder stepped at every sample, every resting rung visited in
+    order at each step: the plain statement of the rules."""
+    gen = RngStream(seed=seed).generator()
+    bid_t = [round(b / tick) for b in series.bid]
+    ask_t = [round(a / tick) for a in series.ask]
+
+    def price(ticks):
+        return round_to_tick(ticks * tick, tick)
+
+    buys: dict[int, RestingOrder] = {}
+    sells: dict[int, RestingOrder] = {}
+
+    def queue_at_placement(side, ticks, i):
+        if side is Side.BID:
+            if ticks == bid_t[i]:
+                return float(series.level1_bid_sz[i])
+            if ticks > bid_t[i]:
+                return 0.0
+        else:
+            if ticks == ask_t[i]:
+                return float(series.level1_ask_sz[i])
+            if ticks < ask_t[i]:
+                return 0.0
+        return default_queue
+
+    def place(side, ticks, i):
+        book = buys if side is Side.BID else sells
+        if ticks in book:
+            return
+        if side is Side.BID:
+            if sells and ticks >= min(sells):
+                return
+            if ticks >= ask_t[i]:
+                return
+        else:
+            if buys and ticks <= max(buys):
+                return
+            if ticks <= bid_t[i]:
+                return
+        book[ticks] = RestingOrder(side, price(ticks), queue_at_placement(side, ticks, i))
+
+    spread_t = ask_t[0] - bid_t[0]
+    below = max(0, (offset_ticks - spread_t) // 2)
+    first_buy = bid_t[0] - below
+    place(Side.BID, first_buy, 0)
+    place(Side.ASK, first_buy + offset_ticks, 0)
+
+    fills = []
+    for i in range(len(series) - 1):
+        mo_sell = gen.random() < mo_prob
+        mo_buy = gen.random() < mo_prob
+
+        filled = []
+        for ticks in sorted(buys, reverse=True):
+            order = buys[ticks]
+            swept = (bid_t[i] >= ticks > bid_t[i + 1]) or ask_t[i + 1] <= ticks
+            if swept:
+                fills.append(FillEvent(i, Side.BID, order.price, FillKind.ADVERSE))
+                filled.append((Side.BID, ticks))
+            elif ticks >= bid_t[i] and mo_sell:
+                done, buys[ticks] = queue_fill_check(order, 1.0)
+                if done:
+                    kind = classify_fill(Side.BID, order.price, price(bid_t[i + 1]))
+                    fills.append(FillEvent(i, Side.BID, order.price, kind))
+                    filled.append((Side.BID, ticks))
+        for ticks in sorted(sells):
+            order = sells[ticks]
+            swept = (ask_t[i] <= ticks < ask_t[i + 1]) or bid_t[i + 1] >= ticks
+            if swept:
+                fills.append(FillEvent(i, Side.ASK, order.price, FillKind.ADVERSE))
+                filled.append((Side.ASK, ticks))
+            elif ticks <= ask_t[i] and mo_buy:
+                done, sells[ticks] = queue_fill_check(order, 1.0)
+                if done:
+                    kind = classify_fill(Side.ASK, order.price, price(ask_t[i + 1]))
+                    fills.append(FillEvent(i, Side.ASK, order.price, kind))
+                    filled.append((Side.ASK, ticks))
+
+        for side, ticks in filled:
+            del (buys if side is Side.BID else sells)[ticks]
+        for side, ticks in filled:
+            if side is Side.BID:
+                place(Side.BID, ticks - offset_ticks, i + 1)
+                place(Side.ASK, ticks + offset_ticks, i + 1)
+            else:
+                place(Side.ASK, ticks + offset_ticks, i + 1)
+                place(Side.BID, ticks - offset_ticks, i + 1)
+
+        if cancel_distance_ticks is not None:
+            mid2 = (bid_t[i + 1] + ask_t[i + 1]) / 2.0
+            for book in (buys, sells):
+                for ticks in [t for t in book if abs(t - mid2) > cancel_distance_ticks]:
+                    del book[ticks]
+
+        assert not (buys and sells and max(buys) >= min(sells))
+    return fills
+
+
+_SIZES = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.0, 10.0, 125.0, 1e9, 2.0**60])
+
+
+@st.composite
+def _tick_series(draw):
+    """Flat stretches joined by jumps of up to 5 ticks, 1-3 tick spreads."""
+    stretches = draw(st.lists(
+        st.tuples(st.integers(1, 12), st.integers(-5, 5), st.integers(1, 3), _SIZES, _SIZES),
+        min_size=1, max_size=25,
+    ))
+    bids, asks, bid_sz, ask_sz = [], [], [], []
+    level = 10_000
+    for length, jump, spread, b_sz, a_sz in stretches:
+        level += jump
+        bids += [level] * length
+        asks += [level + spread] * length
+        bid_sz += [b_sz] * length
+        ask_sz += [a_sz] * length
+    return PriceSeries(
+        t0=0, dt=1.0,
+        bid=np.array(bids) * 0.01, ask=np.array(asks) * 0.01,
+        level1_bid_sz=np.array(bid_sz), level1_ask_sz=np.array(ask_sz),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    series=_tick_series(),
+    offset=st.integers(1, 16),
+    mo_prob=st.sampled_from([0.0, 0.44, 1.0]),
+    cancel=st.one_of(st.none(), st.integers(1, 6)),
+    default_queue=st.sampled_from([0.0, 2.5, 10.0]),
+    seed=st.integers(0, 3),
+)
+def test_ladder_matches_the_every_step_reference(series, offset, mo_prob, cancel,
+                                                 default_queue, seed):
+    kwargs = dict(offset_ticks=offset, tick=0.01, seed=seed, default_queue=default_queue,
+                  mo_prob=mo_prob, cancel_distance_ticks=cancel)
+    assert run_basic_posting(series, **kwargs).fills == _reference_posting(series, **kwargs)
+
+
+def test_ladder_matches_the_reference_on_a_random_walk():
+    # long enough for the search for active steps to cross many spans of
+    # SEARCH_STEPS, which the short property-test series rarely do
+    from mmsim.market_data import synthetic_quotes
+    from mmsim.params import default_params
+    from dataclasses import replace
+
+    series = synthetic_quotes(replace(default_params(), delta=0.02), 3000, seed=4, tick=0.01)
+    assert len(series) > 10 * SEARCH_STEPS
+    for offset, cancel in ((1, None), (4, None), (2, 3)):
+        kwargs = dict(offset_ticks=offset, tick=0.01, seed=4, cancel_distance_ticks=cancel)
+        want = _reference_posting(series, **kwargs)
+        assert want
+        assert run_basic_posting(series, **kwargs).fills == want
+
+
+def test_rung_waits_on_a_125_lot_queue():
+    # bid rung at the touch behind 125 lots: it fills on the 126th sell
+    # market order; the ask rung behind 40 lots on the 41st buy order
+    n = 400
+    series = _series([100.0] * n, [100.01] * n, bid_sz=125.0, ask_sz=40.0)
+    log = run_basic_posting(series, offset_ticks=1, tick=0.01, seed=5)
+    assert log.fills == [
+        FillEvent(86, Side.ASK, 100.01, FillKind.NON_ADVERSE),
+        FillEvent(284, Side.BID, 100.0, FillKind.NON_ADVERSE),
+        FillEvent(374, Side.ASK, 100.01, FillKind.NON_ADVERSE),
+    ]
+    u = RngStream(seed=5).generator().random((n - 1, 2))
+    assert np.flatnonzero(u[:, 0] < 0.44)[125] == 284
+    assert np.flatnonzero(u[:, 1] < 0.44)[40] == 86
+
+
+def test_cancelled_rung_is_reposted_with_a_fresh_queue():
+    # the buy at 100.00 (50 lots ahead) is cancelled when the market rises
+    # 4.5 ticks away, and re-posted at the touch behind 1 lot after the
+    # buy at 100.02 is swept: it fills on the second sell order.  Without
+    # the cancel the old rung keeps its long queue and never fills.
+    ticks = [10000] * 2 + [10002] * 2 + [10004] * 2 + [10000] * 6
+    series = _series([t / 100 for t in ticks], [(t + 1) / 100 for t in ticks],
+                     bid_sz=np.array([50.0] * 6 + [1.0] * 6))
+    swept = [
+        FillEvent(1, Side.ASK, 100.02, FillKind.ADVERSE),
+        FillEvent(3, Side.ASK, 100.04, FillKind.ADVERSE),
+        FillEvent(5, Side.BID, 100.02, FillKind.ADVERSE),
+    ]
+    kwargs = dict(offset_ticks=2, tick=0.01, seed=0, mo_prob=1.0)
+    log = run_basic_posting(series, cancel_distance_ticks=3, **kwargs)
+    assert log.fills == swept + [FillEvent(7, Side.BID, 100.0, FillKind.NON_ADVERSE)]
+    assert run_basic_posting(series, **kwargs).fills == swept
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _recorded_book(n=900, seed=8):
+    """Book events 0.7 s apart: level 1 only, a wandering touch and small
+    or 125-lot queues."""
+    rng = np.random.default_rng(seed)
+    bid = 10_000 + np.cumsum(rng.choice([-2, -1, 0, 0, 0, 0, 0, 1, 1, 2], n))
+    ask = bid + rng.integers(1, 3, n)
+    cells = np.full((n, len(LOB_COLUMNS)), np.nan)
+    cells[:, LOB_COLUMNS.index("bid_px_1")] = np.round(bid * 0.01, 2)
+    cells[:, LOB_COLUMNS.index("ask_px_1")] = np.round(ask * 0.01, 2)
+    for name in ("bid_sz_1", "ask_sz_1"):
+        cells[:, LOB_COLUMNS.index(name)] = rng.choice([0.0, 1.0, 2.0, 3.0, 5.0, 125.0], n)
+    ts = 1_700_000_000 * 10**9 + np.arange(n, dtype=np.int64) * 700_000_000
+    return LOBBook(ts=ts, cells=cells)
+
+
+@pytest.mark.parametrize("args, fills_sha, summary_sha", [
+    (["--steps", "5000", "--seed", "2"],
+     "324b0905392b04bb360e300d892479c5e9d3a2a6b0e9c1a76743a1f0b9f321eb",
+     "20c7e744c1cfd79a5fcec7bc2a9ad64ccc2991a1e5d7498bf2e40f73c075dda7"),
+    (["--data", "lob.csv", "--contract", "ZN", "--seed", "3", "--date", "2024-04-23"],
+     "8e7d832c5211bf5ab585fac390e349b3c79211a6c21eed77b9c71626a3cce131",
+     "e3a091fd932117e752f1cafaede773a28efb8170e7899a25621aa3c138437657"),
+], ids=["synthetic", "recorded"])
+def test_basic_post_outputs_are_pinned(tmp_path, monkeypatch, args, fills_sha, summary_sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
+    assert cli_main(["basic-post", *args, "--out", "bp"]) == 0
+    assert _sha256(tmp_path / "bp" / "fills.csv") == fills_sha
+    assert _sha256(tmp_path / "bp" / "summary.csv") == summary_sha

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,5 +198,25 @@ def test_fill_log_round_trip(tmp_path):
     ]
     path = tmp_path / "fills.csv"
     write_fill_log(FillColumns.from_events(fills), path)
-    assert read_fill_log(path) == fills
+    _assert_same_columns(read_fill_log(path), FillColumns.from_events(fills))
     assert path.read_text().startswith("t_index,side,price,kind\n")
+
+
+def _assert_same_columns(got: FillColumns, want: FillColumns):
+    for name in ("t_index", "is_ask", "price", "is_adverse"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(list(Side)), st.sampled_from(list(FillKind))),
+                max_size=40))
+def test_counters_from_columns_match_a_tally(sides_kinds):
+    fills = [FillEvent(i, side, 100.0, kind) for i, (side, kind) in enumerate(sides_kinds)]
+    tally = Counter(sides_kinds)
+    want = FillCounters(
+        afa=tally[Side.ASK, FillKind.ADVERSE], nfa=tally[Side.ASK, FillKind.NON_ADVERSE],
+        afb=tally[Side.BID, FillKind.ADVERSE], nfb=tally[Side.BID, FillKind.NON_ADVERSE],
+    )
+    assert FillCounters.from_columns(FillColumns.from_events(fills)) == want
+    assert FillCounters.from_fills(fills) == want

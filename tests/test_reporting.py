@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsim.cli import cli_main
-from mmsim.fills import FillCounters, FillEvent, FillKind, Side
+from mmsim.fills import FillColumns, FillCounters, FillEvent, FillKind, Side
 from mmsim.reporting import (
     EmptyValuesError,
     counters_from_fills,
@@ -64,7 +64,7 @@ def test_counters_from_fills_matches_kinds():
         FillEvent(2, Side.BID, 1.0, FillKind.ADVERSE),
         FillEvent(3, Side.BID, 1.0, FillKind.ADVERSE),
     ]
-    c = counters_from_fills(fills)
+    c = counters_from_fills(FillColumns.from_events(fills))
     assert (c.afa, c.nfa, c.afb, c.nfb) == (1, 1, 2, 0)
 
 

@@ -187,7 +187,11 @@ def test_writer_format_is_pinned(tmp_path, monkeypatch, name, block_rows):
 
 def test_writers_round_trip_through_readers(tmp_path):
     WRITERS["fill_log"][0](tmp_path / "fills.csv")
-    assert read_fill_log(tmp_path / "fills.csv") == FILLS
+    fills, want = read_fill_log(tmp_path / "fills.csv"), FillColumns.from_events(FILLS)
+    assert fills.t_index.tolist() == want.t_index.tolist()
+    assert fills.is_ask.tolist() == want.is_ask.tolist()
+    assert fills.price.tolist() == want.price.tolist()
+    assert fills.is_adverse.tolist() == want.is_adverse.tolist()
     WRITERS["batch_wealth"][0](tmp_path / "batch_wealth.csv")
     wealths, objectives = read_batch_wealth_csv(tmp_path / "batch_wealth.csv")
     assert wealths.tolist() == [0.1, -2.5] and objectives.tolist() == [1e-17, 0.1 + 0.2]
@@ -239,6 +243,16 @@ def test_load_policy_csv_rejects_ragged_rows(tmp_path, edits):
 def test_report_rejects_short_fill_row(tmp_path, capsys):
     WRITERS["batch_wealth"][0](tmp_path / "batch_wealth.csv")
     (tmp_path / "fills.csv").write_text("t_index,side,price,kind\n1,ask,100.02\n")
+    out = tmp_path / "out"
+    assert cli_main(["report", "--in", str(tmp_path), "--out", str(out)]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1,buy,100.02,adverse", "1,ask,100.02,toxic"])
+def test_report_rejects_unknown_side_or_kind(tmp_path, capsys, row):
+    WRITERS["batch_wealth"][0](tmp_path / "batch_wealth.csv")
+    (tmp_path / "fills.csv").write_text(f"t_index,side,price,kind\n0,bid,99.99,adverse\n{row}\n")
     out = tmp_path / "out"
     assert cli_main(["report", "--in", str(tmp_path), "--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
