@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import basic_poster, reporting
+from . import basic_poster, fills, reporting
 from .fills import EnvMode, FillColumns, write_fill_log
 from .market_data import parse_lob_csv, resample_forward_fill, synthetic_quotes
 from .params import (
@@ -77,10 +77,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _recorded_series(path, params: MarketParams):
+    """The LOB CSV at ``path`` resampled every ``params.dt`` seconds."""
+    book = parse_lob_csv(Path(path).read_text(encoding="utf-8"))
+    return resample_forward_fill(book, params.dt)
+
+
 def _load_series(args, params):
     if args.data is not None:
-        book = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
-        return resample_forward_fill(book, params.dt)
+        return _recorded_series(args.data, params)
     n_steps = args.windows * params.n_dt
     return synthetic_quotes(params, n_steps, RngStream(seed=args.seed, stream_id=10_000))
 
@@ -113,13 +118,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     src = Path(args.indir)
     wealths, _ = reporting.read_batch_wealth_csv(src / "batch_wealth.csv")
-    from .fills import read_fill_log
-
-    fills = read_fill_log(src / "fills.csv")
+    fill_log = fills.read_fill_log(src / "fills.csv")
     out = _out_dir(args)
     hist = reporting.terminal_cash_histogram(wealths, args.bins)
     reporting.write_histogram_csv(hist, out / "histogram.csv")
-    rows = reporting.summarize_fills(reporting.counters_from_fills(fills))
+    rows = reporting.summarize_fills(reporting.counters_from_fills(fill_log))
     reporting.write_fill_type_summary_csv(rows, out / "summary.csv")
     for name, count in rows:
         print(f"{name}: {count}")
@@ -132,8 +135,7 @@ def _cmd_basic_post(args) -> int:
     if offset is None:
         offset = basic_poster.OFFSET_TICKS_PRESETS[args.contract]
     if args.data is not None:
-        book = parse_lob_csv(Path(args.data).read_text(encoding="utf-8"))
-        series = resample_forward_fill(book, params.dt)
+        series = _recorded_series(args.data, params)
     else:
         # two-tick spread keeps synthetic touches on the tick grid so the
         # ladder's queue model sees orders at the touch

@@ -1,6 +1,6 @@
 """Recorded and synthetic quote data.
 
-LOB CSV schema (header mandatory, UTF-8, LF):
+LOB CSV schema (header mandatory, UTF-8, LF or CRLF line ends):
 
     ts,bid_px_1,bid_sz_1,...,bid_px_5,bid_sz_5,
        ask_px_1,ask_sz_1,...,ask_px_5,ask_sz_5,trade_px,trade_sz
@@ -157,7 +157,7 @@ class PriceSeries:
         if stop > len(self):
             raise ValueError(f"window [{start}, {stop}) exceeds series length {len(self)}")
         return PriceSeries(
-            t0=self.t0 + int(start * self.dt * NANOS),
+            t0=self.t0 + start * int(round(self.dt * NANOS)),
             dt=self.dt,
             bid=self.bid[start:stop],
             ask=self.ask[start:stop],
@@ -183,7 +183,7 @@ def parse_lob_csv(stream) -> LOBBook:
     if isinstance(stream, str):
         lines = iter(stream.splitlines())
     else:
-        lines = (raw.rstrip("\n") for raw in stream)
+        lines = (raw.rstrip("\r\n") for raw in stream)
     try:
         header = next(lines).split(",")
     except StopIteration:
@@ -217,9 +217,134 @@ def _parse_block(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndar
     """Columns of non-empty rows; raises for the first bad row.
 
     ``linenos[r]`` is the file line of ``rows[r]``; ``prev_ts`` is the last
-    timestamp before the block.  A field-count or parse failure at row r
-    first checks rows[:r], so that an earlier crossed, negative-size or
-    time-travel row wins.
+    timestamp before the block.  A block of plain cells is converted by the
+    word kernel; any other block takes the per-cell path, which alone
+    locates and reports a bad field count or number.
+    """
+    converted = _convert_plain(rows)
+    if converted is None:
+        converted = _convert_cells(rows, linenos, prev_ts)
+    ts, cells = converted
+    _check_rows(ts, cells, linenos, prev_ts)
+    return ts, cells
+
+
+_COMMA, _NEWLINE, _DOT, _MINUS, _SLASH, _NINE = b",\n.-/9"
+
+
+def _u64(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+_WORD = np.dtype("<u8")
+_ALL = (1 << 64) - 1
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_BYTES = np.uint64(0xFF)
+# A cell of width w is the top w bytes of the little-endian word that ends
+# at its separator.  Indexed by w: the mask keeping those bytes, and the
+# one-bit flag of their first byte (where a sign may sit).
+_WIDTH_MASK = _u64([_ALL ^ ((1 << 8 * (8 - w)) - 1) for w in range(9)])
+_LEAD_FLAG = _u64([0] + [1 << 8 * (8 - w) for w in range(1, 9)])
+# Indexed by s = 8 - (byte index of the dot), 0 without a dot: the bytes
+# above and below the dot, and 10**(digits after the dot).
+_ABOVE_DOT = _u64([_ALL] + [_ALL ^ ((1 << 8 * (9 - s)) - 1) for s in range(1, 9)])
+_BELOW_DOT = _u64([0] + [(1 << 8 * (8 - s)) - 1 for s in range(1, 9)])
+_DOT_SCALE = np.array([1.0] + [10.0 ** (s - 1) for s in range(1, 9)])
+# The byte weights 1..8 from the lowest byte up: one dot flag at byte k
+# times this has 8 - k in its top byte.
+_DOT_INDEX = np.uint64(0x0807060504030201)
+
+
+def _convert_plain(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """ts and cells of a block whose cells are all plain, else None.
+
+    A plain cell is empty (NaN) or at most 8 bytes of an optional leading
+    ``-``, digits and at most one ``.``, with at least one digit.  Its
+    digits, read as one integer m < 10**8, and f, the digits after the
+    dot, give ``±m / 10**f``: both terms are exact doubles, so the one
+    correctly rounded division equals ``float(text)`` bit for bit, ``-0``
+    included.  Every cell costs a few word operations and no Python object;
+    ``ts`` is still converted with ``int()``.
+    """
+    n = len(rows)
+    try:
+        raw = ("\n".join(rows) + "\n").encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # 8 leading pad bytes, so that every cell's word lies inside the buffer
+    buf = np.zeros(8 + len(raw), dtype=np.uint8)
+    text = buf[8:]
+    text[:] = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    sep = (text == _COMMA) | (text == _NEWLINE)
+    # "-", ".", "/", "0".."9" are consecutive: any other byte, or "/", is not plain
+    offset = text - np.uint8(_MINUS)
+    if (~sep & ((offset > _NINE - _MINUS) | (offset == _SLASH - _MINUS))).any():
+        return None
+    del offset
+    seps = np.flatnonzero(sep)
+    del sep
+    if seps.size != n * _N_FIELDS:
+        return None
+    seps = seps.reshape(n, _N_FIELDS)
+    # n newlines, each the last separator of its row: every row has 22 commas
+    if not (text[seps[:, -1]] == _NEWLINE).all():
+        return None
+
+    try:
+        ts = np.fromiter(map(int, [row.partition(",")[0] for row in rows]), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+
+    ends = seps[:, 1:].ravel()
+    width = ends - (seps[:, :-1].ravel() + 1)
+    del seps
+    if width.max() > 8:
+        return None
+    # word j of this stride-1 view holds bytes j-8 .. j-1 of the text
+    words = np.ndarray((text.size + 1,), dtype=_WORD, buffer=buf, strides=(1,))
+    word = words[ends]
+    del words, ends, buf, text
+    word &= _WIDTH_MASK[width]
+    as_bytes = word.view(np.uint8)
+    minus = (as_bytes == _MINUS).view(_WORD)
+    dot = (as_bytes == _DOT).view(_WORD)
+    negative = minus != 0
+    has_dot = dot != 0
+    digits = width - negative - has_dot
+    if not (
+        (minus == (_LEAD_FLAG[width] & minus)).all()  # a sign only in front
+        and not (dot & (dot - np.uint64(1))).any()  # at most one dot
+        and ((digits > 0) | (width == 0)).all()
+    ):
+        return None
+
+    word &= ~(minus * _BYTES)
+    dot_slot = ((dot * _DOT_INDEX) >> np.uint64(56)).astype(np.intp)
+    del minus, dot, as_bytes
+    word = (word & _ABOVE_DOT[dot_slot]) | ((word & _BELOW_DOT[dot_slot]) << np.uint64(8))
+    # eight ASCII digits to one integer (the simdjson multiply-shift)
+    word &= _LOW_NIBBLES
+    word = (word * np.uint64(10 * 256 + 1)) >> np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word = (word * np.uint64(100 * 65536 + 1)) >> np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word = (word * np.uint64(10000 * (1 << 32) + 1)) >> np.uint64(32)
+
+    cells = word.astype(np.float64)
+    del word
+    cells /= _DOT_SCALE[dot_slot]
+    np.negative(cells, out=cells, where=negative)
+    cells[width == 0] = math.nan
+    return ts, cells.reshape(n, len(LOB_COLUMNS))
+
+
+def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """ts and cells of any block, one ``float()`` per distinct cell text.
+
+    Raises for a bad field count or number at row r, after checking
+    rows[:r], so that an earlier crossed, negative-size or time-travel row
+    wins.
     """
     n = len(rows)
     commas = list(map(str.count, rows, repeat(",", n)))
@@ -244,8 +369,11 @@ def _parse_block(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndar
         if r:
             _parse_block(rows[:r], linenos, prev_ts)
         raise MalformedRowError(linenos[r], reason)
-    cells = cells.reshape(n, len(LOB_COLUMNS))
+    return ts, cells.reshape(n, len(LOB_COLUMNS))
 
+
+def _check_rows(ts: np.ndarray, cells: np.ndarray, linenos, prev_ts: int | None) -> None:
+    """Raise for the first crossed, negative-size or time-travelling row."""
     bid, ask = cells[:, _BID_PX_1], cells[:, _ASK_PX_1]
     crossed = bid >= ask  # false where either side is absent
     negative = (cells[:, _BOOK_SIZES] < 0).any(axis=1)
@@ -261,7 +389,6 @@ def _parse_block(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndar
         if negative[r]:
             raise MalformedRowError(linenos[r], "negative size")
         raise NonMonotoneTimestampError(linenos[r], int(ts[r]), int(prev[r]))
-    return ts, cells
 
 
 class _CellValues(dict):

@@ -8,8 +8,6 @@ flags as ``1``/``0``, integers and strings with ``str``.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 __all__ = ["write_table", "read_table"]
@@ -20,11 +18,15 @@ BLOCK_ROWS = 8192
 
 def _cells(column) -> list[str]:
     """Cell texts of a column slice (a numpy array or a sequence)."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == bool:
-            return list(map("01".__getitem__, column.tolist()))
-        column = column.tolist()
     # str of a Python float is its repr, the shortest text that round-trips
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        # each distinct value is formatted once; keyed by its bits, -0.0 keeps its own text
+        bits, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        fmt = "01".__getitem__ if column.dtype == bool else str
+        texts = np.array(list(map(fmt, bits.view(column.dtype).tolist())), dtype=object)
+        return texts[index].tolist()
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     return list(map(str, column))
 
 
@@ -49,14 +51,20 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = fh.read().split()
+        body = "\n".join(fh.read().split())
     width = len(header)
-    if not all(map((width - 1).__eq__, map(str.count, rows, repeat(",")))):
-        bad = next(i for i, row in enumerate(rows) if row.count(",") != width - 1)
+    if not body:
+        return header, [[] for _ in range(width)]
+    # each row's comma count, summed between the newlines
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    row_starts = np.concatenate(([0], np.flatnonzero(data == ord("\n")) + 1))
+    commas = np.add.reduceat(data == ord(","), row_starts, dtype=np.intp)
+    del data, row_starts
+    if (commas != width - 1).any():
+        bad = int(np.argmax(commas != width - 1))
         raise ValueError(
-            f"{path}: data row {bad + 1} has {rows[bad].count(',') + 1} fields, "
-            f"the header {width}"
+            f"{path}: data row {bad + 1} has {commas[bad] + 1} fields, the header {width}"
         )
-    fields = ",".join(rows).split(",") if rows else []
-    del rows  # the row texts go before the columns are built: a lower peak
+    fields = body.replace("\n", ",").split(",")
+    del body  # the text goes before the columns are built: a lower peak
     return header, [fields[i::width] for i in range(width)]

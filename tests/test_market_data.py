@@ -1,10 +1,12 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsim import market_data
 from mmsim.cli import cli_main
 from mmsim.market_data import (
     BLOCK_ROWS,
@@ -16,6 +18,7 @@ from mmsim.market_data import (
     NoDataBeforeStartError,
     NonMonotoneTimestampError,
     NoTradesError,
+    PriceSeries,
     SchemaMismatchError,
     parse_lob_csv,
     render_lob_csv,
@@ -341,9 +344,18 @@ def test_series_window_slicing():
         series.window(200, 121)
 
 
-def test_series_rejects_crossed_or_ragged():
-    from mmsim.market_data import PriceSeries
+def test_series_window_starts_on_its_sample_boundary():
+    n = 40
+    series = PriceSeries(7, 0.3, np.full(n, 99.99), np.full(n, 100.0), np.ones(n), np.ones(n))
+    # 3 * 0.3 * 1e9 is 899,999,999.99...: the step is rounded once, as resampling does
+    assert series.window(3, 2).t0 == 7 + 900_000_000
+    assert series.window(37, 3).t0 == 7 + 37 * 300_000_000
+    book = parse_lob_csv("\n".join([HEADER, _row(0, 99.99, 100.0)]))
+    resampled = resample_forward_fill(book, 0.3, start=0, end=12 * SEC)
+    assert resampled.window(3, 2).t0 == 900_000_000
 
+
+def test_series_rejects_crossed_or_ragged():
     with pytest.raises(ValueError, match="non-finite"):
         PriceSeries(0, 1.0, np.array([100.0, np.nan]), np.array([101.0, 101.0]),
                     np.ones(2), np.ones(2))
@@ -355,3 +367,159 @@ def test_series_rejects_crossed_or_ragged():
     with pytest.raises(ValueError):
         PriceSeries(0, 1.0, np.array([100.0]), np.array([101.0, 102.0]),
                     np.ones(1), np.ones(1))
+
+
+def test_crlf_lines_parse_like_the_crlf_text():
+    rows = [HEADER, _row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
+            _row(30, 100.0, 100.01)]  # the last cell of the last row is empty
+    text = "\r\n".join(rows) + "\r\n"
+    from_text = parse_lob_csv(text)
+    assert len(from_text) == 3
+    _assert_same_book(parse_lob_csv(text.splitlines(keepends=True)), from_text)
+    with pytest.raises(NonMonotoneTimestampError) as err:
+        parse_lob_csv((text + _row(5, 99.99, 100.0) + "\r\n").splitlines(keepends=True))
+    assert err.value.line == 5
+
+
+# -- the plain-cell word kernel against the per-cell path -------------------
+
+def _lobgen_style_text(n_rows, seed):
+    """Book text as recorded files spell it: two-decimal prices, integer
+    sizes, trade cells empty on non-trade rows."""
+    rng = np.random.default_rng(seed)
+    rows, bid = [HEADER], 10_000
+    for i in range(n_rows):
+        bid += int(rng.integers(-1, 2))
+        ask = bid + int(rng.integers(1, 3))
+        sizes = rng.integers(1, 251, 10).tolist()
+        cells = [str(1_700_000_000 * SEC + 500_000_000 * i)]
+        for lvl in range(5):
+            cells += [f"{(bid - lvl) // 100}.{(bid - lvl) % 100:02d}", str(sizes[lvl])]
+        for lvl in range(5):
+            cells += [f"{(ask + lvl) // 100}.{(ask + lvl) % 100:02d}", str(sizes[5 + lvl])]
+        cells += [f"{ask // 100}.{ask % 100:02d}", "3"] if i % 3 == 0 else ["", ""]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def _without_kernel():
+    return mock.patch.object(market_data, "_convert_plain", lambda rows: None)
+
+
+def _outcome(text):
+    """The parsed book as (ts, cell bits), or the exception's class, line
+    and message."""
+    try:
+        book = parse_lob_csv(text)
+    except (MalformedRowError, NonMonotoneTimestampError) as exc:
+        return type(exc), exc.line, str(exc)
+    return book.ts.tolist(), book.cells.view(np.uint64).tolist()
+
+
+def _assert_kernel_matches_cells(text):
+    with _without_kernel():
+        want = _outcome(text)
+    assert _outcome(text) == want
+
+
+def test_plain_blocks_take_the_kernel():
+    text = _lobgen_style_text(3 * 700 + 5, seed=11)
+    with mock.patch.object(market_data, "BLOCK_ROWS", 700), \
+            mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
+        book = parse_lob_csv(text)
+    with _without_kernel():
+        want = parse_lob_csv(text)
+    assert len(book) == 2105
+    assert np.array_equal(book.ts, want.ts)
+    assert np.array_equal(book.cells.view(np.uint64), want.cells.view(np.uint64))
+
+
+_PLAIN_SAMPLES = ["0", "-0", "-0.0", "-.0", "5.", ".5", "-5.", "99999999", "-9999999",
+                  "0.000001", "1234.567", ".0000001", "00000000", "0.1", "-.1"]
+
+
+@pytest.mark.parametrize("cell", _PLAIN_SAMPLES)
+def test_kernel_converts_plain_cells_like_float(cell):
+    text = "\n".join([HEADER, _row(1, 99.99, 100.0, trade_px=cell)]) + "\n"
+    with mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
+        value = parse_lob_csv(text).column("trade_px")[0]
+    assert np.float64(value).view(np.uint64) == np.float64(float(cell)).view(np.uint64)
+
+
+# Spellings the kernel must leave to the per-cell path: the first eight
+# parse, the rest are malformed.
+_OTHER_CELLS = ["1e-05", "+1", " 5", "5 ", "123456789", "-12345678", "١", "1_0",
+                "-", ".", "-.", "1.2.3", "1-2", "--1", "5-", "0x1", "nan", "inf", "1/2"]
+
+
+@pytest.mark.parametrize("cell", _OTHER_CELLS)
+@pytest.mark.parametrize("column", [1, 2, 21, 22])  # bid_px_1, bid_sz_1, trade_px, trade_sz
+def test_other_spellings_parse_as_the_per_cell_path_does(cell, column):
+    rows = [_row(i, 99.99, 100.0).split(",") for i in range(3)]
+    rows[1][column] = cell
+    _assert_kernel_matches_cells("\n".join([HEADER] + [",".join(r) for r in rows]) + "\n")
+
+
+@pytest.mark.parametrize("ts", ["+5", " 5", "5.0", "", "-", "1e3", "9223372036854775808",
+                                "-9223372036854775809", "-9223372036854775808"])
+def test_timestamp_spellings_parse_as_the_per_cell_path_does(ts):
+    rows = [_row(-10**19 // 2, 99.99, 100.0), ts + _row(0, 99.99, 100.0)[1:],
+            _row(2**62, 99.99, 100.0)]
+    _assert_kernel_matches_cells("\n".join([HEADER] + rows) + "\n")
+
+
+def _spell(digits, zeros, dot, negative):
+    text = "0" * zeros + str(digits)
+    if dot <= len(text):
+        text = text[:dot] + "." + text[dot:]
+    return "-" + text if negative else text
+
+
+# up to 8 bytes: up to 6 digits, at most one dot, a sign
+_PLAIN = st.builds(_spell, st.integers(0, 10**5 - 1), st.integers(0, 1), st.integers(0, 7),
+                   st.booleans())
+_UNSIGNED = _PLAIN.map(lambda text: text.lstrip("-"))
+# a sign or a dot anywhere in a plain cell: "1-2", "5-", "1.2.3", but also "-5"
+_MISPLACED = st.builds(lambda text, at, char: text[:at] + char + text[at:],
+                       st.builds(_spell, st.integers(0, 999), st.integers(0, 1),
+                                 st.integers(0, 4), st.booleans()),
+                       st.integers(0, 7), st.sampled_from("-."))
+_ODD = st.one_of(_MISPLACED, _MISPLACED, st.sampled_from(_OTHER_CELLS),
+                 st.floats(allow_nan=False).map(repr))
+_PRICE, _SIZE = st.one_of(_PLAIN, st.just("")), st.one_of(_UNSIGNED, st.just(""))
+
+
+@st.composite
+def _lob_row(draw, ts):
+    """One row of plain cells, its level 1 uncrossed and its sizes unsigned
+    unless drawn otherwise; one row in four has one cell that is not plain."""
+    cells = [draw(_SIZE if i % 2 else _PRICE) for i in range(22)]  # prices may be negative
+    bid, ask = sorted([draw(_UNSIGNED), draw(_UNSIGNED)], key=float)
+    cells[0], cells[10] = (ask, bid) if draw(st.integers(0, 60)) == 0 else (bid, ask)
+    if draw(st.integers(0, 60)) == 0:
+        cells[draw(st.sampled_from(market_data._BOOK_SIZES))] = draw(st.sampled_from(["-1", "-0"]))
+    if draw(st.integers(0, 3)) == 0:
+        cells[draw(st.integers(0, 21))] = draw(_ODD)
+    shape = draw(st.integers(0, 100))
+    if shape == 0:
+        cells.pop()
+    elif shape == 1:
+        cells.append("1")
+    ts_text = str(ts) if draw(st.integers(0, 80)) else draw(st.sampled_from(["+1", "1.0", "", "x"]))
+    return ",".join([ts_text] + cells)
+
+
+@given(data=st.data(), n_rows=st.integers(1, 8), block_rows=st.sampled_from([1, 2, 3, 5, 8192]),
+       crlf=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf):
+    ts, rows = data.draw(st.integers(-10**6, 10**6)), [HEADER]
+    for _ in range(n_rows):
+        ts += data.draw(st.integers(-1, 40))  # a rare step back in time
+        rows.append(data.draw(_lob_row(ts)))
+    text = ("\r\n" if crlf else "\n").join(rows) + "\n"
+    with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
+        _assert_kernel_matches_cells(text)
+        with _without_kernel():
+            want = _outcome(text)
+        assert _outcome(text.splitlines(keepends=True)) == want

@@ -257,3 +257,20 @@ def test_report_rejects_unknown_side_or_kind(tmp_path, capsys, row):
     assert cli_main(["report", "--in", str(tmp_path), "--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+
+
+def test_read_table_ignores_blank_lines_and_cr_and_names_the_bad_row(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,b\n1,x\n2,y\n3,z\n", newline="")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_text("a,b\r\n1,x\r\n\r\n2,y\r\n\n3,z\r\n\r\n", newline="")
+    assert table.read_table(crlf) == table.read_table(plain) == (
+        ["a", "b"], [["1", "2", "3"], ["x", "y", "z"]])
+    # data rows count without the blank lines
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("a,b\r\n1,x\r\n\r\n2,y,extra\r\n3\r\n", newline="")
+    with pytest.raises(ValueError, match="data row 2 has 3 fields, the header 2"):
+        table.read_table(ragged)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a,b\n\n")
+    assert table.read_table(empty) == (["a", "b"], [[], []])
