@@ -79,7 +79,7 @@ def _cmd_solve(args) -> int:
 
 def _recorded_series(path, params: MarketParams):
     """The LOB CSV at ``path`` resampled every ``params.dt`` seconds."""
-    book = parse_lob_csv(Path(path).read_text(encoding="utf-8"))
+    book = parse_lob_csv(Path(path).read_bytes())
     return resample_forward_fill(book, params.dt)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MarketParams
-from .table import read_table, write_table
+from .table import read_cells, write_table
 
 __all__ = [
     "Side",
@@ -240,21 +240,12 @@ def write_fill_log(fills: FillColumns, path) -> None:
 
 def read_fill_log(path) -> FillColumns:
     """Read a fill log back as columns; an unknown side or kind raises."""
-    header, columns = read_table(path)
-    if header != FILL_LOG_HEADER:
-        raise ValueError(f"unexpected fill log header {','.join(header)!r}")
-    t, side, price, kind = columns
+    cells = read_cells(path)
+    if cells.header != FILL_LOG_HEADER:
+        raise ValueError(f"unexpected fill log header {','.join(cells.header)!r}")
     return FillColumns(
-        t_index=np.fromiter(map(int, t), np.int64, len(t)),
-        is_ask=_flag_column(side, Side.ASK.value, Side.BID.value),
-        price=np.fromiter(map(float, price), float, len(price)),
-        is_adverse=_flag_column(kind, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
+        t_index=cells.ints("t_index"),
+        is_ask=cells.flags("side", Side.ASK.value, Side.BID.value),
+        price=cells.floats("price"),
+        is_adverse=cells.flags("kind", FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
     )
-
-
-def _flag_column(cells: list[str], true_text: str, false_text: str) -> np.ndarray:
-    unknown = set(cells).difference((true_text, false_text))
-    if unknown:
-        raise ValueError(f"fill log cell {min(unknown)!r} is neither {true_text!r} "
-                         f"nor {false_text!r}")
-    return np.fromiter(map(true_text.__eq__, cells), bool, len(cells))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dynamics import RngStream, round_to_tick
 from .params import MarketParams
+from .table import PAD, lf_line_ends, plain_floats, plain_ints, split_cells
 
 __all__ = [
     "LOBBook",
@@ -62,8 +63,8 @@ _BOOK_SIZES = [LOB_COLUMNS.index(f"{side}_sz_{lvl}")
                for side in ("bid", "ask") for lvl in range(1, N_LEVELS + 1)]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-# Rows parsed per block: bounds the parser's transient strings to one
-# block while keeping the per-block numpy calls few.
+# Lines parsed per block: bounds the parser's transient arrays to one block
+# (about a megabyte of text) while keeping the per-block numpy calls few.
 BLOCK_ROWS = 8192
 
 NANOS = 1_000_000_000
@@ -174,28 +175,96 @@ class TradeStats:
 
 
 def parse_lob_csv(stream) -> LOBBook:
-    """Parse LOB CSV text (a string or line iterable) into a :class:`LOBBook`.
+    """Parse LOB CSV bytes, text or a line iterable into a :class:`LOBBook`.
 
-    Rows are converted :data:`BLOCK_ROWS` at a time.  The first bad row in
-    file order raises; within a row the checks run in the order field count,
-    number parsing, crossed level 1, negative size, timestamp order.
+    Rows are converted :data:`BLOCK_ROWS` lines at a time.  The first bad
+    row in file order raises; within a row the checks run in the order field
+    count, number parsing, crossed level 1, negative size, timestamp order.
     """
-    if isinstance(stream, str):
-        lines = iter(stream.splitlines())
-    else:
-        lines = (raw.rstrip("\r\n") for raw in stream)
-    try:
-        header = next(lines).split(",")
-    except StopIteration:
-        raise SchemaMismatchError("empty input, header row required") from None
-    if header != LOB_CSV_HEADER:
-        raise SchemaMismatchError(
-            f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
-        )
+    blocks = None
+    if isinstance(stream, str) and stream.isascii():
+        stream = stream.encode("ascii")
+    if isinstance(stream, bytes):
+        raw = _tokenizable(stream)
+        if raw is None:
+            stream = stream.decode("utf-8")
+        else:
+            blocks = _byte_blocks(raw)
+    if blocks is None:
+        if isinstance(stream, str):
+            lines = iter(stream.splitlines())
+        else:
+            lines = (raw.rstrip("\r\n") for raw in stream)
+        try:
+            header = next(lines).split(",")
+        except StopIteration:
+            raise SchemaMismatchError("empty input, header row required") from None
+        if header != LOB_CSV_HEADER:
+            raise SchemaMismatchError(
+                f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
+            )
+        blocks = _line_blocks(lines)
 
     ts_blocks = [np.empty(0, dtype=np.int64)]
     cell_blocks = [np.empty((0, len(LOB_COLUMNS)))]
     prev_ts = None
+    for block in blocks:
+        ts, cells = _parse_block(*block, prev_ts)
+        ts_blocks.append(ts)
+        cell_blocks.append(cells)
+        prev_ts = int(ts[-1])
+    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+
+
+_HEADER_BYTES = ",".join(LOB_CSV_HEADER).encode("ascii")
+# The bytes of a body the tokenizer reads; a file with any other byte after
+# its header line (CR only before LF) is split into lines as text instead.
+_BODY_BYTES = b"0123456789.-,\n"
+_HEADER_LETTERS = _HEADER_BYTES.translate(None, _BODY_BYTES)
+
+
+def _tokenizable(raw: bytes) -> bytes | None:
+    """The file with LF line ends, the last line ended, when its header is
+    the schema's and its body holds only :data:`_BODY_BYTES`, else None.
+
+    In that alphabet ``str.splitlines`` breaks lines only at LF and CRLF, so
+    the tokenizer splits the bytes into the same lines.
+    """
+    raw = lf_line_ends(raw)
+    if raw is None:
+        return None
+    header_end = raw.find(b"\n")
+    if header_end < 0 or raw[:header_end] != _HEADER_BYTES:
+        return None
+    # with the body's alphabet deleted, only the header's letters may be left
+    if raw.translate(None, _BODY_BYTES) != _HEADER_LETTERS:
+        return None
+    return raw if raw.endswith(b"\n") else raw + b"\n"
+
+
+def _byte_blocks(raw: bytes):
+    """Blocks of :data:`BLOCK_ROWS` lines of a :func:`_tokenizable` file,
+    each a byte range of the one buffer, as :func:`_parse_block` takes them."""
+    # the header line lies in front of every body cell: the kernels' pad
+    data = np.frombuffer(raw, dtype=np.uint8)
+    body = raw.find(b"\n") + 1
+    line_ends = np.flatnonzero(data[body:] == ord("\n"))
+    line_ends += body
+    for first in range(0, line_ends.size, BLOCK_ROWS):
+        last = min(first + BLOCK_ROWS, line_ends.size)
+        lo = int(line_ends[first - 1]) + 1 if first else body
+        tokens = split_cells(data, lo, int(line_ends[last - 1]) + 1)
+        kept = tokens[2] > 0
+        if kept.all():
+            yield range(first + 2, last + 2), None, data, tokens
+        elif kept.any():
+            yield (np.flatnonzero(kept) + first + 2).tolist(), None, data, tokens
+
+
+def _line_blocks(lines):
+    """Blocks of :data:`BLOCK_ROWS` lines after the header, as
+    :func:`_parse_block` takes them.  A block of plain ASCII goes to the
+    tokenizer as bytes; any other block keeps only its lines."""
     first_line = 2
     while block := list(islice(lines, BLOCK_ROWS)):
         linenos = range(first_line, first_line + len(block))
@@ -206,137 +275,61 @@ def parse_lob_csv(stream) -> LOBBook:
             linenos = [linenos[i] for i in kept]
             if not block:
                 continue
-        ts, cells = _parse_block(block, linenos, prev_ts)
-        ts_blocks.append(ts)
-        cell_blocks.append(cells)
-        prev_ts = int(ts[-1])
-    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+        # a character outside ASCII becomes "?", outside the alphabet
+        raw = ("\n".join(block) + "\n").encode("ascii", "replace")
+        if raw.translate(None, _BODY_BYTES) or raw.count(b"\n") != len(block):
+            yield linenos, block, None, None
+            continue
+        buf = np.zeros(PAD + len(raw), dtype=np.uint8)
+        buf[PAD:] = np.frombuffer(raw, dtype=np.uint8)
+        yield linenos, block, buf, split_cells(buf, PAD, buf.size)
 
 
-def _parse_block(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of non-empty rows; raises for the first bad row.
+def _parse_block(linenos, rows, buf, tokens, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of a block's non-empty rows; raises for the first bad row.
 
-    ``linenos[r]`` is the file line of ``rows[r]``; ``prev_ts`` is the last
-    timestamp before the block.  A block of plain cells is converted by the
-    word kernel; any other block takes the per-cell path, which alone
-    locates and reports a bad field count or number.
+    ``linenos[r]`` is the file line of row r and ``prev_ts`` the last
+    timestamp before the block.  ``rows`` are the rows as text, ``tokens``
+    :func:`split_cells` of them in ``buf``; either may be None.  A block of
+    plain cells is converted by the word kernels; any other block takes the
+    per-cell path, which alone locates and reports a bad field count or
+    number.
     """
-    converted = _convert_plain(rows)
+    converted = None if tokens is None else _convert_plain(buf, *tokens)
     if converted is None:
+        if rows is None:
+            ends, starts, _ = tokens
+            text = buf[starts[0]:ends[-1] + 1].tobytes().decode("ascii")
+            rows = [row for row in text.split("\n") if row]
         converted = _convert_cells(rows, linenos, prev_ts)
     ts, cells = converted
     _check_rows(ts, cells, linenos, prev_ts)
     return ts, cells
 
 
-_COMMA, _NEWLINE, _DOT, _MINUS, _SLASH, _NINE = b",\n.-/9"
-
-
-def _u64(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint64)
-
-
-_WORD = np.dtype("<u8")
-_ALL = (1 << 64) - 1
-_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
-_BYTES = np.uint64(0xFF)
-# A cell of width w is the top w bytes of the little-endian word that ends
-# at its separator.  Indexed by w: the mask keeping those bytes, and the
-# one-bit flag of their first byte (where a sign may sit).
-_WIDTH_MASK = _u64([_ALL ^ ((1 << 8 * (8 - w)) - 1) for w in range(9)])
-_LEAD_FLAG = _u64([0] + [1 << 8 * (8 - w) for w in range(1, 9)])
-# Indexed by s = 8 - (byte index of the dot), 0 without a dot: the bytes
-# above and below the dot, and 10**(digits after the dot).
-_ABOVE_DOT = _u64([_ALL] + [_ALL ^ ((1 << 8 * (9 - s)) - 1) for s in range(1, 9)])
-_BELOW_DOT = _u64([0] + [(1 << 8 * (8 - s)) - 1 for s in range(1, 9)])
-_DOT_SCALE = np.array([1.0] + [10.0 ** (s - 1) for s in range(1, 9)])
-# The byte weights 1..8 from the lowest byte up: one dot flag at byte k
-# times this has 8 - k in its top byte.
-_DOT_INDEX = np.uint64(0x0807060504030201)
-
-
-def _convert_plain(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+def _convert_plain(buf, ends, starts, fields) -> tuple[np.ndarray, np.ndarray] | None:
     """ts and cells of a block whose cells are all plain, else None.
 
-    A plain cell is empty (NaN) or at most 8 bytes of an optional leading
-    ``-``, digits and at most one ``.``, with at least one digit.  Its
-    digits, read as one integer m < 10**8, and f, the digits after the
-    dot, give ``±m / 10**f``: both terms are exact doubles, so the one
-    correctly rounded division equals ``float(text)`` bit for bit, ``-0``
-    included.  Every cell costs a few word operations and no Python object;
-    ``ts`` is still converted with ``int()``.
+    ``ends``, ``starts`` and ``fields`` are :func:`split_cells` of the
+    block, whose bytes are :data:`_BODY_BYTES` only.  Every non-empty line
+    must hold 23 fields.  ``ts`` is an optional ``-`` and up to 19 digits
+    inside the int64 range, converted by :func:`plain_ints`; every other
+    cell is plain in the sense of :func:`plain_floats`.  Both equal
+    ``int()`` and ``float()`` of the text bit for bit, with no Python object
+    per cell.
     """
-    n = len(rows)
-    try:
-        raw = ("\n".join(rows) + "\n").encode("ascii")
-    except UnicodeEncodeError:
+    if not (fields[fields > 0] == _N_FIELDS).all():
         return None
-    # 8 leading pad bytes, so that every cell's word lies inside the buffer
-    buf = np.zeros(8 + len(raw), dtype=np.uint8)
-    text = buf[8:]
-    text[:] = np.frombuffer(raw, dtype=np.uint8)
-    del raw
-    sep = (text == _COMMA) | (text == _NEWLINE)
-    # "-", ".", "/", "0".."9" are consecutive: any other byte, or "/", is not plain
-    offset = text - np.uint8(_MINUS)
-    if (~sep & ((offset > _NINE - _MINUS) | (offset == _SLASH - _MINUS))).any():
+    ends = ends.reshape(-1, _N_FIELDS)
+    ts = plain_ints(buf, ends[:, 0], ends[:, 0] - starts)
+    if ts is None:
         return None
-    del offset
-    seps = np.flatnonzero(sep)
-    del sep
-    if seps.size != n * _N_FIELDS:
+    width = ends[:, 1:] - ends[:, :-1]
+    width -= 1
+    cells = plain_floats(buf, ends[:, 1:], width)
+    if cells is None:
         return None
-    seps = seps.reshape(n, _N_FIELDS)
-    # n newlines, each the last separator of its row: every row has 22 commas
-    if not (text[seps[:, -1]] == _NEWLINE).all():
-        return None
-
-    try:
-        ts = np.fromiter(map(int, [row.partition(",")[0] for row in rows]), np.int64, n)
-    except (ValueError, OverflowError):
-        return None
-
-    ends = seps[:, 1:].ravel()
-    width = ends - (seps[:, :-1].ravel() + 1)
-    del seps
-    if width.max() > 8:
-        return None
-    # word j of this stride-1 view holds bytes j-8 .. j-1 of the text
-    words = np.ndarray((text.size + 1,), dtype=_WORD, buffer=buf, strides=(1,))
-    word = words[ends]
-    del words, ends, buf, text
-    word &= _WIDTH_MASK[width]
-    as_bytes = word.view(np.uint8)
-    minus = (as_bytes == _MINUS).view(_WORD)
-    dot = (as_bytes == _DOT).view(_WORD)
-    negative = minus != 0
-    has_dot = dot != 0
-    digits = width - negative - has_dot
-    if not (
-        (minus == (_LEAD_FLAG[width] & minus)).all()  # a sign only in front
-        and not (dot & (dot - np.uint64(1))).any()  # at most one dot
-        and ((digits > 0) | (width == 0)).all()
-    ):
-        return None
-
-    word &= ~(minus * _BYTES)
-    dot_slot = ((dot * _DOT_INDEX) >> np.uint64(56)).astype(np.intp)
-    del minus, dot, as_bytes
-    word = (word & _ABOVE_DOT[dot_slot]) | ((word & _BELOW_DOT[dot_slot]) << np.uint64(8))
-    # eight ASCII digits to one integer (the simdjson multiply-shift)
-    word &= _LOW_NIBBLES
-    word = (word * np.uint64(10 * 256 + 1)) >> np.uint64(8)
-    word &= np.uint64(0x00FF00FF00FF00FF)
-    word = (word * np.uint64(100 * 65536 + 1)) >> np.uint64(16)
-    word &= np.uint64(0x0000FFFF0000FFFF)
-    word = (word * np.uint64(10000 * (1 << 32) + 1)) >> np.uint64(32)
-
-    cells = word.astype(np.float64)
-    del word
-    cells /= _DOT_SCALE[dot_slot]
-    np.negative(cells, out=cells, where=negative)
-    cells[width == 0] = math.nan
-    return ts, cells.reshape(n, len(LOB_COLUMNS))
+    return ts, cells
 
 
 def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +344,7 @@ def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.nd
     if commas.count(_N_FIELDS - 1) != n:
         r = next(i for i, c in enumerate(commas) if c != _N_FIELDS - 1)
         if r:
-            _parse_block(rows[:r], linenos, prev_ts)
+            _parse_block(linenos, rows[:r], None, None, prev_ts)
         raise MalformedRowError(linenos[r], f"expected {_N_FIELDS} fields, got {commas[r] + 1}")
 
     fields = ",".join(rows).split(",")
@@ -367,7 +360,7 @@ def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.nd
     if not parsed:
         r, reason = _first_unparseable(ts_text, fields)
         if r:
-            _parse_block(rows[:r], linenos, prev_ts)
+            _parse_block(linenos, rows[:r], None, None, prev_ts)
         raise MalformedRowError(linenos[r], reason)
     return ts, cells.reshape(n, len(LOB_COLUMNS))
 

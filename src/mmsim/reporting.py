@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fills import FillColumns, FillCounters
-from .table import read_table, write_table
+from .table import read_cells, write_table
 
 __all__ = [
     "Histogram",
@@ -67,8 +67,7 @@ def write_fill_type_summary_csv(rows: list[tuple[str, int]], path) -> None:
 
 def read_batch_wealth_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (terminal_wealths, objectives) written by the simulator."""
-    header, columns = read_table(path)
-    if header != ["window", "terminal_wealth", "objective"]:
-        raise ValueError(f"unexpected batch wealth header {','.join(header)!r}")
-    _, wealths, objectives = columns
-    return np.array(list(map(float, wealths))), np.array(list(map(float, objectives)))
+    cells = read_cells(path)
+    if cells.header != ["window", "terminal_wealth", "objective"]:
+        raise ValueError(f"unexpected batch wealth header {','.join(cells.header)!r}")
+    return cells.floats("terminal_wealth"), cells.floats("objective")

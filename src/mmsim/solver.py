@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MarketParams, SolverGrid, ValidationError, render_config, validate
-from .table import read_table, write_table
+from .table import read_cells, write_table
 
 __all__ = [
     "ValueSurface",
@@ -289,28 +289,25 @@ def load_policy_csv(path) -> PostingPolicy:
     """Rebuild a policy from either CSV layout written by the exporters.
 
     The file must list every node of the (t, alpha, q) grid it spans
-    exactly once.
+    exactly once, with finite alpha nodes and posting flags of ``1`` or
+    ``0``.
     """
-    header, columns = read_table(path)
+    cells = read_cells(path)
     required = {"t_index", "alpha", "q", "post_bid", "post_ask"}
-    if not required.issubset(header):
-        raise ValueError(f"policy file missing columns {sorted(required - set(header))}")
-    n = len(columns[0])
+    if not required.issubset(cells.header):
+        raise ValueError(f"policy file missing columns {sorted(required - set(cells.header))}")
+    n = cells.n_rows
     if not n:
         raise ValueError("policy file has no rows")
 
-    def column(name, convert, dtype):
-        # convert runs once per distinct text: the grid repeats every value
-        texts = columns[header.index(name)]
-        distinct = set(texts)
-        value = dict(zip(distinct, map(convert, distinct)))
-        return np.array(list(map(value.__getitem__, texts)), dtype=dtype)
-
-    t_idx = column("t_index", int, np.int64)
-    alphas = column("alpha", float, np.float64)
-    qs = column("q", int, np.int64)
-    bid = column("post_bid", "1".__eq__, bool)
-    ask = column("post_ask", "1".__eq__, bool)
+    t_idx = cells.ints("t_index")
+    alphas = cells.floats("alpha")
+    if not np.isfinite(alphas).all():
+        row = int(np.argmin(np.isfinite(alphas)))
+        raise ValueError(f"{path}: data row {row + 1} has non-finite alpha {alphas[row]}")
+    qs = cells.ints("q")
+    bid = cells.flags("post_bid", "1", "0")
+    ask = cells.flags("post_ask", "1", "0")
 
     alpha_nodes = np.unique(alphas)
     q_nodes = np.unique(qs)

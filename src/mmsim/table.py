@@ -4,13 +4,28 @@ A table is a header line of column names followed by one line per row:
 fields joined by ``,``, lines ended by LF, no quoting.  Cells are formatted
 column by column: floats as their shortest round-trip ``repr``, boolean
 flags as ``1``/``0``, integers and strings with ``str``.
+
+Every CSV reader of the package, the LOB parser included, reads from bytes
+through one tokenizer (:func:`split_cells`) and two numpy word kernels
+(:func:`plain_floats`, :func:`plain_ints`) that convert a whole column of
+plain cells with no Python object per cell.  Input with a byte outside the
+tokenizer's alphabet is read as text, with the same values and errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_table", "read_table"]
+__all__ = [
+    "write_table",
+    "read_table",
+    "read_cells",
+    "Cells",
+    "lf_line_ends",
+    "split_cells",
+    "plain_floats",
+    "plain_ints",
+]
 
 # Rows formatted per write: bounds the text held at once whatever the table size.
 BLOCK_ROWS = 8192
@@ -62,9 +77,387 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     del data, row_starts
     if (commas != width - 1).any():
         bad = int(np.argmax(commas != width - 1))
-        raise ValueError(
-            f"{path}: data row {bad + 1} has {commas[bad] + 1} fields, the header {width}"
-        )
+        raise _ragged_row(path, bad, commas[bad] + 1, width)
     fields = body.replace("\n", ",").split(",")
     del body  # the text goes before the columns are built: a lower peak
     return header, [fields[i::width] for i in range(width)]
+
+
+def _ragged_row(path, row: int, fields: int, width: int) -> ValueError:
+    return ValueError(f"{path}: data row {row + 1} has {fields} fields, the header {width}")
+
+
+# -- the byte-level tokenizer and the word kernels ---------------------------
+
+_COMMA, _NEWLINE, _DOT, _MINUS, _SLASH, _NINE = b",\n.-/9"
+
+# Bytes readable in front of every cell end: the kernels read up to three
+# 8-byte words that end at a cell's separator.
+PAD = 24
+
+_WORD = np.dtype("<u8")
+_ALL = (1 << 64) - 1
+
+
+def _u64(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """Word j of the result is bytes j .. j + 7 of ``buf``, little-endian.
+
+    The word that ends where a cell ends, at separator position e, is
+    ``_words(buf)[e - 8]``: the cell's bytes are its top bytes.
+    """
+    return np.ndarray((buf.size - 7,), dtype=_WORD, buffer=buf, strides=(1,))
+
+
+# Indexed by n: the mask keeping the top n bytes of a word, and the one-bit
+# flag of the lowest of them (where the first byte of an n-byte cell sits).
+_TOP = _u64([_ALL ^ ((1 << 8 * (8 - n)) - 1) for n in range(9)])
+_LEAD_FLAG = _u64([0] + [1 << 8 * (8 - n) for n in range(1, 9)])
+_LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+_DIGIT_CEILING = np.uint64(0x4646464646464646)  # 0x7F - "9" in every byte
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_BYTES = np.uint64(0xFF)
+# Indexed by s = 8 - (byte index of the dot), 0 without a dot: the bytes
+# above and below the dot, and 10**(digits after the dot).
+_ABOVE_DOT = _u64([_ALL] + [_ALL ^ ((1 << 8 * (9 - s)) - 1) for s in range(1, 9)])
+_BELOW_DOT = _u64([0] + [(1 << 8 * (8 - s)) - 1 for s in range(1, 9)])
+_DOT_SCALE = np.array([1.0] + [10.0 ** (s - 1) for s in range(1, 9)])
+# The byte weights 1..8 from the lowest byte up: one dot flag at byte k
+# times this has 8 - k in its top byte.
+_DOT_INDEX = np.uint64(0x0807060504030201)
+_INT64_MAX = np.uint64(2**63 - 1)
+
+
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """Eight ASCII digits per word to one integer, the lowest byte the most
+    significant digit (the simdjson multiply-shift); updates ``word``."""
+    word &= _LOW_NIBBLES
+    word *= np.uint64(10 * 256 + 1)
+    word >>= np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word *= np.uint64(100 * 65536 + 1)
+    word >>= np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word *= np.uint64(10000 * (1 << 32) + 1)
+    word >>= np.uint64(32)
+    return word
+
+
+def _gaps(positions: np.ndarray) -> np.ndarray:
+    """Each position minus the one before it, the first minus -1."""
+    out = np.empty_like(positions)
+    out[:1] = positions[:1] + 1
+    np.subtract(positions[1:], positions[:-1], out=out[1:])
+    return out
+
+
+def lf_line_ends(raw: bytes) -> bytes | None:
+    """``raw`` with every CRLF made LF, or None if a CR stands anywhere else.
+
+    A lone CR ends a line for ``str.splitlines`` and universal newlines but
+    not for the tokenizer, so such input keeps the readers' text paths.
+    """
+    if b"\r" not in raw:
+        return raw
+    if raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    return raw.replace(b"\r\n", b"\n")
+
+
+def split_cells(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of the lines ``buf[lo:hi]``, each line ended by ``\\n``.
+
+    The lines may hold no byte below ``,`` other than ``\\n`` (the readers'
+    alphabets ensure it), so one pass finds every ``,`` and ``\\n``.
+    Returns the end of every cell (the position of its separator in
+    ``buf``) in file order, the start of each non-empty line, and each
+    line's field count, 0 for an empty line, whose separator is not a cell.
+    A cell's width is its end minus the end before it, less one, or minus
+    its line's start for the first cell of a line.
+    """
+    text = buf[lo:hi]
+    ends = np.flatnonzero(text <= _COMMA)
+    line_ends = np.flatnonzero(text[ends] == _NEWLINE)
+    fields = _gaps(line_ends)
+    ends += lo
+    starts = np.empty(line_ends.size, dtype=ends.dtype)
+    starts[:1] = lo
+    np.add(ends[line_ends[:-1]], 1, out=starts[1:])
+    empty = (fields == 1) & (ends[line_ends] == starts)
+    if empty.any():
+        fields[empty] = 0
+        ends = np.delete(ends, line_ends[empty])
+        starts = starts[~empty]
+    return ends, starts, fields
+
+
+def plain_floats(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """``float(text)`` of every cell, bit for bit, or None unless all are plain.
+
+    ``ends`` and ``width`` may have any shape; the values take it.  The
+    cells' bytes must be ``-``, ``.`` and digits only: the callers check
+    that.  A plain cell is empty (NaN) or at most 8 bytes of an optional
+    leading ``-``, digits and at most one ``.``, with at least one digit.
+    Its digits, read as one integer m < 10**8, and f, the digits after the
+    dot, give ``±m / 10**f``: both terms are exact doubles, so the one
+    correctly rounded division equals ``float(text)`` bit for bit, ``-0``
+    included.  Every cell costs a few word operations and no Python object.
+    """
+    if ends.size and width.max() > 8:
+        return None
+    word = _words(buf)[ends - 8]
+    word &= _TOP[width]
+    as_bytes = word.view(np.uint8)
+    dots = as_bytes == _DOT
+    dot = dots.view(_WORD)
+    has_dot = dot != 0
+    if np.count_nonzero(dots) != np.count_nonzero(has_dot):
+        return None  # a cell with two dots
+    del dots
+    minus = as_bytes == _MINUS
+    negative = None
+    if minus.any():
+        minus = minus.view(_WORD)
+        if not (minus == (_LEAD_FLAG[width] & minus)).all():
+            return None  # a sign after the first byte
+        negative = minus != 0
+        word &= ~(minus * _BYTES)
+    del minus, as_bytes
+    dot_slot = ((dot * _DOT_INDEX) >> np.uint64(56)).astype(np.intp)
+    del dot, has_dot
+    # the bytes before the dot move up one byte, over it
+    word = (word & _ABOVE_DOT[dot_slot]) | ((word & _BELOW_DOT[dot_slot]) << np.uint64(8))
+    empty = width == 0
+    # with sign and dot gone, only a cell without digits is all zero bytes
+    if np.count_nonzero(word == 0) != np.count_nonzero(empty):
+        return None
+    values = _eight_digits(word).astype(np.float64)
+    del word
+    values /= _DOT_SCALE[dot_slot]
+    if negative is not None:
+        np.negative(values, out=values, where=negative)
+    values[empty] = np.nan
+    return values
+
+
+def plain_ints(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """``int(text)`` of every cell as int64, or None unless all are plain.
+
+    A plain integer cell is an optional leading ``-`` and 1 to 19 digits,
+    leading zeros allowed, inside the int64 range.  It is read as three
+    words of eight digits: the value, below 10**19 < 2**64, is exact in
+    uint64 before the sign is applied.
+    """
+    n = ends.size
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    if width.min() < 1 or width.max() > 20:
+        return None
+    negative = buf[ends - width] == _MINUS
+    digits = width - negative
+    if digits.min() < 1 or digits.max() > 19:
+        return None
+    view = _words(buf)
+    value = np.zeros(n, dtype=np.uint64)
+    for k in range(3):
+        in_word = np.clip(digits - 8 * k, 0, 8)
+        if not in_word.any():
+            break
+        inside = _TOP[in_word]
+        # the bytes outside the cell read as "0"
+        word = (view[ends - 8 * (k + 1)] & inside) | (_ZEROS & ~inside)
+        if (((word + _DIGIT_CEILING) | (word - _ZEROS)) & _HIGH_BITS).any():
+            return None  # a byte outside "0".."9"
+        value += _eight_digits(word) * np.uint64(10 ** (8 * k))
+    if (value > _INT64_MAX + negative).any():
+        return None
+    out = value.view(np.int64)
+    np.negative(out, out=out, where=negative)
+    return out
+
+
+# -- typed columns of a table ------------------------------------------------
+
+# The bytes a table file may hold for the tokenizer (CR only before LF);
+# any other byte sends the file to read_table.
+_TABLE_BYTES = (b"0123456789.-,\n_" + bytes(range(ord("a"), ord("z") + 1))
+                + bytes(range(ord("A"), ord("Z") + 1)))
+_DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+class Cells:
+    """A table's header and cells, converted to a typed column on request.
+
+    From the file's bytes the columns come from the word kernels; a column
+    the kernels cannot take, or a file :func:`read_cells` sends to
+    :func:`read_table`, is converted from its cell texts, one ``int()`` or
+    ``float()`` per cell, with the same values and errors.
+    """
+
+    def __init__(self, path, header, n_rows, buf=None, ends=None, starts=None, texts=None):
+        self.path = path
+        self.header = header
+        self.n_rows = n_rows
+        self._buf, self._ends, self._starts, self._texts = buf, ends, starts, texts
+
+    def _cells(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """End and width of each cell of a column read from bytes."""
+        i = self.header.index(name)
+        ends = self._ends[:, i]
+        width = ends - (self._ends[:, i - 1] if i else self._starts - 1)
+        width -= 1
+        return ends, width
+
+    def texts(self, name: str) -> list[str]:
+        """The cell texts of a column."""
+        if self._texts is not None:
+            return self._texts[self.header.index(name)]
+        ends, width = self._cells(name)
+        text = self._buf.tobytes().decode("ascii")
+        return [text[s:e] for s, e in zip((ends - width).tolist(), ends.tolist())]
+
+    def ints(self, name: str) -> np.ndarray:
+        """A column of ``int()`` values, as int64."""
+        if self._buf is not None:
+            values = plain_ints(self._buf, *self._cells(name))
+            if values is not None:
+                return values
+        texts = self.texts(name)
+        return np.fromiter(map(int, texts), np.int64, len(texts))
+
+    def floats(self, name: str) -> np.ndarray:
+        """A column of ``float()`` values, as float64."""
+        if self._buf is not None:
+            ends, width = self._cells(name)
+            values = None
+            if self._numeric(ends, width):
+                values = plain_floats(self._buf, ends, width)
+            if values is None:
+                values = self._distinct_floats(ends, width)
+            if values is not None:
+                return values
+        texts = self.texts(name)
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+
+    def flags(self, name: str, true_text: str, false_text: str) -> np.ndarray:
+        """A two-valued column as booleans, True where the cell is ``true_text``.
+
+        Any other cell raises ValueError naming its data row.
+        """
+        keys = [true_text.encode("ascii"), false_text.encode("ascii")]
+        if self._buf is not None and max(map(len, keys)) <= PAD:
+            ends, width = self._cells(name)
+            n_words = -(-max(map(len, keys)) // 8)
+            cell = self._key_words(ends, width, n_words)
+            is_key = []
+            for key in keys:
+                key_words = np.frombuffer(bytes(PAD - len(key)) + key, _WORD)[::-1]
+                match = width == len(key)
+                for k in range(n_words):
+                    match &= cell[k] == key_words[k]
+                is_key.append(match)
+            is_true, is_false = is_key
+        else:
+            texts = self.texts(name)
+            is_true = np.fromiter(map(true_text.__eq__, texts), bool, len(texts))
+            is_false = np.fromiter(map(false_text.__eq__, texts), bool, len(texts))
+        other = ~(is_true | is_false)
+        if other.any():
+            row = int(other.argmax())
+            raise ValueError(
+                f"{self.path}: data row {row + 1} has {name} {self.texts(name)[row]!r}, "
+                f"not {true_text!r} or {false_text!r}"
+            )
+        return is_true
+
+    def _key_words(self, ends, width, n_words) -> list[np.ndarray]:
+        """Word k holds bytes 8k+1 .. 8k+8 from a cell's end, zero outside it."""
+        view = _words(self._buf)
+        return [view[ends - 8 * (k + 1)] & _TOP[np.clip(width - 8 * k, 0, 8)]
+                for k in range(n_words)]
+
+    def _numeric(self, ends, width) -> bool:
+        """Whether every cell is 1 to 8 bytes of ``-``, ``.`` and digits only
+        (an empty cell is NaN to the kernel, but no number to ``float()``)."""
+        if not ends.size or width.min() < 1 or width.max() > 8:
+            return False
+        inside = _TOP[width]
+        word = (_words(self._buf)[ends - 8] & inside) | (_ZEROS & ~inside)
+        as_bytes = word.view(np.uint8)
+        return not (((as_bytes - np.uint8(_MINUS)) > _NINE - _MINUS) | (as_bytes == _SLASH)).any()
+
+    def _distinct_floats(self, ends, width) -> np.ndarray | None:
+        """One ``float()`` per distinct cell of at most 24 bytes, else None.
+
+        Equal neighbours are compared byte for byte and form runs.  The
+        runs are keyed by a hash of their last 24 bytes and width, and
+        each run is checked against the first run with its key, so a key
+        collision sends the column to its texts.  Distinct cells are
+        converted in the order they first appear, so the first bad cell
+        raises.
+        """
+        if not ends.size or width.max() > PAD:
+            return None
+        cell = self._key_words(ends, width, 3)
+        same = width[1:] == width[:-1]
+        for word in cell:
+            same &= word[1:] == word[:-1]
+        runs = np.flatnonzero(np.concatenate(([True], ~same)))
+        width = width[runs]
+        cell = [word[runs] for word in cell]
+        key = width.astype(np.uint64)
+        for word in cell:
+            key = key * _DISTINCT_MIX + word
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rep = first[inverse]
+        same = width == width[rep]
+        for word in cell:
+            same &= word == word[rep]
+        if not same.all():
+            return None
+        order = np.argsort(first)
+        stops = ends[runs[first[order]]]
+        starts = stops - width[first[order]]
+        text = self._buf.tobytes().decode("ascii")
+        distinct = np.empty(first.size)
+        distinct[order] = [float(text[s:e]) for s, e in zip(starts.tolist(), stops.tolist())]
+        return np.repeat(distinct[inverse], _gaps(np.append(runs[1:], ends.size) - 1))
+
+
+def read_cells(path) -> Cells:
+    """Read a table's header and cells from its bytes.
+
+    A file that holds a byte other than letters, digits, ``_``, ``.``,
+    ``-``, ``,``, LF and CR before LF is read by :func:`read_table`; within
+    that alphabet the two split lines and fields the same way, and a row
+    whose field count differs from the header's raises the same error.
+    """
+    with open(path, "rb") as fh:
+        raw = lf_line_ends(fh.read())
+    if raw is None or raw.translate(None, _TABLE_BYTES):
+        return _text_cells(path)
+    header_end = raw.find(b"\n")
+    if header_end < 0:
+        header_end = len(raw)
+    header = raw[:header_end].decode("ascii").split(",")
+    n_cols = len(header)
+    # PAD zero bytes in front, and a final line end should the file lack one
+    buf = np.zeros(PAD + len(raw) + 1, dtype=np.uint8)
+    buf[PAD:-1] = np.frombuffer(raw, dtype=np.uint8)
+    buf[-1] = _NEWLINE
+    del raw
+    ends, starts, fields = split_cells(buf, PAD + header_end + 1, buf.size)
+    fields = fields[fields > 0]
+    if (fields != n_cols).any():
+        row = int(np.argmax(fields != n_cols))
+        raise _ragged_row(path, row, fields[row], n_cols)
+    return Cells(path, header, fields.size, buf=buf, ends=ends.reshape(-1, n_cols), starts=starts)
+
+
+def _text_cells(path) -> Cells:
+    header, texts = read_table(path)
+    return Cells(path, header, len(texts[0]), texts=texts)

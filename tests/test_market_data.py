@@ -403,7 +403,7 @@ def _lobgen_style_text(n_rows, seed):
 
 
 def _without_kernel():
-    return mock.patch.object(market_data, "_convert_plain", lambda rows: None)
+    return mock.patch.object(market_data, "_convert_plain", lambda *tokens: None)
 
 
 def _outcome(text):
@@ -509,17 +509,36 @@ def _lob_row(draw, ts):
     return ",".join([ts_text] + cells)
 
 
+# timestamps the three-word kernel reads (19 digits, the int64 edges,
+# negative values, leading zeros) or must leave to int() (one past an edge,
+# 20 digits)
+_TS_SPELLINGS = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(str),
+    st.integers(10**18, 10**19 - 1).map(str),
+    st.builds(lambda zeros, v: "0" * zeros + str(v), st.integers(1, 19), st.integers(0, 10**6)),
+    st.sampled_from([str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1), "-0", "-00",
+                     "00000000000000000000", "-1234567890123456789", "12345678901234567890"]),
+)
+
+
 @given(data=st.data(), n_rows=st.integers(1, 8), block_rows=st.sampled_from([1, 2, 3, 5, 8192]),
-       crlf=st.booleans())
-@settings(max_examples=120, deadline=None)
-def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf):
+       crlf=st.booleans(), spelled_ts=st.booleans())
+@settings(max_examples=160, deadline=None)
+def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf, spelled_ts):
     ts, rows = data.draw(st.integers(-10**6, 10**6)), [HEADER]
     for _ in range(n_rows):
         ts += data.draw(st.integers(-1, 40))  # a rare step back in time
         rows.append(data.draw(_lob_row(ts)))
+    if spelled_ts:  # in time order, but for a rare swap
+        spellings = sorted(data.draw(st.lists(_TS_SPELLINGS, min_size=n_rows, max_size=n_rows)),
+                           key=int)
+        if data.draw(st.integers(0, 10)) == 0:
+            spellings.reverse()
+        rows[1:] = [ts + row[row.index(","):] for ts, row in zip(spellings, rows[1:])]
     text = ("\r\n" if crlf else "\n").join(rows) + "\n"
     with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
         _assert_kernel_matches_cells(text)
         with _without_kernel():
             want = _outcome(text)
+        assert _outcome(text.encode("utf-8")) == want
         assert _outcome(text.splitlines(keepends=True)) == want

@@ -260,6 +260,39 @@ def test_policy_csv_requires_exact_node_coverage(tmp_path, default_solution):
     assert not (tmp_path / "run" / "batch_wealth.csv").exists()
 
 
+@pytest.mark.parametrize("column", [3, 4])  # post_bid, post_ask
+@pytest.mark.parametrize("cell", ["2", "x", "", "01", "true"])
+def test_policy_csv_rejects_a_flag_other_than_0_or_1(tmp_path, default_solution, column, cell):
+    _, _, policy = default_solution
+    path = tmp_path / "policy.csv"
+    export_policy_csv(policy, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    fields = rows[40].split(",")
+    fields[column] = cell
+    rows[40] = ",".join(fields)
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    name = header.split(",")[column]
+    with pytest.raises(ValueError, match=f"data row 41 has {name} '{cell}', not '1' or '0'"):
+        load_policy_csv(path)
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf"])
+def test_simulate_rejects_a_non_finite_alpha_node(tmp_path, default_solution, spelling):
+    _, _, policy = default_solution
+    path = tmp_path / "policy.csv"
+    export_policy_csv(policy, path)
+    text = path.read_text(encoding="utf-8")
+    lowest = repr(float(policy.alpha_nodes[0]))
+    assert f",{lowest}," in text
+    path.write_text(text.replace(f",{lowest},", f",{spelling},"), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"data row 1 has non-finite alpha {spelling}"):
+        load_policy_csv(path)
+    code = cli_main(["simulate", "--policy", str(path), "--windows", "5",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert not (tmp_path / "run" / "batch_wealth.csv").exists()
+
+
 def test_surface_fingerprint_depends_on_inputs():
     p = default_params()
     s1 = solve_dpe(p, default_grid())

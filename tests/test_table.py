@@ -1,8 +1,12 @@
 """The CSV layout every output table shares, pinned byte for byte, and the
 readers' rejection of malformed tables."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsim import table
 from mmsim.basic_poster import FillTypeSummary, write_fill_summary_csv
@@ -274,3 +278,143 @@ def test_read_table_ignores_blank_lines_and_cr_and_names_the_bad_row(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("a,b\n\n")
     assert table.read_table(empty) == (["a", "b"], [[], []])
+
+
+# -- the tokenizer-backed readers against a per-text oracle ------------------
+
+def _oracle_read_table(path):
+    """The table read as text: rows split on whitespace, fields on commas."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = fh.read().split()
+    for r, row in enumerate(rows):
+        if row.count(",") != len(header) - 1:
+            raise ValueError(f"{path}: data row {r + 1} has {row.count(',') + 1} fields, "
+                             f"the header {len(header)}")
+    fields = [row.split(",") for row in rows]
+    return header, [[row[i] for row in fields] for i in range(len(header))]
+
+
+class _OracleCells:
+    """Columns converted one ``int()`` or ``float()`` per cell text."""
+
+    def __init__(self, path):
+        self.path = path
+        self.header, self._columns = _oracle_read_table(path)
+        self.n_rows = len(self._columns[0])
+
+    def texts(self, name):
+        return self._columns[self.header.index(name)]
+
+    def ints(self, name):
+        texts = self.texts(name)
+        return np.fromiter(map(int, texts), np.int64, len(texts))
+
+    def floats(self, name):
+        texts = self.texts(name)
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+
+    def flags(self, name, true_text, false_text):
+        for r, text in enumerate(self.texts(name)):
+            if text not in (true_text, false_text):
+                raise ValueError(f"{self.path}: data row {r + 1} has {name} {text!r}, "
+                                 f"not {true_text!r} or {false_text!r}")
+        return np.array([text == true_text for text in self.texts(name)], dtype=bool)
+
+
+def _result(call):
+    """A call's value as (dtype, bytes) or list, or its exception's class and message."""
+    try:
+        value = call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    return value
+
+
+def _spell_decimal(digits, dot, negative):
+    text = str(digits)
+    if dot <= len(text):
+        text = text[:dot] + "." + text[dot:]
+    return "-" + text if negative else text
+
+
+_INT_CELLS = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(str),
+    st.integers(-10**20, 10**20).map(str),
+    st.builds(lambda zeros, v: "0" * zeros + str(v), st.integers(1, 4), st.integers(0, 999)),
+    st.sampled_from(["-0", "", "1_000", "abc", "1.5", "-", "--1", "1-"]),
+)
+_PLAIN_CELLS = st.builds(_spell_decimal, st.integers(0, 10**7), st.integers(0, 9), st.booleans())
+# rarely the "+" of a large exponent, which sends the file to read_table
+_REPR_CELLS = st.one_of(st.floats(-1e15, 1e15).map(repr),
+                        st.sampled_from(["nan", "inf", "-inf", "5e-324", "-0.0", "1e+16"]))
+_FLAG_CELLS = st.one_of(st.sampled_from(["1", "0"]), st.sampled_from(["1", "0"]),
+                        st.sampled_from(["1", "0"]), st.sampled_from(["2", "", "x", "01", "10"]))
+_TEXT_CELLS = st.text(alphabet=string.ascii_letters + "_", max_size=30)
+_KINDS = {"i": _INT_CELLS, "p": _PLAIN_CELLS, "r": _REPR_CELLS, "f": _FLAG_CELLS,
+          "t": _TEXT_CELLS}
+
+
+@st.composite
+def _table_text(draw):
+    names = draw(st.permutations(list(_KINDS)))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(_KINDS[name]) for name in names]
+        shape = draw(st.integers(0, 40))
+        if shape == 0:
+            cells.pop()  # a short row
+        elif shape == 1:
+            cells.append(draw(_PLAIN_CELLS))  # a long row
+        elif shape == 2:
+            lines.append("")  # a blank line
+        lines.append(",".join(cells))
+    text = ("\r\n" if draw(st.booleans()) else "\n").join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    if draw(st.integers(0, 10)) == 0:  # a character outside the tokenizer's alphabet
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([" ", "\t", "\r", "\x0b", "+", "é"])) + text[at:]
+    return text
+
+
+@given(text=_table_text())
+@settings(max_examples=200, deadline=None)
+def test_read_cells_matches_the_per_text_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cells") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _result(lambda: table.read_cells(path)), _result(lambda: _OracleCells(path))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.header, got.n_rows) == (want.header, want.n_rows)
+    for name in want.header:
+        for method, args in [("texts", ()), ("ints", ()), ("floats", ()), ("flags", ("1", "0"))]:
+            assert (_result(lambda: getattr(got, method)(name, *args))
+                    == _result(lambda: getattr(want, method)(name, *args))), (method, name)
+
+
+@given(rows=st.lists(st.tuples(_INT_CELLS, st.sampled_from(["ask", "bid", "buy", ""]),
+                               st.one_of(_PLAIN_CELLS, _REPR_CELLS),
+                               st.sampled_from(["adverse", "non_adverse", "adverse_", "Adverse"])),
+                     max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_read_fill_log_matches_the_per_text_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("fills") / "fills.csv"
+    path.write_text("\n".join(["t_index,side,price,kind"] + [",".join(r) for r in rows]) + "\n")
+
+    def oracle():
+        cells = _OracleCells(path)
+        return FillColumns(t_index=cells.ints("t_index"), is_ask=cells.flags("side", "ask", "bid"),
+                           price=cells.floats("price"),
+                           is_adverse=cells.flags("kind", "adverse", "non_adverse"))
+
+    got, want = _result(lambda: read_fill_log(path)), _result(oracle)
+    if isinstance(want, FillColumns):
+        assert isinstance(got, FillColumns)
+        for field in ("t_index", "is_ask", "price", "is_adverse"):
+            assert _result(lambda: getattr(got, field)) == _result(lambda: getattr(want, field))
+    else:
+        assert got == want
