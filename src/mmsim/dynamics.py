@@ -10,7 +10,7 @@ to at most one per side per step with probability 1 - exp(-lambda * dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "PathState",
     "SyntheticPath",
     "draw_window_events",
+    "arrival_probabilities",
     "sample_mo_arrivals",
     "step_alpha",
     "step_midprice",
@@ -76,6 +77,14 @@ def draw_window_events(
     return gen.random((n_steps, WINDOW_UNIFORMS)), gen.standard_normal(n_steps)
 
 
+def arrival_probabilities(
+    lambda_plus: float, lambda_minus: float, dt: float
+) -> tuple[float, float]:
+    """Per-step probabilities of a buy and a sell market-order arrival:
+    Poisson arrivals thinned to at most one per side, 1 - exp(-lambda dt)."""
+    return 1.0 - math.exp(-lambda_plus * dt), 1.0 - math.exp(-lambda_minus * dt)
+
+
 def sample_mo_arrivals(
     lambda_plus: float,
     lambda_minus: float,
@@ -85,9 +94,8 @@ def sample_mo_arrivals(
 ) -> MOArrivals:
     """Poisson-thinned arrivals, independently per side, from pre-drawn
     uniforms (scalars or arrays): a side arrives when its uniform falls
-    below 1 - exp(-lambda dt)."""
-    p_buy = 1.0 - math.exp(-lambda_plus * dt)
-    p_sell = 1.0 - math.exp(-lambda_minus * dt)
+    below its ``arrival_probabilities`` value."""
+    p_buy, p_sell = arrival_probabilities(lambda_plus, lambda_minus, dt)
     return MOArrivals(buy=u_buy < p_buy, sell=u_sell < p_sell)
 
 

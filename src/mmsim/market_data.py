@@ -21,7 +21,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .dynamics import RngStream, round_to_tick
+from .dynamics import RngStream
 from .params import MarketParams
 from .table import PAD, lf_line_ends, plain_floats, plain_ints, split_cells
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    WINDOW_UNIFORMS,
     MOArrivals,
     RngStream,
+    arrival_probabilities,
     draw_window_events,
     sample_mo_arrivals,
     step_alpha,
@@ -40,6 +40,7 @@ __all__ = [
     "update_inventory",
     "update_cash",
     "terminal_wealth",
+    "nearest_node",
     "run_simulation",
     "run_batch",
     "write_snapshot_csv",
@@ -118,8 +119,31 @@ def terminal_wealth(c: float, q: int, s: float, params: MarketParams) -> float:
     return c + q * s + terminal_condition(q, params)
 
 
+def nearest_node(nodes: np.ndarray, alpha):
+    """Index of the node nearest to ``alpha`` (scalar or array), the lower
+    one on a tie.
+
+    One bracketing search finds ``nodes[lo] < alpha <= nodes[lo + 1]``
+    (the end pair outside the nodes), and one exact compare of the two neighbours' distances picks between
+    them.  For finite, strictly increasing nodes and a finite ``alpha``
+    this equals ``np.abs(nodes - alpha).argmin()`` whenever every gap
+    between neighbouring nodes exceeds the float spacing at
+    ``|alpha| + max|nodes|``: then no node beyond the bracket rounds to
+    the same distance.  On the default grid (gaps of 0.0016) that holds
+    for ``|alpha|`` up to about 1e12.
+    """
+    hi = np.minimum(np.searchsorted(nodes, alpha), nodes.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(nodes[hi] - alpha < alpha - nodes[lo], hi, lo)
+
+
 def _check_policy(policy: PostingPolicy, params: MarketParams) -> None:
-    expected = (params.n_dt + 1, policy.alpha_nodes.size, 2 * params.q_max + 1)
+    nodes = policy.alpha_nodes
+    if not (nodes.size and np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
+        raise PolicyShapeMismatchError(
+            "policy alpha nodes must be non-empty, finite and strictly increasing"
+        )
+    expected = (params.n_dt + 1, nodes.size, 2 * params.q_max + 1)
     if policy.post_ask.shape != expected or policy.post_bid.shape != expected:
         raise PolicyShapeMismatchError(
             f"policy shape {policy.post_ask.shape} does not match "
@@ -172,7 +196,7 @@ def run_simulation(
     penalty = 0.0
 
     for i in range(n):
-        a_idx = int(np.abs(nodes - alpha).argmin())
+        a_idx = int(nearest_node(nodes, alpha))
         j = q + j0
         p_ask = bool(policy.post_ask[i, a_idx, j])
         p_bid = bool(policy.post_bid[i, a_idx, j])
@@ -216,8 +240,10 @@ def n_windows(series_len: int, n_dt: int) -> int:
     return (series_len - 1) // n_dt
 
 
-# Windows stepped together: bounds the events and fill flags held at once.
-BLOCK_WINDOWS = 256
+# Windows stepped together.  A block holds per window step 4 event flag
+# bytes, the 8-byte alpha shock and 4 fill flag bytes: about 2 MB at
+# n_dt = 120, so one block runs a session of a thousand windows.
+BLOCK_WINDOWS = 1024
 
 
 def run_batch(
@@ -264,6 +290,11 @@ def run_batch(
 def _run_block(policy, series, mode, params, master_seed, w0, size):
     """Step windows w0 .. w0+size-1 together.
 
+    Each window's uniforms are thresholded into event flags as they are
+    drawn, so the block holds per step four flags (buy and sell arrival,
+    ask and bid thinning, in the layout of ``draw_window_events``) and
+    the alpha shock, not the uniforms.
+
     Returns their terminal wealths and objectives, then their fills as
     event codes and session-global t_index, in window, step and event
     order.  Codes are 0 adverse ask, 1 adverse bid,
@@ -271,14 +302,15 @@ def _run_block(policy, series, mode, params, master_seed, w0, size):
     emits and ``run_simulation`` settles cash in.
     """
     n = params.n_dt
-    u = np.empty((size, n, WINDOW_UNIFORMS))
+    p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
+    # one threshold per uniform of a window's flattened (n, 4) block
+    limits = np.tile([p_buy, p_sell, mode.rho_effective, mode.rho_effective], n)
+    flags = np.empty((size, n * 4), dtype=bool)
     z = np.empty((size, n))
     for k in range(size):
-        u[k], z[k] = draw_window_events(RngStream(master_seed, w0 + k), n)
-    arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
-                                  u[:, :, 0], u[:, :, 1])
-    thin_ask = u[:, :, 2] < mode.rho_effective
-    thin_bid = u[:, :, 3] < mode.rho_effective
+        u, z[k] = draw_window_events(RngStream(master_seed, w0 + k), n)
+        np.less(u.reshape(-1), limits, out=flags[k])
+    flags = flags.reshape(size, n, 4)
 
     base = w0 * n
     span = size * n
@@ -296,12 +328,12 @@ def _run_block(policy, series, mode, params, master_seed, w0, size):
     penalty = np.zeros(size)
 
     for i in range(n):
-        a_idx = np.abs(nodes - alpha[:, None]).argmin(axis=1)
+        a_idx = nearest_node(nodes, alpha)
         j = q + j0
         p_ask = policy.post_ask[i, a_idx, j]
         p_bid = policy.post_bid[i, a_idx, j]
 
-        buy, sell = arrivals.buy[:, i], arrivals.sell[:, i]
+        buy, sell, thin_ask, thin_bid = flags[:, i].T
         alpha = step_alpha(alpha, MOArrivals(buy, sell), params.dt, params, z[:, i])
 
         ask_now, bid_now = quotes(series.ask, i), quotes(series.bid, i)
@@ -309,8 +341,8 @@ def _run_block(policy, series, mode, params, master_seed, w0, size):
         if mode.detect_adverse:
             np.logical_and(p_ask, quotes(series.ask, i + 1) > ask_now, out=step[:, 0])
             np.logical_and(p_bid, quotes(series.bid, i + 1) < bid_now, out=step[:, 1])
-        step[:, 2] = p_ask & buy & ~step[:, 0] & thin_ask[:, i]
-        step[:, 3] = p_bid & sell & ~step[:, 1] & thin_bid[:, i]
+        step[:, 2] = p_ask & buy & ~step[:, 0] & thin_ask
+        step[:, 3] = p_bid & sell & ~step[:, 1] & thin_bid
 
         penalty += params.phi * (q * q) * params.dt
         q += step[:, 1].astype(np.int64) + step[:, 3] - step[:, 0] - step[:, 2]

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from mmsim.params import (
     ConfigParseError,
-    MarketParams,
-    SolverGrid,
     ValidationError,
     default_grid,
     default_params,

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsim import simulator
 from mmsim.cli import cli_main
@@ -22,6 +24,7 @@ from mmsim.simulator import (
     InventoryBoundBreachError,
     PolicyShapeMismatchError,
     SeriesTooShortError,
+    nearest_node,
     run_batch,
     run_simulation,
     terminal_wealth,
@@ -309,6 +312,86 @@ def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, l
     _assert_same_fills(batch.fills, fills)
     if lam is not None:
         assert at_bound, "hot arrival rates should drive inventory to a bound"
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_does_not_depend_on_block_size(solved, monkeypatch, variant):
+    """Blocks of 1 and 3 windows give the one default block's wealths,
+    objectives and fill columns exactly.  Unequal buy and sell rates tell
+    the two arrival flags apart, checked against the scalar run."""
+    params, policy = solved
+    params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=0.3)
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    series = synthetic_quotes(params, 7 * params.n_dt, seed=29)
+    whole = run_batch(policy, series, mode, params, master_seed=30)
+    assert whole.fills.t_index.size > 0
+    for w in range(7):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        r = run_simulation(policy, window, mode, params, RngStream(30, w))
+        assert (whole.terminal_wealths[w], whole.objectives[w]) == (r.terminal_wealth, r.objective)
+    for block in (1, 3):
+        monkeypatch.setattr(simulator, "BLOCK_WINDOWS", block)
+        split = run_batch(policy, series, mode, params, master_seed=30)
+        assert np.array_equal(split.terminal_wealths, whole.terminal_wealths)
+        assert np.array_equal(split.objectives, whole.objectives)
+        assert split.fill_totals == whole.fill_totals
+        for name in ("t_index", "is_ask", "price", "is_adverse"):
+            assert np.array_equal(getattr(split.fills, name), getattr(whole.fills, name)), name
+
+
+def _separated(values, reach):
+    """Sorted distinct nodes whose every gap exceeds the float spacing at
+    ``reach + max|node|``, the range ``nearest_node`` states."""
+    nodes = np.unique(np.asarray(values, dtype=float))
+    gap = np.spacing(reach + np.abs(nodes).max())
+    kept = [nodes[0]]
+    for x in nodes[1:]:
+        if x - kept[-1] > gap:
+            kept.append(x)
+    return np.array(kept)
+
+
+_NODE_LISTS = st.one_of(
+    st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=40),
+    # quarter steps: every midpoint is an exact tie
+    st.lists(st.integers(-2_000, 2_000).map(lambda k: k * 0.25), min_size=1, max_size=40),
+    st.lists(st.integers(-25, 25).map(lambda k: k * 0.0016), min_size=1, max_size=51),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_NODE_LISTS, free=st.floats(-1e3, 1e3))
+def test_nearest_node_equals_argmin(values, free):
+    nodes = _separated(values, 1e3)
+    mids = (nodes[:-1] + nodes[1:]) / 2
+    probes = np.concatenate([
+        nodes, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+        np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [0.0, -0.0, -1e3, 1e3, free],
+    ])
+    want = [int(np.abs(nodes - a).argmin()) for a in probes]
+    assert nearest_node(nodes, probes).tolist() == want
+    assert [int(nearest_node(nodes, a)) for a in probes] == want
+
+
+@pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite"])
+def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
+    """The bracketing node lookup needs finite, strictly increasing nodes;
+    a policy without them is rejected before any step."""
+    params, policy = solved
+    bad = policy.alpha_nodes.copy()
+    if nodes == "reversed":
+        bad = bad[::-1]
+    elif nodes == "repeated":
+        bad[1] = bad[0]
+    else:
+        bad[-1] = np.inf  # still increasing
+    broken = replace(policy, alpha_nodes=bad)
+    series = synthetic_quotes(params, params.n_dt, seed=31)
+    with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
+        run_batch(broken, series, EnvMode.benchmark(), params, master_seed=32)
+    with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
+        run_simulation(broken, series, EnvMode.benchmark(), params, RngStream(32))
 
 
 def test_batch_settles_cash_in_event_order(solved):
