@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import RngStream, round_to_tick
 from .fills import FillCounters, FillEvent, FillKind, Side, classify_fill
-from .market_data import PriceSeries
+from .market_data import PriceSeries, check_tick
 from .table import write_table
 
 __all__ = [
@@ -115,6 +115,7 @@ def run_example1(
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not 0.0 <= walk_p <= 0.5:
         raise ValueError(f"walk_p must lie in [0, 0.5], got {walk_p}")
+    check_tick(tick)
 
     gen = RngStream(seed=seed).generator()
     bid_ticks = [round(s0 / tick)]
@@ -172,6 +173,7 @@ def run_basic_posting(
         raise EmptySeriesError("series holds no samples")
     if offset_ticks < 1:
         raise ValueError(f"offset_ticks must be >= 1, got {offset_ticks}")
+    check_tick(tick)
 
     mo = RngStream(seed=seed).generator().random((n - 1, 2)) < mo_prob
     bid_a = np.rint(series.bid / tick).astype(np.int64)

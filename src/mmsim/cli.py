@@ -92,6 +92,8 @@ def _load_series(args, params):
 
 def _cmd_simulate(args) -> int:
     params, _ = _load_params(args.config)
+    if args.snapshots < 0:
+        raise ValueError(f"--snapshots must be >= 0, got {args.snapshots}")
     if args.policy is None:
         raise PolicyShapeMismatchError("no policy file given; run `solve` and pass --policy")
     policy = load_policy_csv(args.policy)

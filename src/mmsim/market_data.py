@@ -40,6 +40,7 @@ __all__ = [
     "render_lob_csv",
     "resample_forward_fill",
     "trade_size_stats",
+    "check_tick",
     "synthetic_quotes",
 ]
 
@@ -177,43 +178,63 @@ class TradeStats:
 def parse_lob_csv(stream) -> LOBBook:
     """Parse LOB CSV bytes, text or a line iterable into a :class:`LOBBook`.
 
-    Rows are converted :data:`BLOCK_ROWS` lines at a time.  The first bad
+    Rows are converted :data:`BLOCK_ROWS` lines at a time; the blocks of a
+    tokenizable byte input are written into columns allocated once from its
+    line count, so the book is never held twice.  The first bad
     row in file order raises; within a row the checks run in the order field
     count, number parsing, crossed level 1, negative size, timestamp order.
     """
-    blocks = None
     if isinstance(stream, str) and stream.isascii():
         stream = stream.encode("ascii")
     if isinstance(stream, bytes):
         raw = _tokenizable(stream)
-        if raw is None:
-            stream = stream.decode("utf-8")
-        else:
-            blocks = _byte_blocks(raw)
-    if blocks is None:
-        if isinstance(stream, str):
-            lines = iter(stream.splitlines())
-        else:
-            lines = (raw.rstrip("\r\n") for raw in stream)
-        try:
-            header = next(lines).split(",")
-        except StopIteration:
-            raise SchemaMismatchError("empty input, header row required") from None
-        if header != LOB_CSV_HEADER:
-            raise SchemaMismatchError(
-                f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
-            )
-        blocks = _line_blocks(lines)
+        if raw is not None:
+            n_lines, blocks = _byte_blocks(raw)
+            return _fill_columns(_parsed_blocks(blocks), n_lines)
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        lines = iter(stream.splitlines())
+    else:
+        lines = (raw.rstrip("\r\n") for raw in stream)
+    try:
+        header = next(lines).split(",")
+    except StopIteration:
+        raise SchemaMismatchError("empty input, header row required") from None
+    if header != LOB_CSV_HEADER:
+        raise SchemaMismatchError(
+            f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
+        )
 
+    # lines are counted only as they are read, so the blocks are joined at the end
     ts_blocks = [np.empty(0, dtype=np.int64)]
     cell_blocks = [np.empty((0, len(LOB_COLUMNS)))]
+    for ts, cells in _parsed_blocks(_line_blocks(lines)):
+        ts_blocks.append(ts)
+        cell_blocks.append(cells)
+    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+
+
+def _parsed_blocks(blocks):
+    """``(ts, cells)`` of each block in turn, each checked against the last
+    timestamp before it."""
     prev_ts = None
     for block in blocks:
         ts, cells = _parse_block(*block, prev_ts)
-        ts_blocks.append(ts)
-        cell_blocks.append(cells)
+        yield ts, cells
         prev_ts = int(ts[-1])
-    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+
+
+def _fill_columns(parsed, n_lines: int) -> LOBBook:
+    """The parsed blocks of a body of ``n_lines`` lines written into columns
+    allocated once, then cut to the rows kept (empty lines hold no row)."""
+    ts_out = np.empty(n_lines, dtype=np.int64)
+    cells_out = np.empty((n_lines, len(LOB_COLUMNS)))
+    kept = 0
+    for ts, cells in parsed:
+        ts_out[kept:kept + ts.size] = ts
+        cells_out[kept:kept + ts.size] = cells
+        kept += ts.size
+    return LOBBook(ts_out[:kept], cells_out[:kept])
 
 
 _HEADER_BYTES = ",".join(LOB_CSV_HEADER).encode("ascii")
@@ -243,22 +264,27 @@ def _tokenizable(raw: bytes) -> bytes | None:
 
 
 def _byte_blocks(raw: bytes):
-    """Blocks of :data:`BLOCK_ROWS` lines of a :func:`_tokenizable` file,
-    each a byte range of the one buffer, as :func:`_parse_block` takes them."""
+    """The body's line count, and its blocks of :data:`BLOCK_ROWS` lines of a
+    :func:`_tokenizable` file, each a byte range of the one buffer, as
+    :func:`_parse_block` takes them."""
     # the header line lies in front of every body cell: the kernels' pad
     data = np.frombuffer(raw, dtype=np.uint8)
     body = raw.find(b"\n") + 1
     line_ends = np.flatnonzero(data[body:] == ord("\n"))
     line_ends += body
-    for first in range(0, line_ends.size, BLOCK_ROWS):
-        last = min(first + BLOCK_ROWS, line_ends.size)
-        lo = int(line_ends[first - 1]) + 1 if first else body
-        tokens = split_cells(data, lo, int(line_ends[last - 1]) + 1)
-        kept = tokens[2] > 0
-        if kept.all():
-            yield range(first + 2, last + 2), None, data, tokens
-        elif kept.any():
-            yield (np.flatnonzero(kept) + first + 2).tolist(), None, data, tokens
+
+    def blocks():
+        for first in range(0, line_ends.size, BLOCK_ROWS):
+            last = min(first + BLOCK_ROWS, line_ends.size)
+            lo = int(line_ends[first - 1]) + 1 if first else body
+            tokens = split_cells(data, lo, int(line_ends[last - 1]) + 1)
+            kept = tokens[2] > 0
+            if kept.all():
+                yield range(first + 2, last + 2), None, data, tokens
+            elif kept.any():
+                yield (np.flatnonzero(kept) + first + 2).tolist(), None, data, tokens
+
+    return line_ends.size, blocks()
 
 
 def _line_blocks(lines):
@@ -492,6 +518,12 @@ def trade_size_stats(book: LOBBook) -> TradeStats:
     )
 
 
+def check_tick(tick: float) -> None:
+    """Raise unless the price grid's tick is finite and positive."""
+    if not (math.isfinite(tick) and tick > 0):
+        raise ValueError(f"tick must be finite and positive, got {tick}")
+
+
 def synthetic_quotes(
     params: MarketParams,
     n_steps: int,
@@ -513,6 +545,7 @@ def synthetic_quotes(
         raise ValueError(f"move_prob must lie in [0, 0.5], got {move_prob}")
     if tick is None:
         tick = params.delta
+    check_tick(tick)
     stream = seed if isinstance(seed, RngStream) else RngStream(seed=seed)
     gen = stream.generator()
 

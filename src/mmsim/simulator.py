@@ -22,6 +22,7 @@ from .dynamics import (
     RngStream,
     arrival_probabilities,
     draw_window_events,
+    pcg64_stream_states,
     sample_mo_arrivals,
     step_alpha,
 )
@@ -290,10 +291,13 @@ def run_batch(
 def _run_block(policy, series, mode, params, master_seed, w0, size):
     """Step windows w0 .. w0+size-1 together.
 
-    Each window's uniforms are thresholded into event flags as they are
-    drawn, so the block holds per step four flags (buy and sell arrival,
-    ask and bid thinning, in the layout of ``draw_window_events``) and
-    the alpha shock, not the uniforms.
+    Window w draws from the start of stream ``RngStream(master_seed, w)``:
+    the block's PCG64 states come from one ``pcg64_stream_states`` call,
+    and one reused generator is set to each in turn.  Each window's
+    uniforms are thresholded into event flags as they are drawn, so the
+    block holds per step four flags (buy and sell arrival, ask and bid
+    thinning, in the layout of ``draw_window_events``) and the alpha
+    shock, not the uniforms.
 
     Returns their terminal wealths and objectives, then their fills as
     event codes and session-global t_index, in window, step and event
@@ -307,8 +311,12 @@ def _run_block(policy, series, mode, params, master_seed, w0, size):
     limits = np.tile([p_buy, p_sell, mode.rho_effective, mode.rho_effective], n)
     flags = np.empty((size, n * 4), dtype=bool)
     z = np.empty((size, n))
-    for k in range(size):
-        u, z[k] = draw_window_events(RngStream(master_seed, w0 + k), n)
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    for k, (state, inc) in enumerate(pcg64_stream_states(master_seed, w0, size)):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        u, z[k] = draw_window_events(gen, n)
         np.less(u.reshape(-1), limits, out=flags[k])
     flags = flags.reshape(size, n, 4)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from mmsim.basic_poster import (
 from mmsim.cli import cli_main
 from mmsim.dynamics import RngStream, round_to_tick
 from mmsim.fills import FillEvent, FillKind, Side, classify_fill
-from mmsim.market_data import LOB_COLUMNS, LOBBook, PriceSeries, render_lob_csv
+from mmsim.market_data import LOB_COLUMNS, LOBBook, PriceSeries, render_lob_csv, synthetic_quotes
+from mmsim.params import default_params
 
 
 def _series(bids, asks, bid_sz=10.0, ask_sz=10.0):
@@ -432,3 +434,26 @@ def test_basic_post_outputs_are_pinned(tmp_path, monkeypatch, args, fills_sha, s
     assert cli_main(["basic-post", *args, "--out", "bp"]) == 0
     assert _sha256(tmp_path / "bp" / "fills.csv") == fills_sha
     assert _sha256(tmp_path / "bp" / "summary.csv") == summary_sha
+
+
+@pytest.mark.parametrize("tick", [0.0, math.nan, -0.01, math.inf])
+def test_tick_must_be_finite_and_positive(tick):
+    series = _series([81.87, 81.87], [81.88, 81.88])
+    with pytest.raises(ValueError, match="tick"):
+        run_basic_posting(series, offset_ticks=4, tick=tick)
+    with pytest.raises(ValueError, match="tick"):
+        synthetic_quotes(default_params(), 10, seed=1, tick=tick)
+    with pytest.raises(ValueError, match="tick"):
+        run_example1(10, tick=tick)
+
+
+@pytest.mark.parametrize("tick", ["0", "nan", "-0.01"])
+@pytest.mark.parametrize("data", [False, True], ids=["synthetic", "recorded"])
+def test_cli_basic_post_rejects_a_bad_tick(tmp_path, monkeypatch, capsys, tick, data):
+    monkeypatch.chdir(tmp_path)
+    args = ["basic-post", f"--tick={tick}", "--steps", "50", "--out", "bp"]
+    if data:
+        (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
+        args += ["--data", "lob.csv"]
+    assert cli_main(args) == 1
+    assert "tick must be finite and positive" in capsys.readouterr().err

@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsim.dynamics import (
     MOArrivals,
     PathState,
     RngStream,
     draw_window_events,
+    pcg64_stream_states,
     round_to_tick,
     sample_mo_arrivals,
     simulate_synthetic_path,
@@ -34,6 +37,46 @@ def test_window_events_follow_the_documented_layout():
     gen = RngStream(seed=31, stream_id=3).generator()
     assert np.array_equal(u, gen.random((120, 4)))
     assert np.array_equal(z, gen.standard_normal(120))
+
+
+# seeds of one to five uint32 words, ids at both ends of the spawn-key word
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1]), st.integers(0, 2**128))
+STREAM_IDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, first=STREAM_IDS, count=st.integers(1, 4))
+def test_stream_states_equal_numpy_seeding(seed, first, count):
+    first = min(first, 2**32 - count)
+    states = pcg64_stream_states(seed, first, count)
+    assert len(states) == count
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    for w, (state, inc) in zip(range(first, first + count), states):
+        numpy_seeded = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(w,)))
+        assert numpy_seeded.state["state"] == {"state": state, "inc": inc}
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        u, z = draw_window_events(gen, 6)
+        want_u, want_z = draw_window_events(RngStream(seed, w), 6)
+        assert np.array_equal(u, want_u) and np.array_equal(z, want_z)
+
+
+def test_stream_states_of_no_ids_are_empty():
+    assert pcg64_stream_states(5, 2**32, 0) == []
+
+
+@pytest.mark.parametrize("first, count", [(2**32, 1), (2**32 - 1, 2), (-1, 1)])
+def test_stream_ids_outside_one_word_are_rejected(first, count):
+    with pytest.raises(ValueError, match="stream ids"):
+        pcg64_stream_states(0, first, count)
+
+
+def test_negative_seed_is_rejected_like_numpy():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        pcg64_stream_states(-1, 0, 1)
 
 
 def test_alpha_step_is_one_expression_for_scalars_and_arrays():

@@ -195,6 +195,11 @@ def test_blank_lines_keep_file_line_numbers():
         parse_lob_csv(text)
     assert err.value.line == 5
     assert len(parse_lob_csv("\n".join([HEADER, "", _row(10, 99.99, 100.0), ""]))) == 1
+    rows = [_row(10, 99.99, 100.0), _row(20, 99.98, 100.0), _row(30, 99.99, 100.01)]
+    want = parse_lob_csv("\n".join([HEADER, *rows]))
+    got = parse_lob_csv("\n".join([HEADER, rows[0], "", "", *rows[1:], "", ""]))
+    assert np.array_equal(got.ts, want.ts) and got.ts.tolist() == [10, 20, 30]
+    assert np.array_equal(got.cells, want.cells, equal_nan=True)
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])

@@ -450,6 +450,23 @@ def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
     assert (out / "fills.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()
 
 
+def test_simulate_command_rejects_a_negative_snapshot_count(solved, tmp_path, capsys):
+    _, policy = solved
+    export_policy_csv(policy, tmp_path / "policy.csv")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--windows", "2",
+                     "--snapshots", "-1", "--out", str(out)]) == 1
+    assert "--snapshots must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_batch_rejects_a_negative_seed(solved):
+    params, policy = solved
+    series = synthetic_quotes(params, 2 * params.n_dt, seed=27)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_batch(policy, series, EnvMode.benchmark(), params, master_seed=-1)
+
+
 def test_policy_shape_mismatch_detected(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=16)
