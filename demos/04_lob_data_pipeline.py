@@ -63,7 +63,7 @@ def main():
     fabricate_event_file(raw)
     print(f"fabricated event file: {raw}")
 
-    book = parse_lob_csv(raw.read_text(encoding="utf-8"))
+    book = parse_lob_csv(raw.read_bytes())
     print(f"parsed {len(book)} events spanning "
           f"{(book.ts[-1] - book.ts[0]) / SEC:.0f} s")
 
@@ -77,7 +77,7 @@ def main():
           f"(forward fill from the last event at or before each boundary)")
 
     # round-trip sanity: serialize and re-parse the book (NaN marks absent cells)
-    again = parse_lob_csv(render_lob_csv(book))
+    again = parse_lob_csv(render_lob_csv(book).encode("utf-8"))
     assert np.array_equal(again.ts, book.ts)
     assert np.array_equal(again.cells, book.cells, equal_nan=True)
 

@@ -1,6 +1,6 @@
 """Recorded and synthetic quote data.
 
-LOB CSV schema (header mandatory, UTF-8, LF or CRLF line ends):
+LOB CSV schema (header mandatory, UTF-8, LF, CRLF or CR line ends):
 
     ts,bid_px_1,bid_sz_1,...,bid_px_5,bid_sz_5,
        ask_px_1,ask_sz_1,...,ask_px_5,ask_sz_5,trade_px,trade_sz
@@ -8,8 +8,8 @@ LOB CSV schema (header mandatory, UTF-8, LF or CRLF line ends):
 ``ts`` is integer nanoseconds since epoch; price/size fields may be empty
 for absent levels, and trade_px/trade_sz are empty on non-trade events.
 An empty cell is the only way to write "absent": literal ``nan``/``inf``
-cells are rejected.  :func:`parse_lob_csv` returns the file as columns
-(:class:`LOBBook`), with NaN for each empty cell.
+cells are rejected.  :func:`parse_lob_csv` takes the file's bytes and
+returns it as columns (:class:`LOBBook`), with NaN for each empty cell.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .dynamics import RngStream
 from .params import MarketParams
-from .table import PAD, lf_line_ends, plain_floats, plain_ints, split_cells
+from .table import lf_line_ends, plain_floats, plain_ints, split_cells
 
 __all__ = [
     "LOBBook",
@@ -175,62 +175,34 @@ class TradeStats:
     count: int
 
 
-def parse_lob_csv(stream) -> LOBBook:
-    """Parse LOB CSV bytes, text or a line iterable into a :class:`LOBBook`.
+def parse_lob_csv(data: bytes) -> LOBBook:
+    """Parse the bytes of a LOB CSV file into a :class:`LOBBook`.
 
-    Rows are converted :data:`BLOCK_ROWS` lines at a time; the blocks of a
-    tokenizable byte input are written into columns allocated once from its
-    line count, so the book is never held twice.  The first bad
-    row in file order raises; within a row the checks run in the order field
-    count, number parsing, crossed level 1, negative size, timestamp order.
+    Rows are converted :data:`BLOCK_ROWS` lines at a time, and the blocks
+    are written into columns allocated once from the body's line count, so
+    the book is never held twice.  The first bad row in file order raises;
+    within a row the checks run in the order field count, number parsing,
+    crossed level 1, negative size, timestamp order.
     """
-    if isinstance(stream, str) and stream.isascii():
-        stream = stream.encode("ascii")
-    if isinstance(stream, bytes):
-        raw = _tokenizable(stream)
-        if raw is not None:
-            n_lines, blocks = _byte_blocks(raw)
-            return _fill_columns(_parsed_blocks(blocks), n_lines)
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        lines = iter(stream.splitlines())
+    raw = _tokenizable(data)
+    if raw is None:
+        n_lines, blocks = _text_blocks(data.decode("utf-8").splitlines())
+        parse = _parse_rows
     else:
-        lines = (raw.rstrip("\r\n") for raw in stream)
-    try:
-        header = next(lines).split(",")
-    except StopIteration:
-        raise SchemaMismatchError("empty input, header row required") from None
-    if header != LOB_CSV_HEADER:
-        raise SchemaMismatchError(
-            f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
-        )
-
-    # lines are counted only as they are read, so the blocks are joined at the end
-    ts_blocks = [np.empty(0, dtype=np.int64)]
-    cell_blocks = [np.empty((0, len(LOB_COLUMNS)))]
-    for ts, cells in _parsed_blocks(_line_blocks(lines)):
-        ts_blocks.append(ts)
-        cell_blocks.append(cells)
-    return LOBBook(np.concatenate(ts_blocks), np.concatenate(cell_blocks))
+        n_lines, blocks = _byte_blocks(raw)
+        parse = _parse_tokens
+    return _fill_columns(blocks, parse, n_lines)
 
 
-def _parsed_blocks(blocks):
-    """``(ts, cells)`` of each block in turn, each checked against the last
-    timestamp before it."""
-    prev_ts = None
-    for block in blocks:
-        ts, cells = _parse_block(*block, prev_ts)
-        yield ts, cells
-        prev_ts = int(ts[-1])
-
-
-def _fill_columns(parsed, n_lines: int) -> LOBBook:
-    """The parsed blocks of a body of ``n_lines`` lines written into columns
-    allocated once, then cut to the rows kept (empty lines hold no row)."""
+def _fill_columns(blocks, parse, n_lines: int) -> LOBBook:
+    """The ``(linenos, block)`` pairs of a body of ``n_lines`` lines, each
+    parsed by ``parse`` after the last timestamp before it, written into
+    columns allocated once and cut to the rows kept (blank lines hold none)."""
     ts_out = np.empty(n_lines, dtype=np.int64)
     cells_out = np.empty((n_lines, len(LOB_COLUMNS)))
     kept = 0
-    for ts, cells in parsed:
+    for linenos, block in blocks:
+        ts, cells = parse(block, linenos, int(ts_out[kept - 1]) if kept else None)
         ts_out[kept:kept + ts.size] = ts
         cells_out[kept:kept + ts.size] = cells
         kept += ts.size
@@ -266,7 +238,7 @@ def _tokenizable(raw: bytes) -> bytes | None:
 def _byte_blocks(raw: bytes):
     """The body's line count, and its blocks of :data:`BLOCK_ROWS` lines of a
     :func:`_tokenizable` file, each a byte range of the one buffer, as
-    :func:`_parse_block` takes them."""
+    :func:`_parse_tokens` takes them."""
     # the header line lies in front of every body cell: the kernels' pad
     data = np.frombuffer(raw, dtype=np.uint8)
     body = raw.find(b"\n") + 1
@@ -280,55 +252,57 @@ def _byte_blocks(raw: bytes):
             tokens = split_cells(data, lo, int(line_ends[last - 1]) + 1)
             kept = tokens[2] > 0
             if kept.all():
-                yield range(first + 2, last + 2), None, data, tokens
+                yield range(first + 2, last + 2), (data, *tokens)
             elif kept.any():
-                yield (np.flatnonzero(kept) + first + 2).tolist(), None, data, tokens
+                yield (np.flatnonzero(kept) + first + 2).tolist(), (data, *tokens)
 
     return line_ends.size, blocks()
 
 
-def _line_blocks(lines):
-    """Blocks of :data:`BLOCK_ROWS` lines after the header, as
-    :func:`_parse_block` takes them.  A block of plain ASCII goes to the
-    tokenizer as bytes; any other block keeps only its lines."""
-    first_line = 2
-    while block := list(islice(lines, BLOCK_ROWS)):
-        linenos = range(first_line, first_line + len(block))
-        first_line += len(block)
-        if "" in block:
+def _text_blocks(lines: list[str]):
+    """The body's line count, and its blocks of :data:`BLOCK_ROWS` lines
+    after the header, as :func:`_parse_rows` takes them: the non-empty
+    lines of each block."""
+    if not lines:
+        raise SchemaMismatchError("empty input, header row required")
+    header = lines[0].split(",")
+    if header != LOB_CSV_HEADER:
+        raise SchemaMismatchError(
+            f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
+        )
+
+    def blocks():
+        for first in range(1, len(lines), BLOCK_ROWS):
+            block = lines[first:first + BLOCK_ROWS]
             kept = [i for i, line in enumerate(block) if line]
-            block = [block[i] for i in kept]
-            linenos = [linenos[i] for i in kept]
-            if not block:
-                continue
-        # a character outside ASCII becomes "?", outside the alphabet
-        raw = ("\n".join(block) + "\n").encode("ascii", "replace")
-        if raw.translate(None, _BODY_BYTES) or raw.count(b"\n") != len(block):
-            yield linenos, block, None, None
-            continue
-        buf = np.zeros(PAD + len(raw), dtype=np.uint8)
-        buf[PAD:] = np.frombuffer(raw, dtype=np.uint8)
-        yield linenos, block, buf, split_cells(buf, PAD, buf.size)
+            if kept:
+                yield [first + 1 + i for i in kept], [block[i] for i in kept]
+
+    return len(lines) - 1, blocks()
 
 
-def _parse_block(linenos, rows, buf, tokens, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _parse_tokens(block, linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Columns of a block's non-empty rows; raises for the first bad row.
 
-    ``linenos[r]`` is the file line of row r and ``prev_ts`` the last
-    timestamp before the block.  ``rows`` are the rows as text, ``tokens``
-    :func:`split_cells` of them in ``buf``; either may be None.  A block of
-    plain cells is converted by the word kernels; any other block takes the
-    per-cell path, which alone locates and reports a bad field count or
-    number.
+    ``block`` is ``buf`` and :func:`split_cells` of the block's lines in
+    it, ``linenos[r]`` the file line of row r and ``prev_ts`` the last
+    timestamp before the block.  A block of plain cells is converted by the
+    word kernels; any other block takes the per-cell path, which alone
+    locates and reports a bad field count or number.
     """
-    converted = None if tokens is None else _convert_plain(buf, *tokens)
+    buf, ends, starts, fields = block
+    converted = _convert_plain(buf, ends, starts, fields)
     if converted is None:
-        if rows is None:
-            ends, starts, _ = tokens
-            text = buf[starts[0]:ends[-1] + 1].tobytes().decode("ascii")
-            rows = [row for row in text.split("\n") if row]
-        converted = _convert_cells(rows, linenos, prev_ts)
-    ts, cells = converted
+        text = buf[starts[0]:ends[-1] + 1].tobytes().decode("ascii")
+        return _parse_rows([row for row in text.split("\n") if row], linenos, prev_ts)
+    _check_rows(*converted, linenos, prev_ts)
+    return converted
+
+
+def _parse_rows(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of a block's non-empty rows as text, by the per-cell path;
+    raises for the first bad row."""
+    ts, cells = _convert_cells(rows, linenos, prev_ts)
     _check_rows(ts, cells, linenos, prev_ts)
     return ts, cells
 
@@ -370,7 +344,7 @@ def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.nd
     if commas.count(_N_FIELDS - 1) != n:
         r = next(i for i, c in enumerate(commas) if c != _N_FIELDS - 1)
         if r:
-            _parse_block(linenos, rows[:r], None, None, prev_ts)
+            _parse_rows(rows[:r], linenos, prev_ts)
         raise MalformedRowError(linenos[r], f"expected {_N_FIELDS} fields, got {commas[r] + 1}")
 
     fields = ",".join(rows).split(",")
@@ -386,7 +360,7 @@ def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.nd
     if not parsed:
         r, reason = _first_unparseable(ts_text, fields)
         if r:
-            _parse_block(linenos, rows[:r], None, None, prev_ts)
+            _parse_rows(rows[:r], linenos, prev_ts)
         raise MalformedRowError(linenos[r], reason)
     return ts, cells.reshape(n, len(LOB_COLUMNS))
 

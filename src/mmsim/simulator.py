@@ -150,6 +150,11 @@ def _check_policy(policy: PostingPolicy, params: MarketParams) -> None:
             f"policy shape {policy.post_ask.shape} does not match "
             f"(n_dt+1, n_alpha, 2 q_max+1) = {expected}"
         )
+    # the simulator reads inventory q at index q + q_max
+    if not np.array_equal(policy.q_nodes, np.arange(-params.q_max, params.q_max + 1)):
+        raise PolicyShapeMismatchError(
+            f"policy inventory nodes are not -q_max..q_max = {-params.q_max}..{params.q_max}"
+        )
 
 
 def run_simulation(

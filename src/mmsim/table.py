@@ -8,17 +8,19 @@ flags as ``1``/``0``, integers and strings with ``str``.
 Every CSV reader of the package, the LOB parser included, reads from bytes
 through one tokenizer (:func:`split_cells`) and two numpy word kernels
 (:func:`plain_floats`, :func:`plain_ints`) that convert a whole column of
-plain cells with no Python object per cell.  Input with a byte outside the
-tokenizer's alphabet is read as text, with the same values and errors.
+plain cells with no Python object per cell.  A table file with a byte
+outside the tokenizer's alphabet is normalised as text first (rows split on
+whitespace), and a cell the kernels decline is converted from its text.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
 __all__ = [
     "write_table",
-    "read_table",
     "read_cells",
     "Cells",
     "lf_line_ends",
@@ -56,35 +58,6 @@ def write_table(path, header, columns) -> None:
         for start in range(0, n_rows, BLOCK_ROWS):
             block = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
-
-
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a table back as (column names, cell texts per column).
-
-    Rows are split on whitespace, so blank lines and CR line ends are
-    ignored.  Every row must have as many fields as the header.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        body = "\n".join(fh.read().split())
-    width = len(header)
-    if not body:
-        return header, [[] for _ in range(width)]
-    # each row's comma count, summed between the newlines
-    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    row_starts = np.concatenate(([0], np.flatnonzero(data == ord("\n")) + 1))
-    commas = np.add.reduceat(data == ord(","), row_starts, dtype=np.intp)
-    del data, row_starts
-    if (commas != width - 1).any():
-        bad = int(np.argmax(commas != width - 1))
-        raise _ragged_row(path, bad, commas[bad] + 1, width)
-    fields = body.replace("\n", ",").split(",")
-    del body  # the text goes before the columns are built: a lower peak
-    return header, [fields[i::width] for i in range(width)]
-
-
-def _ragged_row(path, row: int, fields: int, width: int) -> ValueError:
-    return ValueError(f"{path}: data row {row + 1} has {fields} fields, the header {width}")
 
 
 # -- the byte-level tokenizer and the word kernels ---------------------------
@@ -159,7 +132,7 @@ def lf_line_ends(raw: bytes) -> bytes | None:
     """``raw`` with every CRLF made LF, or None if a CR stands anywhere else.
 
     A lone CR ends a line for ``str.splitlines`` and universal newlines but
-    not for the tokenizer, so such input keeps the readers' text paths.
+    not for the tokenizer, so the readers split such input as text first.
     """
     if b"\r" not in raw:
         return raw
@@ -171,17 +144,22 @@ def lf_line_ends(raw: bytes) -> bytes | None:
 def split_cells(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of the lines ``buf[lo:hi]``, each line ended by ``\\n``.
 
-    The lines may hold no byte below ``,`` other than ``\\n`` (the readers'
-    alphabets ensure it), so one pass finds every ``,`` and ``\\n``.
-    Returns the end of every cell (the position of its separator in
-    ``buf``) in file order, the start of each non-empty line, and each
-    line's field count, 0 for an empty line, whose separator is not a cell.
-    A cell's width is its end minus the end before it, less one, or minus
-    its line's start for the first cell of a line.
+    Only ``,`` and ``\\n`` separate: one pass finds every byte up to ``,``,
+    and any other byte below ``,`` (a ``+``, a control byte) is kept as
+    part of its cell.  Returns the end of every cell (the position of its
+    separator in ``buf``) in file order, the start of each non-empty line,
+    and each line's field count, 0 for an empty line, whose separator is not
+    a cell.  A cell's width is its end minus the end before it, less one, or
+    minus its line's start for the first cell of a line.
     """
     text = buf[lo:hi]
     ends = np.flatnonzero(text <= _COMMA)
-    line_ends = np.flatnonzero(text[ends] == _NEWLINE)
+    separators = text[ends]
+    newline = separators == _NEWLINE
+    separate = newline | (separators == _COMMA)
+    if not separate.all():
+        ends, newline = ends[separate], newline[separate]
+    line_ends = np.flatnonzero(newline)
     fields = _gaps(line_ends)
     ends += lo
     starts = np.empty(line_ends.size, dtype=ends.dtype)
@@ -282,8 +260,8 @@ def plain_ints(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarr
 
 # -- typed columns of a table ------------------------------------------------
 
-# The bytes a table file may hold for the tokenizer (CR only before LF);
-# any other byte sends the file to read_table.
+# The bytes a table file may hold for the tokenizer as it is (CR only
+# before LF); a file with any other byte is normalised first.
 _TABLE_BYTES = (b"0123456789.-,\n_" + bytes(range(ord("a"), ord("z") + 1))
                 + bytes(range(ord("A"), ord("Z") + 1)))
 _DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -292,20 +270,20 @@ _DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
 class Cells:
     """A table's header and cells, converted to a typed column on request.
 
-    From the file's bytes the columns come from the word kernels; a column
-    the kernels cannot take, or a file :func:`read_cells` sends to
-    :func:`read_table`, is converted from its cell texts, one ``int()`` or
-    ``float()`` per cell, with the same values and errors.
+    The columns come from the word kernels over the file's bytes; a column
+    the kernels cannot take is converted from its cell texts, one ``int()``
+    or ``float()`` per cell, with the same values and errors.
     """
 
-    def __init__(self, path, header, n_rows, buf=None, ends=None, starts=None, texts=None):
+    def __init__(self, path, header, data: bytes, ends, starts):
         self.path = path
         self.header = header
-        self.n_rows = n_rows
-        self._buf, self._ends, self._starts, self._texts = buf, ends, starts, texts
+        self.n_rows = len(ends)
+        self._data, self._ends, self._starts = data, ends, starts
+        self._buf = np.frombuffer(data, dtype=np.uint8)
 
     def _cells(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """End and width of each cell of a column read from bytes."""
+        """End and width of each cell of a column."""
         i = self.header.index(name)
         ends = self._ends[:, i]
         width = ends - (self._ends[:, i - 1] if i else self._starts - 1)
@@ -314,34 +292,30 @@ class Cells:
 
     def texts(self, name: str) -> list[str]:
         """The cell texts of a column."""
-        if self._texts is not None:
-            return self._texts[self.header.index(name)]
-        ends, width = self._cells(name)
-        text = self._buf.tobytes().decode("ascii")
-        return [text[s:e] for s, e in zip((ends - width).tolist(), ends.tolist())]
+        return self._decoded(*self._cells(name))
+
+    def _decoded(self, ends, width) -> list[str]:
+        data = self._data
+        return [data[e - w:e].decode("utf-8") for e, w in zip(ends.tolist(), width.tolist())]
 
     def ints(self, name: str) -> np.ndarray:
         """A column of ``int()`` values, as int64."""
-        if self._buf is not None:
-            values = plain_ints(self._buf, *self._cells(name))
-            if values is not None:
-                return values
-        texts = self.texts(name)
-        return np.fromiter(map(int, texts), np.int64, len(texts))
+        values = plain_ints(self._buf, *self._cells(name))
+        if values is None:
+            texts = self.texts(name)
+            values = np.fromiter(map(int, texts), np.int64, len(texts))
+        return values
 
     def floats(self, name: str) -> np.ndarray:
         """A column of ``float()`` values, as float64."""
-        if self._buf is not None:
-            ends, width = self._cells(name)
-            values = None
-            if self._numeric(ends, width):
-                values = plain_floats(self._buf, ends, width)
-            if values is None:
-                values = self._distinct_floats(ends, width)
-            if values is not None:
-                return values
-        texts = self.texts(name)
-        return np.fromiter(map(float, texts), np.float64, len(texts))
+        ends, width = self._cells(name)
+        values = plain_floats(self._buf, ends, width) if self._numeric(ends, width) else None
+        if values is None:
+            values = self._distinct_floats(ends, width)
+        if values is None:
+            texts = self.texts(name)
+            values = np.fromiter(map(float, texts), np.float64, len(texts))
+        return values
 
     def flags(self, name: str, true_text: str, false_text: str) -> np.ndarray:
         """A two-valued column as booleans, True where the cell is ``true_text``.
@@ -349,7 +323,7 @@ class Cells:
         Any other cell raises ValueError naming its data row.
         """
         keys = [true_text.encode("ascii"), false_text.encode("ascii")]
-        if self._buf is not None and max(map(len, keys)) <= PAD:
+        if max(map(len, keys)) <= PAD:
             ends, width = self._cells(name)
             n_words = -(-max(map(len, keys)) // 8)
             cell = self._key_words(ends, width, n_words)
@@ -420,11 +394,9 @@ class Cells:
         if not same.all():
             return None
         order = np.argsort(first)
-        stops = ends[runs[first[order]]]
-        starts = stops - width[first[order]]
-        text = self._buf.tobytes().decode("ascii")
         distinct = np.empty(first.size)
-        distinct[order] = [float(text[s:e]) for s, e in zip(starts.tolist(), stops.tolist())]
+        distinct[order] = list(map(float, self._decoded(ends[runs[first[order]]],
+                                                        width[first[order]])))
         return np.repeat(distinct[inverse], _gaps(np.append(runs[1:], ends.size) - 1))
 
 
@@ -432,32 +404,29 @@ def read_cells(path) -> Cells:
     """Read a table's header and cells from its bytes.
 
     A file that holds a byte other than letters, digits, ``_``, ``.``,
-    ``-``, ``,``, LF and CR before LF is read by :func:`read_table`; within
-    that alphabet the two split lines and fields the same way, and a row
-    whose field count differs from the header's raises the same error.
+    ``-``, ``,``, LF and CR before LF is decoded as UTF-8 and normalised
+    first: its header is the first line stripped of whitespace, and its
+    rows are the body split on whitespace, so blank lines and CR line ends
+    are ignored.  A row whose field count differs from the header's raises.
     """
     with open(path, "rb") as fh:
-        raw = lf_line_ends(fh.read())
-    if raw is None or raw.translate(None, _TABLE_BYTES):
-        return _text_cells(path)
-    header_end = raw.find(b"\n")
-    if header_end < 0:
-        header_end = len(raw)
-    header = raw[:header_end].decode("ascii").split(",")
+        raw = fh.read()
+    lf = lf_line_ends(raw)
+    if lf is None or lf.translate(None, _TABLE_BYTES):
+        text = io.StringIO(raw.decode("utf-8"), newline=None)
+        lf = "\n".join([text.readline().strip(), *text.read().split()]).encode("utf-8")
+    del raw
+    head = lf.partition(b"\n")[0]
+    header = head.decode("utf-8").split(",")
     n_cols = len(header)
     # PAD zero bytes in front, and a final line end should the file lack one
-    buf = np.zeros(PAD + len(raw) + 1, dtype=np.uint8)
-    buf[PAD:-1] = np.frombuffer(raw, dtype=np.uint8)
-    buf[-1] = _NEWLINE
-    del raw
-    ends, starts, fields = split_cells(buf, PAD + header_end + 1, buf.size)
+    data = b"".join([bytes(PAD), lf, b"\n"])
+    del lf
+    ends, starts, fields = split_cells(np.frombuffer(data, dtype=np.uint8),
+                                       PAD + len(head) + 1, len(data))
     fields = fields[fields > 0]
     if (fields != n_cols).any():
         row = int(np.argmax(fields != n_cols))
-        raise _ragged_row(path, row, fields[row], n_cols)
-    return Cells(path, header, fields.size, buf=buf, ends=ends.reshape(-1, n_cols), starts=starts)
-
-
-def _text_cells(path) -> Cells:
-    header, texts = read_table(path)
-    return Cells(path, header, len(texts[0]), texts=texts)
+        raise ValueError(f"{path}: data row {row + 1} has {fields[row]} fields, "
+                         f"the header {n_cols}")
+    return Cells(path, header, data, ends.reshape(-1, n_cols), starts)

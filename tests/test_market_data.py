@@ -35,6 +35,11 @@ SEC = 1_000_000_000
 HEADER = ",".join(LOB_CSV_HEADER)
 
 
+def _parse(text):
+    """``parse_lob_csv`` of a file's text, encoded as UTF-8, or of its bytes."""
+    return parse_lob_csv(text.encode("utf-8") if isinstance(text, str) else text)
+
+
 def _row(ts, bid, ask, bid_sz=5, ask_sz=7, trade_px="", trade_sz=""):
     cells = [str(ts)]
     cells += [str(bid), str(bid_sz)] + [""] * 8
@@ -64,7 +69,7 @@ def _assert_same_book(a, b):
 
 def test_parse_two_row_fixture():
     text = "\n".join([HEADER, _row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3)])
-    book = parse_lob_csv(text)
+    book = _parse(text)
     assert len(book) == 2
     assert book.ts.dtype == np.int64 and book.cells.shape == (2, 22)
     assert book.ts[0] == 10
@@ -78,27 +83,27 @@ def test_parse_two_row_fixture():
 def test_parse_rejects_wrong_header():
     bad = HEADER.replace("ask_px_1,", "")
     with pytest.raises(SchemaMismatchError):
-        parse_lob_csv(bad + "\n")
+        _parse(bad + "\n")
 
 
 def test_parse_rejects_crossed_book_with_line_number():
     text = "\n".join([HEADER, _row(10, 100.01, 100.0)])
     with pytest.raises(MalformedRowError) as err:
-        parse_lob_csv(text)
+        _parse(text)
     assert err.value.line == 2
 
 
 def test_parse_rejects_short_row_and_bad_number():
     with pytest.raises(MalformedRowError):
-        parse_lob_csv(HEADER + "\n1,2,3\n")
+        _parse(HEADER + "\n1,2,3\n")
     with pytest.raises(MalformedRowError):
-        parse_lob_csv("\n".join([HEADER, _row(10, "abc", 100.0)]))
+        _parse("\n".join([HEADER, _row(10, "abc", 100.0)]))
 
 
 def test_parse_rejects_time_travel():
     text = "\n".join([HEADER, _row(20, 99.99, 100.0), _row(10, 99.99, 100.0)])
     with pytest.raises(NonMonotoneTimestampError) as err:
-        parse_lob_csv(text)
+        _parse(text)
     assert err.value.line == 3
 
 
@@ -108,8 +113,8 @@ def test_parse_render_parse_is_identity():
         _row(10, 99.99, 100.0),
         _row(20, 100.0, 100.01, trade_px=100.01, trade_sz=2.0),
     ])
-    book = parse_lob_csv(text)
-    again = parse_lob_csv(render_lob_csv(book))
+    book = _parse(text)
+    again = _parse(render_lob_csv(book))
     _assert_same_book(again, book)
 
 
@@ -130,9 +135,9 @@ def test_parse_render_parse_round_trip_with_absent_cells(rows):
         cells = ["1.0"] + cells[1:10] + ["2.0"] + cells[11:]  # level 1 present, uncrossed
         n_empty += cells.count("")
         lines.append(",".join([str(ts)] + cells))
-    book = parse_lob_csv("\n".join(lines) + "\n")
+    book = _parse("\n".join(lines) + "\n")
     assert np.isnan(book.cells).sum() == n_empty
-    _assert_same_book(parse_lob_csv(render_lob_csv(book)), book)  # NaN positions included
+    _assert_same_book(_parse(render_lob_csv(book)), book)  # NaN positions included
 
 
 def _long_rows(n):
@@ -144,12 +149,12 @@ def test_first_bad_row_in_file_order_across_blocks():
     rows[3] = _row(3, 100.01, 100.0)  # line 5: crossed
     rows[8998] = "8998,1,2"  # line 9000: short row, in the next block
     with pytest.raises(MalformedRowError) as err:
-        parse_lob_csv("\n".join([HEADER] + rows))
+        _parse("\n".join([HEADER] + rows))
     assert err.value.line == 5
 
     rows[3] = _row(3, 99.99, 100.0)
     with pytest.raises(MalformedRowError) as err:
-        parse_lob_csv("\n".join([HEADER] + rows))
+        _parse("\n".join([HEADER] + rows))
     assert err.value.line == 9000
 
 
@@ -157,7 +162,7 @@ def test_time_travel_at_block_boundary_reports_its_line():
     rows = _long_rows(BLOCK_ROWS + 10)
     rows[BLOCK_ROWS] = _row(BLOCK_ROWS - 2, 99.99, 100.0)  # first row of block two
     with pytest.raises(NonMonotoneTimestampError) as err:
-        parse_lob_csv("\n".join([HEADER] + rows))
+        _parse("\n".join([HEADER] + rows))
     assert err.value.line == BLOCK_ROWS + 2
 
 
@@ -177,27 +182,27 @@ def test_first_bad_row_within_a_block(bad_rows, exc, line):
     for lineno, text in bad_rows.items():
         rows[lineno - 2] = text
     with pytest.raises(exc) as err:
-        parse_lob_csv("\n".join([HEADER] + rows))
+        _parse("\n".join([HEADER] + rows))
     assert type(err.value) is exc
     assert err.value.line == line
 
 
 def test_row_order_of_checks_names_the_first_failing_check():
     with pytest.raises(MalformedRowError, match="crossed"):
-        parse_lob_csv("\n".join([HEADER, _row(1, 100.01, 100.0, bid_sz=-1)]))
+        _parse("\n".join([HEADER, _row(1, 100.01, 100.0, bid_sz=-1)]))
     with pytest.raises(MalformedRowError, match="negative size"):
-        parse_lob_csv("\n".join([HEADER, _row(5, 99.99, 100.0), _row(1, 99.99, 100.0, ask_sz=-2)]))
+        _parse("\n".join([HEADER, _row(5, 99.99, 100.0), _row(1, 99.99, 100.0, ask_sz=-2)]))
 
 
 def test_blank_lines_keep_file_line_numbers():
     text = "\n".join([HEADER, _row(10, 99.99, 100.0), "", "", _row(5, 99.99, 100.0)])
     with pytest.raises(NonMonotoneTimestampError) as err:
-        parse_lob_csv(text)
+        _parse(text)
     assert err.value.line == 5
-    assert len(parse_lob_csv("\n".join([HEADER, "", _row(10, 99.99, 100.0), ""]))) == 1
+    assert len(_parse("\n".join([HEADER, "", _row(10, 99.99, 100.0), ""]))) == 1
     rows = [_row(10, 99.99, 100.0), _row(20, 99.98, 100.0), _row(30, 99.99, 100.01)]
-    want = parse_lob_csv("\n".join([HEADER, *rows]))
-    got = parse_lob_csv("\n".join([HEADER, rows[0], "", "", *rows[1:], "", ""]))
+    want = _parse("\n".join([HEADER, *rows]))
+    got = _parse("\n".join([HEADER, rows[0], "", "", *rows[1:], "", ""]))
     assert np.array_equal(got.ts, want.ts) and got.ts.tolist() == [10, 20, 30]
     assert np.array_equal(got.cells, want.cells, equal_nan=True)
 
@@ -206,12 +211,12 @@ def test_blank_lines_keep_file_line_numbers():
 def test_parse_rejects_literal_non_finite_cells(cell):
     text = "\n".join([HEADER, _row(10, 99.99, 100.0), _row(20, 99.99, 100.0, trade_sz=cell)])
     with pytest.raises(MalformedRowError) as err:
-        parse_lob_csv(text)
+        _parse(text)
     assert err.value.line == 3
 
 
 def test_empty_level1_size_samples_as_zero():
-    book = parse_lob_csv("\n".join([HEADER, _row(0, 99.99, 100.0, bid_sz="")]))
+    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0, bid_sz="")]))
     assert np.isnan(book.column("bid_sz_1")[0])
     series = resample_forward_fill(book, 1.0, start=0, end=2 * SEC)
     assert series.level1_bid_sz.tolist() == [0.0, 0.0, 0.0]
@@ -355,7 +360,7 @@ def test_series_window_starts_on_its_sample_boundary():
     # 3 * 0.3 * 1e9 is 899,999,999.99...: the step is rounded once, as resampling does
     assert series.window(3, 2).t0 == 7 + 900_000_000
     assert series.window(37, 3).t0 == 7 + 37 * 300_000_000
-    book = parse_lob_csv("\n".join([HEADER, _row(0, 99.99, 100.0)]))
+    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0)]))
     resampled = resample_forward_fill(book, 0.3, start=0, end=12 * SEC)
     assert resampled.window(3, 2).t0 == 900_000_000
 
@@ -378,12 +383,30 @@ def test_crlf_lines_parse_like_the_crlf_text():
     rows = [HEADER, _row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
             _row(30, 100.0, 100.01)]  # the last cell of the last row is empty
     text = "\r\n".join(rows) + "\r\n"
-    from_text = parse_lob_csv(text)
+    from_text = _parse(text)
     assert len(from_text) == 3
-    _assert_same_book(parse_lob_csv(text.splitlines(keepends=True)), from_text)
+    _assert_same_book(_parse(text.replace("\r\n", "\n")), from_text)
     with pytest.raises(NonMonotoneTimestampError) as err:
-        parse_lob_csv((text + _row(5, 99.99, 100.0) + "\r\n").splitlines(keepends=True))
+        _parse(text + _row(5, 99.99, 100.0) + "\r\n")
     assert err.value.line == 5
+
+
+def test_lone_cr_and_non_ascii_input_take_the_text_route():
+    rows = [_row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
+            _row(30, 100.0, 100.01)]
+    want = _parse("\n".join([HEADER, *rows]) + "\n")
+    non_ascii = [rows[0], _row(20, 100.0, 100.01, trade_px=100.0, trade_sz="\u0663"), rows[2]]
+    # the kernel is never reached: every block goes to the per-cell path
+    with mock.patch.object(market_data, "_convert_plain", side_effect=AssertionError):
+        _assert_same_book(_parse("\r".join([HEADER, *rows]) + "\r"), want)
+        _assert_same_book(_parse("\n".join([HEADER, *non_ascii]) + "\n"), want)
+        # errors name file lines, blank lines counted
+        with pytest.raises(NonMonotoneTimestampError) as err:
+            _parse("\r".join([HEADER, *rows, "", _row(5, 99.99, 100.0)]))
+        assert err.value.line == 6
+        with pytest.raises(MalformedRowError, match="could not convert") as err:
+            _parse("\n".join([HEADER, *non_ascii, "", _row(40, 99.99, 100.0, trade_sz="\u00e9")]))
+        assert err.value.line == 6
 
 
 # -- the plain-cell word kernel against the per-cell path -------------------
@@ -415,7 +438,7 @@ def _outcome(text):
     """The parsed book as (ts, cell bits), or the exception's class, line
     and message."""
     try:
-        book = parse_lob_csv(text)
+        book = _parse(text)
     except (MalformedRowError, NonMonotoneTimestampError) as exc:
         return type(exc), exc.line, str(exc)
     return book.ts.tolist(), book.cells.view(np.uint64).tolist()
@@ -431,9 +454,9 @@ def test_plain_blocks_take_the_kernel():
     text = _lobgen_style_text(3 * 700 + 5, seed=11)
     with mock.patch.object(market_data, "BLOCK_ROWS", 700), \
             mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
-        book = parse_lob_csv(text)
+        book = _parse(text)
     with _without_kernel():
-        want = parse_lob_csv(text)
+        want = _parse(text)
     assert len(book) == 2105
     assert np.array_equal(book.ts, want.ts)
     assert np.array_equal(book.cells.view(np.uint64), want.cells.view(np.uint64))
@@ -447,7 +470,7 @@ _PLAIN_SAMPLES = ["0", "-0", "-0.0", "-.0", "5.", ".5", "-5.", "99999999", "-999
 def test_kernel_converts_plain_cells_like_float(cell):
     text = "\n".join([HEADER, _row(1, 99.99, 100.0, trade_px=cell)]) + "\n"
     with mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
-        value = parse_lob_csv(text).column("trade_px")[0]
+        value = _parse(text).column("trade_px")[0]
     assert np.float64(value).view(np.uint64) == np.float64(float(cell)).view(np.uint64)
 
 
@@ -546,4 +569,3 @@ def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf, spelle
         with _without_kernel():
             want = _outcome(text)
         assert _outcome(text.encode("utf-8")) == want
-        assert _outcome(text.splitlines(keepends=True)) == want

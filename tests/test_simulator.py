@@ -460,6 +460,20 @@ def test_simulate_command_rejects_a_negative_snapshot_count(solved, tmp_path, ca
     assert not out.exists()
 
 
+def test_simulate_command_rejects_a_policy_with_shifted_inventory_nodes(solved, tmp_path, capsys):
+    params, policy = solved
+    shifted = replace(policy, q_nodes=policy.q_nodes + 3)  # q + 3 in every row of policy.csv
+    export_policy_csv(shifted, tmp_path / "policy.csv")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--windows", "2",
+                     "--out", str(out)]) == 1
+    assert "PolicyShapeMismatchError" in capsys.readouterr().err
+    assert not out.exists()
+    series = synthetic_quotes(params, params.n_dt, seed=33)
+    with pytest.raises(PolicyShapeMismatchError, match="inventory nodes"):
+        run_simulation(shifted, series, EnvMode.benchmark(), params, RngStream(33))
+
+
 def test_batch_rejects_a_negative_seed(solved):
     params, policy = solved
     series = synthetic_quotes(params, 2 * params.n_dt, seed=27)
