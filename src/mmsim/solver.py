@@ -18,6 +18,18 @@ one-sided at the two boundary nodes, and linear interpolation (clamped at
 the boundary) for the jump-shifted evaluations h(., a +- eps, .).  The
 binary maximization is evaluated exactly from its two candidates.
 
+The march runs in place.  Every buffer is allocated once per solve, each
+array operation is one numpy call writing through ``out=``, and the last
+substep of a step writes straight into ``h[k]``.  Both jump-shifted slices
+come from one row gather over the stacked bracket indices.  The posting
+gains of both sides are differenced along the flattened shifted buffer,
+and the column where one alpha row runs into the next is zeroed after.
+Each node still gets the scheme's floating-point operations in the
+scheme's order: a + w (b - a) for a shift, (Dl/2 + h(q -+ 1)) - h(q) for a
+gain, and g + tau ((((adv d1 + diff d2) + source) + ask term) + bid term)
+for the update.  So h is bitwise what the plain expression-per-line loop
+gives; ``tests/test_solver.py`` keeps that loop as its oracle.
+
 The optimal posting indicators read off the solved surface are
 
     post_ask(t, a, q) = 1{ Dl/2 + rho [h(t, a+e+, q-1) - h(t, a+e+, q)] > 0 } and q > -q_max
@@ -126,32 +138,39 @@ def interp_alpha(values: np.ndarray, alpha_nodes: np.ndarray, alpha: float) -> f
     return float(values[i] + wi * (values[i + 1] - values[i]))
 
 
-def _shift_slice(g: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate a (n_alpha, n_q) slice at alpha + shift for every node."""
-    a = g[idx, :]
-    b = g[idx + 1, :]
-    out = a + w[:, None] * (b - a)
-    hit = w == 1.0
-    if hit.any():
-        out[hit] = b[hit]
-    return out
+class _JumpShift:
+    """Both jump-shifted evaluations of an (n_alpha, n_q) slice, stacked.
 
-
-def _posting_gains(
-    gp: np.ndarray, gm: np.ndarray, params: MarketParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node payoff of posting on each side, floored at not posting.
-
-    gp/gm are the jump-shifted slices at alpha+eps_plus / alpha-eps_minus.
-    An ask post is worth rho (delta/2 + h(q-1) - h(q)); disallowed at the
-    short bound.  The bid side mirrors at the long bound.
+    Rows ``[0, n_alpha)`` hold h(alpha + eps_plus) and rows
+    ``[n_alpha, 2 n_alpha)`` hold h(alpha - eps_minus), each by clamped
+    linear interpolation a + w (b - a) between its bracketing nodes.  A row
+    whose weight is exactly 1.0 (a node hit, or a clamp to the last node)
+    takes b itself.  Indices, weights and hit rows are worked out once, so
+    an evaluation is one row gather and three in-place ufunc calls.
     """
-    half = params.delta / 2.0
-    ask = np.zeros_like(gp)
-    ask[:, 1:] = np.maximum(0.0, params.rho * (half + gp[:, :-1] - gp[:, 1:]))
-    bid = np.zeros_like(gm)
-    bid[:, :-1] = np.maximum(0.0, params.rho * (half + gm[:, 1:] - gm[:, :-1]))
-    return ask, bid
+
+    def __init__(self, alpha: np.ndarray, params: MarketParams, n_q: int):
+        idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
+        idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
+        lo = np.concatenate([idx_p, idx_m])
+        w = np.concatenate([w_p, w_m])
+        self.rows = np.concatenate([lo, lo + 1])
+        # a full weight array: broadcasting a column along the short q axis
+        # costs about twice as much per call
+        self.w = np.repeat(w[:, None], n_q, axis=1)
+        self.hit = np.flatnonzero(w == 1.0)
+        self._ab = np.empty((2 * lo.size, n_q))
+        self._a, self._b = self._ab[:lo.size], self._ab[lo.size:]
+
+    def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        a, b = self._a, self._b
+        # the rows are in range; "clip" skips the buffered check of "raise"
+        np.take(g, self.rows, axis=0, out=self._ab, mode="clip")
+        np.subtract(b, a, out=out)
+        np.multiply(self.w, out, out=out)
+        np.add(a, out, out=out)
+        out[self.hit] = b[self.hit]
+        return out
 
 
 def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurface:
@@ -177,65 +196,122 @@ def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurf
             f"half-width {grid.alpha_max!r} by more than one cell ({da!r})"
         )
 
-    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
-    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
-
+    n, m = alpha.size, q.size
+    size = n * m
+    shift = _JumpShift(alpha, params, m)
     tau = params.dt / grid.substeps
     source = alpha[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
-    adv = -params.zeta * alpha
-    diff = 0.5 * params.eta**2
-    lam_p, lam_m = params.lambda_plus, params.lambda_minus
+    half = params.delta / 2.0
 
-    h = np.empty((params.n_dt + 1, alpha.size, q.size))
-    h[-1] = np.broadcast_to(terminal_condition(q, params), (alpha.size, q.size))
+    # d[0], d[1]: first and second alpha differences, each divided by its
+    # spacing and scaled by its coefficient in one call for both
+    d = np.empty((2, n, m))
+    d1, d2 = d
+    spacing = np.empty_like(d)
+    spacing[0] = 2.0 * da
+    spacing[0, [0, -1]] = da
+    spacing[1] = da**2
+    coef = np.empty_like(d)
+    coef[0] = (-params.zeta * alpha)[:, None]
+    coef[1] = 0.5 * params.eta**2
+    lam = np.array([[params.lambda_plus], [params.lambda_minus]])
 
-    d1 = np.empty_like(h[-1])
-    d2 = np.empty_like(h[-1])
-    for k in range(params.n_dt - 1, -1, -1):
-        g = h[k + 1]
-        for _ in range(grid.substeps):
-            # overflow of an unstable iteration is caught by the finiteness check
-            with np.errstate(over="ignore", invalid="ignore"):
-                d1[1:-1] = (g[2:] - g[:-2]) / (2.0 * da)
-                d1[0] = (g[1] - g[0]) / da
-                d1[-1] = (g[-1] - g[-2]) / da
-                d2[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / da**2
-                d2[0] = (g[2] - 2.0 * g[1] + g[0]) / da**2
-                d2[-1] = (g[-3] - 2.0 * g[-2] + g[-1]) / da**2
+    # rows [0, n) are the ask side at alpha + eps_plus, rows [n, 2n) the
+    # bid side at alpha - eps_minus; the *_flat views run along q and on
+    # into the next row
+    shifted = np.empty_like(shift.w)
+    plus_half = np.empty_like(shifted)
+    gains = np.zeros_like(shifted)
+    shifted_flat, plus_half_flat, gains_flat = shifted.ravel(), plus_half.ravel(), gains.ravel()
+    gains_sides = gains.reshape(2, size)
 
-                gp = _shift_slice(g, idx_p, w_p)
-                gm = _shift_slice(g, idx_m, w_m)
-                gain_ask, gain_bid = _posting_gains(gp, gm, params)
+    h = np.empty((params.n_dt + 1, n, m))
+    h[-1] = np.broadcast_to(terminal_condition(q, params), (n, m))
+    finite = np.empty((n, m), dtype=bool)
 
-                g = g + tau * (
-                    adv[:, None] * d1
-                    + diff * d2
-                    + source
-                    + lam_p * (gain_ask + gp - g)
-                    + lam_m * (gain_bid + gm - g)
-                )
-            if not np.all(np.isfinite(g)):
+    # overflow of an unstable iteration is caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(params.n_dt - 1, -1, -1):
+            g = h[k + 1]
+            for _ in range(grid.substeps):
+                # d1: (g[i+1] - g[i-1]) / 2da inside, one-sided at rows 0 and n-1
+                np.subtract(g[2:], g[:-2], out=d1[1:-1])
+                np.subtract(g[1::n - 2], g[:n - 1:n - 2], out=d1[::n - 1])
+                # d2: ((g[i+1] - 2 g[i]) + g[i-1]) / da^2; the one-sided
+                # stencil of row 0 is the central one of row 1
+                np.multiply(g[1:-1], 2.0, out=d2[1:-1])
+                np.subtract(g[2:], d2[1:-1], out=d2[1:-1])
+                np.add(d2[1:-1], g[:-2], out=d2[1:-1])
+                d2[0] = d2[1]
+                np.multiply(g[-2], 2.0, out=d2[-1])
+                np.subtract(g[-3], d2[-1], out=d2[-1])
+                np.add(d2[-1], g[-1], out=d2[-1])
+                np.divide(d, spacing, out=d)
+                np.multiply(coef, d, out=d)
+
+                # posting gains max(0, rho ((Dl/2 + h(q -+ 1)) - h(q))),
+                # then zero where q has no neighbour: ask at -q_max, bid at q_max
+                shift(g, out=shifted)
+                np.add(shifted_flat, half, out=plus_half_flat)
+                np.subtract(plus_half_flat[:size - 1], shifted_flat[1:size],
+                            out=gains_flat[1:size])
+                np.subtract(plus_half_flat[size + 1:], shifted_flat[size:-1],
+                            out=gains_flat[size:-1])
+                np.multiply(gains_flat, params.rho, out=gains_flat)
+                np.maximum(0.0, gains_flat, out=gains_flat)
+                gains[:n, 0] = 0.0
+                gains[n:, -1] = 0.0
+
+                # g + tau (adv d1 + diff d2 + source
+                #          + lam+ (gain_ask + gp - g) + lam- (gain_bid + gm - g))
+                np.add(gains, shifted, out=gains)
+                np.subtract(gains_sides, g.reshape(size), out=gains_sides)
+                np.multiply(gains_sides, lam, out=gains_sides)
+                np.add(d1, d2, out=d1)
+                np.add(d1, source, out=d1)
+                np.add(d1, gains[:n], out=d1)
+                np.add(d1, gains[n:], out=d1)
+                np.multiply(d1, tau, out=d1)
+                g = np.add(g, d1, out=h[k])
+            if not np.isfinite(g, out=finite).all():
                 raise UnstableSchemeError(k)
-        h[k] = g
 
     fingerprint = hashlib.sha256(render_config(params, grid).encode()).hexdigest()
     return ValueSurface(h=h, alpha_nodes=alpha, q_nodes=q, params_fingerprint=fingerprint)
 
 
 def extract_policy(surface: ValueSurface, params: MarketParams) -> PostingPolicy:
-    """Evaluate the posting indicators on every node of the solved surface."""
+    """Evaluate the posting indicators on every node of the solved surface.
+
+    Each slice's inventory differences are taken on the flat jump-shifted
+    buffer, as in the march; the wrap column, where a row's last node
+    meets the next row's first, is cleared once at the end.
+    """
     alpha = surface.alpha_nodes
-    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
-    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
+    n, n_q = alpha.size, surface.q_nodes.size
+    size = n * n_q
+    shift = _JumpShift(alpha, params, n_q)
+    shifted = np.empty_like(shift.w)
+    up, down = shifted[:n].reshape(size), shifted[n:].reshape(size)
+    gain = np.empty(size - 1)
     half = params.delta / 2.0
 
-    post_ask = np.zeros(surface.h.shape, dtype=bool)
-    post_bid = np.zeros(surface.h.shape, dtype=bool)
+    post_ask = np.empty(surface.h.shape, dtype=bool)
+    post_bid = np.empty(surface.h.shape, dtype=bool)
     for k in range(surface.h.shape[0]):
-        gp = _shift_slice(surface.h[k], idx_p, w_p)
-        gm = _shift_slice(surface.h[k], idx_m, w_m)
-        post_ask[k, :, 1:] = half + params.rho * (gp[:, :-1] - gp[:, 1:]) > 0.0
-        post_bid[k, :, :-1] = half + params.rho * (gm[:, 1:] - gm[:, :-1]) > 0.0
+        shift(surface.h[k], out=shifted)
+        # half + rho (h(a+e+, q-1) - h(a+e+, q)) > 0
+        np.subtract(up[:-1], up[1:], out=gain)
+        np.multiply(gain, params.rho, out=gain)
+        np.add(gain, half, out=gain)
+        np.greater(gain, 0.0, out=post_ask[k].reshape(size)[1:])
+        # half + rho (h(a-e-, q+1) - h(a-e-, q)) > 0
+        np.subtract(down[1:], down[:-1], out=gain)
+        np.multiply(gain, params.rho, out=gain)
+        np.add(gain, half, out=gain)
+        np.greater(gain, 0.0, out=post_bid[k].reshape(size)[:-1])
+    post_ask[:, :, 0] = False
+    post_bid[:, :, -1] = False
     return PostingPolicy(
         post_ask=post_ask,
         post_bid=post_bid,

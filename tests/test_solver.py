@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsim.cli import cli_main
-from mmsim.params import ValidationError, default_grid, default_params
+from mmsim.params import SolverGrid, ValidationError, default_grid, default_params
 from mmsim.solver import (
     GridTooCoarseError,
     UnstableSchemeError,
@@ -19,6 +21,7 @@ from mmsim.solver import (
     solve_dpe,
     terminal_condition,
 )
+from mmsim.solver import _interp_weights, _JumpShift
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +301,180 @@ def test_surface_fingerprint_depends_on_inputs():
     s1 = solve_dpe(p, default_grid())
     s2 = solve_dpe(replace(p, rho=1.0), default_grid())
     assert s1.params_fingerprint != s2.params_fingerprint
+
+
+def _reference_shift_slice(g, idx, w):
+    a = g[idx, :]
+    b = g[idx + 1, :]
+    out = a + w[:, None] * (b - a)
+    hit = w == 1.0
+    if hit.any():
+        out[hit] = b[hit]
+    return out
+
+
+def _reference_posting_gains(gp, gm, params):
+    half = params.delta / 2.0
+    ask = np.zeros_like(gp)
+    ask[:, 1:] = np.maximum(0.0, params.rho * (half + gp[:, :-1] - gp[:, 1:]))
+    bid = np.zeros_like(gm)
+    bid[:, :-1] = np.maximum(0.0, params.rho * (half + gm[:, 1:] - gm[:, :-1]))
+    return ask, bid
+
+
+def _reference_solve(params, grid):
+    """The march with one numpy expression per term of the scheme, as
+    solve_dpe evaluated it before it ran in place on preallocated buffers:
+    the oracle for solve_dpe's h, byte for byte."""
+    alpha = alpha_grid(grid)
+    q = np.arange(-params.q_max, params.q_max + 1)
+    da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
+
+    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
+    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
+
+    tau = params.dt / grid.substeps
+    source = alpha[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
+    adv = -params.zeta * alpha
+    diff = 0.5 * params.eta**2
+    lam_p, lam_m = params.lambda_plus, params.lambda_minus
+
+    h = np.empty((params.n_dt + 1, alpha.size, q.size))
+    h[-1] = np.broadcast_to(terminal_condition(q, params), (alpha.size, q.size))
+
+    d1 = np.empty_like(h[-1])
+    d2 = np.empty_like(h[-1])
+    for k in range(params.n_dt - 1, -1, -1):
+        g = h[k + 1]
+        for _ in range(grid.substeps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d1[1:-1] = (g[2:] - g[:-2]) / (2.0 * da)
+                d1[0] = (g[1] - g[0]) / da
+                d1[-1] = (g[-1] - g[-2]) / da
+                d2[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / da**2
+                d2[0] = (g[2] - 2.0 * g[1] + g[0]) / da**2
+                d2[-1] = (g[-3] - 2.0 * g[-2] + g[-1]) / da**2
+
+                gp = _reference_shift_slice(g, idx_p, w_p)
+                gm = _reference_shift_slice(g, idx_m, w_m)
+                gain_ask, gain_bid = _reference_posting_gains(gp, gm, params)
+
+                g = g + tau * (
+                    adv[:, None] * d1
+                    + diff * d2
+                    + source
+                    + lam_p * (gain_ask + gp - g)
+                    + lam_m * (gain_bid + gm - g)
+                )
+            if not np.all(np.isfinite(g)):
+                raise UnstableSchemeError(k)
+        h[k] = g
+    return h
+
+
+@st.composite
+def _solver_inputs(draw):
+    """Small grids with every branch of the shift and the gains reachable:
+    jumps that land on nodes (weight exactly 1.0) or past the last node
+    (the clamp), unequal jumps, rho at both ends, and no market orders."""
+    n_alpha = 2 * draw(st.integers(5, 20)) + 1
+    alpha_max = draw(st.sampled_from([0.02, 0.04]))
+    grid = SolverGrid(alpha_min=-alpha_max, alpha_max=alpha_max, n_alpha=n_alpha,
+                      substeps=draw(st.integers(1, 4)))
+    half_cells = (n_alpha - 1) // 2
+    da = alpha_max / half_cells
+    eps = st.one_of(
+        st.integers(0, half_cells).map(lambda j: j * da),
+        st.floats(0.0, alpha_max + da),
+    )
+    intensity = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+    n_dt = draw(st.integers(1, 6))
+    dt = draw(st.sampled_from([0.25, 1.0]))
+    params = replace(
+        default_params(),
+        q_max=draw(st.integers(1, 4)),
+        n_dt=n_dt,
+        dt=dt,
+        horizon=n_dt * dt,
+        rho=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        lambda_plus=draw(intensity),
+        lambda_minus=draw(intensity),
+        eps_plus=draw(eps),
+        eps_minus=draw(eps),
+        zeta=draw(st.floats(0.0, 0.2)),
+        eta=draw(st.floats(0.0, 0.003)),
+        phi=draw(st.sampled_from([0.0, 1e-4])),
+        varphi=draw(st.sampled_from([0.0, 0.01])),
+    )
+    return params, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_solver_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_jump_shift_is_bitwise_the_reference_interpolation(inputs, seed):
+    # values spread over many decades, so that a + 1.0 (b - a) is often not b
+    # and a row that hits a node must take b itself
+    params, grid = inputs
+    alpha = alpha_grid(grid)
+    n_q = 2 * params.q_max + 1
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((alpha.size, n_q)) * 10.0 ** rng.integers(-8, 9, (alpha.size, n_q))
+    got = _JumpShift(alpha, params, n_q)(g, out=np.empty((2 * alpha.size, n_q)))
+    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
+    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
+    want = np.concatenate([_reference_shift_slice(g, idx_p, w_p),
+                           _reference_shift_slice(g, idx_m, w_m)])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_solver_inputs())
+def test_march_is_bitwise_the_reference_scheme(inputs):
+    params, grid = inputs
+    try:
+        want = _reference_solve(params, grid)
+    except UnstableSchemeError as err:
+        with pytest.raises(UnstableSchemeError) as got:
+            solve_dpe(params, grid)
+        assert got.value.t_index == err.t_index
+        return
+    assert solve_dpe(params, grid).h.tobytes() == want.tobytes()
+
+
+def test_march_is_bitwise_the_reference_on_the_default_config():
+    params, grid = default_params(), default_grid()
+    assert solve_dpe(params, grid).h.tobytes() == _reference_solve(params, grid).tobytes()
+
+
+def _unstable_step(params, grid):
+    with pytest.raises(UnstableSchemeError) as err:
+        _reference_solve(params, grid)
+    return err.value.t_index
+
+
+def test_instability_is_reported_at_the_reference_step():
+    p = replace(default_params(), eta=0.05)
+    grid = replace(default_grid(), substeps=1)
+    want = _unstable_step(p, grid)
+    assert want < p.n_dt - 1  # some steps pass first, so the index is not trivially the first
+    with pytest.raises(UnstableSchemeError) as err:
+        solve_dpe(p, grid)
+    assert err.value.t_index == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eta=st.floats(0.05, 0.2),
+    n_alpha=st.integers(10, 20).map(lambda k: 2 * k + 1),
+    rho=st.floats(0.0, 1.0),
+    lam=st.floats(0.0, 1.0),
+    eps=st.floats(0.0, 0.004),
+)
+def test_drawn_instability_is_reported_at_the_reference_step(eta, n_alpha, rho, lam, eps):
+    p = replace(default_params(), eta=eta, rho=rho, lambda_plus=lam, eps_minus=eps,
+                n_dt=300, horizon=300.0)
+    grid = replace(default_grid(), n_alpha=n_alpha, substeps=1)
+    want = _unstable_step(p, grid)
+    with pytest.raises(UnstableSchemeError) as err:
+        solve_dpe(p, grid)
+    assert err.value.t_index == want
