@@ -109,13 +109,13 @@ def run_example1(
     executes at that step's touch and is classified against the next
     step's touch on the same side.
     """
-    if n_steps == 0:
-        return _log_from_fills([])
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not 0.0 <= walk_p <= 0.5:
         raise ValueError(f"walk_p must lie in [0, 0.5], got {walk_p}")
     check_tick(tick)
+    if n_steps == 0:
+        return _log_from_fills([])
 
     gen = RngStream(seed=seed).generator()
     bid_ticks = [round(s0 / tick)]

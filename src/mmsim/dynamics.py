@@ -1,10 +1,13 @@
-"""Discretized market dynamics.
+"""Discretized market dynamics of the simulator.
 
-The midprice carries a long-term drift plus a short-term mean-reverting
-drift alpha; alpha jumps up by eps_plus on each arriving buy market order
-and down by eps_minus on each sell.  Both SDEs are stepped with
-Euler-Maruyama at the configured dt, and market-order arrivals are thinned
-to at most one per side per step with probability 1 - exp(-lambda * dt).
+The short-term drift alpha mean-reverts, and jumps up by eps_plus on each
+arriving buy market order and down by eps_minus on each sell; it is
+stepped with Euler-Maruyama at the configured dt.  Market-order arrivals
+are thinned to at most one per side per step with probability
+1 - exp(-lambda * dt).  A window's uniforms and alpha shocks are drawn
+before its first step, in the one layout of :func:`draw_window_events`,
+from a named :class:`RngStream`.  The midprice is not stepped here: the
+simulator takes it from the quote series it runs over.
 """
 
 from __future__ import annotations
@@ -20,15 +23,9 @@ from .params import MarketParams
 __all__ = [
     "RngStream",
     "pcg64_stream_states",
-    "MOArrivals",
-    "PathState",
-    "SyntheticPath",
     "draw_window_events",
     "arrival_probabilities",
-    "sample_mo_arrivals",
     "step_alpha",
-    "step_midprice",
-    "simulate_synthetic_path",
     "round_to_tick",
 ]
 
@@ -136,15 +133,6 @@ def pcg64_stream_states(seed: int, first: int, count: int) -> list[tuple[int, in
     return states
 
 
-@dataclass(frozen=True)
-class MOArrivals:
-    """Market-order arrival indicators for one step (at most one per side),
-    or per window for arrays of steps."""
-
-    buy: bool | np.ndarray = False
-    sell: bool | np.ndarray = False
-
-
 # columns of a window's uniforms: buy arrival, sell arrival, ask and bid thinning
 WINDOW_UNIFORMS = 4
 
@@ -171,28 +159,16 @@ def arrival_probabilities(
     return 1.0 - math.exp(-lambda_plus * dt), 1.0 - math.exp(-lambda_minus * dt)
 
 
-def sample_mo_arrivals(
-    lambda_plus: float,
-    lambda_minus: float,
-    dt: float,
-    u_buy: float | np.ndarray,
-    u_sell: float | np.ndarray,
-) -> MOArrivals:
-    """Poisson-thinned arrivals, independently per side, from pre-drawn
-    uniforms (scalars or arrays): a side arrives when its uniform falls
-    below its ``arrival_probabilities`` value."""
-    p_buy, p_sell = arrival_probabilities(lambda_plus, lambda_minus, dt)
-    return MOArrivals(buy=u_buy < p_buy, sell=u_sell < p_sell)
-
-
 def step_alpha(
     alpha: float | np.ndarray,
-    arrivals: MOArrivals,
+    buy: bool | np.ndarray,
+    sell: bool | np.ndarray,
     dt: float,
     params: MarketParams,
     z: float | np.ndarray,
 ) -> float | np.ndarray:
-    """One Euler step of the short-term drift, for scalars or arrays.
+    """One Euler step of the short-term drift, for scalars or arrays;
+    ``buy`` and ``sell`` flag the step's market-order arrivals.
 
     alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z
              + eps_plus 1{buy} - eps_minus 1{sell}
@@ -201,122 +177,4 @@ def step_alpha(
     adding each jump only on its arrival, term by term.
     """
     out = alpha * (1.0 - params.zeta * dt) + params.eta * math.sqrt(dt) * z
-    return out + params.eps_plus * arrivals.buy - params.eps_minus * arrivals.sell
-
-
-def step_midprice(
-    s: float,
-    alpha: float,
-    dt: float,
-    params: MarketParams,
-    rng: np.random.Generator,
-    tick: float | None = None,
-) -> float:
-    """One Euler step of the midprice; optionally snapped to a tick grid.
-
-    s' = s + (nu + alpha) dt + sigma sqrt(dt) z
-    """
-    z = rng.standard_normal()
-    out = s + (params.nu + alpha) * dt + params.sigma * math.sqrt(dt) * z
-    if tick is not None:
-        out = round_to_tick(out, tick)
-    return out
-
-
-@dataclass(frozen=True)
-class PathState:
-    """Market state at one step: midprice, short-term drift, step index."""
-
-    s: float
-    alpha: float
-    t_index: int
-
-
-@dataclass(eq=False)
-class SyntheticPath:
-    """Simulated market path: n_steps+1 states and n_steps arrival flags."""
-
-    mid: np.ndarray
-    bid: np.ndarray
-    ask: np.ndarray
-    alpha: np.ndarray
-    buy_arrivals: np.ndarray
-    sell_arrivals: np.ndarray
-    dt: float = 1.0
-    t0: int = 0
-
-    def state(self, i: int) -> PathState:
-        return PathState(s=float(self.mid[i]), alpha=float(self.alpha[i]), t_index=i)
-
-    def as_price_series(self, level1_size: float = 10.0):
-        """View the path as a quote series consumable by the simulator."""
-        from .market_data import PriceSeries
-
-        n = self.bid.size
-        return PriceSeries(
-            t0=self.t0,
-            dt=self.dt,
-            bid=self.bid.copy(),
-            ask=self.ask.copy(),
-            level1_bid_sz=np.full(n, level1_size),
-            level1_ask_sz=np.full(n, level1_size),
-        )
-
-
-def simulate_synthetic_path(
-    params: MarketParams,
-    n_steps: int | None = None,
-    rng: RngStream | np.random.Generator | None = None,
-    s0: float = 100.0,
-    alpha0: float = 0.0,
-    tick: float | None | str = "spread",
-) -> SyntheticPath:
-    """Simulate midprice, alpha and arrivals over n_steps steps.
-
-    The quoted bid/ask sit a half-spread either side of the mid.  By default
-    the mid is snapped to a tick grid equal to the spread so that quote
-    changes are discrete (pass ``tick=None`` for the raw diffusion).  The
-    path is a pure function of (params, rng stream).
-    """
-    if n_steps is None:
-        n_steps = params.n_dt
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if rng is None:
-        rng = RngStream(seed=0)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    tick_size = params.delta if tick == "spread" else tick
-
-    mid = np.empty(n_steps + 1)
-    alpha = np.empty(n_steps + 1)
-    buys = np.zeros(n_steps, dtype=bool)
-    sells = np.zeros(n_steps, dtype=bool)
-    mid[0] = round_to_tick(s0, tick_size) if tick_size is not None else s0
-    alpha[0] = alpha0
-
-    for i in range(n_steps):
-        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
-                                      gen.random(), gen.random())
-        buys[i] = arrivals.buy
-        sells[i] = arrivals.sell
-        alpha[i + 1] = step_alpha(alpha[i], arrivals, params.dt, params, gen.standard_normal())
-        mid[i + 1] = step_midprice(mid[i], alpha[i], params.dt, params, gen, tick=tick_size)
-
-    half = params.delta / 2.0
-    bid, ask = mid - half, mid + half
-    if tick_size is not None:
-        # quotes sit a half-spread off the mid grid; canonicalize so equal
-        # price levels compare equal across the path
-        grid = tick_size / 2.0
-        if abs(round(half / grid) * grid - half) < 1e-12:
-            bid = np.round(np.round(bid / grid) * grid, 12)
-            ask = np.round(np.round(ask / grid) * grid, 12)
-    return SyntheticPath(
-        mid=mid,
-        bid=bid,
-        ask=ask,
-        alpha=alpha,
-        buy_arrivals=buys,
-        sell_arrivals=sells,
-        dt=params.dt,
-    )
+    return out + params.eps_plus * buy - params.eps_minus * sell

@@ -211,7 +211,8 @@ def load_config(text: str) -> tuple[MarketParams, SolverGrid]:
         defaults = default_params()
         dt = param_kwargs.get("dt", defaults.dt)
         horizon = param_kwargs.get("horizon", defaults.horizon)
-        if dt > 0 and horizon > 0:
+        # an overflowing ratio is left to validate, which reports it
+        if dt > 0 and horizon > 0 and math.isfinite(horizon / dt):
             param_kwargs["n_dt"] = round(horizon / dt)
 
     params = MarketParams(**param_kwargs)

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    MOArrivals,
     RngStream,
     arrival_probabilities,
     draw_window_events,
     pcg64_stream_states,
-    sample_mo_arrivals,
     step_alpha,
 )
 from .fills import EnvMode, FillColumns, FillCounters, FillEvent, Side, step_fills
@@ -183,6 +181,7 @@ def run_simulation(
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
     _check_policy(policy, params)
     u, z = draw_window_events(rng, n)
+    p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
 
     bid, ask, mid = series.bid, series.ask, series.mid
     nodes = policy.alpha_nodes
@@ -210,13 +209,12 @@ def run_simulation(
         posted_bid[i] = p_bid
 
         u_buy, u_sell, u_ask, u_bid = u[i]
-        arrivals = sample_mo_arrivals(params.lambda_plus, params.lambda_minus, params.dt,
-                                      u_buy, u_sell)
-        alpha = step_alpha(alpha, arrivals, params.dt, params, z[i])
+        buy, sell = u_buy < p_buy, u_sell < p_sell
+        alpha = step_alpha(alpha, buy, sell, params.dt, params, z[i])
 
         new_fills = step_fills(
             p_bid, p_ask, bid[i], ask[i], bid[i + 1], ask[i + 1],
-            arrivals.buy, arrivals.sell, mode, u_ask, u_bid, t_index=i,
+            buy, sell, mode, u_ask, u_bid, t_index=i,
         )
         penalty += params.phi * (q * q) * params.dt
         q = update_inventory(q, new_fills, params.q_max)
@@ -347,7 +345,7 @@ def _run_block(policy, series, mode, params, master_seed, w0, size):
         p_bid = policy.post_bid[i, a_idx, j]
 
         buy, sell, thin_ask, thin_bid = flags[:, i].T
-        alpha = step_alpha(alpha, MOArrivals(buy, sell), params.dt, params, z[:, i])
+        alpha = step_alpha(alpha, buy, sell, params.dt, params, z[:, i])
 
         ask_now, bid_now = quotes(series.ask, i), quotes(series.bid, i)
         step = events[:, i]

@@ -6,11 +6,13 @@ column by column: floats as their shortest round-trip ``repr``, boolean
 flags as ``1``/``0``, integers and strings with ``str``.
 
 Every CSV reader of the package, the LOB parser included, reads from bytes
-through one tokenizer (:func:`split_cells`) and two numpy word kernels
-(:func:`plain_floats`, :func:`plain_ints`) that convert a whole column of
-plain cells with no Python object per cell.  A table file with a byte
-outside the tokenizer's alphabet is normalised as text first (rows split on
-whitespace), and a cell the kernels decline is converted from its text.
+through one tokenizer (:func:`split_cells`).  Two numpy word kernels
+(:func:`plain_floats`, :func:`plain_ints`) convert a whole column of plain
+cells with no Python object per cell: the LOB parser uses both, a table's
+integer columns the second.  A table's float column is converted once per
+distinct cell.  A table file with a byte outside the tokenizer's alphabet
+is normalised as text first (rows split on whitespace), and a column these
+paths decline is converted from its texts.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def write_table(path, header, columns) -> None:
 
 # -- the byte-level tokenizer and the word kernels ---------------------------
 
-_COMMA, _NEWLINE, _DOT, _MINUS, _SLASH, _NINE = b",\n.-/9"
+_COMMA, _NEWLINE, _DOT, _MINUS = b",\n.-"
 
 # Bytes readable in front of every cell end: the kernels read up to three
 # 8-byte words that end at a cell's separator.
@@ -270,9 +272,10 @@ _DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
 class Cells:
     """A table's header and cells, converted to a typed column on request.
 
-    The columns come from the word kernels over the file's bytes; a column
-    the kernels cannot take is converted from its cell texts, one ``int()``
-    or ``float()`` per cell, with the same values and errors.
+    Integer columns come from the word kernel over the file's bytes, float
+    columns from one ``float()`` per distinct cell; a column these cannot
+    take is converted from its cell texts, one ``int()`` or ``float()`` per
+    cell, with the same values and errors.
     """
 
     def __init__(self, path, header, data: bytes, ends, starts):
@@ -308,10 +311,7 @@ class Cells:
 
     def floats(self, name: str) -> np.ndarray:
         """A column of ``float()`` values, as float64."""
-        ends, width = self._cells(name)
-        values = plain_floats(self._buf, ends, width) if self._numeric(ends, width) else None
-        if values is None:
-            values = self._distinct_floats(ends, width)
+        values = self._distinct_floats(*self._cells(name))
         if values is None:
             texts = self.texts(name)
             values = np.fromiter(map(float, texts), np.float64, len(texts))
@@ -323,22 +323,20 @@ class Cells:
         Any other cell raises ValueError naming its data row.
         """
         keys = [true_text.encode("ascii"), false_text.encode("ascii")]
-        if max(map(len, keys)) <= PAD:
-            ends, width = self._cells(name)
-            n_words = -(-max(map(len, keys)) // 8)
-            cell = self._key_words(ends, width, n_words)
-            is_key = []
-            for key in keys:
-                key_words = np.frombuffer(bytes(PAD - len(key)) + key, _WORD)[::-1]
-                match = width == len(key)
-                for k in range(n_words):
-                    match &= cell[k] == key_words[k]
-                is_key.append(match)
-            is_true, is_false = is_key
-        else:
-            texts = self.texts(name)
-            is_true = np.fromiter(map(true_text.__eq__, texts), bool, len(texts))
-            is_false = np.fromiter(map(false_text.__eq__, texts), bool, len(texts))
+        if max(map(len, keys)) > PAD:
+            raise ValueError(f"flag texts {true_text!r}, {false_text!r}: "
+                             f"each must be at most {PAD} bytes")
+        ends, width = self._cells(name)
+        n_words = -(-max(map(len, keys)) // 8)
+        cell = self._key_words(ends, width, n_words)
+        is_key = []
+        for key in keys:
+            key_words = np.frombuffer(bytes(PAD - len(key)) + key, _WORD)[::-1]
+            match = width == len(key)
+            for k in range(n_words):
+                match &= cell[k] == key_words[k]
+            is_key.append(match)
+        is_true, is_false = is_key
         other = ~(is_true | is_false)
         if other.any():
             row = int(other.argmax())
@@ -353,16 +351,6 @@ class Cells:
         view = _words(self._buf)
         return [view[ends - 8 * (k + 1)] & _TOP[np.clip(width - 8 * k, 0, 8)]
                 for k in range(n_words)]
-
-    def _numeric(self, ends, width) -> bool:
-        """Whether every cell is 1 to 8 bytes of ``-``, ``.`` and digits only
-        (an empty cell is NaN to the kernel, but no number to ``float()``)."""
-        if not ends.size or width.min() < 1 or width.max() > 8:
-            return False
-        inside = _TOP[width]
-        word = (_words(self._buf)[ends - 8] & inside) | (_ZEROS & ~inside)
-        as_bytes = word.view(np.uint8)
-        return not (((as_bytes - np.uint8(_MINUS)) > _NINE - _MINUS) | (as_bytes == _SLASH)).any()
 
     def _distinct_floats(self, ends, width) -> np.ndarray | None:
         """One ``float()`` per distinct cell of at most 24 bytes, else None.

@@ -7,20 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsim.dynamics import (
-    MOArrivals,
-    PathState,
     RngStream,
+    arrival_probabilities,
     draw_window_events,
     pcg64_stream_states,
     round_to_tick,
-    sample_mo_arrivals,
-    simulate_synthetic_path,
     step_alpha,
-    step_midprice,
 )
 from mmsim.params import default_params
 
-NO_ARRIVALS = MOArrivals()
+
+def _arrivals(p, u):
+    """A window's buy and sell arrival flags from its uniforms, as the
+    simulator thresholds them."""
+    p_buy, p_sell = arrival_probabilities(p.lambda_plus, p.lambda_minus, p.dt)
+    return u[:, 0] < p_buy, u[:, 1] < p_sell
+
+
+def _alpha_path(p, n_steps, rng):
+    """Alpha over one window of the simulator's event stream, from 0, and
+    the window's arrival flags."""
+    u, z = draw_window_events(rng, n_steps)
+    buy, sell = _arrivals(p, u)
+    alpha = np.zeros(n_steps + 1)
+    for i in range(n_steps):
+        alpha[i + 1] = step_alpha(alpha[i], buy[i], sell[i], p.dt, p, z[i])
+    return alpha, buy, sell
 
 
 def test_rng_stream_replays_identically():
@@ -84,69 +96,46 @@ def test_alpha_step_is_one_expression_for_scalars_and_arrays():
     gen = RngStream(seed=32).generator()
     alpha, z = gen.normal(0.0, 0.01, 64), gen.standard_normal(64)
     buy, sell = gen.random(64) < 0.5, gen.random(64) < 0.5
-    stepped = step_alpha(alpha, MOArrivals(buy, sell), p.dt, p, z)
+    stepped = step_alpha(alpha, buy, sell, p.dt, p, z)
     for k in range(64):
-        one = step_alpha(float(alpha[k]), MOArrivals(bool(buy[k]), bool(sell[k])), p.dt, p, z[k])
+        one = step_alpha(float(alpha[k]), bool(buy[k]), bool(sell[k]), p.dt, p, z[k])
         assert one == stepped[k]
 
 
 def test_zero_intensity_never_arrives():
-    gen = RngStream(seed=0).generator()
-    for _ in range(1000):
-        assert not sample_mo_arrivals(0.0, 0.0, 1.0, gen.random(), gen.random()).buy
+    p = replace(default_params(), lambda_plus=0.0, lambda_minus=0.0)
+    u, _ = draw_window_events(RngStream(seed=0), 1000)
+    buy, sell = _arrivals(p, u)
+    assert not buy.any() and not sell.any()
 
 
 def test_arrival_probability_matches_thinning_formula():
     lam = 0.5833
     expected = 1.0 - math.exp(-lam)
     assert expected == pytest.approx(0.4419, abs=5e-4)
-    gen = RngStream(seed=7).generator()
+    p = replace(default_params(), lambda_plus=lam, lambda_minus=lam, dt=1.0)
     n = 100_000
-    hits = sum(sample_mo_arrivals(lam, lam, 1.0, u[0], u[1]).buy for u in gen.random((n, 2)))
-    assert hits / n == pytest.approx(expected, abs=0.01)
+    u, _ = draw_window_events(RngStream(seed=7), n)
+    buy, _ = _arrivals(p, u)
+    assert np.count_nonzero(buy) / n == pytest.approx(expected, abs=0.01)
 
 
 def test_symmetric_intensities_give_matching_frequencies():
     lam = 0.5833
-    gen = RngStream(seed=11).generator()
+    p = replace(default_params(), lambda_plus=lam, lambda_minus=lam, dt=1.0)
     n = 100_000
-    buys = sells = 0
-    for u_buy, u_sell in gen.random((n, 2)):
-        arr = sample_mo_arrivals(lam, lam, 1.0, u_buy, u_sell)
-        buys += arr.buy
-        sells += arr.sell
-    assert abs(buys - sells) / n < 0.01
+    u, _ = draw_window_events(RngStream(seed=11), n)
+    buy, sell = _arrivals(p, u)
+    assert abs(np.count_nonzero(buy) - np.count_nonzero(sell)) / n < 0.01
 
 
 def test_alpha_step_deterministic_cases():
     p = replace(default_params(), eta=0.0)
     z = RngStream(seed=0).generator().standard_normal(4)
-    assert step_alpha(0.01, NO_ARRIVALS, 1.0, p, z[0]) == pytest.approx(0.0095, rel=1e-12)
-    assert step_alpha(0.0, MOArrivals(buy=True), 1.0, p, z[1]) == pytest.approx(0.002, rel=1e-12)
-    assert step_alpha(0.0, NO_ARRIVALS, 1.0, p, z[2]) == 0.0
-    assert step_alpha(0.0, MOArrivals(sell=True), 1.0, p, z[3]) == pytest.approx(-0.002, rel=1e-12)
-
-
-def test_midprice_step_deterministic_cases():
-    p = replace(default_params(), sigma=0.0)
-    gen = RngStream(seed=0).generator()
-    assert step_midprice(100.0, 0.001, 1.0, p, gen) == pytest.approx(100.001, rel=1e-12)
-    assert step_midprice(100.0, 0.0, 1.0, p, gen) == 100.0
-
-
-def test_midprice_increment_variance():
-    p = default_params()
-    gen = RngStream(seed=3).generator()
-    n = 100_000
-    increments = np.array([step_midprice(100.0, 0.0, 1.0, p, gen) - 100.0 for _ in range(n)])
-    assert increments.var() == pytest.approx(2.5e-5, rel=0.05)
-
-
-def test_midprice_tick_rounding():
-    p = replace(default_params(), sigma=0.0)
-    gen = RngStream(seed=0).generator()
-    assert step_midprice(100.0, 0.004, 1.0, p, gen, tick=0.01) == 100.0
-    assert step_midprice(100.0, 0.006, 1.0, p, gen, tick=0.01) == 100.01
+    assert step_alpha(0.01, False, False, 1.0, p, z[0]) == pytest.approx(0.0095, rel=1e-12)
+    assert step_alpha(0.0, True, False, 1.0, p, z[1]) == pytest.approx(0.002, rel=1e-12)
+    assert step_alpha(0.0, False, False, 1.0, p, z[2]) == 0.0
+    assert step_alpha(0.0, False, True, 1.0, p, z[3]) == pytest.approx(-0.002, rel=1e-12)
 
 
 def test_round_to_tick_is_canonical():
@@ -155,55 +144,16 @@ def test_round_to_tick_is_canonical():
     assert round_to_tick(81.8651, 0.01) == 81.87
 
 
-def test_degenerate_path_is_constant():
-    p = replace(default_params(), sigma=0.0, eta=0.0, lambda_plus=0.0, lambda_minus=0.0)
-    path = simulate_synthetic_path(p, 50, RngStream(seed=9))
-    assert np.all(path.mid == path.mid[0])
-    assert np.all(path.bid == path.bid[0])
-    assert np.all(path.ask == path.ask[0])
-
-
-def test_path_has_fixed_spread_and_shapes():
-    p = default_params()
-    path = simulate_synthetic_path(p, 200, RngStream(seed=5))
-    assert path.mid.shape == (201,)
-    assert path.buy_arrivals.shape == (200,)
-    assert np.allclose(path.ask - path.bid, p.delta, atol=1e-9)
-
-
-def test_path_is_deterministic_per_stream():
-    p = default_params()
-    a = simulate_synthetic_path(p, 100, RngStream(seed=21, stream_id=2))
-    b = simulate_synthetic_path(p, 100, RngStream(seed=21, stream_id=2))
-    assert np.array_equal(a.mid, b.mid)
-    assert np.array_equal(a.alpha, b.alpha)
-    assert np.array_equal(a.buy_arrivals, b.buy_arrivals)
-
-
-def test_path_rejects_empty():
-    with pytest.raises(ValueError):
-        simulate_synthetic_path(default_params(), 0, RngStream(seed=0))
-
-
-def test_path_state_accessor():
-    path = simulate_synthetic_path(default_params(), 20, RngStream(seed=1))
-    state = path.state(5)
-    assert state == PathState(s=float(path.mid[5]), alpha=float(path.alpha[5]), t_index=5)
-    assert math.isfinite(state.s) and math.isfinite(state.alpha)
-
-
 def test_alpha_lag1_autocorrelation_matches_mean_reversion():
     p = replace(default_params(), lambda_plus=0.0, lambda_minus=0.0)
-    path = simulate_synthetic_path(p, 100_000, RngStream(seed=13), tick=None)
-    a = path.alpha
+    a, _, _ = _alpha_path(p, 100_000, RngStream(seed=13))
     corr = np.corrcoef(a[:-1], a[1:])[0, 1]
     assert corr == pytest.approx(math.exp(-p.zeta * p.dt), abs=0.02)
 
 
 def test_alpha_mean_near_zero_under_symmetry():
     p = default_params()
-    path = simulate_synthetic_path(p, 100_000, RngStream(seed=17), tick=None)
-    a = path.alpha
+    a, _, _ = _alpha_path(p, 100_000, RngStream(seed=17))
     # standard error of an AR(1) sample mean: the naive one understates it
     # by sqrt((1+r)/(1-r)) at autocorrelation r
     r = math.exp(-p.zeta * p.dt)
@@ -213,11 +163,11 @@ def test_alpha_mean_near_zero_under_symmetry():
 
 def test_alpha_jumps_follow_arrivals():
     p = replace(default_params(), eta=0.0, sigma=0.0)
-    path = simulate_synthetic_path(p, 500, RngStream(seed=23))
+    alpha, buy, sell = _alpha_path(p, 500, RngStream(seed=23))
     for i in range(500):
-        expected = path.alpha[i] * (1 - p.zeta * p.dt)
-        if path.buy_arrivals[i]:
+        expected = alpha[i] * (1 - p.zeta * p.dt)
+        if buy[i]:
             expected += p.eps_plus
-        if path.sell_arrivals[i]:
+        if sell[i]:
             expected -= p.eps_minus
-        assert path.alpha[i + 1] == pytest.approx(expected, abs=1e-15)
+        assert alpha[i + 1] == pytest.approx(expected, abs=1e-15)

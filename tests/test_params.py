@@ -141,6 +141,16 @@ def test_load_config_derives_step_count_from_dt():
     assert params.n_dt * params.dt == params.horizon
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("horizon = 1e308\ndt = 1e-308\n", "InconsistentHorizon"),
+    ("horizon = inf\n", "horizon = inf"),
+])
+def test_load_config_reports_an_overflowing_step_count(text, expected):
+    with pytest.raises(ValidationError) as err:
+        load_config(text)
+    assert any(expected in p for p in err.value.problems)
+
+
 def test_render_round_trips_defaults():
     params, grid = default_params(), default_grid()
     assert load_config(render_config(params, grid)) == (params, grid)

@@ -119,6 +119,21 @@ def test_cli_bad_config_value_fails_validation(tmp_path, capsys):
     assert "SpreadNonPositive" in capsys.readouterr().err
 
 
+def test_cli_overflowing_step_count_fails_validation(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("horizon = 1e308\ndt = 1e-308\n")
+    assert _run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "InconsistentHorizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_example1_checks_its_inputs_before_an_empty_run(tmp_path, capsys):
+    out = tmp_path / "e1"
+    assert _run(["example1", "--steps", 0, "--walk-p", 0.9, "--out", out]) == 1
+    assert "walk_p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_io_error(tmp_path, capsys):
     code = _run(["solve", "--config", tmp_path / "nope.cfg", "--out", tmp_path])
     assert code == 2

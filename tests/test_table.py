@@ -299,6 +299,15 @@ def test_read_cells_keeps_plus_and_non_ascii_bytes_in_their_cells(tmp_path):
         cells.floats("b")
 
 
+def test_flags_rejects_a_text_longer_than_the_pad(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a\nyes\n")
+    cells = table.read_cells(path)
+    assert cells.flags("a", "y" * table.PAD, "yes").tolist() == [False]
+    with pytest.raises(ValueError, match=f"at most {table.PAD} bytes"):
+        cells.flags("a", "y" * (table.PAD + 1), "yes")
+
+
 # -- the tokenizer-backed readers against a per-text oracle ------------------
 
 def _oracle_read_table(path):
