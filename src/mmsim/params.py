@@ -122,23 +122,27 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
     """
     problems: list[str] = []
 
+    def check(code: str, name: str, value, in_range, requirement: str) -> bool:
+        """Record a problem unless the value is finite and in range; say which."""
+        if not _finite(value):
+            problems.append(f"{code}: {name} = {value!r} must be finite")
+        elif not in_range(value):
+            problems.append(f"{code}: {name} = {value!r} must {requirement}")
+        else:
+            return True
+        return False
+
     for name in ("sigma", "zeta", "eta", "eps_plus", "eps_minus",
                  "lambda_plus", "lambda_minus", "phi", "varphi"):
-        value = getattr(params, name)
-        if not _finite(value) or value < 0:
-            problems.append(f"NegativeParameter: {name} = {value!r} must be >= 0")
+        check("NegativeParameter", name, getattr(params, name), lambda v: v >= 0, "be >= 0")
     if not _finite(params.nu):
         problems.append(f"NegativeParameter: nu = {params.nu!r} must be finite")
-    if not _finite(params.delta) or params.delta <= 0:
-        problems.append(f"SpreadNonPositive: delta = {params.delta!r} must be > 0")
-    if not _finite(params.rho) or not 0.0 <= params.rho <= 1.0:
-        problems.append(f"RhoOutOfRange: rho = {params.rho!r} must lie in [0, 1]")
+    check("SpreadNonPositive", "delta", params.delta, lambda v: v > 0, "be > 0")
+    check("RhoOutOfRange", "rho", params.rho, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
     if params.q_max < 1:
         problems.append(f"NegativeParameter: q_max = {params.q_max!r} must be >= 1")
-    if not _finite(params.dt) or params.dt <= 0:
-        problems.append(f"NegativeParameter: dt = {params.dt!r} must be > 0")
-    if not _finite(params.horizon) or params.horizon <= 0:
-        problems.append(f"NegativeParameter: horizon = {params.horizon!r} must be > 0")
+    check("NegativeParameter", "dt", params.dt, lambda v: v > 0, "be > 0")
+    check("NegativeParameter", "horizon", params.horizon, lambda v: v > 0, "be > 0")
     if params.n_dt < 1:
         problems.append(f"NegativeParameter: n_dt = {params.n_dt!r} must be >= 1")
     elif _finite(params.dt) and params.dt > 0 and _finite(params.horizon):
@@ -149,9 +153,8 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
             )
 
     if grid is not None:
-        if not _finite(grid.alpha_max) or grid.alpha_max <= 0:
-            problems.append(f"GridAsymmetric: alpha_max = {grid.alpha_max!r} must be > 0")
-        elif grid.alpha_min != -grid.alpha_max:
+        alpha_max_ok = check("GridAsymmetric", "alpha_max", grid.alpha_max, lambda v: v > 0, "be > 0")
+        if alpha_max_ok and grid.alpha_min != -grid.alpha_max:
             problems.append(
                 f"GridAsymmetric: alpha_min = {grid.alpha_min!r} "
                 f"must equal -alpha_max = {-grid.alpha_max!r}"

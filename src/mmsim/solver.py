@@ -14,18 +14,23 @@ a spread per lot on either side, so the payoff is even in q.
 
 The solver marches backward in time with an explicit scheme, ``substeps``
 substeps per dt: central first/second differences in alpha on the interior,
-one-sided at the two boundary nodes, and linear interpolation (clamped at
-the boundary) for the jump-shifted evaluations h(., a +- eps, .).  The
-binary maximization is evaluated exactly from its two candidates.
+one-sided at the two boundary nodes, and the jump-shifted evaluations
+h(., a +- eps, .) taken from the nodes.  If every row of both shifts lands
+within 1e-9 of a cell of an alpha node (a row clamped at a grid end lands
+on the end node), as on any grid where eps_plus and eps_minus are whole
+multiples of the node spacing, each shift is its landing node's row.
+Otherwise every shift is linear interpolation, clamped at the boundary.
+The binary maximization is evaluated exactly from its two candidates.
 
 The march runs in place.  Every buffer is allocated once per solve, each
 array operation is one numpy call writing through ``out=``, and the last
 substep of a step writes straight into ``h[k]``.  Both jump-shifted slices
-come from one row gather over the stacked bracket indices.  The posting
-gains of both sides are differenced along the flattened shifted buffer,
-and the column where one alpha row runs into the next is zeroed after.
-Each node still gets the scheme's floating-point operations in the
-scheme's order: a + w (b - a) for a shift, (Dl/2 + h(q -+ 1)) - h(q) for a
+come from one row gather: of the landing rows, or of the stacked bracket
+rows that the interpolation then combines.  The posting gains of both
+sides are differenced along the flattened shifted buffer, and the column
+where one alpha row runs into the next is zeroed after.  Each node still
+gets the scheme's floating-point operations in the scheme's order:
+a + w (b - a) for an interpolated shift, (Dl/2 + h(q -+ 1)) - h(q) for a
 gain, and g + tau ((((adv d1 + diff d2) + source) + ask term) + bid term)
 for the update.  So h is bitwise what the plain expression-per-line loop
 gives; ``tests/test_solver.py`` keeps that loop as its oracle.
@@ -142,11 +147,15 @@ class _JumpShift:
     """Both jump-shifted evaluations of an (n_alpha, n_q) slice, stacked.
 
     Rows ``[0, n_alpha)`` hold h(alpha + eps_plus) and rows
-    ``[n_alpha, 2 n_alpha)`` hold h(alpha - eps_minus), each by clamped
-    linear interpolation a + w (b - a) between its bracketing nodes.  A row
-    whose weight is exactly 1.0 (a node hit, or a clamp to the last node)
-    takes b itself.  Indices, weights and hit rows are worked out once, so
-    an evaluation is one row gather and three in-place ufunc calls.
+    ``[n_alpha, 2 n_alpha)`` hold h(alpha - eps_minus).  If every row of
+    both shifts lands within 1e-9 of a cell of an alpha node (a row
+    clamped at a grid end lands on the end node), each row is that node's
+    row, i+k or i-k clamped, and an evaluation is one row gather.
+    Otherwise each row is clamped linear interpolation a + w (b - a)
+    between its bracketing nodes, and a row whose weight is exactly 1.0 (a
+    node hit, or a clamp to the last node) takes b itself.  Rows, weights
+    and hit rows are worked out once, so an interpolating evaluation is
+    one row gather and three in-place ufunc calls.
     """
 
     def __init__(self, alpha: np.ndarray, params: MarketParams, n_q: int):
@@ -154,6 +163,11 @@ class _JumpShift:
         idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
         lo = np.concatenate([idx_p, idx_m])
         w = np.concatenate([w_p, w_m])
+        cell = np.rint(w)
+        self.lands = bool(np.all(np.abs(w - cell) <= 1e-9))
+        if self.lands:
+            self.rows = lo + cell.astype(lo.dtype)
+            return
         self.rows = np.concatenate([lo, lo + 1])
         # a full weight array: broadcasting a column along the short q axis
         # costs about twice as much per call
@@ -163,8 +177,10 @@ class _JumpShift:
         self._a, self._b = self._ab[:lo.size], self._ab[lo.size:]
 
     def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        a, b = self._a, self._b
         # the rows are in range; "clip" skips the buffered check of "raise"
+        if self.lands:
+            return np.take(g, self.rows, axis=0, out=out, mode="clip")
+        a, b = self._a, self._b
         np.take(g, self.rows, axis=0, out=self._ab, mode="clip")
         np.subtract(b, a, out=out)
         np.multiply(self.w, out, out=out)
@@ -219,7 +235,7 @@ def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurf
     # rows [0, n) are the ask side at alpha + eps_plus, rows [n, 2n) the
     # bid side at alpha - eps_minus; the *_flat views run along q and on
     # into the next row
-    shifted = np.empty_like(shift.w)
+    shifted = np.empty((2 * n, m))
     plus_half = np.empty_like(shifted)
     gains = np.zeros_like(shifted)
     shifted_flat, plus_half_flat, gains_flat = shifted.ravel(), plus_half.ravel(), gains.ravel()
@@ -291,7 +307,7 @@ def extract_policy(surface: ValueSurface, params: MarketParams) -> PostingPolicy
     n, n_q = alpha.size, surface.q_nodes.size
     size = n * n_q
     shift = _JumpShift(alpha, params, n_q)
-    shifted = np.empty_like(shift.w)
+    shifted = np.empty((2 * n, n_q))
     up, down = shifted[:n].reshape(size), shifted[n:].reshape(size)
     gain = np.empty(size - 1)
     half = params.delta / 2.0
@@ -328,10 +344,19 @@ def reconstruct_value(
     q: int,
     t_index: int,
 ) -> float:
-    """Full value at a state: cash + book value + posting component."""
+    """Full value at a state: cash + book value + posting component.
+
+    Raises ``ValueError`` for an inventory or time index off the surface,
+    or a NaN alpha; an alpha beyond the grid clamps to its end node.
+    """
     j = int(q) + (surface.q_nodes.size - 1) // 2
     if not 0 <= j < surface.q_nodes.size:
         raise ValueError(f"inventory {q} outside [{surface.q_nodes[0]}, {surface.q_nodes[-1]}]")
+    n_t = surface.h.shape[0]
+    if not 0 <= t_index < n_t:
+        raise ValueError(f"t_index {t_index} outside [0, {n_t - 1}]")
+    if np.isnan(alpha):
+        raise ValueError("alpha is NaN")
     return c + q * s + interp_alpha(surface.h[t_index, :, j], surface.alpha_nodes, alpha)
 
 

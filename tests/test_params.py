@@ -63,6 +63,14 @@ def test_validate_flags_each_invariant(change, expected):
     assert any(expected in msg for msg in problems)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["dt", "horizon", "sigma"])
+def test_validate_says_a_non_finite_value_must_be_finite(name, value):
+    problems = validate(replace(default_params(), **{name: value}), default_grid())
+    assert f"NegativeParameter: {name} = {value!r} must be finite" in problems
+    assert not any(" must be >" in p for p in problems)
+
+
 @pytest.mark.parametrize(
     "change,expected",
     [

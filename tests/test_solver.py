@@ -99,6 +99,20 @@ def test_reconstruct_value_cases(default_solution):
         reconstruct_value(surface, 0.0, 100.0, 0.0, 8, 0)
 
 
+@pytest.mark.parametrize("t_index", [-121, -1, 121])
+def test_reconstruct_value_rejects_a_time_index_off_the_surface(default_solution, t_index):
+    _, surface, _ = default_solution
+    assert surface.h.shape[0] == 121
+    with pytest.raises(ValueError, match=f"t_index {t_index} outside \\[0, 120\\]"):
+        reconstruct_value(surface, 0.0, 100.0, 0.0, 0, t_index)
+
+
+def test_reconstruct_value_rejects_a_nan_alpha(default_solution):
+    _, surface, _ = default_solution
+    with pytest.raises(ValueError, match="alpha is NaN"):
+        reconstruct_value(surface, 0.0, 100.0, float("nan"), 0, 0)
+
+
 def test_policy_respects_inventory_bounds(default_solution):
     _, _, policy = default_solution
     assert not policy.post_ask[:, :, 0].any()
@@ -313,6 +327,18 @@ def _reference_shift_slice(g, idx, w):
     return out
 
 
+def _reference_shifts(g, alpha, params, land=True):
+    """h(alpha + eps_plus) and h(alpha - eps_minus) of a slice.  When every
+    row of both lands within 1e-9 of a cell of a node (and ``land``), each
+    row is that node's row; otherwise each is clamped interpolation."""
+    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
+    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
+    w = np.concatenate([w_p, w_m])
+    if land and np.all(np.abs(w - np.rint(w)) <= 1e-9):
+        return g[idx_p + np.rint(w_p).astype(int)], g[idx_m + np.rint(w_m).astype(int)]
+    return _reference_shift_slice(g, idx_p, w_p), _reference_shift_slice(g, idx_m, w_m)
+
+
 def _reference_posting_gains(gp, gm, params):
     half = params.delta / 2.0
     ask = np.zeros_like(gp)
@@ -322,16 +348,15 @@ def _reference_posting_gains(gp, gm, params):
     return ask, bid
 
 
-def _reference_solve(params, grid):
+def _reference_solve(params, grid, land=True):
     """The march with one numpy expression per term of the scheme, as
     solve_dpe evaluated it before it ran in place on preallocated buffers:
-    the oracle for solve_dpe's h, byte for byte."""
+    the oracle for solve_dpe's h, byte for byte.  With ``land=False`` every
+    jump is interpolated, even where all of them land on nodes: the
+    measure of how far taking the landing rows moves h."""
     alpha = alpha_grid(grid)
     q = np.arange(-params.q_max, params.q_max + 1)
     da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
-
-    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
-    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
 
     tau = params.dt / grid.substeps
     source = alpha[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
@@ -355,8 +380,7 @@ def _reference_solve(params, grid):
                 d2[0] = (g[2] - 2.0 * g[1] + g[0]) / da**2
                 d2[-1] = (g[-3] - 2.0 * g[-2] + g[-1]) / da**2
 
-                gp = _reference_shift_slice(g, idx_p, w_p)
-                gm = _reference_shift_slice(g, idx_m, w_m)
+                gp, gm = _reference_shifts(g, alpha, params, land)
                 gain_ask, gain_bid = _reference_posting_gains(gp, gm, params)
 
                 g = g + tau * (
@@ -375,8 +399,9 @@ def _reference_solve(params, grid):
 @st.composite
 def _solver_inputs(draw):
     """Small grids with every branch of the shift and the gains reachable:
-    jumps that land on nodes (weight exactly 1.0) or past the last node
-    (the clamp), unequal jumps, rho at both ends, and no market orders."""
+    whole-cell jumps on both sides (the landing rows' gather), jumps that
+    hit a node (weight exactly 1.0) or pass the last node (the clamp),
+    unequal jumps, rho at both ends, and no market orders."""
     n_alpha = 2 * draw(st.integers(5, 20)) + 1
     alpha_max = draw(st.sampled_from([0.02, 0.04]))
     grid = SolverGrid(alpha_min=-alpha_max, alpha_max=alpha_max, n_alpha=n_alpha,
@@ -420,10 +445,28 @@ def test_jump_shift_is_bitwise_the_reference_interpolation(inputs, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((alpha.size, n_q)) * 10.0 ** rng.integers(-8, 9, (alpha.size, n_q))
     got = _JumpShift(alpha, params, n_q)(g, out=np.empty((2 * alpha.size, n_q)))
-    idx_p, w_p = _interp_weights(alpha, alpha + params.eps_plus)
-    idx_m, w_m = _interp_weights(alpha, alpha - params.eps_minus)
-    want = np.concatenate([_reference_shift_slice(g, idx_p, w_p),
-                           _reference_shift_slice(g, idx_m, w_m)])
+    want = np.concatenate(_reference_shifts(g, alpha, params))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(half_cells=st.integers(5, 30), alpha_max=st.sampled_from([0.02, 0.04, 0.1]),
+       k_plus=st.integers(0, 62), k_minus=st.integers(0, 62), seed=st.integers(0, 2**32 - 1))
+def test_jump_shift_on_an_aligned_grid_is_the_node_row_gather(half_cells, alpha_max, k_plus,
+                                                              k_minus, seed):
+    # jumps of whole cells, zero included, and up to past the far end, so
+    # that rows clamp at both ends
+    n = 2 * half_cells + 1
+    alpha = alpha_grid(SolverGrid(alpha_min=-alpha_max, alpha_max=alpha_max, n_alpha=n))
+    da = alpha_max / half_cells
+    params = replace(default_params(), eps_plus=k_plus * da, eps_minus=k_minus * da, q_max=3)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-8, 9, (n, 7))
+    shift = _JumpShift(alpha, params, 7)
+    assert shift.lands
+    got = shift(g, out=np.empty((2 * n, 7)))
+    rows = np.arange(n)
+    want = np.concatenate([g[np.minimum(rows + k_plus, n - 1)], g[np.maximum(rows - k_minus, 0)]])
     assert got.tobytes() == want.tobytes()
 
 
@@ -444,6 +487,36 @@ def test_march_is_bitwise_the_reference_scheme(inputs):
 def test_march_is_bitwise_the_reference_on_the_default_config():
     params, grid = default_params(), default_grid()
     assert solve_dpe(params, grid).h.tobytes() == _reference_solve(params, grid).tobytes()
+
+
+def _reference_policy(h, alpha, params, land=True):
+    half = params.delta / 2.0
+    post_ask = np.zeros(h.shape, dtype=bool)
+    post_bid = np.zeros(h.shape, dtype=bool)
+    for k, g in enumerate(h):
+        gp, gm = _reference_shifts(g, alpha, params, land)
+        post_ask[k, :, 1:] = half + params.rho * (gp[:, :-1] - gp[:, 1:]) > 0
+        post_bid[k, :, :-1] = half + params.rho * (gm[:, 1:] - gm[:, :-1]) > 0
+    return post_ask, post_bid
+
+
+@pytest.mark.parametrize("n_alpha,substeps", [(41, 2), (81, 4)])
+def test_aligned_grid_gather_stays_within_rounding_of_the_interpolation(n_alpha, substeps):
+    # eps = 0.002 is 1 cell on 41 nodes and 2 on 81: taking the node rows
+    # moves h by rounding alone and flips no posting decision; the default
+    # 51-node grid (1.25 cells) keeps interpolating
+    params = default_params()
+    grid = replace(default_grid(), n_alpha=n_alpha, substeps=substeps)
+    alpha = alpha_grid(grid)
+    assert _JumpShift(alpha, params, 1).lands
+    assert not _JumpShift(alpha_grid(default_grid()), params, 1).lands
+    surface = solve_dpe(params, grid)
+    interpolated = _reference_solve(params, grid, land=False)
+    assert np.abs(surface.h - interpolated).max() <= 1e-12 * np.abs(interpolated).max()
+    policy = extract_policy(surface, params)
+    post_ask, post_bid = _reference_policy(interpolated, alpha, params, land=False)
+    assert np.array_equal(policy.post_ask, post_ask)
+    assert np.array_equal(policy.post_bid, post_bid)
 
 
 def _unstable_step(params, grid):
