@@ -10,6 +10,9 @@ for absent levels, and trade_px/trade_sz are empty on non-trade events.
 An empty cell is the only way to write "absent": literal ``nan``/``inf``
 cells are rejected.  :func:`parse_lob_csv` takes the file's bytes and
 returns it as columns (:class:`LOBBook`), with NaN for each empty cell.
+Every file takes one route: blocks of lines cut by the tokenizer of
+:mod:`mmsim.table`, each converted by the word kernels when the file and
+the block are plain, else cell by cell.
 """
 
 from __future__ import annotations
@@ -175,128 +178,69 @@ class TradeStats:
     count: int
 
 
-def parse_lob_csv(data: bytes) -> LOBBook:
-    """Parse the bytes of a LOB CSV file into a :class:`LOBBook`.
-
-    Rows are converted :data:`BLOCK_ROWS` lines at a time, and the blocks
-    are written into columns allocated once from the body's line count, so
-    the book is never held twice.  The first bad row in file order raises;
-    within a row the checks run in the order field count, number parsing,
-    crossed level 1, negative size, timestamp order.
-    """
-    raw = _tokenizable(data)
-    if raw is None:
-        n_lines, blocks = _text_blocks(data.decode("utf-8").splitlines())
-        parse = _parse_rows
-    else:
-        n_lines, blocks = _byte_blocks(raw)
-        parse = _parse_tokens
-    return _fill_columns(blocks, parse, n_lines)
-
-
-def _fill_columns(blocks, parse, n_lines: int) -> LOBBook:
-    """The ``(linenos, block)`` pairs of a body of ``n_lines`` lines, each
-    parsed by ``parse`` after the last timestamp before it, written into
-    columns allocated once and cut to the rows kept (blank lines hold none)."""
-    ts_out = np.empty(n_lines, dtype=np.int64)
-    cells_out = np.empty((n_lines, len(LOB_COLUMNS)))
-    kept = 0
-    for linenos, block in blocks:
-        ts, cells = parse(block, linenos, int(ts_out[kept - 1]) if kept else None)
-        ts_out[kept:kept + ts.size] = ts
-        cells_out[kept:kept + ts.size] = cells
-        kept += ts.size
-    return LOBBook(ts_out[:kept], cells_out[:kept])
-
-
 _HEADER_BYTES = ",".join(LOB_CSV_HEADER).encode("ascii")
-# The bytes of a body the tokenizer reads; a file with any other byte after
-# its header line (CR only before LF) is split into lines as text instead.
+# The bytes of a plain body, whose blocks may take the word kernels.
 _BODY_BYTES = b"0123456789.-,\n"
 _HEADER_LETTERS = _HEADER_BYTES.translate(None, _BODY_BYTES)
 
 
-def _tokenizable(raw: bytes) -> bytes | None:
-    """The file with LF line ends, the last line ended, when its header is
-    the schema's and its body holds only :data:`_BODY_BYTES`, else None.
+def parse_lob_csv(data: bytes) -> LOBBook:
+    """Parse the bytes of a LOB CSV file into a :class:`LOBBook`.
 
-    In that alphabet ``str.splitlines`` breaks lines only at LF and CRLF, so
-    the tokenizer splits the bytes into the same lines.
+    A plain file (the schema's header, then only :data:`_BODY_BYTES`, CR
+    only before LF) is read with CRLF made LF; any other file is decoded as
+    UTF-8, split with ``str.splitlines`` and joined again with LF, which in
+    the plain alphabet gives the same lines.  The body is cut into blocks of
+    :data:`BLOCK_ROWS` lines written into columns allocated once.  A block
+    of a plain file may take the word kernels; any other block takes the
+    per-cell path, which alone reports a bad field count or number.  The
+    first bad row in file order raises, blank lines counted in its line
+    number; within a row the checks run in the order field count, number
+    parsing, crossed level 1, negative size, timestamp order.
     """
-    raw = lf_line_ends(raw)
-    if raw is None:
-        return None
-    header_end = raw.find(b"\n")
-    if header_end < 0 or raw[:header_end] != _HEADER_BYTES:
-        return None
-    # with the body's alphabet deleted, only the header's letters may be left
-    if raw.translate(None, _BODY_BYTES) != _HEADER_LETTERS:
-        return None
-    return raw if raw.endswith(b"\n") else raw + b"\n"
-
-
-def _byte_blocks(raw: bytes):
-    """The body's line count, and its blocks of :data:`BLOCK_ROWS` lines of a
-    :func:`_tokenizable` file, each a byte range of the one buffer, as
-    :func:`_parse_tokens` takes them."""
-    # the header line lies in front of every body cell: the kernels' pad
-    data = np.frombuffer(raw, dtype=np.uint8)
-    body = raw.find(b"\n") + 1
-    line_ends = np.flatnonzero(data[body:] == ord("\n"))
-    line_ends += body
-
-    def blocks():
-        for first in range(0, line_ends.size, BLOCK_ROWS):
-            last = min(first + BLOCK_ROWS, line_ends.size)
-            lo = int(line_ends[first - 1]) + 1 if first else body
-            tokens = split_cells(data, lo, int(line_ends[last - 1]) + 1)
-            kept = tokens[2] > 0
-            if kept.all():
-                yield range(first + 2, last + 2), (data, *tokens)
-            elif kept.any():
-                yield (np.flatnonzero(kept) + first + 2).tolist(), (data, *tokens)
-
-    return line_ends.size, blocks()
-
-
-def _text_blocks(lines: list[str]):
-    """The body's line count, and its blocks of :data:`BLOCK_ROWS` lines
-    after the header, as :func:`_parse_rows` takes them: the non-empty
-    lines of each block."""
-    if not lines:
-        raise SchemaMismatchError("empty input, header row required")
-    header = lines[0].split(",")
+    raw = lf_line_ends(data)
+    plain = (raw is not None and raw.startswith(_HEADER_BYTES + b"\n")
+             and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
+    if not plain:
+        if not data:
+            raise SchemaMismatchError("empty input, header row required")
+        raw = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    body = raw.index(b"\n") + 1
+    header = raw[:body - 1].decode("utf-8").split(",")
     if header != LOB_CSV_HEADER:
         raise SchemaMismatchError(
             f"header {header!r} does not match required {LOB_CSV_HEADER!r}"
         )
 
-    def blocks():
-        for first in range(1, len(lines), BLOCK_ROWS):
-            block = lines[first:first + BLOCK_ROWS]
-            kept = [i for i, line in enumerate(block) if line]
-            if kept:
-                yield [first + 1 + i for i in kept], [block[i] for i in kept]
-
-    return len(lines) - 1, blocks()
-
-
-def _parse_tokens(block, linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of a block's non-empty rows; raises for the first bad row.
-
-    ``block`` is ``buf`` and :func:`split_cells` of the block's lines in
-    it, ``linenos[r]`` the file line of row r and ``prev_ts`` the last
-    timestamp before the block.  A block of plain cells is converted by the
-    word kernels; any other block takes the per-cell path, which alone
-    locates and reports a bad field count or number.
-    """
-    buf, ends, starts, fields = block
-    converted = _convert_plain(buf, ends, starts, fields)
-    if converted is None:
-        text = buf[starts[0]:ends[-1] + 1].tobytes().decode("ascii")
-        return _parse_rows([row for row in text.split("\n") if row], linenos, prev_ts)
-    _check_rows(*converted, linenos, prev_ts)
-    return converted
+    # the header line lies in front of every body cell: the kernels' pad
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    line_ends = np.flatnonzero(buf[body:] == ord("\n"))
+    line_ends += body
+    ts_out = np.empty(line_ends.size, dtype=np.int64)
+    cells_out = np.empty((line_ends.size, len(LOB_COLUMNS)))
+    kept = 0
+    for first in range(0, line_ends.size, BLOCK_ROWS):
+        last = min(first + BLOCK_ROWS, line_ends.size)
+        lo = int(line_ends[first - 1]) + 1 if first else body
+        hi = int(line_ends[last - 1]) + 1
+        ends, starts, fields = split_cells(buf, lo, hi)
+        if not starts.size:
+            continue  # blank lines only
+        linenos = (np.flatnonzero(fields) + first + 2).tolist()
+        prev_ts = int(ts_out[kept - 1]) if kept else None
+        converted = _convert_plain(buf, ends, starts, fields) if plain else None
+        if converted is None:
+            rows = raw[lo:hi].decode("utf-8").split("\n")
+            ts, cells = _parse_rows([row for row in rows if row], linenos, prev_ts)
+        else:
+            ts, cells = converted
+            _check_rows(ts, cells, linenos, prev_ts)
+        ts_out[kept:kept + ts.size] = ts
+        cells_out[kept:kept + ts.size] = cells
+        kept += ts.size
+    return LOBBook(ts_out[:kept], cells_out[:kept])
 
 
 def _parse_rows(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:

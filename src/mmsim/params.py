@@ -9,6 +9,7 @@ and keys must match the field names of :class:`MarketParams` or
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -122,9 +123,13 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
     """
     problems: list[str] = []
 
-    def check(code: str, name: str, value, in_range, requirement: str) -> bool:
-        """Record a problem unless the value is finite and in range; say which."""
-        if not _finite(value):
+    def check(code: str, name: str, value, in_range, requirement: str,
+              integer: bool = False) -> bool:
+        """Record a problem unless the value is finite (an integer when
+        ``integer``) and in range; say which."""
+        if integer and not isinstance(value, numbers.Integral):
+            problems.append(f"{code}: {name} = {value!r} must be an integer")
+        elif not (integer or _finite(value)):
             problems.append(f"{code}: {name} = {value!r} must be finite")
         elif not in_range(value):
             problems.append(f"{code}: {name} = {value!r} must {requirement}")
@@ -139,13 +144,11 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
         problems.append(f"NegativeParameter: nu = {params.nu!r} must be finite")
     check("SpreadNonPositive", "delta", params.delta, lambda v: v > 0, "be > 0")
     check("RhoOutOfRange", "rho", params.rho, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-    if params.q_max < 1:
-        problems.append(f"NegativeParameter: q_max = {params.q_max!r} must be >= 1")
+    check("NegativeParameter", "q_max", params.q_max, lambda v: v >= 1, "be >= 1", integer=True)
     check("NegativeParameter", "dt", params.dt, lambda v: v > 0, "be > 0")
     check("NegativeParameter", "horizon", params.horizon, lambda v: v > 0, "be > 0")
-    if params.n_dt < 1:
-        problems.append(f"NegativeParameter: n_dt = {params.n_dt!r} must be >= 1")
-    elif _finite(params.dt) and params.dt > 0 and _finite(params.horizon):
+    if (check("NegativeParameter", "n_dt", params.n_dt, lambda v: v >= 1, "be >= 1", integer=True)
+            and _finite(params.dt) and params.dt > 0 and _finite(params.horizon)):
         if abs(params.n_dt * params.dt - params.horizon) > 1e-9 * max(1.0, params.horizon):
             problems.append(
                 "InconsistentHorizon: n_dt * dt = "
@@ -159,12 +162,10 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
                 f"GridAsymmetric: alpha_min = {grid.alpha_min!r} "
                 f"must equal -alpha_max = {-grid.alpha_max!r}"
             )
-        if grid.n_alpha < 11 or grid.n_alpha % 2 == 0:
-            problems.append(
-                f"GridTooCoarse: n_alpha = {grid.n_alpha!r} must be odd and >= 11"
-            )
-        if grid.substeps < 1:
-            problems.append(f"GridTooCoarse: substeps = {grid.substeps!r} must be >= 1")
+        check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
+              "be odd and >= 11", integer=True)
+        check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1",
+              integer=True)
 
     return problems
 

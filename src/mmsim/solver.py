@@ -346,9 +346,12 @@ def reconstruct_value(
 ) -> float:
     """Full value at a state: cash + book value + posting component.
 
-    Raises ``ValueError`` for an inventory or time index off the surface,
-    or a NaN alpha; an alpha beyond the grid clamps to its end node.
+    Raises ``ValueError`` for an inventory that is not an integer, an
+    inventory or time index off the surface, or a NaN alpha; an alpha
+    beyond the grid clamps to its end node.
     """
+    if q % 1:  # a fraction, inf or NaN
+        raise ValueError(f"inventory {q} is not an integer")
     j = int(q) + (surface.q_nodes.size - 1) // 2
     if not 0 <= j < surface.q_nodes.size:
         raise ValueError(f"inventory {q} outside [{surface.q_nodes[0]}, {surface.q_nodes[-1]}]")

@@ -3,7 +3,8 @@
 A table is a header line of column names followed by one line per row:
 fields joined by ``,``, lines ended by LF, no quoting.  Cells are formatted
 column by column: floats as their shortest round-trip ``repr``, boolean
-flags as ``1``/``0``, integers and strings with ``str``.
+flags as ``1``/``0``, integers and strings with ``str``.  With no quoting,
+a text cell may not hold ``,``, LF or CR.
 
 Every CSV reader of the package, the LOB parser included, reads from bytes
 through one tokenizer (:func:`split_cells`).  Two numpy word kernels
@@ -18,6 +19,7 @@ paths decline is converted from its texts.
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
 
 # Rows formatted per write: bounds the text held at once whatever the table size.
 BLOCK_ROWS = 8192
+# The characters no cell may hold: the layout has no quoting.
+_SEPARATOR = re.compile("[,\n\r]")
 
 
 def _cells(column) -> list[str]:
@@ -46,11 +50,19 @@ def _cells(column) -> list[str]:
         return texts[index].tolist()
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    return list(map(str, column))
+    texts = list(map(str, column))
+    if _SEPARATOR.search("".join(texts)):
+        text = next(filter(_SEPARATOR.search, texts))
+        raise ValueError(f"cell {text!r} holds a ',', LF or CR, which would split its row")
+    return texts
 
 
 def write_table(path, header, columns) -> None:
-    """Write ``columns`` (equal-length arrays or sequences) under ``header``."""
+    """Write ``columns`` (equal-length arrays or sequences) under ``header``.
+
+    A text cell holding ``,``, LF or CR raises ValueError before the block
+    of rows that holds it is written.
+    """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")

@@ -569,3 +569,24 @@ def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf, spelle
         with _without_kernel():
             want = _outcome(text)
         assert _outcome(text.encode("utf-8")) == want
+
+
+@given(data=st.data(), n_rows=st.integers(6, 12), block_rows=st.integers(1, 5),
+       recorded=st.booleans(), ended=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lone_cr_file_parses_like_its_lf_file(data, n_rows, block_rows, recorded, ended):
+    """Over several blocks, blank lines included: the same book bits, or the
+    same error class, line and message, though only the LF file is plain."""
+    if recorded:
+        rows = _lobgen_style_text(n_rows, seed=data.draw(st.integers(0, 2**32 - 1))).splitlines()
+    else:
+        ts, rows = data.draw(st.integers(-10**6, 10**6)), [HEADER]
+        for _ in range(n_rows):
+            ts += data.draw(st.integers(-1, 40))
+            rows.append(data.draw(_lob_row(ts)))
+    for at in data.draw(st.lists(st.integers(1, len(rows)), max_size=4)):
+        rows.insert(at, "")
+    end = "\n" if ended else ""
+    with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
+        want = _outcome("\n".join(rows) + end)
+        assert _outcome("\r".join(rows) + end.replace("\n", "\r")) == want

@@ -55,6 +55,11 @@ def test_default_grid_spans_stationary_alpha():
         ({"sigma": -1.0}, "NegativeParameter"),
         ({"q_max": 0}, "NegativeParameter"),
         ({"dt": 0.5}, "InconsistentHorizon"),
+        # an integer field must hold an integer, not a float or a string
+        ({"q_max": 2.5}, "NegativeParameter: q_max = 2.5 must be an integer"),
+        ({"q_max": "7"}, "NegativeParameter: q_max = '7' must be an integer"),
+        ({"n_dt": 120.0}, "NegativeParameter: n_dt = 120.0 must be an integer"),
+        ({"n_dt": "120"}, "NegativeParameter: n_dt = '120' must be an integer"),
     ],
 )
 def test_validate_flags_each_invariant(change, expected):
@@ -78,6 +83,10 @@ def test_validate_says_a_non_finite_value_must_be_finite(name, value):
         ({"n_alpha": 50}, "GridTooCoarse"),
         ({"n_alpha": 9}, "GridTooCoarse"),
         ({"substeps": 0}, "GridTooCoarse"),
+        ({"n_alpha": 51.0}, "GridTooCoarse: n_alpha = 51.0 must be an integer"),
+        ({"n_alpha": "51"}, "GridTooCoarse: n_alpha = '51' must be an integer"),
+        ({"substeps": 2.5}, "GridTooCoarse: substeps = 2.5 must be an integer"),
+        ({"substeps": "2"}, "GridTooCoarse: substeps = '2' must be an integer"),
     ],
 )
 def test_validate_flags_grid_problems(change, expected):

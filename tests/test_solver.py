@@ -97,6 +97,12 @@ def test_reconstruct_value_cases(default_solution):
     assert at_t == pytest.approx(209.95, rel=1e-12)
     with pytest.raises(ValueError):
         reconstruct_value(surface, 0.0, 100.0, 0.0, 8, 0)
+    # the q = 0 column of h must not be read for a fractional inventory
+    for q in (0.5, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"inventory {q} is not an integer"):
+            reconstruct_value(surface, 0.0, 100.0, 0.0, q, 0)
+    assert reconstruct_value(surface, 0.0, 100.0, 0.0, 2.0, 0) == \
+        reconstruct_value(surface, 0.0, 100.0, 0.0, 2, 0)
 
 
 @pytest.mark.parametrize("t_index", [-121, -1, 121])

@@ -263,6 +263,16 @@ def test_report_rejects_unknown_side_or_kind(tmp_path, capsys, row):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("date", ["2024-01-02,x", "2024-01-02\nx", "2024-01-02\rx"])
+def test_example1_rejects_a_date_that_would_split_its_row(tmp_path, capsys, date):
+    out = tmp_path / "out"
+    assert cli_main(["example1", "--steps", "50", "--date", date, "--out", str(out)]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert "2024-01-02" not in (out / "summary.csv").read_text()
+    with pytest.raises(ValueError, match="holds a ',', LF or CR"):
+        table.write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], ["ok", date]])
+
+
 def _texts(path):
     cells = table.read_cells(path)
     return cells.header, [cells.texts(name) for name in cells.header]
