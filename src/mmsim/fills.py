@@ -29,6 +29,8 @@ __all__ = [
     "EnvVariant",
     "EnvMode",
     "classify_fill",
+    "FILL_EVENTS",
+    "fill_rule",
     "detect_adverse_fills",
     "sample_nonadverse_fill",
     "step_fills",
@@ -128,6 +130,39 @@ def classify_fill(side: Side, price_now: float, price_next: float) -> FillKind:
     return FillKind.ADVERSE if price_next > price_now else FillKind.NON_ADVERSE
 
 
+# A step's four fill events, in the order they settle: adverse ask, adverse
+# bid, non-adverse ask, non-adverse bid.
+FILL_EVENTS = (
+    (Side.ASK, FillKind.ADVERSE),
+    (Side.BID, FillKind.ADVERSE),
+    (Side.ASK, FillKind.NON_ADVERSE),
+    (Side.BID, FillKind.NON_ADVERSE),
+)
+
+
+def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit):
+    """The step's four fill events as flags in :data:`FILL_EVENTS` order,
+    for booleans or boolean arrays.
+
+    ``ask_through`` and ``bid_through`` flag a trade-through the
+    environment counts (the ask moved up, the bid down; improved mode
+    only).  ``ask_hit`` and ``bid_hit`` flag a market order that arrived
+    on that side and passed the thinning draw.  A posted side fills
+    adversely on a trade-through, else non-adversely on a hit.
+    """
+    # logical_and returns numpy booleans, so ~ is a logical not on scalars too
+    adverse_ask = np.logical_and(posted_ask, ask_through)
+    adverse_bid = np.logical_and(posted_bid, bid_through)
+    return (adverse_ask, adverse_bid,
+            posted_ask & ask_hit & ~adverse_ask, posted_bid & bid_hit & ~adverse_bid)
+
+
+def _events(flags, t_index: int, bid_now: float, ask_now: float) -> list[FillEvent]:
+    price = {Side.ASK: ask_now, Side.BID: bid_now}
+    return [FillEvent(t_index, side, price[side], kind)
+            for happened, (side, kind) in zip(flags, FILL_EVENTS) if happened]
+
+
 def detect_adverse_fills(
     posted_bid: bool,
     posted_ask: bool,
@@ -138,12 +173,9 @@ def detect_adverse_fills(
     t_index: int = 0,
 ) -> list[FillEvent]:
     """Forced fills for posted sides the quote moved through (one max each)."""
-    fills: list[FillEvent] = []
-    if posted_ask and ask_next > ask_now:
-        fills.append(FillEvent(t_index, Side.ASK, ask_now, FillKind.ADVERSE))
-    if posted_bid and bid_next < bid_now:
-        fills.append(FillEvent(t_index, Side.BID, bid_now, FillKind.ADVERSE))
-    return fills
+    flags = fill_rule(posted_ask, posted_bid, ask_next > ask_now, bid_next < bid_now,
+                      False, False)
+    return _events(flags, t_index, bid_now, ask_now)
 
 
 def sample_nonadverse_fill(
@@ -158,9 +190,16 @@ def sample_nonadverse_fill(
 
     Sides already filled adversely this step are ineligible: each posted
     unit can fill at most once per step.  The uniform is drawn whether or
-    not the side is eligible.
+    not the side is eligible.  This is :func:`fill_rule`'s non-adverse
+    fill, on the hit :func:`step_fills` takes.
     """
-    return posted and mo_arrived and not adverse_already and u < rho
+    hit = _thinned_hit(mo_arrived, rho, u)
+    return bool(fill_rule(posted, False, adverse_already, False, hit, False)[2])
+
+
+def _thinned_hit(mo_arrived: bool, rho: float, u: float) -> bool:
+    """A market order arrived on the side and its thinning draw passed."""
+    return mo_arrived and u < rho
 
 
 def step_fills(
@@ -180,23 +219,17 @@ def step_fills(
     """Full fill pipeline for one step: adverse first, then thinned fills.
 
     Arriving buy MOs lift the posted ask; sell MOs hit the posted bid.
-    ``u_ask`` and ``u_bid`` are the step's thinning uniforms.  Fills come
-    in a fixed event order: adverse ask, adverse bid, non-adverse ask,
-    non-adverse bid.
+    ``u_ask`` and ``u_bid`` are the step's thinning uniforms.  The events
+    are :func:`fill_rule`'s, in :data:`FILL_EVENTS` order.
     """
-    fills: list[FillEvent] = []
-    adverse_ask = adverse_bid = False
-    if mode.detect_adverse:
-        fills = detect_adverse_fills(
-            posted_bid, posted_ask, bid_now, ask_now, bid_next, ask_next, t_index
-        )
-        adverse_ask = any(f.side is Side.ASK for f in fills)
-        adverse_bid = any(f.side is Side.BID for f in fills)
-    if sample_nonadverse_fill(posted_ask, mo_buy, adverse_ask, mode.rho_effective, u_ask):
-        fills.append(FillEvent(t_index, Side.ASK, ask_now, FillKind.NON_ADVERSE))
-    if sample_nonadverse_fill(posted_bid, mo_sell, adverse_bid, mode.rho_effective, u_bid):
-        fills.append(FillEvent(t_index, Side.BID, bid_now, FillKind.NON_ADVERSE))
-    return fills
+    detect = mode.detect_adverse
+    flags = fill_rule(
+        posted_ask, posted_bid,
+        detect and ask_next > ask_now, detect and bid_next < bid_now,
+        _thinned_hit(mo_buy, mode.rho_effective, u_ask),
+        _thinned_hit(mo_sell, mode.rho_effective, u_bid),
+    )
+    return _events(flags, t_index, bid_now, ask_now)
 
 
 @dataclass(eq=False)

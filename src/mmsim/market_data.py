@@ -190,21 +190,22 @@ def parse_lob_csv(data: bytes) -> LOBBook:
     A plain file (the schema's header, then only :data:`_BODY_BYTES`, CR
     only before LF) is read with CRLF made LF; any other file is decoded as
     UTF-8, split with ``str.splitlines`` and joined again with LF, which in
-    the plain alphabet gives the same lines.  The body is cut into blocks of
-    :data:`BLOCK_ROWS` lines written into columns allocated once.  A block
-    of a plain file may take the word kernels; any other block takes the
-    per-cell path, which alone reports a bad field count or number.  The
-    first bad row in file order raises, blank lines counted in its line
-    number; within a row the checks run in the order field count, number
-    parsing, crossed level 1, negative size, timestamp order.
+    the plain alphabet gives the same lines, and is plain if the joined
+    bytes are (as a file with lone CR line ends is).  The body is cut into
+    blocks of :data:`BLOCK_ROWS` lines written into columns allocated once.
+    A block of a plain file may take the word kernels; any other block
+    takes the per-cell path, which alone reports a bad field count or
+    number.  The first bad row in file order raises, blank lines counted
+    in its line number; within a row the checks run in the order field
+    count, number parsing, crossed level 1, negative size, timestamp order.
     """
     raw = lf_line_ends(data)
-    plain = (raw is not None and raw.startswith(_HEADER_BYTES + b"\n")
-             and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
+    plain = raw is not None and _is_plain(raw)
     if not plain:
         if not data:
             raise SchemaMismatchError("empty input, header row required")
         raw = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
+        plain = _is_plain(raw)
     if not raw.endswith(b"\n"):
         raw += b"\n"
     body = raw.index(b"\n") + 1
@@ -241,6 +242,12 @@ def parse_lob_csv(data: bytes) -> LOBBook:
         cells_out[kept:kept + ts.size] = cells
         kept += ts.size
     return LOBBook(ts_out[:kept], cells_out[:kept])
+
+
+def _is_plain(raw: bytes) -> bool:
+    """The schema's header line, then only :data:`_BODY_BYTES`."""
+    return (raw.startswith(_HEADER_BYTES + b"\n")
+            and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
 
 
 def _parse_rows(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -149,10 +149,14 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
     check("NegativeParameter", "horizon", params.horizon, lambda v: v > 0, "be > 0")
     if (check("NegativeParameter", "n_dt", params.n_dt, lambda v: v >= 1, "be >= 1", integer=True)
             and _finite(params.dt) and params.dt > 0 and _finite(params.horizon)):
-        if abs(params.n_dt * params.dt - params.horizon) > 1e-9 * max(1.0, params.horizon):
+        try:
+            span = params.n_dt * params.dt
+        except OverflowError:  # an n_dt past the float range
+            span = math.inf
+        if not abs(span - params.horizon) <= 1e-9 * max(1.0, params.horizon):
             problems.append(
                 "InconsistentHorizon: n_dt * dt = "
-                f"{params.n_dt * params.dt!r} does not equal horizon = {params.horizon!r}"
+                f"{span!r} does not equal horizon = {params.horizon!r}"
             )
 
     if grid is not None:

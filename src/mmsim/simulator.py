@@ -6,13 +6,26 @@ looked up at the nearest drift node for the current inventory, fills are
 generated by the environment's fill rules, and cash/inventory/wealth paths
 are recorded.  Batches split a session into consecutive non-overlapping
 windows that share only their boundary sample, each with its own
-deterministic RNG stream.  A window's random events are drawn before its
-first step, so ``run_batch`` steps many windows at once in numpy, and the
-scalar ``run_simulation`` is the reference it must equal bit for bit.
+deterministic RNG stream.  The scalar ``run_simulation`` is the reference
+that ``run_batch`` must equal bit for bit.
+
+``run_batch`` steps only what depends on inventory.  A window's random
+events are drawn before its first step, and with them everything else is
+known before the loop, over a block of windows at once: the alpha path,
+its nearest drift nodes, and per step a one-byte fill code holding the
+trade-throughs and the thinned market-order hits.  ``fill_rule`` is
+evaluated once over all 64 codes (with the two posting bits) into an event
+table and an inventory-change table.  A step of the loop then gathers the
+posting bits at (step, node, inventory), ORs them into the step's code,
+adds the running penalty, moves inventory by the code's change and checks
+the inventory bounds.  After the loop the events come from
+the codes in one gather, and cash is settled from the fill columns with
+``np.add.at``, in window, step and event order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +37,7 @@ from .dynamics import (
     pcg64_stream_states,
     step_alpha,
 )
-from .fills import EnvMode, FillColumns, FillCounters, FillEvent, Side, step_fills
+from .fills import EnvMode, FillColumns, FillCounters, FillEvent, Side, fill_rule, step_fills
 from .market_data import PriceSeries
 from .params import MarketParams
 from .solver import PostingPolicy, terminal_condition
@@ -245,9 +258,35 @@ def n_windows(series_len: int, n_dt: int) -> int:
 
 
 # Windows stepped together.  A block holds per window step 4 event flag
-# bytes, the 8-byte alpha shock and 4 fill flag bytes: about 2 MB at
-# n_dt = 120, so one block runs a session of a thousand windows.
+# bytes while its events are drawn, the 8-byte alpha path and one fill code
+# byte: about 1.6 MB at n_dt = 120, so one block runs a session of a
+# thousand windows.
 BLOCK_WINDOWS = 1024
+
+# Steps whose drift nodes are looked up together, in one nearest_node call.
+NODE_CHUNK = 8
+
+# Bits of a window step's fill code.  The low four are known before the
+# first step: the ask and bid trade-throughs (improved mode only) and the
+# ask and bid hits (a market order arrived on that side and passed the
+# thinning draw).  The posted bid and ask come from the policy, at the
+# step's drift node and inventory.
+_ASK_THROUGH, _BID_THROUGH, _ASK_HIT, _BID_HIT, _POSTED_BID, _POSTED_ASK = (
+    1 << bit for bit in range(6))
+
+
+def _code_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``fill_rule`` over every fill code: the (64, 4) events in
+    ``FILL_EVENTS`` order, and each code's inventory change."""
+    code = np.arange(64)
+    adverse_ask, adverse_bid, ask, bid = fill_rule(
+        *((code & bit) > 0 for bit in
+          (_POSTED_ASK, _POSTED_BID, _ASK_THROUGH, _BID_THROUGH, _ASK_HIT, _BID_HIT)))
+    dq = bid.astype(np.intp) + adverse_bid - ask - adverse_ask
+    return np.stack([adverse_ask, adverse_bid, ask, bid], axis=1), dq
+
+
+_CODE_EVENTS, _CODE_DQ = _code_tables()
 
 
 def run_batch(
@@ -261,10 +300,12 @@ def run_batch(
 
     Windows cover samples [w n_dt, (w+1) n_dt] so consecutive windows share
     one boundary sample, and results do not depend on execution order.
-    The windows of a block are stepped together, each step one set of
-    array operations over the block.  Every operation is the one
-    ``run_simulation`` applies to a single window, in the same order, so
-    each window's results equal its scalar run bit for bit.
+    The windows of a block are stepped together (``_run_block``).  Cash
+    is settled from the fill columns afterwards: ``np.add.at`` applies
+    each window's fills in step and event order, the scalar run's order
+    of adds.  Every float operation is the one ``run_simulation`` applies
+    to a single window, in the same order, so each window's results equal
+    its scalar run bit for bit.
     """
     n = params.n_dt
     count = n_windows(len(series), n)
@@ -273,102 +314,126 @@ def run_batch(
             f"series of {len(series)} samples holds no full window of {n + 1}"
         )
     _check_policy(policy, params)
+    posting = (policy.post_ask[:n] * np.uint8(_POSTED_ASK)
+               | policy.post_bid[:n] * np.uint8(_POSTED_BID)).reshape(-1)
     blocks = [
-        _run_block(policy, series, mode, params, master_seed, w0, min(BLOCK_WINDOWS, count - w0))
+        _run_block(posting, policy.alpha_nodes, series, mode, params,
+                   master_seed, w0, min(BLOCK_WINDOWS, count - w0))
         for w0 in range(0, count, BLOCK_WINDOWS)
     ]
-    wealths, objectives, codes, t_index = (np.concatenate(part) for part in zip(*blocks))
-    is_ask = codes % 2 == 0
+    q, penalty, events, t_index = (np.concatenate(part) for part in zip(*blocks))
+    is_ask = events % 2 == 0
     fills = FillColumns(
         t_index=t_index,
         is_ask=is_ask,
         price=np.where(is_ask, series.ask[t_index], series.bid[t_index]),
-        is_adverse=codes < 2,
+        is_adverse=events < 2,
     )
+    # sells collect the fill price, buys pay it
+    cash = np.zeros(count)
+    np.add.at(cash, t_index // n, np.where(is_ask, fills.price, -fills.price))
+    mid = (series.bid[n:count * n + 1:n] + series.ask[n:count * n + 1:n]) / 2.0
+    wealths = terminal_wealth(cash, q, mid, params)
     return BatchResult(
-        terminal_wealths=wealths, objectives=objectives,
+        terminal_wealths=wealths, objectives=wealths - penalty,
         fill_totals=FillCounters.from_columns(fills), n_paths=count, fills=fills,
     )
 
 
-def _run_block(policy, series, mode, params, master_seed, w0, size):
-    """Step windows w0 .. w0+size-1 together.
+def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
+    """Step windows w0 .. w0+size-1 together; only inventory is stepped.
 
     Window w draws from the start of stream ``RngStream(master_seed, w)``:
     the block's PCG64 states come from one ``pcg64_stream_states`` call,
     and one reused generator is set to each in turn.  Each window's
-    uniforms are thresholded into event flags as they are drawn, so the
-    block holds per step four flags (buy and sell arrival, ask and bid
-    thinning, in the layout of ``draw_window_events``) and the alpha
-    shock, not the uniforms.
+    uniforms are thresholded into event flags as they are drawn (buy and
+    sell arrival, ask and bid thinning, in the layout of
+    ``draw_window_events``).
 
-    Returns their terminal wealths and objectives, then their fills as
-    event codes and session-global t_index, in window, step and event
-    order.  Codes are 0 adverse ask, 1 adverse bid,
-    2 non-adverse ask and 3 non-adverse bid, the order ``step_fills``
-    emits and ``run_simulation`` settles cash in.
+    Before the step loop, over the whole block: the alpha path, written
+    over the shocks; the low four bits of every step's fill code, from the
+    flags and one comparison of each quote series with itself one sample
+    on.  Then step i gathers the posting bits at (i, drift node, inventory)
+    from ``posting`` (the policy's codes, flattened), ORs them into the
+    step's code, adds the running penalty of the step's inventory, moves
+    inventory by the code's change and raises at the first bound breach;
+    the drift nodes are looked up ``NODE_CHUNK`` steps at a time.
+
+    Returns the windows' final inventories and running penalties, then
+    their fills as event indices into ``FILL_EVENTS`` and session-global
+    t_index, in window, step and event order.
     """
     n = params.n_dt
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
     # one threshold per uniform of a window's flattened (n, 4) block
     limits = np.tile([p_buy, p_sell, mode.rho_effective, mode.rho_effective], n)
     flags = np.empty((size, n * 4), dtype=bool)
-    z = np.empty((size, n))
+    # row 0 is every window's initial alpha, 0; row i + 1 starts as step i's shock
+    alpha = np.zeros((n + 1, size))
     bit_gen = np.random.PCG64()
     gen = np.random.Generator(bit_gen)
     for k, (state, inc) in enumerate(pcg64_stream_states(master_seed, w0, size)):
         bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                          "has_uint32": 0, "uinteger": 0}
-        u, z[k] = draw_window_events(gen, n)
+        u, alpha[1:, k] = draw_window_events(gen, n)
         np.less(u.reshape(-1), limits, out=flags[k])
     flags = flags.reshape(size, n, 4)
 
+    # the step's fill bits, window by window, then laid out step by step
     base = w0 * n
     span = size * n
+    codes = (flags[:, :, 0] & flags[:, :, 2]) * np.uint8(_ASK_HIT)
+    codes |= (flags[:, :, 1] & flags[:, :, 3]) * np.uint8(_BID_HIT)
+    if mode.detect_adverse:
+        ask = series.ask[base:base + span + 1]
+        bid = series.bid[base:base + span + 1]
+        codes |= (ask[1:] > ask[:-1]).reshape(size, n) * np.uint8(_ASK_THROUGH)
+        codes |= (bid[1:] < bid[:-1]).reshape(size, n) * np.uint8(_BID_THROUGH)
+    codes = codes.T.copy()
+    buy, sell = flags[:, :, :2].transpose(2, 1, 0).copy()
+    del flags
 
-    def quotes(prices, i):
-        # sample i of every window in the block: a strided view, no copy
-        return prices[base + i:base + i + span:n]
-
-    nodes = policy.alpha_nodes
-    j0 = params.q_max
-    events = np.zeros((size, n, 4), dtype=bool)
-    q = np.zeros(size, dtype=np.int64)
-    c = np.zeros(size)
-    alpha = np.zeros(size)
-    penalty = np.zeros(size)
-
+    # step_alpha's operations in its order, a window step's jumps as its
+    # products eps * flag, looked up by the flag
+    alpha[1:] *= params.eta * math.sqrt(params.dt)
+    decay = 1.0 - params.zeta * params.dt
+    up = params.eps_plus * np.array([False, True])
+    down = params.eps_minus * np.array([False, True])
+    scaled = np.empty(size)
     for i in range(n):
-        a_idx = nearest_node(nodes, alpha)
-        j = q + j0
-        p_ask = policy.post_ask[i, a_idx, j]
-        p_bid = policy.post_bid[i, a_idx, j]
+        out = alpha[i + 1]
+        np.multiply(alpha[i], decay, out=scaled)
+        out += scaled
+        out += up.take(buy[i].view(np.uint8))
+        out -= down.take(sell[i].view(np.uint8))
+    del buy, sell
 
-        buy, sell, thin_ask, thin_bid = flags[:, i].T
-        alpha = step_alpha(alpha, buy, sell, params.dt, params, z[:, i])
+    n_alpha, n_q = nodes.size, 2 * params.q_max + 1
+    q_nodes = np.arange(-params.q_max, params.q_max + 1)
+    # the running penalty of each inventory, as run_simulation computes it
+    charge = params.phi * (q_nodes * q_nodes) * params.dt
+    # inventory as a column index, q + q_max
+    j = np.full(size, params.q_max, dtype=np.intp)
+    penalty = np.zeros(size)
+    at = np.empty(size, dtype=np.intp)
+    for i0 in range(0, n, NODE_CHUNK):
+        i1 = min(i0 + NODE_CHUNK, n)
+        # each window's row of posting at (step, drift node)
+        rows = nearest_node(nodes, alpha[i0:i1])
+        rows += np.arange(i0 * n_alpha, i1 * n_alpha, n_alpha)[:, None]
+        rows *= n_q
+        for row, code in zip(rows, codes[i0:i1]):
+            np.add(row, j, out=at)
+            code |= posting[at]
+            penalty += charge[j]
+            j += _CODE_DQ.take(code)
+            if j.min() < 0 or j.max() >= n_q:
+                q = j - params.q_max
+                raise _bound_breach(int(q[(np.abs(q) > params.q_max).argmax()]), params.q_max)
+    del alpha
 
-        ask_now, bid_now = quotes(series.ask, i), quotes(series.bid, i)
-        step = events[:, i]
-        if mode.detect_adverse:
-            np.logical_and(p_ask, quotes(series.ask, i + 1) > ask_now, out=step[:, 0])
-            np.logical_and(p_bid, quotes(series.bid, i + 1) < bid_now, out=step[:, 1])
-        step[:, 2] = p_ask & buy & ~step[:, 0] & thin_ask
-        step[:, 3] = p_bid & sell & ~step[:, 1] & thin_bid
-
-        penalty += params.phi * (q * q) * params.dt
-        q += step[:, 1].astype(np.int64) + step[:, 3] - step[:, 0] - step[:, 2]
-        outside = np.abs(q) > params.q_max
-        if outside.any():
-            raise _bound_breach(int(q[outside.argmax()]), params.q_max)
-        np.add(c, ask_now, out=c, where=step[:, 0])
-        np.subtract(c, bid_now, out=c, where=step[:, 1])
-        np.add(c, ask_now, out=c, where=step[:, 2])
-        np.subtract(c, bid_now, out=c, where=step[:, 3])
-
-    mid = (quotes(series.bid, n) + quotes(series.ask, n)) / 2.0
-    final = terminal_wealth(c, q, mid, params)
-    flat = np.flatnonzero(events)
-    return final, final - penalty, flat % 4, base + flat // 4
+    flat = np.flatnonzero(_CODE_EVENTS[codes.T])
+    return j - params.q_max, penalty, flat % 4, base + flat // 4
 
 
 def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:

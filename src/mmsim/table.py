@@ -18,8 +18,12 @@ paths decline is converted from its texts.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import re
+import stat
+import threading
 
 import numpy as np
 
@@ -60,18 +64,33 @@ def _cells(column) -> list[str]:
 def write_table(path, header, columns) -> None:
     """Write ``columns`` (equal-length arrays or sequences) under ``header``.
 
-    A text cell holding ``,``, LF or CR raises ValueError before the block
-    of rows that holds it is written.
+    The rows go to a temporary file beside ``path``, which replaces
+    ``path`` only once every row is written: a failed write leaves no
+    partial table, and no temporary file.  A symlinked ``path`` is written
+    through to the file it names, and an existing file keeps its mode.  A
+    text cell holding ``,``, LF or CR raises ValueError.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, BLOCK_ROWS):
-            block = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    path = os.path.realpath(path)
+    # unique per writing thread, so concurrent writes of one path each
+    # replace it with a whole table
+    partial = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, n_rows, BLOCK_ROWS):
+                block = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(partial, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 # -- the byte-level tokenizer and the word kernels ---------------------------
@@ -150,9 +169,9 @@ def lf_line_ends(raw: bytes) -> bytes | None:
     """
     if b"\r" not in raw:
         return raw
-    if raw.count(b"\r") != raw.count(b"\r\n"):
-        return None
-    return raw.replace(b"\r\n", b"\n")
+    lf = raw.replace(b"\r\n", b"\n")
+    # a CR left over stood before no LF
+    return None if b"\r" in lf else lf
 
 
 def split_cells(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

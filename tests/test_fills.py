@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mmsim.dynamics import RngStream
 from mmsim.fills import (
+    FILL_EVENTS,
     EnvMode,
     FillColumns,
     FillCounters,
@@ -15,6 +17,7 @@ from mmsim.fills import (
     Side,
     classify_fill,
     detect_adverse_fills,
+    fill_rule,
     read_fill_log,
     sample_nonadverse_fill,
     step_fills,
@@ -189,6 +192,37 @@ def test_step_fills_matches_naive_replay(variant):
         ))
     want = _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, u)
     assert got == want
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_fill_rule_on_every_state_equals_step_fills(variant):
+    """fill_rule evaluated once on arrays of all 4 posting x 16 step states
+    gives, row by row, the events step_fills emits for every way of
+    reaching that state: each quote moving up, down or not at all, and
+    each side's arrival and thinning draw."""
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(default_params())
+    # posted ask, posted bid, ask moved up, bid moved down, ask hit, bid hit
+    states = np.array(list(itertools.product([False, True], repeat=6)))
+    # only the improved environment counts a move as a trade-through
+    moved = states[:, 2:4].T & mode.detect_adverse
+    rule = np.stack(fill_rule(*states[:, :2].T, *moved, *states[:, 4:].T), axis=1)
+    seen = set()
+    bid_now, ask_now, tick = 99.99, 100.0, 0.01
+    price = {Side.ASK: ask_now, Side.BID: bid_now}
+    for posted_ask, posted_bid in itertools.product([False, True], repeat=2):
+        for ask_move, bid_move in itertools.product([-tick, 0.0, tick], repeat=2):
+            for mo_buy, mo_sell, u_ask, u_bid in itertools.product(
+                    [False, True], [False, True], [0.0, 0.5], [0.0, 0.5]):
+                fills = step_fills(posted_bid, posted_ask, bid_now, ask_now,
+                                   bid_now + bid_move, ask_now + ask_move,
+                                   mo_buy, mo_sell, mode, u_ask, u_bid, t_index=3)
+                state = (posted_ask, posted_bid, ask_move > 0, bid_move < 0,
+                         mo_buy and u_ask < mode.rho_effective, mo_sell and u_bid < mode.rho_effective)
+                row = int(np.flatnonzero((states == state).all(axis=1))[0])
+                seen.add(row)
+                assert fills == [FillEvent(3, side, price[side], kind)
+                                 for fired, (side, kind) in zip(rule[row], FILL_EVENTS) if fired]
+    assert len(seen) == 64
 
 
 def test_fill_log_round_trip(tmp_path):

@@ -391,21 +391,34 @@ def test_crlf_lines_parse_like_the_crlf_text():
     assert err.value.line == 5
 
 
-def test_lone_cr_and_non_ascii_input_take_the_text_route():
+def test_non_ascii_input_takes_the_text_route():
     rows = [_row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
             _row(30, 100.0, 100.01)]
     want = _parse("\n".join([HEADER, *rows]) + "\n")
     non_ascii = [rows[0], _row(20, 100.0, 100.01, trade_px=100.0, trade_sz="\u0663"), rows[2]]
     # the kernel is never reached: every block goes to the per-cell path
     with mock.patch.object(market_data, "_convert_plain", side_effect=AssertionError):
-        _assert_same_book(_parse("\r".join([HEADER, *rows]) + "\r"), want)
         _assert_same_book(_parse("\n".join([HEADER, *non_ascii]) + "\n"), want)
         # errors name file lines, blank lines counted
-        with pytest.raises(NonMonotoneTimestampError) as err:
-            _parse("\r".join([HEADER, *rows, "", _row(5, 99.99, 100.0)]))
-        assert err.value.line == 6
         with pytest.raises(MalformedRowError, match="could not convert") as err:
             _parse("\n".join([HEADER, *non_ascii, "", _row(40, 99.99, 100.0, trade_sz="\u00e9")]))
+        assert err.value.line == 6
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_cr_and_crlf_spellings_take_the_kernels(end):
+    """A file plain but for its line ends is plain once they are LF: the
+    per-cell path is never reached, and the book is the LF file's bit for
+    bit.  Errors still name file lines, blank lines counted."""
+    rows = [_row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
+            _row(30, 100.0, 100.01)]
+    want = _parse("\n".join([HEADER, *rows]) + "\n")
+    with mock.patch.object(market_data, "_parse_rows", side_effect=AssertionError):
+        got = _parse(end.join([HEADER, *rows]) + end)
+        assert got.ts.tobytes() == want.ts.tobytes()
+        assert got.cells.tobytes() == want.cells.tobytes()
+        with pytest.raises(NonMonotoneTimestampError) as err:
+            _parse(end.join([HEADER, *rows, "", _row(5, 99.99, 100.0)]))
         assert err.value.line == 6
 
 
@@ -576,7 +589,7 @@ def test_kernel_matches_the_per_cell_path(data, n_rows, block_rows, crlf, spelle
 @settings(max_examples=150, deadline=None)
 def test_lone_cr_file_parses_like_its_lf_file(data, n_rows, block_rows, recorded, ended):
     """Over several blocks, blank lines included: the same book bits, or the
-    same error class, line and message, though only the LF file is plain."""
+    same error class, line and message."""
     if recorded:
         rows = _lobgen_style_text(n_rows, seed=data.draw(st.integers(0, 2**32 - 1))).splitlines()
     else:

@@ -168,6 +168,16 @@ def test_load_config_reports_an_overflowing_step_count(text, expected):
     assert any(expected in p for p in err.value.problems)
 
 
+def test_validate_reports_an_n_dt_past_the_float_range():
+    """n_dt * dt overflows converting n_dt to a float; validate reports the
+    horizon rather than raising, and so does load_config."""
+    problems = validate(replace(default_params(), n_dt=10**400), default_grid())
+    assert problems == ["InconsistentHorizon: n_dt * dt = inf does not equal horizon = 120.0"]
+    with pytest.raises(ValidationError) as err:
+        load_config("n_dt = 1" + "0" * 400 + "\n")
+    assert any("InconsistentHorizon" in p for p in err.value.problems)
+
+
 def test_render_round_trips_defaults():
     params, grid = default_params(), default_grid()
     assert load_config(render_config(params, grid)) == (params, grid)

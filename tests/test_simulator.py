@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,65 @@ def test_batch_does_not_depend_on_block_size(solved, monkeypatch, variant):
             assert np.array_equal(getattr(split.fills, name), getattr(whole.fills, name)), name
 
 
+def _stepped_series(rng, n_samples):
+    """Quotes on a 0.01 tick that stay flat for stretches, with a spread of
+    one or two ticks, so either side trades through on its own."""
+    moves = rng.integers(-1, 2, n_samples) * (rng.random(n_samples) < 0.3)
+    bid = 100.0 + 0.01 * np.cumsum(moves)
+    ask = bid + 0.01 * rng.integers(1, 3, n_samples)
+    return PriceSeries(t0=0, dt=1.0, bid=bid, ask=ask,
+                       level1_bid_sz=np.full(n_samples, 10.0),
+                       level1_ask_sz=np.full(n_samples, 10.0))
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
+    """A policy that posts each side at random, never at an inventory
+    bound, over quotes with flat stretches and trade-throughs: every
+    window's wealth, objective and fills equal its scalar run exactly."""
+    monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 4)  # blocks of 4 and 2 windows
+    monkeypatch.setattr(simulator, "NODE_CHUNK", 7)  # a short last chunk of steps
+    params, policy = solved
+    params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=1.5)
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    rng = np.random.default_rng(37)
+    post_ask = rng.random(policy.post_ask.shape) < 0.6
+    post_bid = rng.random(policy.post_bid.shape) < 0.6
+    post_ask[:, :, 0] = False  # no ask at -q_max
+    post_bid[:, :, -1] = False  # no bid at +q_max
+    random_policy = replace(policy, post_ask=post_ask, post_bid=post_bid)
+    windows = 6
+    series = _stepped_series(rng, windows * params.n_dt + 1)
+    batch = run_batch(random_policy, series, mode, params, master_seed=38)
+
+    fills, totals = [], FillCounters()
+    for w in range(windows):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        r = run_simulation(random_policy, window, mode, params, RngStream(38, w))
+        assert batch.terminal_wealths[w] == r.terminal_wealth
+        assert batch.objectives[w] == r.objective
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        totals += r.counters
+    assert batch.fill_totals == totals
+    if mode.detect_adverse:
+        assert totals.afa and totals.afb, "expected trade-throughs on both sides"
+    _assert_same_fills(batch.fills, fills)
+
+
+def test_batch_peak_memory_stays_small(solved):
+    """Beyond its alpha path the batch keeps one byte per window step: a
+    thousand windows of 120 steps peak under 3 MiB of traced memory."""
+    params, policy = solved
+    series = synthetic_quotes(params, 1000 * params.n_dt, seed=39)
+    tracemalloc.start()
+    try:
+        run_batch(policy, series, EnvMode.improved(params), params, master_seed=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def _separated(values, reach):
     """Sorted distinct nodes whose every gap exceeds the float spacing at
     ``reach + max|node|``, the range ``nearest_node`` states."""
@@ -372,6 +432,9 @@ def test_nearest_node_equals_argmin(values, free):
     want = [int(np.abs(nodes - a).argmin()) for a in probes]
     assert nearest_node(nodes, probes).tolist() == want
     assert [int(nearest_node(nodes, a)) for a in probes] == want
+    # a block of steps by windows, as the batch looks nodes up
+    block = probes[:probes.size // 3 * 3].reshape(3, -1)
+    assert nearest_node(nodes, block).tolist() == np.reshape(want[:block.size], block.shape).tolist()
 
 
 @pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite"])

@@ -1,7 +1,9 @@
 """The CSV layout every output table shares, pinned byte for byte, and the
 readers' rejection of malformed tables."""
 
+import stat
 import string
+import threading
 
 import numpy as np
 import pytest
@@ -268,9 +270,58 @@ def test_example1_rejects_a_date_that_would_split_its_row(tmp_path, capsys, date
     out = tmp_path / "out"
     assert cli_main(["example1", "--steps", "50", "--date", date, "--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
-    assert "2024-01-02" not in (out / "summary.csv").read_text()
+    assert not (out / "summary.csv").exists()
     with pytest.raises(ValueError, match="holds a ',', LF or CR"):
         table.write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], ["ok", date]])
+
+
+def test_write_table_replaces_its_file_only_when_complete(tmp_path, monkeypatch):
+    """A cell rejected after a block is written leaves the earlier table
+    as it was, and no temporary file beside it."""
+    monkeypatch.setattr(table, "BLOCK_ROWS", 1)
+    path = tmp_path / "t.csv"
+    table.write_table(path, ["a", "b"], [[1], ["ok"]])
+    with pytest.raises(ValueError, match="holds a ',', LF or CR"):
+        table.write_table(path, ["a", "b"], [[1, 2], ["ok", "x,y"]])
+    assert path.read_text() == "a,b\n1,ok\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_table_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    table.write_table(link, ["a"], [[1]])
+    assert link.is_symlink()
+    assert target.read_text() == "a\n1\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "t.csv"]
+
+
+def test_concurrent_writes_of_one_path_each_leave_a_whole_table(tmp_path, monkeypatch):
+    """Threads writing the same path use their own temporary files, so
+    every write succeeds and the table left is one of the whole tables."""
+    monkeypatch.setattr(table, "BLOCK_ROWS", 1)
+    path = tmp_path / "t.csv"
+    errors = []
+
+    def write(value):
+        try:
+            for _ in range(30):
+                table.write_table(path, ["a"], [[value] * 50])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(v,)) for v in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert path.read_text() in {"a\n" + "1\n" * 50, "a\n" + "2\n" * 50}
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def _texts(path):
