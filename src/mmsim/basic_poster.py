@@ -11,11 +11,11 @@ picked off:
   apart around the market.  After a fill at price p the same side replaces
   itself one rung further from the market (p -/+ offset) and the opposite
   side reposts at the rung p +/- offset unless an order already rests
-  there.  Resting orders away from the market stay active unless a cancel
-  distance is set.  An order fills adversely when the quote sweeps through
-  its level, or non-adversely at (or inside) the touch once simulated
-  traded volume strictly exhausts the queue ahead of it; a rung that
-  improves the market starts with an empty queue.
+  there.  A resting order stays until it fills; none is ever cancelled.
+  An order fills adversely when the quote sweeps through its level, or
+  non-adversely at (or inside) the touch once simulated traded volume
+  strictly exhausts the queue ahead of it; a rung that improves the market
+  starts with an empty queue.
 
 All ladder arithmetic runs on integer tick counts; prices are converted
 back through a canonical rounding so equal ticks compare equal as floats.
@@ -147,7 +147,6 @@ def run_basic_posting(
     seed: int = 0,
     default_queue: float = 10.0,
     mo_prob: float = 0.44,
-    cancel_distance_ticks: int | None = None,
 ) -> FillLog:
     """Run the static ladder strategy over a top-of-book series.
 
@@ -161,12 +160,11 @@ def run_basic_posting(
     ``default_queue`` ahead.
 
     At each step the buys are visited high to low, then the sells low to
-    high; fills are removed, then reposted against the next sample, then
-    rungs beyond the cancel distance are dropped.  Only steps where a rung
-    can act are visited.  While the rungs stay put, whether step i can
-    touch the book is a threshold on the highest buy, the lowest sell and
-    the outermost rungs, so the next such step is found with array compares
-    over the samples ahead, and every other step is skipped.
+    high; fills are removed, then reposted against the next sample.  Only
+    steps where a rung can act are visited.  While the rungs stay put,
+    whether step i can touch the book is a threshold on the highest buy and
+    the lowest sell, so the next such step is found with array compares over
+    the samples ahead, and every other step is skipped.
     """
     n = len(series)
     if n == 0:
@@ -186,10 +184,6 @@ def run_basic_posting(
     buy_reach = np.where(mo[:, 0], np.minimum(buy_reach, b0), buy_reach)
     sell_reach = np.maximum(b1, np.where(a1 > a0, a1 - 1, b1))
     sell_reach = np.where(mo[:, 1], np.maximum(sell_reach, a0), sell_reach)
-    if cancel_distance_ticks is not None:
-        # a rung leaves the band when twice its tick is beyond these
-        band_hi = b1 + a1 + 2 * cancel_distance_ticks
-        band_lo = b1 + a1 - 2 * cancel_distance_ticks
     bid_t, ask_t = bid_a.tolist(), ask_a.tolist()
     mo_sell, mo_buy = mo[:, 0].tolist(), mo[:, 1].tolist()
 
@@ -233,7 +227,7 @@ def run_basic_posting(
         insort(rungs, ticks)
 
     def _step(i: int) -> bool:
-        """Apply step i's rules; True when a rung was filled or cancelled."""
+        """Apply step i's rules; True when a rung was filled."""
         bid_now, bid_next, ask_now, ask_next = bid_t[i], bid_t[i + 1], ask_t[i], ask_t[i + 1]
         filled: list[tuple[Side, int]] = []
         # buys below this floor can be neither swept nor reached
@@ -279,21 +273,12 @@ def run_basic_posting(
                 _place(Side.ASK, ticks + offset_ticks, i + 1)
                 _place(Side.BID, ticks - offset_ticks, i + 1)
 
-        cancelled = False
-        if cancel_distance_ticks is not None:
-            mid2 = (bid_next + ask_next) / 2.0
-            for rungs, queue in ((buys, buy_queue), (sells, sell_queue)):
-                for ticks in [t for t in rungs if abs(t - mid2) > cancel_distance_ticks]:
-                    del queue[ticks]
-                    rungs.remove(ticks)
-                    cancelled = True
-
         if buys and sells and buys[-1] >= sells[0]:
             raise RuntimeError(
                 f"ladder discipline broken at step {i}: "
                 f"bid rung {buys[-1]} >= ask rung {sells[0]}"
             )
-        return bool(filled) or cancelled
+        return bool(filled)
 
     # initial rungs straddling the sample-0 market, offset_ticks apart
     spread_t = ask_t[0] - bid_t[0]
@@ -311,9 +296,6 @@ def run_basic_posting(
             active |= buy_reach[i:stop] <= buys[-1]
         if sells:
             active |= sell_reach[i:stop] >= sells[0]
-        if cancel_distance_ticks is not None:
-            active |= band_hi[i:stop] < 2 * max(buys[-1:] + sells[-1:])
-            active |= band_lo[i:stop] > 2 * min(buys[:1] + sells[:1])
         for k in np.flatnonzero(active).tolist():
             if _step(i + k):
                 # the rungs changed: search again from the next step

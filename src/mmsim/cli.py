@@ -20,15 +20,7 @@ from pathlib import Path
 from . import basic_poster, fills, reporting
 from .fills import EnvMode, FillColumns, write_fill_log
 from .market_data import parse_lob_csv, resample_forward_fill, synthetic_quotes
-from .params import (
-    MarketParams,
-    SolverGrid,
-    ValidationError,
-    default_grid,
-    default_params,
-    load_config,
-    validate,
-)
+from .params import MarketParams, SolverGrid, load_config
 from .simulator import (
     PolicyShapeMismatchError,
     run_batch,
@@ -51,13 +43,9 @@ _VALIDATION_ERRORS = (ValueError, UnstableSchemeError)
 
 
 def _load_params(config: str | None) -> tuple[MarketParams, SolverGrid]:
-    if config is None or config == "default":
-        params, grid = default_params(), default_grid()
-        problems = validate(params, grid)
-        if problems:
-            raise ValidationError(problems)
-        return params, grid
-    return load_config(Path(config).read_text(encoding="utf-8"))
+    """The config file's parameters; the built-in values for ``default`` or none."""
+    text = "" if config in (None, "default") else Path(config).read_text(encoding="utf-8")
+    return load_config(text)
 
 
 def _out_dir(args) -> Path:

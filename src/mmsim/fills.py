@@ -8,6 +8,10 @@ Two fill channels per step and side, with adverse fills taking precedence:
   no adverse fill happened, and a Bernoulli(rho) draw succeeds.
 
 Counters keep the identity  total(side) = adverse + non-adverse.
+
+:func:`fill_rule` states this once, for booleans or boolean arrays.
+:func:`step_fills` applies it to one step of the scalar simulator, and
+``run_batch`` evaluates it once over every fill code of a step.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ __all__ = [
     "classify_fill",
     "FILL_EVENTS",
     "fill_rule",
-    "detect_adverse_fills",
-    "sample_nonadverse_fill",
     "step_fills",
     "write_fill_log",
     "read_fill_log",
@@ -157,51 +159,6 @@ def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit
             posted_ask & ask_hit & ~adverse_ask, posted_bid & bid_hit & ~adverse_bid)
 
 
-def _events(flags, t_index: int, bid_now: float, ask_now: float) -> list[FillEvent]:
-    price = {Side.ASK: ask_now, Side.BID: bid_now}
-    return [FillEvent(t_index, side, price[side], kind)
-            for happened, (side, kind) in zip(flags, FILL_EVENTS) if happened]
-
-
-def detect_adverse_fills(
-    posted_bid: bool,
-    posted_ask: bool,
-    bid_now: float,
-    ask_now: float,
-    bid_next: float,
-    ask_next: float,
-    t_index: int = 0,
-) -> list[FillEvent]:
-    """Forced fills for posted sides the quote moved through (one max each)."""
-    flags = fill_rule(posted_ask, posted_bid, ask_next > ask_now, bid_next < bid_now,
-                      False, False)
-    return _events(flags, t_index, bid_now, ask_now)
-
-
-def sample_nonadverse_fill(
-    posted: bool,
-    mo_arrived: bool,
-    adverse_already: bool,
-    rho: float,
-    u: float,
-) -> bool:
-    """Bernoulli(rho) fill, from the step's pre-drawn uniform ``u``, for a
-    posted side an arriving MO could match.
-
-    Sides already filled adversely this step are ineligible: each posted
-    unit can fill at most once per step.  The uniform is drawn whether or
-    not the side is eligible.  This is :func:`fill_rule`'s non-adverse
-    fill, on the hit :func:`step_fills` takes.
-    """
-    hit = _thinned_hit(mo_arrived, rho, u)
-    return bool(fill_rule(posted, False, adverse_already, False, hit, False)[2])
-
-
-def _thinned_hit(mo_arrived: bool, rho: float, u: float) -> bool:
-    """A market order arrived on the side and its thinning draw passed."""
-    return mo_arrived and u < rho
-
-
 def step_fills(
     posted_bid: bool,
     posted_ask: bool,
@@ -222,14 +179,15 @@ def step_fills(
     ``u_ask`` and ``u_bid`` are the step's thinning uniforms.  The events
     are :func:`fill_rule`'s, in :data:`FILL_EVENTS` order.
     """
-    detect = mode.detect_adverse
+    detect, rho = mode.detect_adverse, mode.rho_effective
     flags = fill_rule(
         posted_ask, posted_bid,
         detect and ask_next > ask_now, detect and bid_next < bid_now,
-        _thinned_hit(mo_buy, mode.rho_effective, u_ask),
-        _thinned_hit(mo_sell, mode.rho_effective, u_bid),
+        mo_buy and u_ask < rho, mo_sell and u_bid < rho,
     )
-    return _events(flags, t_index, bid_now, ask_now)
+    price = {Side.ASK: ask_now, Side.BID: bid_now}
+    return [FillEvent(t_index, side, price[side], kind)
+            for happened, (side, kind) in zip(flags, FILL_EVENTS) if happened]
 
 
 @dataclass(eq=False)

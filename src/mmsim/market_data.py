@@ -17,7 +17,6 @@ the block are plain, else cell by cell.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -36,7 +35,6 @@ __all__ = [
     "MalformedRowError",
     "NonMonotoneTimestampError",
     "EmptyInputError",
-    "NoDataBeforeStartError",
     "NoTradesError",
     "LOB_CSV_HEADER",
     "parse_lob_csv",
@@ -46,8 +44,6 @@ __all__ = [
     "check_tick",
     "synthetic_quotes",
 ]
-
-log = logging.getLogger(__name__)
 
 N_LEVELS = 5
 LOB_CSV_HEADER = (
@@ -91,10 +87,6 @@ class NonMonotoneTimestampError(ValueError):
 
 
 class EmptyInputError(ValueError):
-    pass
-
-
-class NoDataBeforeStartError(ValueError):
     pass
 
 
@@ -376,48 +368,32 @@ def render_lob_csv(book: LOBBook) -> str:
     return "\n".join(out) + "\n"
 
 
-def resample_forward_fill(
-    book: LOBBook,
-    dt: float,
-    start: int | None = None,
-    end: int | None = None,
-) -> PriceSeries:
+def resample_forward_fill(book: LOBBook, dt: float) -> PriceSeries:
     """Sample the last-known book state on a uniform grid of boundaries.
 
-    Boundaries run from ``start`` to ``end`` (nanoseconds) every dt seconds;
-    each sample is the most recent record at or before the boundary.  When
-    ``start`` is omitted it defaults to the first whole second at or after
-    the first record.  Leading boundaries with no prior record are dropped
-    with a warning; if none remain the input starts too late and
-    :class:`NoDataBeforeStartError` is raised.  Absent level-1 sizes sample
-    as 0; an absent level-1 price is rejected by :class:`PriceSeries`.
+    Boundaries run every dt seconds from the first whole second at or after
+    the first record to the last record (nanoseconds); each sample is the
+    most recent record at or before its boundary, so every boundary has
+    one.  A book whose records span no whole-second boundary is rejected.
+    Absent level-1 sizes sample as 0; an absent level-1 price is rejected
+    by :class:`PriceSeries`.
     """
     if not len(book):
         raise EmptyInputError("no records to resample")
     step = int(round(dt * NANOS))
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if start is None:
-        start = ((int(book.ts[0]) + NANOS - 1) // NANOS) * NANOS
-    if end is None:
-        end = int(book.ts[-1])
-    if end < start:
-        raise ValueError("end precedes start")
-
-    boundaries = np.arange(start, end + 1, step, dtype=np.int64)
-    last = np.searchsorted(book.ts, boundaries, side="right") - 1
-
-    covered = last >= 0
-    if not covered.any():
-        raise NoDataBeforeStartError(
-            f"all {len(book)} records arrive after the final boundary {boundaries[-1]}"
+    first, last = int(book.ts[0]), int(book.ts[-1])
+    start = ((first + NANOS - 1) // NANOS) * NANOS
+    if last < start:
+        raise ValueError(
+            f"records from ts {first} to {last} (ns) span no whole-second boundary"
         )
-    n_dropped = int(np.argmax(covered))
-    if n_dropped:
-        log.warning("dropped %d leading boundaries with no prior record", n_dropped)
-    rows = last[n_dropped:]
+
+    boundaries = np.arange(start, last + 1, step, dtype=np.int64)
+    rows = np.searchsorted(book.ts, boundaries, side="right") - 1
     return PriceSeries(
-        t0=int(boundaries[n_dropped]),
+        t0=start,
         dt=dt,
         bid=book.cells[rows, _BID_PX_1],
         ask=book.cells[rows, _ASK_PX_1],

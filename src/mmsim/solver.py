@@ -58,10 +58,8 @@ __all__ = [
     "GridTooCoarseError",
     "terminal_condition",
     "alpha_grid",
-    "interp_alpha",
     "solve_dpe",
     "extract_policy",
-    "reconstruct_value",
     "export_surface_csv",
     "export_policy_csv",
     "load_policy_csv",
@@ -128,19 +126,6 @@ def _interp_weights(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     idx = np.clip(np.searchsorted(nodes, xc, side="right") - 1, 0, nodes.size - 2)
     w = (xc - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, w
-
-
-def interp_alpha(values: np.ndarray, alpha_nodes: np.ndarray, alpha: float) -> float:
-    """Linear interpolation along alpha; out-of-range queries clamp.
-
-    Written as a + w (b - a) so node hits and constant stretches come back
-    exactly (a query clamped to the last node returns that node's value).
-    """
-    idx, w = _interp_weights(alpha_nodes, np.asarray([alpha], dtype=float))
-    i, wi = int(idx[0]), float(w[0])
-    if wi == 1.0:
-        return float(values[i + 1])
-    return float(values[i] + wi * (values[i + 1] - values[i]))
 
 
 class _JumpShift:
@@ -334,33 +319,6 @@ def extract_policy(surface: ValueSurface, params: MarketParams) -> PostingPolicy
         alpha_nodes=alpha.copy(),
         q_nodes=surface.q_nodes.copy(),
     )
-
-
-def reconstruct_value(
-    surface: ValueSurface,
-    c: float,
-    s: float,
-    alpha: float,
-    q: int,
-    t_index: int,
-) -> float:
-    """Full value at a state: cash + book value + posting component.
-
-    Raises ``ValueError`` for an inventory that is not an integer, an
-    inventory or time index off the surface, or a NaN alpha; an alpha
-    beyond the grid clamps to its end node.
-    """
-    if q % 1:  # a fraction, inf or NaN
-        raise ValueError(f"inventory {q} is not an integer")
-    j = int(q) + (surface.q_nodes.size - 1) // 2
-    if not 0 <= j < surface.q_nodes.size:
-        raise ValueError(f"inventory {q} outside [{surface.q_nodes[0]}, {surface.q_nodes[-1]}]")
-    n_t = surface.h.shape[0]
-    if not 0 <= t_index < n_t:
-        raise ValueError(f"t_index {t_index} outside [0, {n_t - 1}]")
-    if np.isnan(alpha):
-        raise ValueError("alpha is NaN")
-    return c + q * s + interp_alpha(surface.h[t_index, :, j], surface.alpha_nodes, alpha)
 
 
 def _node_columns(alpha_nodes: np.ndarray, q_nodes: np.ndarray, shape) -> list[np.ndarray]:

@@ -24,7 +24,6 @@ from mmsim.fills import (
     FillEvent,
     FillKind,
     Side,
-    sample_nonadverse_fill,
     step_fills,
 )
 from mmsim.market_data import PriceSeries, synthetic_quotes
@@ -167,15 +166,20 @@ def test_criterion_6_adverse_fill_guarantee():
 def test_criterion_7_fill_probability_calibration():
     with criterion(7, "thinned fill frequency sits at rho and counters stay consistent"):
         rho = default_params().rho
+        mode = EnvMode.improved(default_params())
         gen = RngStream(seed=70).generator()
         n = 100_000
-        hits = sum(sample_nonadverse_fill(True, True, False, rho, u) for u in gen.random(n))
+        # the thinning run_simulation runs: a posted ask, a buy arrival, no
+        # trade-through, and the step's ask uniform
+        hits = sum(
+            bool(step_fills(False, True, 99.99, 100.0, 99.99, 100.0, True, False, mode, u, 0.0))
+            for u in gen.random(n)
+        )
         assert abs(hits / n - rho) <= 0.005
 
         # counter identity checked after every step of a simulated run
         steps = 20_000
         bid, ask, posted_bid, posted_ask, mo_buy, mo_sell = _random_market(steps, seed=71)
-        mode = EnvMode.improved(default_params())
         u = RngStream(seed=72).generator().random((steps, 2))
         counters = FillCounters()
         tally = {"afa": 0, "nfa": 0, "afb": 0, "nfb": 0}

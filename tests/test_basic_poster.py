@@ -190,16 +190,6 @@ def test_ladder_kinds_agree_with_classification_rule():
         assert f.kind is classify_fill(f.side, f.price, float(nxt))
 
 
-def test_cancel_distance_prunes_far_orders():
-    bids = [81.87, 81.85, 81.81, 81.92]
-    asks = [81.88, 81.86, 81.82, 81.93]
-    log = run_basic_posting(_series(bids, asks), offset_ticks=4, tick=0.01,
-                            seed=0, cancel_distance_ticks=3)
-    # the sell at 81.90 is canceled once price falls away, so the recovery
-    # through 81.90 no longer fills it
-    assert 81.90 not in {f.price for f in log.fills if f.side is Side.ASK}
-
-
 def test_summary_csv_format(tmp_path):
     log = run_example1(100, seed=1)
     path = tmp_path / "summary.csv"
@@ -210,7 +200,7 @@ def test_summary_csv_format(tmp_path):
 
 
 def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=10.0,
-                       mo_prob=0.44, cancel_distance_ticks=None):
+                       mo_prob=0.44):
     """The ladder stepped at every sample, every resting rung visited in
     order at each step: the plain statement of the rules."""
     gen = RngStream(seed=seed).generator()
@@ -299,12 +289,6 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
                 place(Side.ASK, ticks + offset_ticks, i + 1)
                 place(Side.BID, ticks - offset_ticks, i + 1)
 
-        if cancel_distance_ticks is not None:
-            mid2 = (bid_t[i + 1] + ask_t[i + 1]) / 2.0
-            for book in (buys, sells):
-                for ticks in [t for t in book if abs(t - mid2) > cancel_distance_ticks]:
-                    del book[ticks]
-
         assert not (buys and sells and max(buys) >= min(sells))
     return fills
 
@@ -339,14 +323,12 @@ def _tick_series(draw):
     series=_tick_series(),
     offset=st.integers(1, 16),
     mo_prob=st.sampled_from([0.0, 0.44, 1.0]),
-    cancel=st.one_of(st.none(), st.integers(1, 6)),
     default_queue=st.sampled_from([0.0, 2.5, 10.0]),
     seed=st.integers(0, 3),
 )
-def test_ladder_matches_the_every_step_reference(series, offset, mo_prob, cancel,
-                                                 default_queue, seed):
+def test_ladder_matches_the_every_step_reference(series, offset, mo_prob, default_queue, seed):
     kwargs = dict(offset_ticks=offset, tick=0.01, seed=seed, default_queue=default_queue,
-                  mo_prob=mo_prob, cancel_distance_ticks=cancel)
+                  mo_prob=mo_prob)
     assert run_basic_posting(series, **kwargs).fills == _reference_posting(series, **kwargs)
 
 
@@ -359,8 +341,8 @@ def test_ladder_matches_the_reference_on_a_random_walk():
 
     series = synthetic_quotes(replace(default_params(), delta=0.02), 3000, seed=4, tick=0.01)
     assert len(series) > 10 * SEARCH_STEPS
-    for offset, cancel in ((1, None), (4, None), (2, 3)):
-        kwargs = dict(offset_ticks=offset, tick=0.01, seed=4, cancel_distance_ticks=cancel)
+    for offset in (1, 4, 2):
+        kwargs = dict(offset_ticks=offset, tick=0.01, seed=4)
         want = _reference_posting(series, **kwargs)
         assert want
         assert run_basic_posting(series, **kwargs).fills == want
@@ -380,25 +362,6 @@ def test_rung_waits_on_a_125_lot_queue():
     u = RngStream(seed=5).generator().random((n - 1, 2))
     assert np.flatnonzero(u[:, 0] < 0.44)[125] == 284
     assert np.flatnonzero(u[:, 1] < 0.44)[40] == 86
-
-
-def test_cancelled_rung_is_reposted_with_a_fresh_queue():
-    # the buy at 100.00 (50 lots ahead) is cancelled when the market rises
-    # 4.5 ticks away, and re-posted at the touch behind 1 lot after the
-    # buy at 100.02 is swept: it fills on the second sell order.  Without
-    # the cancel the old rung keeps its long queue and never fills.
-    ticks = [10000] * 2 + [10002] * 2 + [10004] * 2 + [10000] * 6
-    series = _series([t / 100 for t in ticks], [(t + 1) / 100 for t in ticks],
-                     bid_sz=np.array([50.0] * 6 + [1.0] * 6))
-    swept = [
-        FillEvent(1, Side.ASK, 100.02, FillKind.ADVERSE),
-        FillEvent(3, Side.ASK, 100.04, FillKind.ADVERSE),
-        FillEvent(5, Side.BID, 100.02, FillKind.ADVERSE),
-    ]
-    kwargs = dict(offset_ticks=2, tick=0.01, seed=0, mo_prob=1.0)
-    log = run_basic_posting(series, cancel_distance_ticks=3, **kwargs)
-    assert log.fills == swept + [FillEvent(7, Side.BID, 100.0, FillKind.NON_ADVERSE)]
-    assert run_basic_posting(series, **kwargs).fills == swept
 
 
 def _sha256(path):
@@ -457,3 +420,15 @@ def test_cli_basic_post_rejects_a_bad_tick(tmp_path, monkeypatch, capsys, tick, 
         args += ["--data", "lob.csv"]
     assert cli_main(args) == 1
     assert "tick must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_basic_post_rejects_a_book_inside_one_second(tmp_path, monkeypatch, capsys):
+    # records at 0.2 s and 0.7 s: the first whole second after the first
+    # record comes after the last, so there is no boundary to sample at
+    monkeypatch.chdir(tmp_path)
+    book = LOBBook(ts=np.array([200_000_000, 700_000_000]), cells=_recorded_book(n=2).cells)
+    (tmp_path / "lob.csv").write_text(render_lob_csv(book), encoding="utf-8")
+    assert cli_main(["basic-post", "--data", "lob.csv", "--out", "bp"]) == 1
+    err = capsys.readouterr().err
+    assert "records from ts 200000000 to 700000000 (ns) span no whole-second boundary" in err
+    assert not (tmp_path / "bp").exists()

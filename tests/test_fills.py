@@ -10,16 +10,15 @@ from mmsim.dynamics import RngStream
 from mmsim.fills import (
     FILL_EVENTS,
     EnvMode,
+    EnvVariant,
     FillColumns,
     FillCounters,
     FillEvent,
     FillKind,
     Side,
     classify_fill,
-    detect_adverse_fills,
     fill_rule,
     read_fill_log,
-    sample_nonadverse_fill,
     step_fills,
     write_fill_log,
 )
@@ -35,17 +34,24 @@ def test_classify_direct_rules():
     assert classify_fill(Side.ASK, 81.90, 81.85) is FillKind.NON_ADVERSE
 
 
+def _trade_throughs(posted_bid, posted_ask, bid_now, ask_now, bid_next, ask_next, t_index=0):
+    """``step_fills`` in improved mode with no market order: only the
+    trade-throughs fill."""
+    return step_fills(posted_bid, posted_ask, bid_now, ask_now, bid_next, ask_next,
+                      False, False, EnvMode.improved(default_params()), 0.0, 0.0, t_index)
+
+
 def test_detect_ask_moved_through():
-    fills = detect_adverse_fills(False, True, 81.86, 81.90, 81.86, 81.91, t_index=4)
+    fills = _trade_throughs(False, True, 81.86, 81.90, 81.86, 81.91, t_index=4)
     assert fills == [FillEvent(4, Side.ASK, 81.90, FillKind.ADVERSE)]
 
 
 def test_detect_nothing_when_not_posted():
-    assert detect_adverse_fills(False, False, 81.86, 81.90, 81.80, 81.95) == []
+    assert _trade_throughs(False, False, 81.86, 81.90, 81.80, 81.95) == []
 
 
 def test_detect_bid_side_only_when_bid_moves():
-    fills = detect_adverse_fills(True, True, 81.86, 81.90, 81.82, 81.90)
+    fills = _trade_throughs(True, True, 81.86, 81.90, 81.82, 81.90)
     assert len(fills) == 1
     assert fills[0].side is Side.BID
     assert fills[0].price == 81.86
@@ -53,27 +59,38 @@ def test_detect_bid_side_only_when_bid_moves():
 
 
 def test_detect_both_sides_on_widening():
-    fills = detect_adverse_fills(True, True, 81.86, 81.90, 81.85, 81.91)
+    fills = _trade_throughs(True, True, 81.86, 81.90, 81.85, 81.91)
     assert {f.side for f in fills} == {Side.BID, Side.ASK}
+
+
+def _thinned_ask_fill(posted, mo_arrived, traded_through, rho, u):
+    """Whether ``step_fills`` gives the ask a non-adverse fill in improved
+    mode at ``rho``: a buy order arrived or not, the ask moved a tick up or
+    not, and ``u`` is the ask's thinning uniform."""
+    mode = EnvMode(EnvVariant.IMPROVED, rho_effective=rho)
+    ask_next = 100.01 if traded_through else 100.0
+    fills = step_fills(False, posted, 99.99, 100.0, 99.99, ask_next,
+                       mo_arrived, False, mode, u, 0.0)
+    return any(f.kind is FillKind.NON_ADVERSE for f in fills)
 
 
 def test_nonadverse_requires_posting_and_arrival():
     gen = RngStream(seed=0).generator()
     for _ in range(200):
-        assert not sample_nonadverse_fill(False, True, False, 1.0, gen.random())
-        assert not sample_nonadverse_fill(True, False, False, 1.0, gen.random())
-        assert not sample_nonadverse_fill(True, True, True, 1.0, gen.random())
+        assert not _thinned_ask_fill(False, True, False, 1.0, gen.random())
+        assert not _thinned_ask_fill(True, False, False, 1.0, gen.random())
+        assert not _thinned_ask_fill(True, True, True, 1.0, gen.random())
 
 
 def test_nonadverse_certain_at_rho_one():
     gen = RngStream(seed=1).generator()
-    assert all(sample_nonadverse_fill(True, True, False, 1.0, u) for u in gen.random(2000))
+    assert all(_thinned_ask_fill(True, True, False, 1.0, u) for u in gen.random(2000))
 
 
 def test_nonadverse_frequency_matches_rho():
     gen = RngStream(seed=2).generator()
     n = 100_000
-    hits = sum(sample_nonadverse_fill(True, True, False, 0.2, u) for u in gen.random(n))
+    hits = sum(_thinned_ask_fill(True, True, False, 0.2, u) for u in gen.random(n))
     assert hits / n == pytest.approx(0.2, abs=0.005)
 
 

@@ -1,4 +1,3 @@
-import logging
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,6 @@ from mmsim.market_data import (
     EmptyInputError,
     LOBBook,
     MalformedRowError,
-    NoDataBeforeStartError,
     NonMonotoneTimestampError,
     NoTradesError,
     PriceSeries,
@@ -216,9 +214,10 @@ def test_parse_rejects_literal_non_finite_cells(cell):
 
 
 def test_empty_level1_size_samples_as_zero():
-    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0, bid_sz="")]))
-    assert np.isnan(book.column("bid_sz_1")[0])
-    series = resample_forward_fill(book, 1.0, start=0, end=2 * SEC)
+    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0, bid_sz=""),
+                              _row(2 * SEC, 99.99, 100.0, bid_sz="")]))
+    assert np.isnan(book.column("bid_sz_1")).all()
+    series = resample_forward_fill(book, 1.0)
     assert series.level1_bid_sz.tolist() == [0.0, 0.0, 0.0]
     assert series.level1_ask_sz.tolist() == [7.0, 7.0, 7.0]
 
@@ -243,34 +242,28 @@ def test_forward_fill_hand_case():
     records = [
         _quote_record(int(0.4 * SEC), 100.0, 100.01),
         _quote_record(int(1.7 * SEC), 101.0, 101.01),
+        _quote_record(int(3.2 * SEC), 102.0, 102.01),
     ]
-    series = resample_forward_fill(_book(records), 1.0, start=1 * SEC, end=3 * SEC)
+    series = resample_forward_fill(_book(records), 1.0)
     assert series.bid.tolist() == [100.0, 101.0, 101.0]
     assert series.t0 == 1 * SEC
     assert len(series) == 3
 
 
 def test_forward_fill_single_record_gives_constant():
-    records = [_quote_record(0, 100.0, 100.01, bid_sz=3.0)]
-    series = resample_forward_fill(_book(records), 1.0, start=0, end=5 * SEC)
+    # the record repeated unchanged at 5 s sets the last boundary
+    records = [_quote_record(t, 100.0, 100.01, bid_sz=3.0) for t in (0, 5 * SEC)]
+    series = resample_forward_fill(_book(records), 1.0)
     assert np.all(series.bid == 100.0)
     assert np.all(series.level1_bid_sz == 3.0)
     assert len(series) == 6
 
 
 def test_forward_fill_rejects_late_records():
+    # the first whole second after the only record lies past the last one
     records = [_quote_record(int(5.5 * SEC), 100.0, 100.01)]
-    with pytest.raises(NoDataBeforeStartError):
-        resample_forward_fill(_book(records), 1.0, start=0, end=3 * SEC)
-
-
-def test_forward_fill_drops_leading_uncovered(caplog):
-    records = [_quote_record(int(2.5 * SEC), 100.0, 100.01)]
-    with caplog.at_level(logging.WARNING):
-        series = resample_forward_fill(_book(records), 1.0, start=0, end=4 * SEC)
-    assert series.t0 == 3 * SEC
-    assert len(series) == 2
-    assert any("dropped 3" in rec.getMessage() for rec in caplog.records)
+    with pytest.raises(ValueError, match="span no whole-second boundary"):
+        resample_forward_fill(_book(records), 1.0)
 
 
 def test_forward_fill_default_alignment_starts_on_whole_second():
@@ -294,12 +287,13 @@ def test_forward_fill_rejects_empty():
 )
 @settings(max_examples=40)
 def test_forward_fill_never_invents_prices(offsets, bid_ticks):
-    ts = np.cumsum(offsets) * (SEC // 10)
+    # the first record on a whole second, so its boundaries start there
+    ts = (np.cumsum(offsets) - offsets[0]) * (SEC // 10)
     records = []
     for t in ts:
         b = 100.0 + 0.01 * bid_ticks.draw(st.integers(min_value=-5, max_value=5))
         records.append(_quote_record(int(t), round(b, 2), round(b + 0.01, 2)))
-    series = resample_forward_fill(_book(records), 1.0, start=int(ts[0]), end=int(ts[-1]))
+    series = resample_forward_fill(_book(records), 1.0)
     input_bids = {cells[0] for _, cells in records}
     assert set(series.bid.tolist()) <= input_bids
     assert len(series) == (int(ts[-1]) - int(ts[0])) // SEC + 1
@@ -360,8 +354,8 @@ def test_series_window_starts_on_its_sample_boundary():
     # 3 * 0.3 * 1e9 is 899,999,999.99...: the step is rounded once, as resampling does
     assert series.window(3, 2).t0 == 7 + 900_000_000
     assert series.window(37, 3).t0 == 7 + 37 * 300_000_000
-    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0)]))
-    resampled = resample_forward_fill(book, 0.3, start=0, end=12 * SEC)
+    book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0), _row(12 * SEC, 99.99, 100.0)]))
+    resampled = resample_forward_fill(book, 0.3)
     assert resampled.window(3, 2).t0 == 900_000_000
 
 

@@ -15,9 +15,7 @@ from mmsim.solver import (
     export_policy_csv,
     export_surface_csv,
     extract_policy,
-    interp_alpha,
     load_policy_csv,
-    reconstruct_value,
     solve_dpe,
     terminal_condition,
 )
@@ -77,46 +75,6 @@ def test_single_substep_matches_hand_stencil():
     expected = t(1) + tau * (p.lambda_plus * gain_ask + p.lambda_minus * gain_bid)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(-0.0138334, abs=1e-12)
-
-
-def test_interp_alpha_node_midpoint_clamp():
-    nodes = np.array([-1.0, 0.0, 1.0])
-    values = np.array([2.0, 4.0, 8.0])
-    assert interp_alpha(values, nodes, 0.0) == 4.0
-    assert interp_alpha(values, nodes, 0.5) == 6.0
-    assert interp_alpha(values, nodes, 1.5) == 8.0
-    assert interp_alpha(values, nodes, -7.0) == 2.0
-
-
-def test_reconstruct_value_cases(default_solution):
-    params, surface, _ = default_solution
-    j0 = params.q_max
-    i0 = 25
-    assert reconstruct_value(surface, 0.0, 100.0, 0.0, 0, 0) == surface.h[0, i0, j0]
-    at_t = reconstruct_value(surface, 10.0, 100.0, 0.0, 2, params.n_dt)
-    assert at_t == pytest.approx(209.95, rel=1e-12)
-    with pytest.raises(ValueError):
-        reconstruct_value(surface, 0.0, 100.0, 0.0, 8, 0)
-    # the q = 0 column of h must not be read for a fractional inventory
-    for q in (0.5, -0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"inventory {q} is not an integer"):
-            reconstruct_value(surface, 0.0, 100.0, 0.0, q, 0)
-    assert reconstruct_value(surface, 0.0, 100.0, 0.0, 2.0, 0) == \
-        reconstruct_value(surface, 0.0, 100.0, 0.0, 2, 0)
-
-
-@pytest.mark.parametrize("t_index", [-121, -1, 121])
-def test_reconstruct_value_rejects_a_time_index_off_the_surface(default_solution, t_index):
-    _, surface, _ = default_solution
-    assert surface.h.shape[0] == 121
-    with pytest.raises(ValueError, match=f"t_index {t_index} outside \\[0, 120\\]"):
-        reconstruct_value(surface, 0.0, 100.0, 0.0, 0, t_index)
-
-
-def test_reconstruct_value_rejects_a_nan_alpha(default_solution):
-    _, surface, _ = default_solution
-    with pytest.raises(ValueError, match="alpha is NaN"):
-        reconstruct_value(surface, 0.0, 100.0, float("nan"), 0, 0)
 
 
 def test_policy_respects_inventory_bounds(default_solution):
