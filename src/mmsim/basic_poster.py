@@ -150,14 +150,15 @@ def run_basic_posting(
 ) -> FillLog:
     """Run the static ladder strategy over a top-of-book series.
 
-    Queue consumption at the touch is simulated: per step one unit of
-    volume trades on each side independently with probability ``mo_prob``.
-    The uniforms are drawn up front as one ``gen.random((n - 1, 2))`` block
-    for the series' n samples, whatever the orders do: row i is step i,
-    column 0 the sell order (it hits the bid queue), column 1 the buy order.
-    Orders placed at the current touch inherit the visible level-1 size as
-    their queue; orders placed away from the market start with
-    ``default_queue`` ahead.
+    Every bid and ask must lie within 1e-6 tick of the ``tick`` grid, else
+    ValueError names the first sample off it.  Queue consumption at the
+    touch is simulated: per step one unit of volume trades on each side
+    independently with probability ``mo_prob``.  The uniforms are drawn up
+    front as one ``gen.random((n - 1, 2))`` block for the series' n
+    samples, whatever the orders do: row i is step i, column 0 the sell
+    order (it hits the bid queue), column 1 the buy order.  Orders placed
+    at the current touch inherit the visible level-1 size as their queue;
+    orders placed away from the market start with ``default_queue`` ahead.
 
     At each step the buys are visited high to low, then the sells low to
     high; fills are removed, then reposted against the next sample.  Only
@@ -173,9 +174,15 @@ def run_basic_posting(
         raise ValueError(f"offset_ticks must be >= 1, got {offset_ticks}")
     check_tick(tick)
 
+    quotes = np.stack([series.bid, series.ask]) / tick
+    ticks = np.rint(quotes)
+    off_grid = (np.abs(quotes - ticks) > 1e-6).any(axis=0)
+    if off_grid.any():
+        i = int(off_grid.argmax())
+        raise ValueError(f"sample {i}: bid {float(series.bid[i])!r} or ask "
+                         f"{float(series.ask[i])!r} is off the tick grid of {tick!r}")
+    bid_a, ask_a = ticks.astype(np.int64)
     mo = RngStream(seed=seed).generator().random((n - 1, 2)) < mo_prob
-    bid_a = np.rint(series.bid / tick).astype(np.int64)
-    ask_a = np.rint(series.ask / tick).astype(np.int64)
     b0, b1, a0, a1 = bid_a[:-1], bid_a[1:], ask_a[:-1], ask_a[1:]
     # step i can act on a buy rung only if the highest one is at least
     # buy_reach[i]: the bid falls below it, the ask drops onto it, or a sell

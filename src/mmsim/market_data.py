@@ -12,20 +12,20 @@ cells are rejected.  :func:`parse_lob_csv` takes the file's bytes and
 returns it as columns (:class:`LOBBook`), with NaN for each empty cell.
 Every file takes one route: blocks of lines cut by the tokenizer of
 :mod:`mmsim.table`, each converted by the word kernels when the file and
-the block are plain, else cell by cell.
+the block are plain, else once per distinct cell text
+(:func:`mmsim.table.distinct_cells`) at the same cell positions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .dynamics import RngStream
 from .params import MarketParams
-from .table import lf_line_ends, plain_floats, plain_ints, split_cells
+from .table import distinct_cells, lf_line_ends, plain_floats, plain_ints, split_cells
 
 __all__ = [
     "LOBBook",
@@ -225,11 +225,9 @@ def parse_lob_csv(data: bytes) -> LOBBook:
         prev_ts = int(ts_out[kept - 1]) if kept else None
         converted = _convert_plain(buf, ends, starts, fields) if plain else None
         if converted is None:
-            rows = raw[lo:hi].decode("utf-8").split("\n")
-            ts, cells = _parse_rows([row for row in rows if row], linenos, prev_ts)
-        else:
-            ts, cells = converted
-            _check_rows(ts, cells, linenos, prev_ts)
+            converted = _convert_cells(raw, ends, starts, fields, linenos, prev_ts)
+        ts, cells = converted
+        _check_rows(ts, cells, linenos, prev_ts)
         ts_out[kept:kept + ts.size] = ts
         cells_out[kept:kept + ts.size] = cells
         kept += ts.size
@@ -240,14 +238,6 @@ def _is_plain(raw: bytes) -> bool:
     """The schema's header line, then only :data:`_BODY_BYTES`."""
     return (raw.startswith(_HEADER_BYTES + b"\n")
             and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
-
-
-def _parse_rows(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of a block's non-empty rows as text, by the per-cell path;
-    raises for the first bad row."""
-    ts, cells = _convert_cells(rows, linenos, prev_ts)
-    _check_rows(ts, cells, linenos, prev_ts)
-    return ts, cells
 
 
 def _convert_plain(buf, ends, starts, fields) -> tuple[np.ndarray, np.ndarray] | None:
@@ -275,37 +265,66 @@ def _convert_plain(buf, ends, starts, fields) -> tuple[np.ndarray, np.ndarray] |
     return ts, cells
 
 
-def _convert_cells(rows: list[str], linenos, prev_ts: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """ts and cells of any block, one ``float()`` per distinct cell text.
+def _convert_cells(raw, ends, starts, fields, linenos, prev_ts) -> tuple[np.ndarray, np.ndarray]:
+    """ts and cells of any block, one ``int()`` or ``float()`` per distinct
+    cell text.
 
-    Raises for a bad field count or number at row r, after checking
-    rows[:r], so that an earlier crossed, negative-size or time-travel row
-    wins.
+    Takes :func:`split_cells` of the block, like :func:`_convert_plain`.
+    The first bad row is the earlier of the first with a wrong field count
+    and the first holding a text that :func:`_timestamp` or
+    :func:`_cell_value` rejects, ``ts`` before cells.  It raises after the
+    rows before it are checked, so that an earlier crossed, negative-size
+    or time-travel row wins.
     """
-    n = len(rows)
-    commas = list(map(str.count, rows, repeat(",", n)))
-    if commas.count(_N_FIELDS - 1) != n:
-        r = next(i for i, c in enumerate(commas) if c != _N_FIELDS - 1)
-        if r:
-            _parse_rows(rows[:r], linenos, prev_ts)
-        raise MalformedRowError(linenos[r], f"expected {_N_FIELDS} fields, got {commas[r] + 1}")
+    fields = fields[fields > 0]
+    n = int(np.argmax(fields != _N_FIELDS)) if (fields != _N_FIELDS).any() else fields.size
+    ends = ends[:n * _N_FIELDS].reshape(n, _N_FIELDS)
+    width = np.diff(ends, prepend=starts[:n, None] - 1) - 1
+    ts, ts_bad = _converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
+    cells, cells_bad = _converted(raw, ends[:, 1:], width[:, 1:], _cell_value, np.float64)
+    count_bad = (n, f"expected {_N_FIELDS} fields, got {fields[n]}") if n < fields.size else None
+    # min keeps the first of equal rows: ts, then cells
+    r, reason = min(filter(None, [ts_bad, cells_bad, count_bad]), key=lambda found: found[0],
+                    default=(0, None))
+    if reason is None:
+        return ts, cells
+    if r:
+        _check_rows(ts[:r], cells[:r], linenos, prev_ts)
+    raise MalformedRowError(linenos[r], reason)
 
-    fields = ",".join(rows).split(",")
-    ts_text = fields[0::_N_FIELDS]
-    del fields[0::_N_FIELDS]
+
+def _converted(raw, ends, width, convert, dtype) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The cells' values, one ``convert()`` per distinct text, and the row
+    and message of the first text it rejects, None if none.  Rows from
+    that one on hold no values."""
+    texts, index = distinct_cells(raw, ends, width)
+    values = []
     try:
-        ts = np.fromiter(map(int, ts_text), np.int64, n)
-        cells = np.array(list(map(_CellValues().__getitem__, fields)), dtype=np.float64)
-        # every non-empty cell must be finite: "" is the only spelling of absent
-        parsed = np.isfinite(cells).sum() == cells.size - fields.count("")
-    except (ValueError, OverflowError):
-        parsed = False
-    if not parsed:
-        r, reason = _first_unparseable(ts_text, fields)
-        if r:
-            _parse_rows(rows[:r], linenos, prev_ts)
-        raise MalformedRowError(linenos[r], reason)
-    return ts, cells.reshape(n, len(LOB_COLUMNS))
+        for text in texts:
+            values.append(convert(text))
+    except ValueError as exc:
+        row = np.unravel_index(np.argmax(index == len(values)), index.shape)[0]
+        values += [0] * (len(texts) - len(values))
+        return np.array(values, dtype)[index], (int(row), str(exc))
+    return np.array(values, dtype)[index], None
+
+
+def _timestamp(text: str) -> int:
+    """``int()`` of a ``ts`` cell inside the int64 range."""
+    value = int(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"timestamp {text} outside the int64 range")
+    return value
+
+
+def _cell_value(text: str) -> float:
+    """``float()`` of a finite price or size cell, NaN for an empty one."""
+    if not text:
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}; leave absent cells empty")
+    return value
 
 
 def _check_rows(ts: np.ndarray, cells: np.ndarray, linenos, prev_ts: int | None) -> None:
@@ -325,39 +344,6 @@ def _check_rows(ts: np.ndarray, cells: np.ndarray, linenos, prev_ts: int | None)
         if negative[r]:
             raise MalformedRowError(linenos[r], "negative size")
         raise NonMonotoneTimestampError(linenos[r], int(ts[r]), int(prev[r]))
-
-
-class _CellValues(dict):
-    """Cell text -> float, NaN for an empty cell; float() runs once per
-    distinct text, since prices and sizes repeat within a block."""
-
-    def __init__(self):
-        super().__init__({"": math.nan})
-
-    def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
-        return value
-
-
-def _first_unparseable(ts_text: list[str], fields: list[str]) -> tuple[int, str]:
-    """Row index and reason of the first cell that is not a valid number."""
-    width = len(LOB_COLUMNS)
-    for r, text in enumerate(ts_text):
-        try:
-            if not _INT64_MIN <= int(text) <= _INT64_MAX:
-                return r, f"timestamp {text} outside the int64 range"
-        except ValueError as exc:
-            return r, str(exc)
-        for cell in fields[r * width:(r + 1) * width]:
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                return r, str(exc)
-            if not math.isfinite(value):
-                return r, f"non-finite value {cell!r}; leave absent cells empty"
-    raise AssertionError("block has no unparseable cell")
 
 
 def render_lob_csv(book: LOBBook) -> str:

@@ -3,7 +3,7 @@
 After splitting cash and the marked-to-market book value out of the full
 value function (H = c + qS + h), the remaining component h satisfies
 
-    0 = (d/dt - zeta a d/da + 0.5 eta^2 d2/da2) h + a q - phi q^2
+    0 = (d/dt - zeta a d/da + 0.5 eta^2 d2/da2) h + (nu + a) q - phi q^2
         + lam+ ( max_{d+ in {0,1}} d+ rho [Dl/2 + h(t, a+e+, q-1) - h(t, a+e+, q)] 1{q > -q_max}
                  + h(t, a+e+, q) - h(t, a, q) )
         + lam- ( mirrored with a-e-, q+1, 1{q < q_max} )
@@ -201,7 +201,7 @@ def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurf
     size = n * m
     shift = _JumpShift(alpha, params, m)
     tau = params.dt / grid.substeps
-    source = alpha[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
+    source = (params.nu + alpha)[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
     half = params.delta / 2.0
 
     # d[0], d[1]: first and second alpha differences, each divided by its

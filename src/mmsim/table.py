@@ -10,10 +10,10 @@ Every CSV reader of the package, the LOB parser included, reads from bytes
 through one tokenizer (:func:`split_cells`).  Two numpy word kernels
 (:func:`plain_floats`, :func:`plain_ints`) convert a whole column of plain
 cells with no Python object per cell: the LOB parser uses both, a table's
-integer columns the second.  A table's float column is converted once per
-distinct cell.  A table file with a byte outside the tokenizer's alphabet
-is normalised as text first (rows split on whitespace), and a column these
-paths decline is converted from its texts.
+integer columns the second.  Every cell the kernels decline, in a table or
+a LOB file, is converted once per distinct text (:func:`distinct_cells`).
+A table file with a byte outside the tokenizer's alphabet is normalised as
+text first (rows split on whitespace).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "Cells",
     "lf_line_ends",
     "split_cells",
+    "distinct_cells",
     "plain_floats",
     "plain_ints",
 ]
@@ -291,30 +292,80 @@ def plain_ints(buf: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarr
     return out
 
 
+_DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _decoded(data: bytes, ends, width) -> list[str]:
+    return [data[e - w:e].decode("utf-8") for e, w in zip(ends.tolist(), width.tolist())]
+
+
+def distinct_cells(data: bytes, ends: np.ndarray, width: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct cell texts in the order they first appear, and each
+    cell's index into them.
+
+    ``ends`` and ``width`` may have any shape; the index takes it, and the
+    cells appear in C order.  Every cell needs :data:`PAD` bytes of
+    ``data`` in front of its end.  Equal neighbours are compared byte for
+    byte and form runs.  The runs are keyed by a hash of their last 24
+    bytes and width, and each run is checked against the first run with its
+    key.  A cell over :data:`PAD` bytes, or a key collision, sends the
+    cells to a dict of their decoded texts instead.  Converting the
+    distinct texts in order, the first bad one is the first bad cell.
+    """
+    shape = ends.shape
+    ends, width = ends.ravel(), width.ravel()
+    if ends.size and width.max() <= PAD:
+        view = _words(np.frombuffer(data, dtype=np.uint8))
+        # word k holds bytes 8k+1 .. 8k+8 from a cell's end, zero outside it
+        cell = [view[ends - 8 * (k + 1)] & _TOP[np.clip(width - 8 * k, 0, 8)]
+                for k in range(-(-int(width.max()) // 8))]
+        same = width[1:] == width[:-1]
+        for word in cell:
+            same &= word[1:] == word[:-1]
+        runs = np.flatnonzero(np.concatenate(([True], ~same)))
+        run_width = width[runs]
+        cell = [word[runs] for word in cell]
+        key = run_width.astype(np.uint64)
+        for word in cell:
+            key = key * _DISTINCT_MIX + word
+        # the first run of each key; unique's stable sort for return_index is slower
+        keys, inverse = np.unique(key, return_inverse=True)
+        first = np.full(keys.size, runs.size)
+        np.minimum.at(first, inverse, np.arange(runs.size))
+        rep = first[inverse]
+        same = run_width == run_width[rep]
+        for word in cell:
+            same &= word == word[rep]
+        if same.all():
+            order = np.argsort(first)
+            # argsort of the permutation is its inverse: each run's rank
+            index = np.repeat(np.argsort(order)[inverse], np.diff(runs, append=ends.size))
+            firsts = runs[first[order]]
+            return _decoded(data, ends[firsts], width[firsts]), index.reshape(shape)
+    ids: dict[str, int] = {}
+    index = np.array([ids.setdefault(t, len(ids)) for t in _decoded(data, ends, width)], np.intp)
+    return list(ids), index.reshape(shape)
+
+
 # -- typed columns of a table ------------------------------------------------
 
 # The bytes a table file may hold for the tokenizer as it is (CR only
 # before LF); a file with any other byte is normalised first.
 _TABLE_BYTES = (b"0123456789.-,\n_" + bytes(range(ord("a"), ord("z") + 1))
                 + bytes(range(ord("A"), ord("Z") + 1)))
-_DISTINCT_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 class Cells:
-    """A table's header and cells, converted to a typed column on request.
-
-    Integer columns come from the word kernel over the file's bytes, float
-    columns from one ``float()`` per distinct cell; a column these cannot
-    take is converted from its cell texts, one ``int()`` or ``float()`` per
-    cell, with the same values and errors.
-    """
+    """A table's header and cells, converted to a typed column on request:
+    by the integer word kernel where it takes the column, else one
+    ``int()``, ``float()`` or flag match per distinct cell
+    (:func:`distinct_cells`), with the values and errors of one per cell."""
 
     def __init__(self, path, header, data: bytes, ends, starts):
         self.path = path
         self.header = header
         self.n_rows = len(ends)
         self._data, self._ends, self._starts = data, ends, starts
-        self._buf = np.frombuffer(data, dtype=np.uint8)
 
     def _cells(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """End and width of each cell of a column."""
@@ -326,97 +377,34 @@ class Cells:
 
     def texts(self, name: str) -> list[str]:
         """The cell texts of a column."""
-        return self._decoded(*self._cells(name))
-
-    def _decoded(self, ends, width) -> list[str]:
-        data = self._data
-        return [data[e - w:e].decode("utf-8") for e, w in zip(ends.tolist(), width.tolist())]
+        return _decoded(self._data, *self._cells(name))
 
     def ints(self, name: str) -> np.ndarray:
         """A column of ``int()`` values, as int64."""
-        values = plain_ints(self._buf, *self._cells(name))
+        values = plain_ints(np.frombuffer(self._data, dtype=np.uint8), *self._cells(name))
         if values is None:
-            texts = self.texts(name)
-            values = np.fromiter(map(int, texts), np.int64, len(texts))
+            texts, index = distinct_cells(self._data, *self._cells(name))
+            values = np.fromiter(map(int, texts), np.int64, len(texts))[index]
         return values
 
     def floats(self, name: str) -> np.ndarray:
         """A column of ``float()`` values, as float64."""
-        values = self._distinct_floats(*self._cells(name))
-        if values is None:
-            texts = self.texts(name)
-            values = np.fromiter(map(float, texts), np.float64, len(texts))
-        return values
+        texts, index = distinct_cells(self._data, *self._cells(name))
+        return np.fromiter(map(float, texts), np.float64, len(texts))[index]
 
     def flags(self, name: str, true_text: str, false_text: str) -> np.ndarray:
         """A two-valued column as booleans, True where the cell is ``true_text``.
 
         Any other cell raises ValueError naming its data row.
         """
-        keys = [true_text.encode("ascii"), false_text.encode("ascii")]
-        if max(map(len, keys)) > PAD:
-            raise ValueError(f"flag texts {true_text!r}, {false_text!r}: "
-                             f"each must be at most {PAD} bytes")
-        ends, width = self._cells(name)
-        n_words = -(-max(map(len, keys)) // 8)
-        cell = self._key_words(ends, width, n_words)
-        is_key = []
-        for key in keys:
-            key_words = np.frombuffer(bytes(PAD - len(key)) + key, _WORD)[::-1]
-            match = width == len(key)
-            for k in range(n_words):
-                match &= cell[k] == key_words[k]
-            is_key.append(match)
-        is_true, is_false = is_key
-        other = ~(is_true | is_false)
-        if other.any():
-            row = int(other.argmax())
-            raise ValueError(
-                f"{self.path}: data row {row + 1} has {name} {self.texts(name)[row]!r}, "
-                f"not {true_text!r} or {false_text!r}"
-            )
-        return is_true
-
-    def _key_words(self, ends, width, n_words) -> list[np.ndarray]:
-        """Word k holds bytes 8k+1 .. 8k+8 from a cell's end, zero outside it."""
-        view = _words(self._buf)
-        return [view[ends - 8 * (k + 1)] & _TOP[np.clip(width - 8 * k, 0, 8)]
-                for k in range(n_words)]
-
-    def _distinct_floats(self, ends, width) -> np.ndarray | None:
-        """One ``float()`` per distinct cell of at most 24 bytes, else None.
-
-        Equal neighbours are compared byte for byte and form runs.  The
-        runs are keyed by a hash of their last 24 bytes and width, and
-        each run is checked against the first run with its key, so a key
-        collision sends the column to its texts.  Distinct cells are
-        converted in the order they first appear, so the first bad cell
-        raises.
-        """
-        if not ends.size or width.max() > PAD:
-            return None
-        cell = self._key_words(ends, width, 3)
-        same = width[1:] == width[:-1]
-        for word in cell:
-            same &= word[1:] == word[:-1]
-        runs = np.flatnonzero(np.concatenate(([True], ~same)))
-        width = width[runs]
-        cell = [word[runs] for word in cell]
-        key = width.astype(np.uint64)
-        for word in cell:
-            key = key * _DISTINCT_MIX + word
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        rep = first[inverse]
-        same = width == width[rep]
-        for word in cell:
-            same &= word == word[rep]
-        if not same.all():
-            return None
-        order = np.argsort(first)
-        distinct = np.empty(first.size)
-        distinct[order] = list(map(float, self._decoded(ends[runs[first[order]]],
-                                                        width[first[order]])))
-        return np.repeat(distinct[inverse], _gaps(np.append(runs[1:], ends.size) - 1))
+        texts, index = distinct_cells(self._data, *self._cells(name))
+        for j, text in enumerate(texts):
+            if text not in (true_text, false_text):
+                raise ValueError(
+                    f"{self.path}: data row {int(np.argmax(index == j)) + 1} has {name} "
+                    f"{text!r}, not {true_text!r} or {false_text!r}"
+                )
+        return np.array([text == true_text for text in texts], dtype=bool)[index]
 
 
 def read_cells(path) -> Cells:

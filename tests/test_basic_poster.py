@@ -422,6 +422,23 @@ def test_cli_basic_post_rejects_a_bad_tick(tmp_path, monkeypatch, capsys, tick, 
     assert "tick must be finite and positive" in capsys.readouterr().err
 
 
+def test_quotes_off_the_tick_grid_are_rejected():
+    series = _series([81.87, 81.87, 81.875], [81.88, 81.88, 81.89])
+    with pytest.raises(ValueError, match="sample 2: bid 81.875 or ask 81.89 is off the tick grid"):
+        run_basic_posting(series, offset_ticks=4, tick=0.01)
+    # the same quotes on a 0.005 grid, and a rounding error far below 1e-6 tick
+    run_basic_posting(series, offset_ticks=4, tick=0.005)
+    run_basic_posting(_series([0.1 + 0.2, 0.3], [0.4, 0.4]), offset_ticks=1, tick=0.1)
+
+
+def test_cli_basic_post_rejects_quotes_off_the_tick_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
+    assert cli_main(["basic-post", "--data", "lob.csv", "--tick", "0.25", "--out", "bp"]) == 1
+    assert "off the tick grid of 0.25" in capsys.readouterr().err
+    assert not (tmp_path / "bp").exists()
+
+
 def test_cli_basic_post_rejects_a_book_inside_one_second(tmp_path, monkeypatch, capsys):
     # records at 0.2 s and 0.7 s: the first whole second after the first
     # record comes after the last, so there is no boundary to sample at

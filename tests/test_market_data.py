@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -407,7 +408,7 @@ def test_cr_and_crlf_spellings_take_the_kernels(end):
     rows = [_row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
             _row(30, 100.0, 100.01)]
     want = _parse("\n".join([HEADER, *rows]) + "\n")
-    with mock.patch.object(market_data, "_parse_rows", side_effect=AssertionError):
+    with mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
         got = _parse(end.join([HEADER, *rows]) + end)
         assert got.ts.tobytes() == want.ts.tobytes()
         assert got.cells.tobytes() == want.cells.tobytes()
@@ -597,3 +598,70 @@ def test_lone_cr_file_parses_like_its_lf_file(data, n_rows, block_rows, recorded
     with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
         want = _outcome("\n".join(rows) + end)
         assert _outcome("\r".join(rows) + end.replace("\n", "\r")) == want
+
+
+# -- the per-cell path against a per-row oracle ------------------------------
+
+_SIZE_COLUMNS = [i for i, name in enumerate(LOB_COLUMNS) if "_sz_" in name]
+
+
+def _oracle_outcome(text):
+    """The schema read one row at a time in plain Python: ``_outcome``'s
+    book bits, or the first bad row's error class, line and message."""
+    lines = text.splitlines()
+    assert lines[0] == HEADER
+    ts_out, cells_out, prev = [], [], None
+    for line, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        fields = row.split(",")
+        if len(fields) != len(LOB_CSV_HEADER):
+            return MalformedRowError, line, f"line {line}: expected 23 fields, got {len(fields)}"
+        try:
+            ts = int(fields[0])
+            if not -2**63 <= ts < 2**63:
+                raise ValueError(f"timestamp {fields[0]} outside the int64 range")
+            cells = [float(cell) if cell else float("nan") for cell in fields[1:]]
+        except ValueError as exc:
+            return MalformedRowError, line, f"line {line}: {exc}"
+        for cell, value in zip(fields[1:], cells):
+            if cell and not math.isfinite(value):
+                return (MalformedRowError, line,
+                        f"line {line}: non-finite value {cell!r}; leave absent cells empty")
+        bid, ask = cells[LOB_COLUMNS.index("bid_px_1")], cells[LOB_COLUMNS.index("ask_px_1")]
+        if bid >= ask:
+            return MalformedRowError, line, f"line {line}: crossed book: bid {bid} >= ask {ask}"
+        if any(cells[i] < 0 for i in _SIZE_COLUMNS):
+            return MalformedRowError, line, f"line {line}: negative size"
+        if prev is not None and ts < prev:
+            return (NonMonotoneTimestampError, line,
+                    f"line {line}: timestamp {ts} precedes {prev}")
+        prev = ts
+        ts_out.append(ts)
+        cells_out.append(cells)
+    return ts_out, np.array(cells_out, dtype=np.float64).view(np.uint64).tolist()
+
+
+@given(data=st.data(), n_rows=st.integers(1, 12), block_rows=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_per_cell_path_matches_the_per_row_oracle(data, n_rows, block_rows):
+    """Non-plain files, so every block takes the per-cell path: the same
+    book bits, or the same error class, line and message."""
+    ts, rows = data.draw(st.integers(-10**6, 10**6)), [HEADER]
+    for _ in range(n_rows):
+        ts += data.draw(st.integers(-1, 40))
+        fields = data.draw(_lob_row(ts)).split(",")
+        if data.draw(st.integers(0, 7)) == 0:  # a bad timestamp, often with a bad cell
+            fields[0] = data.draw(st.sampled_from(["x", "", "1e3", "9" * 20]))
+            if data.draw(st.booleans()):
+                fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(_ODD)
+        rows.append(",".join(fields))
+    # a space before one timestamp, which int() skips, makes the file non-plain
+    at = data.draw(st.integers(1, n_rows))
+    rows[at] = " " + rows[at]
+    for at in data.draw(st.lists(st.integers(1, len(rows)), max_size=4)):
+        rows.insert(at, "")
+    text = "\n".join(rows) + "\n"
+    with mock.patch.object(market_data, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(market_data, "_convert_plain", side_effect=AssertionError):
+        assert _outcome(text) == _oracle_outcome(text)

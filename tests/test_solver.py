@@ -274,6 +274,17 @@ def test_simulate_rejects_a_non_finite_alpha_node(tmp_path, default_solution, sp
     assert not (tmp_path / "run" / "batch_wealth.csv").exists()
 
 
+def test_drift_nu_adds_its_carry_to_h():
+    """dS = (nu + alpha) dt + sigma dW puts (nu + alpha) q in the source:
+    with no events and no diffusion, nu adds (T - t) nu q to h."""
+    p = replace(default_params(), lambda_plus=0.0, lambda_minus=0.0, eta=0.0)
+    h = solve_dpe(p, default_grid()).h
+    drifted = solve_dpe(replace(p, nu=0.01), default_grid()).h
+    to_go = p.horizon - p.dt * np.arange(p.n_dt + 1)
+    carry = to_go[:, None, None] * 0.01 * np.arange(-p.q_max, p.q_max + 1)
+    np.testing.assert_allclose(drifted - h, np.broadcast_to(carry, h.shape), rtol=0, atol=1e-5)
+
+
 def test_surface_fingerprint_depends_on_inputs():
     p = default_params()
     s1 = solve_dpe(p, default_grid())
@@ -323,7 +334,7 @@ def _reference_solve(params, grid, land=True):
     da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
 
     tau = params.dt / grid.substeps
-    source = alpha[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
+    source = (params.nu + alpha)[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
     adv = -params.zeta * alpha
     diff = 0.5 * params.eta**2
     lam_p, lam_m = params.lambda_plus, params.lambda_minus
@@ -393,6 +404,7 @@ def _solver_inputs(draw):
         zeta=draw(st.floats(0.0, 0.2)),
         eta=draw(st.floats(0.0, 0.003)),
         phi=draw(st.sampled_from([0.0, 1e-4])),
+        nu=draw(st.one_of(st.just(0.0), st.floats(-0.01, 0.01))),
         varphi=draw(st.sampled_from([0.0, 0.01])),
     )
     return params, grid

@@ -360,13 +360,40 @@ def test_read_cells_keeps_plus_and_non_ascii_bytes_in_their_cells(tmp_path):
         cells.floats("b")
 
 
-def test_flags_rejects_a_text_longer_than_the_pad(tmp_path):
+def test_flags_match_a_text_longer_than_the_pad(tmp_path):
+    long = "y" * table.PAD + "s"
     path = tmp_path / "t.csv"
-    path.write_text("a\nyes\n")
+    path.write_text(f"a\nyes\n{long}\n")
     cells = table.read_cells(path)
-    assert cells.flags("a", "y" * table.PAD, "yes").tolist() == [False]
-    with pytest.raises(ValueError, match=f"at most {table.PAD} bytes"):
-        cells.flags("a", "y" * (table.PAD + 1), "yes")
+    assert cells.flags("a", long, "yes").tolist() == [False, True]
+    # a cell that differs from it only after byte 24, or only before its
+    # last 24 bytes, is reported by its data row
+    for other in [long[:-1] + "z", "z" + long[1:]]:
+        path.write_text(f"a\nyes\n{long}\n{other}\n")
+        with pytest.raises(ValueError, match=f"data row 3 has a '{other}'"):
+            table.read_cells(path).flags("a", long, "yes")
+
+
+@pytest.mark.parametrize("mix", [table._DISTINCT_MIX, np.uint64(0)], ids=["hashed", "colliding"])
+@given(texts=st.lists(st.one_of(st.sampled_from(["", "0", "-0", "1.5", "x" * 24, "y" + "x" * 24]),
+                                st.text(alphabet="ab1-\u00e9", max_size=30)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_distinct_cells_in_order_of_first_appearance(mix, texts):
+    """Against a dict of the texts; a mix of 0 keys every short cell 0, so
+    each collision must send the cells to the dict."""
+    data = bytes(table.PAD) + "".join(text + "," for text in texts).encode("utf-8")
+    width = np.array([len(text.encode("utf-8")) for text in texts], dtype=np.intp)
+    ends = table.PAD + np.cumsum(width + 1) - 1
+    ids = {}
+    want = [ids.setdefault(text, len(ids)) for text in texts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table, "_DISTINCT_MIX", mix)
+        distinct, index = table.distinct_cells(data, ends, width)
+    assert distinct == list(ids) and index.tolist() == want
+    rows = len(texts) // 2
+    distinct, index = table.distinct_cells(data, ends[:2 * rows].reshape(rows, 2),
+                                           width[:2 * rows].reshape(rows, 2))
+    assert index.shape == (rows, 2) and [distinct[i] for i in index.ravel()] == texts[:2 * rows]
 
 
 # -- the tokenizer-backed readers against a per-text oracle ------------------
