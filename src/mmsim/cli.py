@@ -36,6 +36,7 @@ from .solver import (
     load_policy_csv,
     solve_dpe,
 )
+from .table import check_text_cell
 from .dynamics import RngStream
 
 # every other validation error of the package subclasses ValueError
@@ -120,6 +121,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_basic_post(args) -> int:
+    # the date is a summary.csv cell: reject it before any file is written
+    check_text_cell(args.date)
     params, _ = _load_params(args.config)
     offset = args.offset_ticks
     if offset is None:
@@ -148,6 +151,7 @@ def _cmd_basic_post(args) -> int:
 
 
 def _cmd_example1(args) -> int:
+    check_text_cell(args.date)
     log = basic_poster.run_example1(args.steps, walk_p=args.walk_p, seed=args.seed)
     summary = basic_poster.fill_type_table(log)
     out = _out_dir(args)

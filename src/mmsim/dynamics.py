@@ -138,7 +138,7 @@ WINDOW_UNIFORMS = 4
 
 
 def draw_window_events(
-    rng: RngStream | np.random.Generator, n_steps: int
+    rng: RngStream | np.random.Generator, n_steps: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a window's random events in their fixed layout.
 
@@ -146,9 +146,11 @@ def draw_window_events(
     buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms, then
     ``z = gen.standard_normal(n_steps)`` the alpha shocks.  Every uniform
     is drawn whether or not it is used, so no draw depends on the state.
+    The uniforms are drawn into ``out`` when given, a C-contiguous float
+    array of shape ``(n_steps, 4)``, which is then ``u``.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return gen.random((n_steps, WINDOW_UNIFORMS)), gen.standard_normal(n_steps)
+    return gen.random((n_steps, WINDOW_UNIFORMS), out=out), gen.standard_normal(n_steps)
 
 
 def arrival_probabilities(

@@ -225,7 +225,7 @@ def parse_lob_csv(data: bytes) -> LOBBook:
         prev_ts = int(ts_out[kept - 1]) if kept else None
         converted = _convert_plain(buf, ends, starts, fields) if plain else None
         if converted is None:
-            converted = _convert_cells(raw, ends, starts, fields, linenos, prev_ts)
+            converted = _convert_cells(raw, buf, ends, starts, fields, linenos, prev_ts)
         ts, cells = converted
         _check_rows(ts, cells, linenos, prev_ts)
         ts_out[kept:kept + ts.size] = ts
@@ -265,11 +265,14 @@ def _convert_plain(buf, ends, starts, fields) -> tuple[np.ndarray, np.ndarray] |
     return ts, cells
 
 
-def _convert_cells(raw, ends, starts, fields, linenos, prev_ts) -> tuple[np.ndarray, np.ndarray]:
+def _convert_cells(raw, buf, ends, starts, fields, linenos,
+                   prev_ts) -> tuple[np.ndarray, np.ndarray]:
     """ts and cells of any block, one ``int()`` or ``float()`` per distinct
     cell text.
 
     Takes :func:`split_cells` of the block, like :func:`_convert_plain`.
+    ``ts`` is read by :func:`plain_ints` when every one is plain, as
+    timestamps rarely repeat; else it goes through :func:`_timestamp`.
     The first bad row is the earlier of the first with a wrong field count
     and the first holding a text that :func:`_timestamp` or
     :func:`_cell_value` rejects, ``ts`` before cells.  It raises after the
@@ -280,7 +283,9 @@ def _convert_cells(raw, ends, starts, fields, linenos, prev_ts) -> tuple[np.ndar
     n = int(np.argmax(fields != _N_FIELDS)) if (fields != _N_FIELDS).any() else fields.size
     ends = ends[:n * _N_FIELDS].reshape(n, _N_FIELDS)
     width = np.diff(ends, prepend=starts[:n, None] - 1) - 1
-    ts, ts_bad = _converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
+    ts, ts_bad = plain_ints(buf, ends[:, 0], width[:, 0]), None
+    if ts is None:
+        ts, ts_bad = _converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
     cells, cells_bad = _converted(raw, ends[:, 1:], width[:, 1:], _cell_value, np.float64)
     count_bad = (n, f"expected {_N_FIELDS} fields, got {fields[n]}") if n < fields.size else None
     # min keeps the first of equal rows: ts, then cells

@@ -10,16 +10,20 @@ deterministic RNG stream.  The scalar ``run_simulation`` is the reference
 that ``run_batch`` must equal bit for bit.
 
 ``run_batch`` steps only what depends on inventory.  A window's random
-events are drawn before its first step, and with them everything else is
-known before the loop, over a block of windows at once: the alpha path,
-its nearest drift nodes, and per step a one-byte fill code holding the
-trade-throughs and the thinned market-order hits.  ``fill_rule`` is
-evaluated once over all 64 codes (with the two posting bits) into an event
-table and an inventory-change table.  A step of the loop then gathers the
-posting bits at (step, node, inventory), ORs them into the step's code,
-adds the running penalty, moves inventory by the code's change and checks
-the inventory bounds.  After the loop the events come from
-the codes in one gather, and cash is settled from the fill columns with
+events are drawn before its first step, into a buffer reused across
+windows, and with them everything else is known before the loop, over a
+block of windows at once: the alpha path, its nearest drift nodes, and
+per step a one-byte fill code holding the trade-throughs and the thinned
+market-order hits.  The nearest node is found by arithmetic on the node
+grid, corrected and checked against the nodes' bracket, with a binary
+search only for what the check rejects (``nearest_node``).  ``fill_rule``
+is evaluated once over all 64 codes (with the two posting bits) into an
+event table and an inventory-change table.  A step of the loop then
+gathers the posting bits at (step, node, inventory), ORs them into the
+step's code, adds the running penalty, moves inventory by the code's
+change and checks the inventory bounds.  After the loop the steps whose
+code holds an event are found through a table of the codes, only they are
+expanded into events, and cash is settled from the fill columns with
 ``np.add.at``, in window, step and event order.
 """
 
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    WINDOW_UNIFORMS,
     RngStream,
     arrival_probabilities,
     draw_window_events,
@@ -135,18 +140,53 @@ def nearest_node(nodes: np.ndarray, alpha):
     """Index of the node nearest to ``alpha`` (scalar or array), the lower
     one on a tie.
 
-    One bracketing search finds ``nodes[lo] < alpha <= nodes[lo + 1]``
-    (the end pair outside the nodes), and one exact compare of the two neighbours' distances picks between
-    them.  For finite, strictly increasing nodes and a finite ``alpha``
-    this equals ``np.abs(nodes - alpha).argmin()`` whenever every gap
-    between neighbouring nodes exceeds the float spacing at
+    The bracket ``nodes[c - 1] < alpha <= nodes[c]`` (the end pair outside
+    the nodes) is found by grid arithmetic (:class:`_NodeGrid`), and one
+    exact compare of the two neighbours' distances picks between them.
+    For finite, strictly increasing nodes and a finite ``alpha`` this
+    equals ``np.abs(nodes - alpha).argmin()`` whenever every gap between
+    neighbouring nodes exceeds the float spacing at
     ``|alpha| + max|nodes|``: then no node beyond the bracket rounds to
     the same distance.  On the default grid (gaps of 0.0016) that holds
     for ``|alpha|`` up to about 1e12.
     """
-    hi = np.minimum(np.searchsorted(nodes, alpha), nodes.size - 1)
-    lo = np.maximum(hi - 1, 0)
-    return np.where(nodes[hi] - alpha < alpha - nodes[lo], hi, lo)
+    return _NodeGrid(nodes).nearest(alpha)
+
+
+class _NodeGrid:
+    """A node set prepared for :func:`nearest_node`, once per run.
+
+    ``c``, the number of nodes below ``alpha`` (``np.searchsorted(nodes,
+    alpha)``), is guessed as ``ceil((alpha - nodes[0]) / step)`` with
+    ``step`` the nodes' mean spacing, clipped to ``[0, n]``, and corrected
+    one step each way against the nodes padded with -inf and +inf.  An
+    element whose bracket ``padded[c] < alpha <= padded[c + 1]`` then
+    fails (uneven nodes, or a NaN or -inf ``alpha``) is searched for; on
+    evenly spaced nodes none is.  The bracket fixes ``c``, so the result
+    is the search's either way.
+    """
+
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = nodes
+        self.padded = np.concatenate(([-np.inf], nodes, [np.inf]))
+        span = nodes[-1] - nodes[0]
+        self.step = span / (nodes.size - 1) if span > 0 else 1.0
+
+    def nearest(self, alpha):
+        nodes, padded = self.nodes, self.padded
+        shape = np.shape(alpha)
+        alpha = np.reshape(alpha, -1)
+        # fmax maps a NaN guess to 0, so the cast sees no NaN
+        guess = np.ceil((alpha - nodes[0]) / self.step)
+        c = np.fmin(np.fmax(guess, 0), nodes.size).astype(np.intp)
+        c += padded[c + 1] < alpha
+        c -= padded[c] >= alpha
+        off = ~((padded[c] < alpha) & (alpha <= padded[c + 1]))
+        if off.any():
+            c[off] = np.searchsorted(nodes, alpha[off])
+        hi = np.minimum(c, nodes.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        return np.where(nodes[hi] - alpha < alpha - nodes[lo], hi, lo).reshape(shape)
 
 
 def _check_policy(policy: PostingPolicy, params: MarketParams) -> None:
@@ -197,7 +237,7 @@ def run_simulation(
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
 
     bid, ask, mid = series.bid, series.ask, series.mid
-    nodes = policy.alpha_nodes
+    grid = _NodeGrid(policy.alpha_nodes)
     j0 = params.q_max
 
     inventory = np.zeros(n + 1, dtype=int)
@@ -214,7 +254,7 @@ def run_simulation(
     penalty = 0.0
 
     for i in range(n):
-        a_idx = int(nearest_node(nodes, alpha))
+        a_idx = int(grid.nearest(alpha))
         j = q + j0
         p_ask = bool(policy.post_ask[i, a_idx, j])
         p_bid = bool(policy.post_bid[i, a_idx, j])
@@ -259,12 +299,16 @@ def n_windows(series_len: int, n_dt: int) -> int:
 
 # Windows stepped together.  A block holds per window step 4 event flag
 # bytes while its events are drawn, the 8-byte alpha path and one fill code
-# byte: about 1.6 MB at n_dt = 120, so one block runs a session of a
-# thousand windows.
+# byte: about 1.6 MB at n_dt = 120 (and a DRAW_CHUNK buffer of uniforms
+# while drawing), so one block runs a session of a thousand windows.
 BLOCK_WINDOWS = 1024
 
-# Steps whose drift nodes are looked up together, in one nearest_node call.
+# Steps whose drift nodes are looked up together, in one _NodeGrid lookup.
 NODE_CHUNK = 8
+
+# Windows whose uniforms are drawn into one reused buffer and thresholded
+# together: 64 windows of 120 steps are 240 KB of uniforms.
+DRAW_CHUNK = 64
 
 # Bits of a window step's fill code.  The low four are known before the
 # first step: the ask and bid trade-throughs (improved mode only) and the
@@ -287,6 +331,8 @@ def _code_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _CODE_EVENTS, _CODE_DQ = _code_tables()
+# whether a code holds any event, as a bytes.translate table
+_CODE_BUSY = _CODE_EVENTS.any(axis=1).tobytes().ljust(256, b"\0")
 
 
 def run_batch(
@@ -316,8 +362,9 @@ def run_batch(
     _check_policy(policy, params)
     posting = (policy.post_ask[:n] * np.uint8(_POSTED_ASK)
                | policy.post_bid[:n] * np.uint8(_POSTED_BID)).reshape(-1)
+    grid = _NodeGrid(policy.alpha_nodes)
     blocks = [
-        _run_block(posting, policy.alpha_nodes, series, mode, params,
+        _run_block(posting, grid, series, mode, params,
                    master_seed, w0, min(BLOCK_WINDOWS, count - w0))
         for w0 in range(0, count, BLOCK_WINDOWS)
     ]
@@ -340,24 +387,20 @@ def run_batch(
     )
 
 
-def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
+def _run_block(posting, grid, series, mode, params, master_seed, w0, size):
     """Step windows w0 .. w0+size-1 together; only inventory is stepped.
 
-    Window w draws from the start of stream ``RngStream(master_seed, w)``:
-    the block's PCG64 states come from one ``pcg64_stream_states`` call,
-    and one reused generator is set to each in turn.  Each window's
-    uniforms are thresholded into event flags as they are drawn (buy and
-    sell arrival, ask and bid thinning, in the layout of
-    ``draw_window_events``).
-
-    Before the step loop, over the whole block: the alpha path, written
-    over the shocks; the low four bits of every step's fill code, from the
-    flags and one comparison of each quote series with itself one sample
-    on.  Then step i gathers the posting bits at (i, drift node, inventory)
+    The windows' events are drawn first (``_draw_block``).  Before the
+    step loop, over the whole block: the alpha path, written over the
+    shocks; the low four bits of every step's fill code, from the flags
+    and one comparison of each quote series with itself one sample on.
+    Then step i gathers the posting bits at (i, drift node, inventory)
     from ``posting`` (the policy's codes, flattened), ORs them into the
     step's code, adds the running penalty of the step's inventory, moves
     inventory by the code's change and raises at the first bound breach;
-    the drift nodes are looked up ``NODE_CHUNK`` steps at a time.
+    the drift nodes are looked up ``NODE_CHUNK`` steps at a time in
+    ``grid``, the policy's ``_NodeGrid``.  After the loop only the steps
+    whose code holds an event are expanded into their events.
 
     Returns the windows' final inventories and running penalties, then
     their fills as event indices into ``FILL_EVENTS`` and session-global
@@ -365,19 +408,9 @@ def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
     """
     n = params.n_dt
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
-    # one threshold per uniform of a window's flattened (n, 4) block
-    limits = np.tile([p_buy, p_sell, mode.rho_effective, mode.rho_effective], n)
-    flags = np.empty((size, n * 4), dtype=bool)
-    # row 0 is every window's initial alpha, 0; row i + 1 starts as step i's shock
-    alpha = np.zeros((n + 1, size))
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
-    for k, (state, inc) in enumerate(pcg64_stream_states(master_seed, w0, size)):
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        u, alpha[1:, k] = draw_window_events(gen, n)
-        np.less(u.reshape(-1), limits, out=flags[k])
-    flags = flags.reshape(size, n, 4)
+    # the thresholds of a step's four uniforms
+    limits = np.array([p_buy, p_sell, mode.rho_effective, mode.rho_effective])
+    flags, alpha = _draw_block(master_seed, w0, size, n, limits)
 
     # the step's fill bits, window by window, then laid out step by step
     base = w0 * n
@@ -408,7 +441,7 @@ def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
         out -= down.take(sell[i].view(np.uint8))
     del buy, sell
 
-    n_alpha, n_q = nodes.size, 2 * params.q_max + 1
+    n_alpha, n_q = grid.nodes.size, 2 * params.q_max + 1
     q_nodes = np.arange(-params.q_max, params.q_max + 1)
     # the running penalty of each inventory, as run_simulation computes it
     charge = params.phi * (q_nodes * q_nodes) * params.dt
@@ -419,7 +452,7 @@ def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
     for i0 in range(0, n, NODE_CHUNK):
         i1 = min(i0 + NODE_CHUNK, n)
         # each window's row of posting at (step, drift node)
-        rows = nearest_node(nodes, alpha[i0:i1])
+        rows = grid.nearest(alpha[i0:i1])
         rows += np.arange(i0 * n_alpha, i1 * n_alpha, n_alpha)[:, None]
         rows *= n_q
         for row, code in zip(rows, codes[i0:i1]):
@@ -432,8 +465,47 @@ def _run_block(posting, nodes, series, mode, params, master_seed, w0, size):
                 raise _bound_breach(int(q[(np.abs(q) > params.q_max).argmax()]), params.q_max)
     del alpha
 
-    flat = np.flatnonzero(_CODE_EVENTS[codes.T])
-    return j - params.q_max, penalty, flat % 4, base + flat // 4
+    # the steps with any event, window by window, then their 4 event flags
+    # each.  bytes.translate looks every code up in a 256-byte table with
+    # no intp copy of the codes (8 bytes a step), which numpy's take makes
+    codes = codes.T.tobytes()
+    steps = np.flatnonzero(np.frombuffer(codes.translate(_CODE_BUSY), dtype=bool))
+    busy_codes = np.frombuffer(codes, dtype=np.uint8).take(steps)
+    del codes
+    flat = np.flatnonzero(_CODE_EVENTS.take(busy_codes, axis=0))
+    t_index = steps.take(flat >> 2)
+    t_index += base
+    return j - params.q_max, penalty, flat & 3, t_index
+
+
+def _draw_block(master_seed, w0, size, n, limits):
+    """Event flags and shocks of windows w0 .. w0+size-1, in the layout of
+    ``draw_window_events``.
+
+    Window w draws from the start of stream ``RngStream(master_seed, w)``:
+    the block's PCG64 states come from one ``pcg64_stream_states`` call,
+    and one reused generator is set to each in turn.  Each window's
+    uniforms are drawn into its row of a buffer reused for ``DRAW_CHUNK``
+    windows, which are thresholded by ``limits`` together: flags of shape
+    (size, n, 4), per step buy and sell arrival, ask and bid thinning.
+    Its shocks go straight into its column of the alpha path, shape
+    (n + 1, size), whose row 0 is every window's initial alpha, 0.
+    """
+    flags = np.empty((size, n, WINDOW_UNIFORMS), dtype=bool)
+    alpha = np.zeros((n + 1, size))
+    uniforms = np.empty((min(DRAW_CHUNK, size), n, WINDOW_UNIFORMS))
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    states = pcg64_stream_states(master_seed, w0, size)
+    for k0 in range(0, size, DRAW_CHUNK):
+        chunk = uniforms[:min(DRAW_CHUNK, size - k0)]
+        for k, u in enumerate(chunk, k0):
+            state, inc = states[k]
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            _, alpha[1:, k] = draw_window_events(gen, n, out=u)
+        np.less(chunk, limits, out=flags[k0:k0 + len(chunk)])
+    return flags, alpha
 
 
 def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:

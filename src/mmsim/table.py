@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "write_table",
+    "check_text_cell",
     "read_cells",
     "Cells",
     "lf_line_ends",
@@ -57,9 +58,16 @@ def _cells(column) -> list[str]:
         column = column.tolist()
     texts = list(map(str, column))
     if _SEPARATOR.search("".join(texts)):
-        text = next(filter(_SEPARATOR.search, texts))
-        raise ValueError(f"cell {text!r} holds a ',', LF or CR, which would split its row")
+        check_text_cell(next(filter(_SEPARATOR.search, texts)))
     return texts
+
+
+def check_text_cell(text: str) -> None:
+    """Raise the ValueError :func:`write_table` raises for ``text`` as a
+    cell if it holds ``,``, LF or CR, so a caller can reject it before
+    writing anything."""
+    if _SEPARATOR.search(text):
+        raise ValueError(f"cell {text!r} holds a ',', LF or CR, which would split its row")
 
 
 def write_table(path, header, columns) -> None:

@@ -470,6 +470,22 @@ def test_plain_blocks_take_the_kernel():
     assert np.array_equal(book.cells.view(np.uint64), want.cells.view(np.uint64))
 
 
+def test_per_cell_blocks_read_plain_timestamps_with_the_kernel():
+    """A file the kernels decline (one size spelled ``3e0``) whose
+    timestamps are plain converts them with plain_ints: ``_timestamp`` is
+    never called, and the book equals the one parsed with every timestamp
+    through it."""
+    text = _lobgen_style_text(2 * 700 + 5, seed=12).replace(",3\n", ",3e0\n", 1)
+    with mock.patch.object(market_data, "BLOCK_ROWS", 700):
+        with mock.patch.object(market_data, "_timestamp", side_effect=AssertionError):
+            got = _parse(text)
+        with mock.patch.object(market_data, "plain_ints", lambda *cells: None):
+            want = _parse(text)
+    assert len(got) == 1405
+    assert got.ts.tobytes() == want.ts.tobytes()
+    assert got.cells.tobytes() == want.cells.tobytes()
+
+
 _PLAIN_SAMPLES = ["0", "-0", "-0.0", "-.0", "5.", ".5", "-5.", "99999999", "-9999999",
                   "0.000001", "1234.567", ".0000001", "00000000", "0.1", "-.1"]
 

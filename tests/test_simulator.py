@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -32,7 +33,14 @@ from mmsim.simulator import (
     update_cash,
     update_inventory,
 )
-from mmsim.solver import PostingPolicy, export_policy_csv, extract_policy, solve_dpe
+from mmsim.solver import (
+    PostingPolicy,
+    alpha_grid,
+    export_policy_csv,
+    extract_policy,
+    load_policy_csv,
+    solve_dpe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +393,54 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     _assert_same_fills(batch.fills, fills)
 
 
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_matches_scalar_across_draw_chunks(solved, monkeypatch, variant):
+    """Draw chunks of 3 windows split blocks of 5 and 3 windows unevenly
+    (3 + 2 and 3 windows): every window's wealth, objective and fills
+    equal its scalar run exactly."""
+    monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 5)
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", 3)
+    params, policy = solved
+    params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=0.3)
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    windows = 8
+    series = synthetic_quotes(params, windows * params.n_dt, seed=43)
+    batch = run_batch(policy, series, mode, params, master_seed=44)
+    assert batch.n_paths == windows
+
+    fills, totals = [], FillCounters()
+    for w in range(windows):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        r = run_simulation(policy, window, mode, params, RngStream(44, w))
+        assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        totals += r.counters
+    assert batch.fill_totals == totals and len(fills) > 0
+    _assert_same_fills(batch.fills, fills)
+
+
+# sha256 of run_batch's outputs on the session below: a change to the draw
+# layout, the alpha path, the node lookup or the event order moves it
+_GOLDEN_BATCH = {
+    "benchmark": "832c5c8c547ab35c60d00c2bbc13474330b0cb6761203c5597ae1079497032cc",
+    "improved": "385ee3b1fa732928a0ab7e3ba534e4cd599fccc07486c2e69bbb64d0d0bafdf2",
+}
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_outputs_equal_their_recorded_digest(solved, variant):
+    params, policy = solved
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    series = synthetic_quotes(params, 6 * params.n_dt, RngStream(seed=45, stream_id=0))
+    batch = run_batch(policy, series, mode, params, master_seed=46)
+    h = hashlib.sha256()
+    for column in (batch.terminal_wealths, batch.objectives, batch.fills.t_index,
+                   batch.fills.is_ask, batch.fills.price, batch.fills.is_adverse):
+        h.update(np.ascontiguousarray(column).tobytes())
+    assert batch.fills.t_index.size > 0
+    assert h.hexdigest() == _GOLDEN_BATCH[variant]
+
+
 def test_batch_peak_memory_stays_small(solved):
     """Beyond its alpha path the batch keeps one byte per window step: a
     thousand windows of 120 steps peak under 3 MiB of traced memory."""
@@ -435,6 +491,57 @@ def test_nearest_node_equals_argmin(values, free):
     # a block of steps by windows, as the batch looks nodes up
     block = probes[:probes.size // 3 * 3].reshape(3, -1)
     assert nearest_node(nodes, block).tolist() == np.reshape(want[:block.size], block.shape).tolist()
+
+
+def _node_probes(nodes, rng):
+    """The nodes, their midpoints, the neighbouring float of each either
+    way, and uniform values over twice the nodes' range."""
+    mids = (nodes[:-1] + nodes[1:]) / 2
+    reach = 2 * np.abs(nodes).max()
+    return np.concatenate([
+        nodes, mids, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+        rng.uniform(-reach, reach, 500),
+    ])
+
+
+def _solver_node_sets(solved, tmp_path):
+    params, policy = solved
+    sets = [alpha_grid(replace(default_grid(), n_alpha=n)) for n in (21, 51, 101, 201)]
+    export_policy_csv(policy, tmp_path / "policy.csv")
+    return [*sets, load_policy_csv(tmp_path / "policy.csv").alpha_nodes]
+
+
+def test_nearest_node_takes_no_search_on_solver_grids(solved, tmp_path, monkeypatch):
+    """On the solver's evenly spaced nodes, and on the nodes a policy file
+    reads back as, grid arithmetic finds every bracket: with the binary
+    search made to raise, every probe still gets argmin's node."""
+    node_sets = _solver_node_sets(solved, tmp_path)
+    rng = np.random.default_rng(41)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("nearest_node fell back to np.searchsorted")
+
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    for nodes in node_sets:
+        probes = _node_probes(nodes, rng)
+        want = [int(np.abs(nodes - a).argmin()) for a in probes]
+        assert nearest_node(nodes, probes).tolist() == want
+        block = probes[:probes.size // 2 * 2].reshape(2, -1)
+        assert nearest_node(nodes, block).reshape(-1).tolist() == want[:block.size]
+        assert [int(nearest_node(nodes, a)) for a in probes] == want
+
+
+def test_nearest_node_of_a_non_finite_alpha(solved, tmp_path):
+    """+inf takes the last node and -inf the first.  NaN sorts after every
+    node and compares false, so it takes the lower node of the last
+    bracket, as the binary search always gave it.  Scalars and arrays
+    alike, with no IndexError."""
+    for nodes in [np.array([0.5]), np.array([-1.0, 2.0]), *_solver_node_sets(solved, tmp_path)]:
+        n = nodes.size
+        want = [n - 1, 0, max(n - 2, 0)]
+        assert nearest_node(nodes, np.array([np.inf, -np.inf, np.nan])).tolist() == want
+        assert [int(nearest_node(nodes, a)) for a in (np.inf, -np.inf, np.nan)] == want
 
 
 @pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite"])

@@ -275,6 +275,18 @@ def test_example1_rejects_a_date_that_would_split_its_row(tmp_path, capsys, date
         table.write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], ["ok", date]])
 
 
+@pytest.mark.parametrize("date", ["2024-01-02,x", "2024-01-02\nx", "2024-01-02\rx"])
+@pytest.mark.parametrize("command", [["basic-post", "--steps", "500"], ["example1", "--steps", "50"]])
+def test_a_rejected_date_leaves_the_out_directory_empty(tmp_path, capsys, command, date):
+    """The date is checked before any file is written: no fills.csv, no
+    summary.csv, and write_table's message."""
+    out = tmp_path / "out"
+    assert cli_main([*command, "--date", date, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ValueError: cell {date!r} holds a ',', LF or CR, which would split its row\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_write_table_replaces_its_file_only_when_complete(tmp_path, monkeypatch):
     """A cell rejected after a block is written leaves the earlier table
     as it was, and no temporary file beside it."""
