@@ -32,6 +32,7 @@ import numpy as np
 from .dynamics import RngStream, round_to_tick
 from .fills import FillCounters, FillEvent, FillKind, Side, classify_fill
 from .market_data import PriceSeries, check_tick
+from .params import OFFSET_TICKS_PRESETS
 from .table import write_table
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Ladder spacing per contract, in ticks.
-OFFSET_TICKS_PRESETS = {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
 
 # Steps ahead compared at once when searching for the next active step.
 SEARCH_STEPS = 256

@@ -15,32 +15,62 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
-from . import basic_poster, fills, reporting
-from .fills import EnvMode, FillColumns, write_fill_log
-from .market_data import parse_lob_csv, resample_forward_fill, synthetic_quotes
-from .params import MarketParams, SolverGrid, load_config
-from .simulator import (
-    PolicyShapeMismatchError,
-    run_batch,
-    run_simulation,
-    write_batch_wealth_csv,
-    write_snapshot_csv,
-)
-from .solver import (
+from .params import (
+    OFFSET_TICKS_PRESETS,
+    MarketParams,
+    SolverGrid,
     UnstableSchemeError,
-    export_policy_csv,
-    export_surface_csv,
-    extract_policy,
-    load_policy_csv,
-    solve_dpe,
+    load_config,
 )
 from .table import check_text_cell
-from .dynamics import RngStream
 
 # every other validation error of the package subclasses ValueError
 _VALIDATION_ERRORS = (ValueError, UnstableSchemeError)
+
+# Each name the commands take from the modules they run, with its module
+# (a module's own name stands for the module).  A name is imported and bound
+# here on first access (PEP 562), so a command loads only what it calls.
+# The commands call through the module (``_cli.run_batch``): a wrapper set
+# on it before a command sees the command's call.
+_LAZY = {
+    "basic_poster": "basic_poster",
+    "fills": "fills",
+    "reporting": "reporting",
+    "RngStream": "dynamics",
+    "EnvMode": "fills",
+    "FillColumns": "fills",
+    "write_fill_log": "fills",
+    "parse_lob_csv": "market_data",
+    "resample_forward_fill": "market_data",
+    "synthetic_quotes": "market_data",
+    "PolicyShapeMismatchError": "simulator",
+    "run_batch": "simulator",
+    "run_simulation": "simulator",
+    "write_batch_wealth_csv": "simulator",
+    "write_snapshot_csv": "simulator",
+    "export_policy_csv": "solver",
+    "export_surface_csv": "solver",
+    "extract_policy": "solver",
+    "load_policy_csv": "solver",
+    "solve_dpe": "solver",
+}
+
+
+def __getattr__(name: str):
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{owner}", __package__)
+    value = module if owner == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+# this module as the commands see it: ``mmsim.cli``, or ``__main__`` when run with -m
+_cli = sys.modules[__name__]
 
 
 def _load_params(config: str | None) -> tuple[MarketParams, SolverGrid]:
@@ -57,26 +87,26 @@ def _out_dir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     params, grid = _load_params(args.config)
-    surface = solve_dpe(params, grid)
-    policy = extract_policy(surface, params)
+    surface = _cli.solve_dpe(params, grid)
+    policy = _cli.extract_policy(surface, params)
     out = _out_dir(args)
-    export_surface_csv(surface, policy, out / "surface.csv")
-    export_policy_csv(policy, out / "policy.csv")
+    _cli.export_surface_csv(surface, policy, out / "surface.csv")
+    _cli.export_policy_csv(policy, out / "policy.csv")
     print(f"solved {surface.h.shape} surface -> {out / 'surface.csv'}")
     return 0
 
 
 def _recorded_series(path, params: MarketParams):
     """The LOB CSV at ``path`` resampled every ``params.dt`` seconds."""
-    book = parse_lob_csv(Path(path).read_bytes())
-    return resample_forward_fill(book, params.dt)
+    book = _cli.parse_lob_csv(Path(path).read_bytes())
+    return _cli.resample_forward_fill(book, params.dt)
 
 
 def _load_series(args, params):
     if args.data is not None:
         return _recorded_series(args.data, params)
     n_steps = args.windows * params.n_dt
-    return synthetic_quotes(params, n_steps, RngStream(seed=args.seed, stream_id=10_000))
+    return _cli.synthetic_quotes(params, n_steps, _cli.RngStream(seed=args.seed, stream_id=10_000))
 
 
 def _cmd_simulate(args) -> int:
@@ -84,21 +114,22 @@ def _cmd_simulate(args) -> int:
     if args.snapshots < 0:
         raise ValueError(f"--snapshots must be >= 0, got {args.snapshots}")
     if args.policy is None:
-        raise PolicyShapeMismatchError("no policy file given; run `solve` and pass --policy")
-    policy = load_policy_csv(args.policy)
-    mode = EnvMode.improved(params) if args.mode == "improved" else EnvMode.benchmark()
+        raise _cli.PolicyShapeMismatchError("no policy file given; run `solve` and pass --policy")
+    policy = _cli.load_policy_csv(args.policy)
+    env = _cli.EnvMode
+    mode = env.improved(params) if args.mode == "improved" else env.benchmark()
     series = _load_series(args, params)
 
-    batch = run_batch(policy, series, mode, params, master_seed=args.seed)
+    batch = _cli.run_batch(policy, series, mode, params, master_seed=args.seed)
     out = _out_dir(args)
-    write_batch_wealth_csv(batch, out / "batch_wealth.csv")
+    _cli.write_batch_wealth_csv(batch, out / "batch_wealth.csv")
 
-    write_fill_log(batch.fills, out / "fills.csv")
+    _cli.write_fill_log(batch.fills, out / "fills.csv")
     # snapshot windows rerun alone on their batch streams for the full paths
     for w in range(min(args.snapshots, batch.n_paths)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        result = run_simulation(policy, window, mode, params, RngStream(args.seed, w))
-        write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
+        result = _cli.run_simulation(policy, window, mode, params, _cli.RngStream(args.seed, w))
+        _cli.write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
     print(
         f"{batch.n_paths} windows in {mode.variant.value} mode: "
         f"mean terminal wealth {batch.terminal_wealths.mean():.6f}"
@@ -108,8 +139,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     src = Path(args.indir)
+    reporting = _cli.reporting
     wealths, _ = reporting.read_batch_wealth_csv(src / "batch_wealth.csv")
-    fill_log = fills.read_fill_log(src / "fills.csv")
+    fill_log = _cli.fills.read_fill_log(src / "fills.csv")
     out = _out_dir(args)
     hist = reporting.terminal_cash_histogram(wealths, args.bins)
     reporting.write_histogram_csv(hist, out / "histogram.csv")
@@ -126,22 +158,23 @@ def _cmd_basic_post(args) -> int:
     params, _ = _load_params(args.config)
     offset = args.offset_ticks
     if offset is None:
-        offset = basic_poster.OFFSET_TICKS_PRESETS[args.contract]
+        offset = OFFSET_TICKS_PRESETS[args.contract]
     if args.data is not None:
         series = _recorded_series(args.data, params)
     else:
         # two-tick spread keeps synthetic touches on the tick grid so the
         # ladder's queue model sees orders at the touch
-        series = synthetic_quotes(
+        series = _cli.synthetic_quotes(
             replace(params, delta=2 * args.tick), args.steps,
-            RngStream(seed=args.seed, stream_id=20_000), tick=args.tick,
+            _cli.RngStream(seed=args.seed, stream_id=20_000), tick=args.tick,
         )
+    basic_poster = _cli.basic_poster
     log = basic_poster.run_basic_posting(
         series, offset_ticks=offset, tick=args.tick, seed=args.seed
     )
     summary = basic_poster.fill_type_table(log)
     out = _out_dir(args)
-    write_fill_log(FillColumns.from_events(log.fills), out / "fills.csv")
+    _cli.write_fill_log(_cli.FillColumns.from_events(log.fills), out / "fills.csv")
     basic_poster.write_fill_summary_csv(
         [(args.date, args.contract, summary)], out / "summary.csv"
     )
@@ -152,10 +185,11 @@ def _cmd_basic_post(args) -> int:
 
 def _cmd_example1(args) -> int:
     check_text_cell(args.date)
+    basic_poster = _cli.basic_poster
     log = basic_poster.run_example1(args.steps, walk_p=args.walk_p, seed=args.seed)
     summary = basic_poster.fill_type_table(log)
     out = _out_dir(args)
-    write_fill_log(FillColumns.from_events(log.fills), out / "fills.csv")
+    _cli.write_fill_log(_cli.FillColumns.from_events(log.fills), out / "fills.csv")
     basic_poster.write_fill_summary_csv([(args.date, "SYN", summary)], out / "summary.csv")
     print(f"{summary.total} fills, {summary.adverse} adverse, "
           f"{summary.non_adverse} non-adverse")
@@ -198,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
     p.add_argument("--steps", type=int, default=5000, help="synthetic series steps")
-    p.add_argument("--contract", choices=sorted(basic_poster.OFFSET_TICKS_PRESETS),
+    p.add_argument("--contract", choices=sorted(OFFSET_TICKS_PRESETS),
                    default="CL")
     p.add_argument("--offset-ticks", type=int, default=None,
                    help="override the per-contract ladder spacing")

@@ -4,6 +4,10 @@ All quantities are in price units, lots and seconds.  A configuration file is
 flat UTF-8 text, one ``key = value`` pair per line, ``#`` starts a comment,
 and keys must match the field names of :class:`MarketParams` or
 :class:`SolverGrid` exactly.  Unknown keys are rejected.
+
+The solver's :class:`UnstableSchemeError` and the ladder's contract presets
+live here too: the CLI needs them before it knows which command's modules
+to load (``solver`` and ``basic_poster`` re-export them).
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ __all__ = [
     "SolverGrid",
     "ConfigParseError",
     "ValidationError",
+    "UnstableSchemeError",
+    "OFFSET_TICKS_PRESETS",
     "default_params",
     "default_grid",
     "validate",
@@ -113,6 +119,21 @@ class ValidationError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class UnstableSchemeError(RuntimeError):
+    """The explicit scheme produced a non-finite value."""
+
+    def __init__(self, t_index: int):
+        self.t_index = t_index
+        super().__init__(
+            f"non-finite value while updating time slice {t_index}; "
+            "increase substeps or refine the alpha grid"
+        )
+
+
+# Ladder spacing per contract, in ticks, for the static posting experiment.
+OFFSET_TICKS_PRESETS = {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
 
 
 def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:

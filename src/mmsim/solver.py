@@ -43,12 +43,18 @@ The optimal posting indicators read off the solved surface are
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MarketParams, SolverGrid, ValidationError, render_config, validate
+from .params import (
+    MarketParams,
+    SolverGrid,
+    UnstableSchemeError,
+    ValidationError,
+    render_config,
+    validate,
+)
 from .table import read_cells, write_table
 
 __all__ = [
@@ -64,17 +70,6 @@ __all__ = [
     "export_policy_csv",
     "load_policy_csv",
 ]
-
-
-class UnstableSchemeError(RuntimeError):
-    """The explicit scheme produced a non-finite value."""
-
-    def __init__(self, t_index: int):
-        self.t_index = t_index
-        super().__init__(
-            f"non-finite value while updating time slice {t_index}; "
-            "increase substeps or refine the alpha grid"
-        )
 
 
 class GridTooCoarseError(ValueError):
@@ -276,6 +271,10 @@ def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurf
                 g = np.add(g, d1, out=h[k])
             if not np.isfinite(g, out=finite).all():
                 raise UnstableSchemeError(k)
+
+    # hashlib (and OpenSSL) loads here, not with the module: a command that
+    # never solves does not pay for it
+    import hashlib
 
     fingerprint = hashlib.sha256(render_config(params, grid).encode()).hexdigest()
     return ValueSurface(h=h, alpha_nodes=alpha, q_nodes=q, params_fingerprint=fingerprint)

@@ -435,7 +435,8 @@ def read_cells(path) -> Cells:
     header = head.decode("utf-8").split(",")
     n_cols = len(header)
     # PAD zero bytes in front, and a final line end should the file lack one
-    data = b"".join([bytes(PAD), lf, b"\n"])
+    # (one more would make an empty last line, whose removal copies every cell end)
+    data = b"".join([bytes(PAD), lf, b"" if lf.endswith(b"\n") else b"\n"])
     del lf
     ends, starts, fields = split_cells(np.frombuffer(data, dtype=np.uint8),
                                        PAD + len(head) + 1, len(data))

@@ -1,0 +1,188 @@
+"""What each CLI command imports, and the module route of its calls.
+
+The package and the CLI resolve their names on first access, so a command
+loads only the modules it runs; the commands call the library through
+``mmsim.cli``, so a wrapper set there (as the benchmark's tracer sets one)
+sees every call.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mmsim
+import mmsim.cli
+from mmsim.cli import cli_main
+from mmsim.market_data import LOB_COLUMNS, LOBBook, render_lob_csv
+
+SRC = Path(mmsim.__file__).resolve().parents[1]
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+# the names ``import mmsim`` bound before it resolved them lazily, with their modules
+EXPORTS = {
+    "run_basic_posting": "basic_poster", "run_example1": "basic_poster",
+    "RngStream": "dynamics", "EnvMode": "fills",
+    "parse_lob_csv": "market_data", "resample_forward_fill": "market_data",
+    "synthetic_quotes": "market_data", "trade_size_stats": "market_data",
+    "default_grid": "params", "default_params": "params",
+    "summarize_fills": "reporting", "terminal_cash_histogram": "reporting",
+    "run_batch": "simulator", "run_simulation": "simulator",
+    "extract_policy": "solver", "solve_dpe": "solver",
+}
+MODULES = ("basic_poster", "dynamics", "fills", "market_data", "params", "reporting",
+           "simulator", "solver", "table")
+
+CLI_BASE = {"mmsim", "mmsim.cli", "mmsim.params", "mmsim.table"}
+LOADED = {
+    "solve": {"solver"},
+    "simulate": {"solver", "simulator", "market_data", "fills", "dynamics"},
+    "report": {"fills", "reporting"},
+    "basic-post": {"basic_poster", "market_data", "fills", "dynamics"},
+    "example1": {"basic_poster", "market_data", "fills", "dynamics"},
+}
+
+_RUN_AND_LIST = """
+import json, sys
+from mmsim.cli import cli_main
+code = cli_main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mmsim")]))
+"""
+
+
+def _python(*args, cwd):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _book(n=300):
+    """Level-1 book events 1 s apart on a 0.01 tick: two 120 s windows."""
+    rng = np.random.default_rng(4)
+    bid = 10_000 + np.cumsum(rng.integers(-1, 2, n))
+    cells = np.full((n, len(LOB_COLUMNS)), np.nan)
+    cells[:, LOB_COLUMNS.index("bid_px_1")] = bid * 0.01
+    cells[:, LOB_COLUMNS.index("ask_px_1")] = (bid + 1) * 0.01
+    cells[:, LOB_COLUMNS.index("bid_sz_1")] = cells[:, LOB_COLUMNS.index("ask_sz_1")] = 3.0
+    return LOBBook(ts=1_700_000_000 * 10**9 + np.arange(n, dtype=np.int64) * 10**9,
+                   cells=cells)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding a policy, a LOB CSV and a simulate run of two windows."""
+    root = tmp_path_factory.mktemp("cli")
+    assert cli_main(["solve", "--out", str(root / "solve")]) == 0
+    (root / "lob.csv").write_text(render_lob_csv(_book()), encoding="utf-8")
+    assert cli_main(["simulate", "--policy", str(root / "solve" / "policy.csv"),
+                     "--windows", "2", "--out", str(root / "run")]) == 0
+    return root
+
+
+def _argv(command, root, out):
+    policy = str(root / "solve" / "policy.csv")
+    return {
+        "solve": ["solve", "--out", out],
+        "simulate": ["simulate", "--policy", policy, "--windows", "2", "--out", out],
+        "simulate --data": ["simulate", "--policy", policy, "--data", str(root / "lob.csv"),
+                            "--out", out],
+        "report": ["report", "--in", str(root / "run"), "--out", out],
+        "basic-post": ["basic-post", "--steps", "300", "--out", out],
+        "basic-post --data": ["basic-post", "--data", str(root / "lob.csv"), "--out", out],
+        "example1": ["example1", "--steps", "200", "--out", out],
+    }[command]
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    proc = _python("-c", "import json, sys, mmsim; "
+                   "print(json.dumps(sorted(m for m in sys.modules if 'mmsim' in m)))",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["mmsim"]
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_each_command_loads_only_the_modules_it_runs(inputs, tmp_path, command):
+    proc = _python("-c", _RUN_AND_LIST, *_argv(command, inputs, str(tmp_path / "out")),
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert set(loaded) == CLI_BASE | {f"mmsim.{m}" for m in LOADED[command]}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for name, module in EXPORTS.items():
+        assert getattr(mmsim, name) is getattr(importlib.import_module(f"mmsim.{module}"), name)
+    for module in MODULES:
+        assert getattr(mmsim, module) is importlib.import_module(f"mmsim.{module}")
+    namespace = {}
+    exec("from mmsim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+def test_dir_lists_every_export_and_an_unknown_name_raises():
+    assert set(EXPORTS) | set(MODULES) | {"__version__"} <= set(dir(mmsim))
+    with pytest.raises(AttributeError, match="module 'mmsim' has no attribute 'no_such_name'"):
+        mmsim.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="module 'mmsim.cli' has no attribute 'solver'"):
+        mmsim.cli.solver  # noqa: B018
+
+
+def test_report_runs_as_the_main_module(inputs, tmp_path):
+    proc = _python("-m", "mmsim.cli", *_argv("report", inputs, str(tmp_path / "out")),
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("AFA: ")
+    assert (tmp_path / "out" / "summary.csv").is_file()
+
+
+# (function on mmsim.cli, a command that calls it, the arguments read by name)
+WRAPPED = [
+    ("parse_lob_csv", "simulate --data", ()),
+    ("parse_lob_csv", "basic-post --data", ()),
+    ("resample_forward_fill", "simulate --data", ()),
+    ("resample_forward_fill", "basic-post --data", ()),
+    ("synthetic_quotes", "simulate", ()),
+    ("synthetic_quotes", "basic-post", ()),
+    ("solve_dpe", "solve", ("grid",)),
+    ("extract_policy", "solve", ()),
+    ("export_surface_csv", "solve", ("path",)),
+    ("export_policy_csv", "solve", ("path",)),
+    ("load_policy_csv", "simulate", ()),
+    ("run_batch", "simulate", ("mode", "params")),
+    ("run_simulation", "simulate", ()),
+    ("write_batch_wealth_csv", "simulate", ()),
+    ("write_snapshot_csv", "simulate", ()),
+    ("write_fill_log", "simulate", ("fills",)),
+    ("write_fill_log", "basic-post", ("fills",)),
+]
+
+
+@pytest.mark.parametrize("name, command, read", WRAPPED,
+                         ids=[f"{name}-{command}" for name, command, _ in WRAPPED])
+def test_a_wrapper_set_on_the_cli_module_sees_the_call(inputs, tmp_path, monkeypatch,
+                                                      name, command, read):
+    original = getattr(mmsim.cli, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        calls.append(call.arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmsim.cli, name, spy)
+    assert cli_main(_argv(command, inputs, str(tmp_path / "out"))) == 0
+    assert calls
+    for arguments in calls:
+        assert set(read) <= set(arguments)
+    if "path" in read:
+        assert Path(calls[0]["path"]).is_file()

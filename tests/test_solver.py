@@ -199,6 +199,16 @@ def test_unstable_scheme_is_detected():
     assert 0 <= err.value.t_index <= p.n_dt
 
 
+def test_cli_solve_of_an_unstable_config_exits_1(tmp_path, capsys):
+    # the parameters of test_unstable_scheme_is_detected
+    config = tmp_path / "unstable.cfg"
+    config.write_text("eta = 0.05\nsubsteps = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("UnstableSchemeError: non-finite value")
+    assert not out.exists()
+
+
 def test_jump_exceeding_grid_is_rejected():
     p = replace(default_params(), eps_plus=0.05, eps_minus=0.05)
     with pytest.raises(GridTooCoarseError):

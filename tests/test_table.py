@@ -361,6 +361,30 @@ def test_read_cells_ignores_blank_lines_and_cr_and_names_the_bad_row(tmp_path):
     assert _texts(empty) == (["a", "b"], [[], []])
 
 
+def test_read_cells_of_a_table_ending_in_lf_deletes_no_cell_end(tmp_path, monkeypatch):
+    def no_delete(*args, **kwargs):
+        raise AssertionError("np.delete copies every cell end")
+
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,b\n1,x\n2,y\n", newline="")
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n", newline="")
+    # no final LF, and trailing blank lines, read as before
+    unended = tmp_path / "unended.csv"
+    unended.write_text("a,b\n1,x\n2,y", newline="")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("a,b\n1,x\n2,y\n\n\n", newline="")
+    want = (["a", "b"], [["1", "2"], ["x", "y"]])
+    assert _texts(unended) == _texts(blank) == want
+    monkeypatch.setattr(np, "delete", no_delete)
+    assert _texts(plain) == want
+    assert _texts(header) == (["a", "b"], [[], []])
+    assert _texts(unended) == want
+    # the patch is live: the blank lines' separators are still deleted
+    with pytest.raises(AssertionError, match="np.delete"):
+        _texts(blank)
+
+
 def test_read_cells_keeps_plus_and_non_ascii_bytes_in_their_cells(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c\n+1,\u00e9,\u0663.5\n2,\u00fc,1e+3\n", encoding="utf-8")
