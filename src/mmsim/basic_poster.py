@@ -8,14 +8,18 @@ picked off:
   (front-of-queue assumption), each fill classified by the next quote move;
 
 * a static ladder strategy that rests a buy and a sell ``offset_ticks``
-  apart around the market.  After a fill at price p the same side replaces
-  itself one rung further from the market (p -/+ offset) and the opposite
-  side reposts at the rung p +/- offset unless an order already rests
-  there.  A resting order stays until it fills; none is ever cancelled.
-  An order fills adversely when the quote sweeps through its level, or
-  non-adversely at (or inside) the touch once simulated traded volume
-  strictly exhausts the queue ahead of it; a rung that improves the market
-  starts with an empty queue.
+  apart around the market.  A resting order stays until it fills; none is
+  ever cancelled.  An order fills adversely when the quote sweeps through
+  its level, or non-adversely at (or inside) the touch once simulated
+  traded volume strictly exhausts the queue ahead of it; a rung that
+  improves the market starts with an empty queue.
+
+The ladder keeps each side's rungs in signed ticks: +t for a buy at tick t,
+-t for a sell, so on both sides a better price is a larger number and one
+set of rules steps both sides.  After a fill at signed tick x the same side
+replaces itself one rung further from the market, at x - offset, and the
+other side reposts at -x - offset (the filled price plus or minus offset on
+its own side) unless an order already rests there.
 
 All ladder arithmetic runs on integer tick counts; prices are converted
 back through a canonical rounding so equal ticks compare equal as floats.
@@ -24,8 +28,9 @@ back through a canonical rounding so equal ticks compare equal as floats.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,26 +121,41 @@ def run_example1(
         return _log_from_fills([])
 
     gen = RngStream(seed=seed).generator()
-    bid_ticks = [round(s0 / tick)]
-    for _ in range(n_steps):
-        u = gen.random()
-        move = 1 if u < walk_p else (-1 if u < 2 * walk_p else 0)
-        bid_ticks.append(bid_ticks[-1] + move)
+    u = gen.random(n_steps)
+    moves = np.where(u < walk_p, 1, np.where(u < 2 * walk_p, -1, 0)).tolist()
+    bid_ticks = list(accumulate(moves, initial=round(s0 / tick)))
 
     fills: list[FillEvent] = []
-    for i in range(n_steps):
-        buy_mo = gen.random() < 0.5
-        if buy_mo:
-            now, nxt = _price(bid_ticks[i] + 1, tick), _price(bid_ticks[i + 1] + 1, tick)
-            fills.append(FillEvent(i, Side.ASK, now, classify_fill(Side.ASK, now, nxt)))
-        else:
-            now, nxt = _price(bid_ticks[i], tick), _price(bid_ticks[i + 1], tick)
-            fills.append(FillEvent(i, Side.BID, now, classify_fill(Side.BID, now, nxt)))
+    # a buy market order lifts the ask, one tick above the bid; a sell hits the bid
+    for i, buy_mo in enumerate((gen.random(n_steps) < 0.5).tolist()):
+        side, above = (Side.ASK, 1) if buy_mo else (Side.BID, 0)
+        now, nxt = _price(bid_ticks[i] + above, tick), _price(bid_ticks[i + 1] + above, tick)
+        fills.append(FillEvent(i, side, now, classify_fill(side, now, nxt)))
     return _log_from_fills(fills)
 
 
 def _price(ticks: int, tick: float) -> float:
     return round_to_tick(ticks * tick, tick)
+
+
+class _LadderSide:
+    """One side of the ladder in signed ticks (+t for a buy at tick t, -t
+    for a sell): the per-step columns the rules read, and the resting rungs.
+    The far touch is the other side's touch, negated."""
+
+    __slots__ = ("side", "sign", "touch", "level1", "mo", "reach", "rungs", "queue")
+
+    def __init__(self, side: Side, sign: int, touch, far, level1, mo) -> None:
+        self.side, self.sign, self.level1 = side, sign, level1
+        now, nxt, far_next = touch[:-1], touch[1:], far[1:]
+        # step i can act on a rung only if the best one is at least reach[i]:
+        # the touch drops below it, the far touch comes onto it, or a market
+        # order from the other side meets it at or inside the touch
+        reach = np.minimum(far_next, np.where(nxt < now, nxt + 1, far_next))
+        self.reach = np.where(mo, np.minimum(reach, now), reach)
+        self.touch, self.mo = touch.tolist(), mo.tolist()
+        self.rungs: list[int] = []  # ascending, so the best rung is last
+        self.queue: dict[int, float] = {}  # the volume queued ahead of each rung
 
 
 def run_basic_posting(
@@ -158,12 +178,14 @@ def run_basic_posting(
     at the current touch inherit the visible level-1 size as their queue;
     orders placed away from the market start with ``default_queue`` ahead.
 
-    At each step the buys are visited high to low, then the sells low to
-    high; fills are removed, then reposted against the next sample.  Only
-    steps where a rung can act are visited.  While the rungs stay put,
-    whether step i can touch the book is a threshold on the highest buy and
-    the lowest sell, so the next such step is found with array compares over
-    the samples ahead, and every other step is skipped.
+    Both sides follow one set of rules on signed ticks, where the buys'
+    touch is the bid and the sells' is the negated ask.  At each step the
+    buys are visited best (highest) first, then the sells best (lowest)
+    first; fills are removed, then reposted in fill order against the next
+    sample.  Only steps where a rung can act are visited.  While the rungs
+    stay put, whether step i can touch the book is a threshold on each
+    side's best rung, so the next such step is found with array compares
+    over the samples ahead, and every other step is skipped.
     """
     n = len(series)
     if n == 0:
@@ -181,126 +203,82 @@ def run_basic_posting(
                          f"{float(series.ask[i])!r} is off the tick grid of {tick!r}")
     bid_a, ask_a = ticks.astype(np.int64)
     mo = RngStream(seed=seed).generator().random((n - 1, 2)) < mo_prob
-    b0, b1, a0, a1 = bid_a[:-1], bid_a[1:], ask_a[:-1], ask_a[1:]
-    # step i can act on a buy rung only if the highest one is at least
-    # buy_reach[i]: the bid falls below it, the ask drops onto it, or a sell
-    # order meets it at or inside the touch; sell_reach mirrors it
-    buy_reach = np.minimum(a1, np.where(b1 < b0, b1 + 1, a1))
-    buy_reach = np.where(mo[:, 0], np.minimum(buy_reach, b0), buy_reach)
-    sell_reach = np.maximum(b1, np.where(a1 > a0, a1 - 1, b1))
-    sell_reach = np.where(mo[:, 1], np.maximum(sell_reach, a0), sell_reach)
-    bid_t, ask_t = bid_a.tolist(), ask_a.tolist()
-    mo_sell, mo_buy = mo[:, 0].tolist(), mo[:, 1].tolist()
+    buy = _LadderSide(Side.BID, 1, bid_a, ask_a, series.level1_bid_sz, mo[:, 0])
+    sell = _LadderSide(Side.ASK, -1, -ask_a, -bid_a, series.level1_ask_sz, mo[:, 1])
+    # each side with the other, in the order a step visits them
+    sides = ((buy, sell), (sell, buy))
 
-    # each side's rung ticks, ascending, and the queue ahead of each rung
-    buys: list[int] = []
-    sells: list[int] = []
-    buy_queue: dict[int, float] = {}
-    sell_queue: dict[int, float] = {}
-
-    def _queue_at_placement(side: Side, ticks: int, i: int) -> float:
-        if side is Side.BID:
-            if ticks == bid_t[i]:
-                return float(series.level1_bid_sz[i])
-            if ticks > bid_t[i]:  # improving the bid: fresh level, empty queue
-                return 0.0
-        else:
-            if ticks == ask_t[i]:
-                return float(series.level1_ask_sz[i])
-            if ticks < ask_t[i]:
-                return 0.0
-        return default_queue
-
-    def _place(side: Side, ticks: int, i: int) -> None:
-        rungs, queue = (buys, buy_queue) if side is Side.BID else (sells, sell_queue)
-        if ticks in queue:
-            log.debug("step %d: %s rung %d already posted, repost skipped", i, side.value, ticks)
+    def _place(s: _LadderSide, other: _LadderSide, x: int, i: int) -> None:
+        if x in s.queue:
+            log.debug("step %d: %s rung %d already posted, repost skipped",
+                      i, s.side.value, s.sign * x)
             return
-        if side is Side.BID:
-            if sells and ticks >= sells[0]:
-                log.debug("step %d: bid rung %d would cross lowest ask, skipped", i, ticks)
-                return
-            if ticks >= ask_t[i]:
-                return
-        else:
-            if buys and ticks <= buys[-1]:
-                log.debug("step %d: ask rung %d would cross highest bid, skipped", i, ticks)
-                return
-            if ticks <= bid_t[i]:
-                return
-        queue[ticks] = _queue_at_placement(side, ticks, i)
-        insort(rungs, ticks)
+        if other.rungs and x + other.rungs[-1] >= 0:
+            log.debug("step %d: %s rung %d would cross the best %s rung, skipped",
+                      i, s.side.value, s.sign * x, other.side.value)
+            return
+        if x + other.touch[i] >= 0:  # at or through the far touch
+            return
+        touch = s.touch[i]
+        # at the touch it queues behind the visible size; improving the touch
+        # opens a fresh level with an empty queue; away from it, default_queue
+        s.queue[x] = float(s.level1[i]) if x == touch else 0.0 if x > touch else default_queue
+        insort(s.rungs, x)
 
     def _step(i: int) -> bool:
         """Apply step i's rules; True when a rung was filled."""
-        bid_now, bid_next, ask_now, ask_next = bid_t[i], bid_t[i + 1], ask_t[i], ask_t[i + 1]
-        filled: list[tuple[Side, int]] = []
-        # buys below this floor can be neither swept nor reached
-        floor = min(bid_now, bid_next + 1, ask_next)
-        for ticks in reversed(buys[bisect_left(buys, floor):]):
-            if (bid_now >= ticks > bid_next) or ask_next <= ticks:
-                fills.append(FillEvent(i, Side.BID, _price(ticks, tick), FillKind.ADVERSE))
-                filled.append((Side.BID, ticks))
-            elif ticks >= bid_now and mo_sell[i]:
-                # queue_fill_check(order, 1.0): fill once volume exceeds the queue
-                ahead = buy_queue[ticks]
-                if 1.0 > ahead:
-                    price = _price(ticks, tick)
-                    kind = classify_fill(Side.BID, price, _price(bid_next, tick))
-                    fills.append(FillEvent(i, Side.BID, price, kind))
-                    filled.append((Side.BID, ticks))
+        filled: list[tuple[_LadderSide, _LadderSide, int]] = []
+        for s, other in sides:
+            side, sign, rungs, queue, mo_now = s.side, s.sign, s.rungs, s.queue, s.mo[i]
+            touch, touch_next, far_next = s.touch[i], s.touch[i + 1], -other.touch[i + 1]
+            # rungs below this floor can be neither swept nor reached
+            floor = min(touch, touch_next + 1, far_next)
+            for x in reversed(rungs[bisect_left(rungs, floor):]):
+                if (touch >= x > touch_next) or far_next <= x:
+                    fills.append(FillEvent(i, side, _price(sign * x, tick), FillKind.ADVERSE))
+                elif x >= touch and mo_now:
+                    # queue_fill_check(order, 1.0): fill once volume exceeds the queue
+                    ahead = queue[x]
+                    if 1.0 > ahead:
+                        price = _price(sign * x, tick)
+                        kind = classify_fill(side, price, _price(sign * touch_next, tick))
+                        fills.append(FillEvent(i, side, price, kind))
+                    else:
+                        queue[x] = ahead - 1.0
+                        continue
                 else:
-                    buy_queue[ticks] = ahead - 1.0
-        ceiling = max(ask_now, ask_next - 1, bid_next)
-        for ticks in sells[:bisect_right(sells, ceiling)]:
-            if (ask_now <= ticks < ask_next) or bid_next >= ticks:
-                fills.append(FillEvent(i, Side.ASK, _price(ticks, tick), FillKind.ADVERSE))
-                filled.append((Side.ASK, ticks))
-            elif ticks <= ask_now and mo_buy[i]:
-                ahead = sell_queue[ticks]
-                if 1.0 > ahead:
-                    price = _price(ticks, tick)
-                    kind = classify_fill(Side.ASK, price, _price(ask_next, tick))
-                    fills.append(FillEvent(i, Side.ASK, price, kind))
-                    filled.append((Side.ASK, ticks))
-                else:
-                    sell_queue[ticks] = ahead - 1.0
+                    continue
+                filled.append((s, other, x))
 
-        for side, ticks in filled:
-            rungs, queue = (buys, buy_queue) if side is Side.BID else (sells, sell_queue)
-            del queue[ticks]
-            rungs.remove(ticks)
-        for side, ticks in filled:
-            if side is Side.BID:
-                _place(Side.BID, ticks - offset_ticks, i + 1)
-                _place(Side.ASK, ticks + offset_ticks, i + 1)
-            else:
-                _place(Side.ASK, ticks + offset_ticks, i + 1)
-                _place(Side.BID, ticks - offset_ticks, i + 1)
+        for s, _, x in filled:
+            del s.queue[x]
+            s.rungs.remove(x)
+        for s, other, x in filled:
+            _place(s, other, x - offset_ticks, i + 1)
+            _place(other, s, -x - offset_ticks, i + 1)
 
-        if buys and sells and buys[-1] >= sells[0]:
+        if buy.rungs and sell.rungs and buy.rungs[-1] + sell.rungs[-1] >= 0:
             raise RuntimeError(
                 f"ladder discipline broken at step {i}: "
-                f"bid rung {buys[-1]} >= ask rung {sells[0]}"
+                f"bid rung {buy.rungs[-1]} >= ask rung {-sell.rungs[-1]}"
             )
         return bool(filled)
 
     # initial rungs straddling the sample-0 market, offset_ticks apart
-    spread_t = ask_t[0] - bid_t[0]
+    spread_t = -sell.touch[0] - buy.touch[0]
     below = max(0, (offset_ticks - spread_t) // 2)
-    first_buy = bid_t[0] - below
-    _place(Side.BID, first_buy, 0)
-    _place(Side.ASK, first_buy + offset_ticks, 0)
+    first_buy = buy.touch[0] - below
+    _place(buy, sell, first_buy, 0)
+    _place(sell, buy, -first_buy - offset_ticks, 0)
 
     fills: list[FillEvent] = []
     i, n_steps = 0, n - 1
-    while i < n_steps and (buys or sells):
+    while i < n_steps and (buy.rungs or sell.rungs):
         stop = min(i + SEARCH_STEPS, n_steps)
         active = np.zeros(stop - i, dtype=bool)
-        if buys:
-            active |= buy_reach[i:stop] <= buys[-1]
-        if sells:
-            active |= sell_reach[i:stop] >= sells[0]
+        for s, _ in sides:
+            if s.rungs:
+                active |= s.reach[i:stop] <= s.rungs[-1]
         for k in np.flatnonzero(active).tolist():
             if _step(i + k):
                 # the rungs changed: search again from the next step

@@ -27,8 +27,9 @@ from .params import (
 )
 from .table import check_text_cell
 
-# every other validation error of the package subclasses ValueError
-_VALIDATION_ERRORS = (ValueError, UnstableSchemeError)
+# every other validation error of the package subclasses ValueError; an
+# integer cell past the int64 range raises OverflowError
+_VALIDATION_ERRORS = (ValueError, OverflowError, UnstableSchemeError)
 
 # Each name the commands take from the modules they run, with its module
 # (a module's own name stands for the module).  A name is imported and bound

@@ -43,6 +43,7 @@ The optimal posting indicators read off the solved surface are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,13 +374,16 @@ def load_policy_csv(path) -> PostingPolicy:
     alpha_nodes = np.unique(alphas)
     q_nodes = np.unique(qs)
     shape = (int(t_idx.max()) + 1, alpha_nodes.size, q_nodes.size)
-    node = np.ravel_multi_index(
-        (t_idx, np.searchsorted(alpha_nodes, alphas), np.searchsorted(q_nodes, qs)), shape
-    )
-    # as many rows as nodes, and every node hit: each node appears exactly once
-    covered = np.zeros(int(np.prod(shape)), dtype=bool)
-    covered[node] = True
-    if n != covered.size or not covered.all():
+    # as many rows as nodes, and every node hit: each node appears exactly
+    # once.  The node count is compared in Python ints, before any array of
+    # that size is allocated.
+    covered = np.zeros(n, dtype=bool)
+    if n == math.prod(shape):
+        node = np.ravel_multi_index(
+            (t_idx, np.searchsorted(alpha_nodes, alphas), np.searchsorted(q_nodes, qs)), shape
+        )
+        covered[node] = True
+    if not covered.all():
         raise ValueError("policy file does not cover a full (t, alpha, q) grid exactly once")
 
     post_ask = np.zeros_like(covered)

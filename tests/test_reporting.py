@@ -127,6 +127,25 @@ def test_cli_overflowing_step_count_fails_validation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_cli_integer_cell_past_int64_fails_validation(tmp_path, capsys, command):
+    # a t_index one past the int64 range, in the policy or in the fill log
+    big = 2**63
+    (tmp_path / "policy.csv").write_text(f"t_index,alpha,q,post_bid,post_ask\n{big},0.0,0,1,1\n")
+    (tmp_path / "batch_wealth.csv").write_text("window,terminal_wealth,objective\n0,1.0,1.0\n")
+    (tmp_path / "fills.csv").write_text(f"t_index,side,price,kind\n{big},bid,99.99,adverse\n")
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--policy", tmp_path / "policy.csv", "--windows", 2,
+                     "--out", out],
+        "report": ["report", "--in", tmp_path, "--out", out],
+    }[command]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("OverflowError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_example1_checks_its_inputs_before_an_empty_run(tmp_path, capsys):
     out = tmp_path / "e1"
     assert _run(["example1", "--steps", 0, "--walk-p", 0.9, "--out", out]) == 1

@@ -251,6 +251,25 @@ def test_policy_csv_requires_exact_node_coverage(tmp_path, default_solution):
     assert not (tmp_path / "run" / "batch_wealth.csv").exists()
 
 
+def test_policy_csv_with_a_far_t_index_fails_before_allocating_its_grid(
+        tmp_path, default_solution, capsys):
+    # one t_index of 10**12 spans a grid of ~7.7e14 nodes: the row count
+    # rules it out before an array of that size is asked for
+    _, _, policy = default_solution
+    path = tmp_path / "policy.csv"
+    export_policy_csv(policy, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows[0] = str(10**12) + rows[0][rows[0].index(","):]
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    code = cli_main(["simulate", "--policy", str(path), "--windows", "2",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("ValueError: policy file does not cover a full (t, alpha, q) grid "
+                   "exactly once\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("column", [3, 4])  # post_bid, post_ask
 @pytest.mark.parametrize("cell", ["2", "x", "", "01", "true"])
 def test_policy_csv_rejects_a_flag_other_than_0_or_1(tmp_path, default_solution, column, cell):
