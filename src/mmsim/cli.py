@@ -106,6 +106,8 @@ def _recorded_series(path, params: MarketParams):
 def _load_series(args, params):
     if args.data is not None:
         return _recorded_series(args.data, params)
+    if args.windows < 1:
+        raise ValueError(f"--windows must be >= 1, got {args.windows}")
     n_steps = args.windows * params.n_dt
     return _cli.synthetic_quotes(params, n_steps, _cli.RngStream(seed=args.seed, stream_id=10_000))
 
@@ -139,6 +141,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     src = Path(args.indir)
     reporting = _cli.reporting
     wealths, _ = reporting.read_batch_wealth_csv(src / "batch_wealth.csv")
@@ -163,6 +167,8 @@ def _cmd_basic_post(args) -> int:
     if args.data is not None:
         series = _recorded_series(args.data, params)
     else:
+        if args.steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {args.steps}")
         # two-tick spread keeps synthetic touches on the tick grid so the
         # ladder's queue model sees orders at the touch
         series = _cli.synthetic_quotes(

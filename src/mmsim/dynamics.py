@@ -1,13 +1,18 @@
 """Discretized market dynamics of the simulator.
 
 The short-term drift alpha mean-reverts, and jumps up by eps_plus on each
-arriving buy market order and down by eps_minus on each sell; it is
-stepped with Euler-Maruyama at the configured dt.  Market-order arrivals
-are thinned to at most one per side per step with probability
-1 - exp(-lambda * dt).  A window's uniforms and alpha shocks are drawn
-before its first step, in the one layout of :func:`draw_window_events`,
-from a named :class:`RngStream`.  The midprice is not stepped here: the
-simulator takes it from the quote series it runs over.
+arriving buy market order and down by eps_minus on each sell; the
+simulator steps it with Euler-Maruyama at the configured dt,
+
+    alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z
+             + eps_plus 1{buy} - eps_minus 1{sell}.
+
+Market-order arrivals are thinned to at most one per side per step with
+probability 1 - exp(-lambda * dt) (:func:`arrival_probabilities`).  A
+window's uniforms and alpha shocks are drawn before its first step, in the
+one layout of :func:`draw_window_events`, from a named :class:`RngStream`.
+The midprice is not stepped: the simulator takes it from the quote series
+it runs over.
 """
 
 from __future__ import annotations
@@ -18,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MarketParams
-
 __all__ = [
     "RngStream",
     "pcg64_stream_states",
     "draw_window_events",
     "arrival_probabilities",
-    "step_alpha",
     "round_to_tick",
 ]
 
@@ -159,24 +161,3 @@ def arrival_probabilities(
     """Per-step probabilities of a buy and a sell market-order arrival:
     Poisson arrivals thinned to at most one per side, 1 - exp(-lambda dt)."""
     return 1.0 - math.exp(-lambda_plus * dt), 1.0 - math.exp(-lambda_minus * dt)
-
-
-def step_alpha(
-    alpha: float | np.ndarray,
-    buy: bool | np.ndarray,
-    sell: bool | np.ndarray,
-    dt: float,
-    params: MarketParams,
-    z: float | np.ndarray,
-) -> float | np.ndarray:
-    """One Euler step of the short-term drift, for scalars or arrays;
-    ``buy`` and ``sell`` flag the step's market-order arrivals.
-
-    alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z
-             + eps_plus 1{buy} - eps_minus 1{sell}
-
-    Adding a zero jump leaves the sum unchanged, so the expression equals
-    adding each jump only on its arrival, term by term.
-    """
-    out = alpha * (1.0 - params.zeta * dt) + params.eta * math.sqrt(dt) * z
-    return out + params.eps_plus * buy - params.eps_minus * sell

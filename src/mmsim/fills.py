@@ -9,9 +9,8 @@ Two fill channels per step and side, with adverse fills taking precedence:
 
 Counters keep the identity  total(side) = adverse + non-adverse.
 
-:func:`fill_rule` states this once, for booleans or boolean arrays.
-:func:`step_fills` applies it to one step of the scalar simulator, and
-``run_batch`` evaluates it once over every fill code of a step.
+:func:`fill_rule` states this once, for booleans or boolean arrays; the
+simulator evaluates it once over every fill code a step can hold.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "classify_fill",
     "FILL_EVENTS",
     "fill_rule",
-    "step_fills",
     "write_fill_log",
     "read_fill_log",
 ]
@@ -157,37 +155,6 @@ def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit
     adverse_bid = np.logical_and(posted_bid, bid_through)
     return (adverse_ask, adverse_bid,
             posted_ask & ask_hit & ~adverse_ask, posted_bid & bid_hit & ~adverse_bid)
-
-
-def step_fills(
-    posted_bid: bool,
-    posted_ask: bool,
-    bid_now: float,
-    ask_now: float,
-    bid_next: float,
-    ask_next: float,
-    mo_buy: bool,
-    mo_sell: bool,
-    mode: EnvMode,
-    u_ask: float,
-    u_bid: float,
-    t_index: int = 0,
-) -> list[FillEvent]:
-    """Full fill pipeline for one step: adverse first, then thinned fills.
-
-    Arriving buy MOs lift the posted ask; sell MOs hit the posted bid.
-    ``u_ask`` and ``u_bid`` are the step's thinning uniforms.  The events
-    are :func:`fill_rule`'s, in :data:`FILL_EVENTS` order.
-    """
-    detect, rho = mode.detect_adverse, mode.rho_effective
-    flags = fill_rule(
-        posted_ask, posted_bid,
-        detect and ask_next > ask_now, detect and bid_next < bid_now,
-        mo_buy and u_ask < rho, mo_sell and u_bid < rho,
-    )
-    price = {Side.ASK: ask_now, Side.BID: bid_now}
-    return [FillEvent(t_index, side, price[side], kind)
-            for happened, (side, kind) in zip(flags, FILL_EVENTS) if happened]
 
 
 @dataclass(eq=False)

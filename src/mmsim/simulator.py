@@ -1,30 +1,14 @@
 """Strategy simulation over a quote series.
 
-Each window runs the optimal posting policy step by step: market orders are
-simulated, the short-term drift evolves with them, the posting decision is
-looked up at the nearest drift node for the current inventory, fills are
-generated by the environment's fill rules, and cash/inventory/wealth paths
-are recorded.  Batches split a session into consecutive non-overlapping
-windows that share only their boundary sample, each with its own
-deterministic RNG stream.  The scalar ``run_simulation`` is the reference
-that ``run_batch`` must equal bit for bit.
-
-``run_batch`` steps only what depends on inventory.  A window's random
-events are drawn before its first step, into a buffer reused across
-windows, and with them everything else is known before the loop, over a
-block of windows at once: the alpha path, its nearest drift nodes, and
-per step a one-byte fill code holding the trade-throughs and the thinned
-market-order hits.  The nearest node is found by arithmetic on the node
-grid, corrected and checked against the nodes' bracket, with a binary
-search only for what the check rejects (``nearest_node``).  ``fill_rule``
-is evaluated once over all 64 codes (with the two posting bits) into an
-event table and an inventory-change table.  A step of the loop then
-gathers the posting bits at (step, node, inventory), ORs them into the
-step's code, adds the running penalty, moves inventory by the code's
-change and checks the inventory bounds.  After the loop the steps whose
-code holds an event are found through a table of the codes, only they are
-expanded into events, and cash is settled from the fill columns with
-``np.add.at``, in window, step and event order.
+One kernel, ``_run_block``, steps a block of windows of the optimal
+posting policy together; its docstring gives the order of a step.
+``run_batch`` splits a session into consecutive non-overlapping windows
+that share only their boundary sample, each with its own deterministic
+RNG stream, and steps them in blocks.  ``run_simulation`` steps one window
+on the stream or generator it is given, as a block of one, and reads the
+window's cash, inventory and wealth paths off the kernel's fill codes.
+The tests hold both, bit for bit, to the scalar loop of
+``tests/scalar_reference.py``, which steps one fill at a time.
 """
 
 from __future__ import annotations
@@ -40,9 +24,8 @@ from .dynamics import (
     arrival_probabilities,
     draw_window_events,
     pcg64_stream_states,
-    step_alpha,
 )
-from .fills import EnvMode, FillColumns, FillCounters, FillEvent, Side, fill_rule, step_fills
+from .fills import FILL_EVENTS, EnvMode, FillColumns, FillCounters, FillEvent, fill_rule
 from .market_data import PriceSeries
 from .params import MarketParams
 from .solver import PostingPolicy, terminal_condition
@@ -54,8 +37,6 @@ __all__ = [
     "SeriesTooShortError",
     "PolicyShapeMismatchError",
     "InventoryBoundBreachError",
-    "update_inventory",
-    "update_cash",
     "terminal_wealth",
     "nearest_node",
     "run_simulation",
@@ -104,28 +85,11 @@ class BatchResult:
     fills: FillColumns
 
 
-def update_inventory(q: int, fills: list[FillEvent], q_max: int) -> int:
-    """Apply one step of fills: buys add a lot, sells shed one."""
-    out = q
-    for f in fills:
-        out += 1 if f.side is Side.BID else -1
-    if abs(out) > q_max:
-        raise _bound_breach(out, q_max)
-    return out
-
-
 def _bound_breach(q: int, q_max: int) -> InventoryBoundBreachError:
     return InventoryBoundBreachError(
         f"inventory {q} outside [-{q_max}, {q_max}]; "
         "the policy must not post at an inventory bound"
     )
-
-
-def update_cash(c: float, fills: list[FillEvent]) -> float:
-    """Sells collect the fill price, buys pay it."""
-    for f in fills:
-        c += f.price if f.side is Side.ASK else -f.price
-    return c
 
 
 def terminal_wealth(c: float, q: int, s: float, params: MarketParams) -> float:
@@ -217,79 +181,43 @@ def run_simulation(
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 
-    The window's events are drawn first (``draw_window_events``).  Step i
-    (state at sample i, transition to i+1):
-      1. read the posting decision at (i, nearest drift node, inventory);
-      2. take the step's market-order arrivals and advance the drift;
-      3. improved mode: force adverse fills from the i -> i+1 quote move;
-      4. thin the remaining posted sides by rho_effective on MO arrival;
-      5. settle cash and inventory; mark wealth to the mid.
-
-    At i = n_dt the terminal liquidation value replaces the mark-to-market,
-    and the objective subtracts the running inventory penalty integral.
-    This scalar loop is the reference that ``run_batch`` reproduces.
+    The window's events are drawn from ``rng`` and stepped by the batch's
+    kernel as a block of one window, so the window equals its run in a
+    batch on the same stream bit for bit.  Its paths are read off the
+    kernel's per-step fill codes: inventory is the running sum of each
+    code's change, the posting flags are its posting bits, cash is the
+    running sum of the signed fill prices after each step's last fill, and
+    wealth marks to the mid.
     """
     n = params.n_dt
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
     _check_policy(policy, params)
-    u, z = draw_window_events(rng, n)
-    p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
-
-    bid, ask, mid = series.bid, series.ask, series.mid
-    grid = _NodeGrid(policy.alpha_nodes)
-    j0 = params.q_max
+    _, penalty, events, t_index, codes = _run_block(policy, series, mode, params, [rng], 0, 1)
+    fills = _fill_columns(series, events, t_index)
 
     inventory = np.zeros(n + 1, dtype=int)
-    cash = np.zeros(n + 1)
+    np.cumsum(_CODE_DQ.take(codes[0]), out=inventory[1:])
+    # a sequential sum from 0.0, the order in which fills settle; step i's
+    # cash is the sum over the fills of steps before it
+    settled = np.cumsum(np.concatenate(([0.0], np.where(fills.is_ask, fills.price, -fills.price))))
+    cash = settled[np.searchsorted(t_index, np.arange(n + 1))]
+    mid = series.mid[:n + 1]
     wealth = np.zeros(n + 1)
-    posted_bid = np.zeros(n, dtype=bool)
-    posted_ask = np.zeros(n, dtype=bool)
-    fills: list[FillEvent] = []
-
-    q = 0
-    c = 0.0
-    alpha = 0.0
-    wealth[0] = 0.0
-    penalty = 0.0
-
-    for i in range(n):
-        a_idx = int(grid.nearest(alpha))
-        j = q + j0
-        p_ask = bool(policy.post_ask[i, a_idx, j])
-        p_bid = bool(policy.post_bid[i, a_idx, j])
-        posted_ask[i] = p_ask
-        posted_bid[i] = p_bid
-
-        u_buy, u_sell, u_ask, u_bid = u[i]
-        buy, sell = u_buy < p_buy, u_sell < p_sell
-        alpha = step_alpha(alpha, buy, sell, params.dt, params, z[i])
-
-        new_fills = step_fills(
-            p_bid, p_ask, bid[i], ask[i], bid[i + 1], ask[i + 1],
-            buy, sell, mode, u_ask, u_bid, t_index=i,
-        )
-        penalty += params.phi * (q * q) * params.dt
-        q = update_inventory(q, new_fills, params.q_max)
-        c = update_cash(c, new_fills)
-        fills.extend(new_fills)
-
-        inventory[i + 1] = q
-        cash[i + 1] = c
-        wealth[i + 1] = c + q * mid[i + 1]
-
-    final = terminal_wealth(c, q, mid[n], params)
+    wealth[1:] = cash[1:] + inventory[1:] * mid[1:]
+    final = terminal_wealth(cash[n], int(inventory[n]), mid[n], params)
     wealth[n] = final
     return SimResult(
         inventory=inventory,
         cash=cash,
         wealth=wealth,
-        fills=fills,
-        posted_bid=posted_bid,
-        posted_ask=posted_ask,
-        counters=FillCounters.from_fills(fills),
+        fills=[FillEvent(t, side, price, kind) for t, price, (side, kind) in zip(
+            t_index.tolist(), fills.price.tolist(), map(FILL_EVENTS.__getitem__, events.tolist()))],
+        posted_bid=(codes[0] & _POSTED_BID) > 0,
+        posted_ask=(codes[0] & _POSTED_ASK) > 0,
+        counters=FillCounters.from_columns(fills),
         terminal_wealth=final,
-        objective=final - penalty,
+        objective=final - penalty[0],
     )
 
 
@@ -346,12 +274,11 @@ def run_batch(
 
     Windows cover samples [w n_dt, (w+1) n_dt] so consecutive windows share
     one boundary sample, and results do not depend on execution order.
-    The windows of a block are stepped together (``_run_block``).  Cash
-    is settled from the fill columns afterwards: ``np.add.at`` applies
-    each window's fills in step and event order, the scalar run's order
-    of adds.  Every float operation is the one ``run_simulation`` applies
-    to a single window, in the same order, so each window's results equal
-    its scalar run bit for bit.
+    The windows of a block are stepped together (``_run_block``).  Cash is
+    settled from the fill columns afterwards: ``np.add.at`` applies each
+    window's fills in step and event order, the order ``run_simulation``
+    sums them in, so each window's results equal its ``run_simulation``
+    run bit for bit.
     """
     n = params.n_dt
     count = n_windows(len(series), n)
@@ -360,25 +287,16 @@ def run_batch(
             f"series of {len(series)} samples holds no full window of {n + 1}"
         )
     _check_policy(policy, params)
-    posting = (policy.post_ask[:n] * np.uint8(_POSTED_ASK)
-               | policy.post_bid[:n] * np.uint8(_POSTED_BID)).reshape(-1)
-    grid = _NodeGrid(policy.alpha_nodes)
-    blocks = [
-        _run_block(posting, grid, series, mode, params,
-                   master_seed, w0, min(BLOCK_WINDOWS, count - w0))
-        for w0 in range(0, count, BLOCK_WINDOWS)
-    ]
+    blocks = []
+    for w0 in range(0, count, BLOCK_WINDOWS):
+        size = min(BLOCK_WINDOWS, count - w0)
+        streams = _stream_generators(master_seed, w0, size)
+        # a batch keeps no block's fill codes
+        blocks.append(_run_block(policy, series, mode, params, streams, w0 * n, size)[:4])
     q, penalty, events, t_index = (np.concatenate(part) for part in zip(*blocks))
-    is_ask = events % 2 == 0
-    fills = FillColumns(
-        t_index=t_index,
-        is_ask=is_ask,
-        price=np.where(is_ask, series.ask[t_index], series.bid[t_index]),
-        is_adverse=events < 2,
-    )
-    # sells collect the fill price, buys pay it
+    fills = _fill_columns(series, events, t_index)
     cash = np.zeros(count)
-    np.add.at(cash, t_index // n, np.where(is_ask, fills.price, -fills.price))
+    np.add.at(cash, t_index // n, np.where(fills.is_ask, fills.price, -fills.price))
     mid = (series.bid[n:count * n + 1:n] + series.ask[n:count * n + 1:n]) / 2.0
     wealths = terminal_wealth(cash, q, mid, params)
     return BatchResult(
@@ -387,33 +305,41 @@ def run_batch(
     )
 
 
-def _run_block(posting, grid, series, mode, params, master_seed, w0, size):
-    """Step windows w0 .. w0+size-1 together; only inventory is stepped.
+def _run_block(policy, series, mode, params, rngs, base, size):
+    """Step ``size`` windows together; only inventory is stepped.
 
-    The windows' events are drawn first (``_draw_block``).  Before the
-    step loop, over the whole block: the alpha path, written over the
-    shocks; the low four bits of every step's fill code, from the flags
-    and one comparison of each quote series with itself one sample on.
-    Then step i gathers the posting bits at (i, drift node, inventory)
-    from ``posting`` (the policy's codes, flattened), ORs them into the
-    step's code, adds the running penalty of the step's inventory, moves
-    inventory by the code's change and raises at the first bound breach;
-    the drift nodes are looked up ``NODE_CHUNK`` steps at a time in
-    ``grid``, the policy's ``_NodeGrid``.  After the loop only the steps
-    whose code holds an event are expanded into their events.
+    Window k draws its events from the k-th of ``rngs``, streams or
+    generators (``_draw_block``), and starts at sample ``base + k n_dt`` of
+    ``series``.  Before the step loop, over the whole block: the alpha
+    path, written over the shocks, and the low four bits of each step's
+    fill code, from the event flags and one comparison of each quote
+    series with itself one sample on.  Step i (state at sample i,
+    transition to i+1) then
+      1. reads the posting bits at (i, nearest drift node, inventory) and
+         ORs them into the step's code; nodes are looked up ``NODE_CHUNK``
+         steps at a time;
+      2. adds the running penalty of the step's inventory;
+      3. moves inventory by the code's change, raising at a bound breach.
+    After the loop only the steps whose code holds an event are expanded
+    into their events.
 
-    Returns the windows' final inventories and running penalties, then
-    their fills as event indices into ``FILL_EVENTS`` and session-global
-    t_index, in window, step and event order.
+    Returns the windows' final inventories and running penalties, their
+    fills as event indices into ``FILL_EVENTS`` and t_index from sample 0
+    of ``series``, in window, step and event order, and the final fill
+    codes, shape (size, n_dt).
     """
     n = params.n_dt
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
     # the thresholds of a step's four uniforms
     limits = np.array([p_buy, p_sell, mode.rho_effective, mode.rho_effective])
-    flags, alpha = _draw_block(master_seed, w0, size, n, limits)
+    flags, alpha = _draw_block(rngs, size, n, limits)
+    n_alpha, n_q = policy.alpha_nodes.size, 2 * params.q_max + 1
+    grid = _NodeGrid(policy.alpha_nodes)
+    # the policy's posting bits, flattened over (step, node, inventory)
+    posting = (policy.post_ask[:n] * np.uint8(_POSTED_ASK)
+               | policy.post_bid[:n] * np.uint8(_POSTED_BID)).reshape(-1)
 
     # the step's fill bits, window by window, then laid out step by step
-    base = w0 * n
     span = size * n
     codes = (flags[:, :, 0] & flags[:, :, 2]) * np.uint8(_ASK_HIT)
     codes |= (flags[:, :, 1] & flags[:, :, 3]) * np.uint8(_BID_HIT)
@@ -426,8 +352,8 @@ def _run_block(posting, grid, series, mode, params, master_seed, w0, size):
     buy, sell = flags[:, :, :2].transpose(2, 1, 0).copy()
     del flags
 
-    # step_alpha's operations in its order, a window step's jumps as its
-    # products eps * flag, looked up by the flag
+    # alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z + eps_plus 1{buy}
+    #          - eps_minus 1{sell}, a window step's jumps looked up by the flag
     alpha[1:] *= params.eta * math.sqrt(params.dt)
     decay = 1.0 - params.zeta * params.dt
     up = params.eps_plus * np.array([False, True])
@@ -441,9 +367,8 @@ def _run_block(posting, grid, series, mode, params, master_seed, w0, size):
         out -= down.take(sell[i].view(np.uint8))
     del buy, sell
 
-    n_alpha, n_q = grid.nodes.size, 2 * params.q_max + 1
     q_nodes = np.arange(-params.q_max, params.q_max + 1)
-    # the running penalty of each inventory, as run_simulation computes it
+    # the running penalty of each inventory
     charge = params.phi * (q_nodes * q_nodes) * params.dt
     # inventory as a column index, q + q_max
     j = np.full(size, params.q_max, dtype=np.intp)
@@ -470,40 +395,56 @@ def _run_block(posting, grid, series, mode, params, master_seed, w0, size):
     # no intp copy of the codes (8 bytes a step), which numpy's take makes
     codes = codes.T.tobytes()
     steps = np.flatnonzero(np.frombuffer(codes.translate(_CODE_BUSY), dtype=bool))
-    busy_codes = np.frombuffer(codes, dtype=np.uint8).take(steps)
-    del codes
-    flat = np.flatnonzero(_CODE_EVENTS.take(busy_codes, axis=0))
+    codes = np.frombuffer(codes, dtype=np.uint8).reshape(size, n)
+    flat = np.flatnonzero(_CODE_EVENTS.take(codes.take(steps), axis=0))
     t_index = steps.take(flat >> 2)
     t_index += base
-    return j - params.q_max, penalty, flat & 3, t_index
+    return j - params.q_max, penalty, flat & 3, t_index, codes
 
 
-def _draw_block(master_seed, w0, size, n, limits):
-    """Event flags and shocks of windows w0 .. w0+size-1, in the layout of
-    ``draw_window_events``.
+def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) -> FillColumns:
+    """Fills as columns from their ``FILL_EVENTS`` indices, each at the
+    quote of its side at its step."""
+    is_ask = events % 2 == 0
+    return FillColumns(
+        t_index=t_index,
+        is_ask=is_ask,
+        price=np.where(is_ask, series.ask[t_index], series.bid[t_index]),
+        is_adverse=events < 2,
+    )
 
-    Window w draws from the start of stream ``RngStream(master_seed, w)``:
-    the block's PCG64 states come from one ``pcg64_stream_states`` call,
-    and one reused generator is set to each in turn.  Each window's
-    uniforms are drawn into its row of a buffer reused for ``DRAW_CHUNK``
-    windows, which are thresholded by ``limits`` together: flags of shape
-    (size, n, 4), per step buy and sell arrival, ask and bid thinning.
-    Its shocks go straight into its column of the alpha path, shape
-    (n + 1, size), whose row 0 is every window's initial alpha, 0.
+
+def _stream_generators(master_seed, w0, size):
+    """One reused generator, set in turn to the start of stream
+    ``RngStream(master_seed, w)`` for w = w0 .. w0+size-1: the PCG64
+    states come from one ``pcg64_stream_states`` call."""
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    for state, inc in pcg64_stream_states(master_seed, w0, size):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
+def _draw_block(rngs, size, n, limits):
+    """Event flags and shocks of ``size`` windows, window k drawn from the
+    k-th of ``rngs`` in the layout of ``draw_window_events``.
+
+    Each window's uniforms are drawn into its row of a buffer reused for
+    ``DRAW_CHUNK`` windows, which are thresholded by ``limits`` together:
+    flags of shape (size, n, 4), per step buy and sell arrival, ask and
+    bid thinning.  Its shocks go straight into its column of the alpha
+    path, shape (n + 1, size), whose row 0 is every window's initial
+    alpha, 0.
     """
     flags = np.empty((size, n, WINDOW_UNIFORMS), dtype=bool)
     alpha = np.zeros((n + 1, size))
     uniforms = np.empty((min(DRAW_CHUNK, size), n, WINDOW_UNIFORMS))
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
-    states = pcg64_stream_states(master_seed, w0, size)
+    rngs = iter(rngs)
     for k0 in range(0, size, DRAW_CHUNK):
         chunk = uniforms[:min(DRAW_CHUNK, size - k0)]
         for k, u in enumerate(chunk, k0):
-            state, inc = states[k]
-            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            _, alpha[1:, k] = draw_window_events(gen, n, out=u)
+            _, alpha[1:, k] = draw_window_events(next(rngs), n, out=u)
         np.less(chunk, limits, out=flags[k0:k0 + len(chunk)])
     return flags, alpha
 

@@ -24,12 +24,12 @@ from mmsim.fills import (
     FillEvent,
     FillKind,
     Side,
-    step_fills,
 )
 from mmsim.market_data import PriceSeries, synthetic_quotes
 from mmsim.params import default_grid, default_params
-from mmsim.simulator import run_simulation, terminal_wealth, update_cash, update_inventory
+from mmsim.simulator import run_simulation, terminal_wealth
 from mmsim.solver import extract_policy, solve_dpe, terminal_condition
+from scalar_reference import step_fills, update_cash, update_inventory
 
 
 @contextmanager
@@ -169,7 +169,7 @@ def test_criterion_7_fill_probability_calibration():
         mode = EnvMode.improved(default_params())
         gen = RngStream(seed=70).generator()
         n = 100_000
-        # the thinning run_simulation runs: a posted ask, a buy arrival, no
+        # the thinning the simulator runs: a posted ask, a buy arrival, no
         # trade-through, and the step's ask uniform
         hits = sum(
             bool(step_fills(False, True, 99.99, 100.0, 99.99, 100.0, True, False, mode, u, 0.0))

@@ -12,9 +12,9 @@ from mmsim.dynamics import (
     draw_window_events,
     pcg64_stream_states,
     round_to_tick,
-    step_alpha,
 )
 from mmsim.params import default_params
+from scalar_reference import step_alpha
 
 
 def _arrivals(p, u):

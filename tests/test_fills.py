@@ -19,10 +19,10 @@ from mmsim.fills import (
     classify_fill,
     fill_rule,
     read_fill_log,
-    step_fills,
     write_fill_log,
 )
 from mmsim.params import default_params
+from scalar_reference import step_fills
 
 
 def test_classify_direct_rules():

@@ -153,6 +153,24 @@ def test_cli_example1_checks_its_inputs_before_an_empty_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bins", [0, -2])
+def test_cli_report_rejects_a_bin_count_below_one_before_writing(tmp_path, capsys, bins):
+    (tmp_path / "batch_wealth.csv").write_text("window,terminal_wealth,objective\n0,1.0,1.0\n")
+    (tmp_path / "fills.csv").write_text("t_index,side,price,kind\n3,bid,99.99,adverse\n")
+    out = tmp_path / "out"
+    assert _run(["report", "--in", tmp_path, "--out", out, "--bins", bins]) == 1
+    assert f"--bins must be >= 1, got {bins}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_cli_basic_post_rejects_a_step_count_below_one(tmp_path, capsys, steps):
+    out = tmp_path / "bp"
+    assert _run(["basic-post", "--steps", steps, "--out", out]) == 1
+    assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_file_is_io_error(tmp_path, capsys):
     code = _run(["solve", "--config", tmp_path / "nope.cfg", "--out", tmp_path])
     assert code == 2

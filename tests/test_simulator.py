@@ -18,10 +18,12 @@ from mmsim.fills import (
     FillEvent,
     FillKind,
     Side,
+    read_fill_log,
     write_fill_log,
 )
 from mmsim.market_data import PriceSeries, synthetic_quotes
 from mmsim.params import default_grid, default_params
+from mmsim.reporting import read_batch_wealth_csv
 from mmsim.simulator import (
     InventoryBoundBreachError,
     PolicyShapeMismatchError,
@@ -30,8 +32,6 @@ from mmsim.simulator import (
     run_batch,
     run_simulation,
     terminal_wealth,
-    update_cash,
-    update_inventory,
 )
 from mmsim.solver import (
     PostingPolicy,
@@ -41,6 +41,9 @@ from mmsim.solver import (
     load_policy_csv,
     solve_dpe,
 )
+from mmsim.table import read_cells
+from scalar_reference import run_simulation as run_scalar
+from scalar_reference import update_cash, update_inventory
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +283,8 @@ def test_batch_equals_orderless_window_runs(solved):
     wealths = np.empty(5)
     for w in reversed(range(5)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        wealths[w] = run_simulation(policy, window, mode, params,
-                                    RngStream(21, w)).terminal_wealth
+        wealths[w] = run_scalar(policy, window, mode, params,
+                                RngStream(21, w)).terminal_wealth
     assert np.array_equal(wealths, batch.terminal_wealths)
 
 
@@ -292,11 +295,43 @@ def _assert_same_fills(got: FillColumns, want: list[FillEvent]):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _assert_same_result(got, want):
+    """Two window runs agree in every field, bit for bit and in type."""
+    for name in ("inventory", "cash", "wealth", "posted_bid", "posted_ask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.fills == want.fills
+    assert got.counters == want.counters
+    for name in ("terminal_wealth", "objective"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) is np.float64 and a == b, name
+
+
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_run_simulation_on_a_generator_equals_the_oracle(solved, variant):
+    """A np.random.Generator in place of an RngStream: run_simulation
+    equals the oracle fed the same generator state in every field, and
+    both leave their generator in the same state."""
+    params, policy = solved
+    params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=1.5)
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
+    series = synthetic_quotes(params, 3 * params.n_dt, seed=47)
+    got_rng, want_rng = np.random.default_rng(48), np.random.default_rng(48)
+    for w in range(3):
+        window = series.window(w * params.n_dt, params.n_dt + 1)
+        got = run_simulation(policy, window, mode, params, got_rng)
+        want = run_scalar(policy, window, mode, params, want_rng)
+        assert want.fills
+        _assert_same_result(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("lam", [None, 5.0])
 @pytest.mark.parametrize("variant", ["benchmark", "improved"])
 def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, lam):
-    """Every window of the vectorised batch equals its run_simulation run:
-    wealth, objective, counters and fills, with no tolerance."""
+    """Every window of the vectorised batch equals its scalar oracle run:
+    wealth, objective, counters and fills, with no tolerance.  Each
+    window's run_simulation equals the oracle in every field."""
     monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 3)  # blocks of 3, 3 and 1 windows
     params, policy = solved
     params = replace(params, phi=1e-4)  # a running penalty, so objectives differ from wealth
@@ -311,7 +346,8 @@ def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, l
     fills, totals, at_bound = [], FillCounters(), False
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(policy, window, mode, params, RngStream(23, w))
+        r = run_scalar(policy, window, mode, params, RngStream(23, w))
+        _assert_same_result(run_simulation(policy, window, mode, params, RngStream(23, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
@@ -336,7 +372,7 @@ def test_batch_does_not_depend_on_block_size(solved, monkeypatch, variant):
     assert whole.fills.t_index.size > 0
     for w in range(7):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(policy, window, mode, params, RngStream(30, w))
+        r = run_scalar(policy, window, mode, params, RngStream(30, w))
         assert (whole.terminal_wealths[w], whole.objectives[w]) == (r.terminal_wealth, r.objective)
     for block in (1, 3):
         monkeypatch.setattr(simulator, "BLOCK_WINDOWS", block)
@@ -363,7 +399,8 @@ def _stepped_series(rng, n_samples):
 def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     """A policy that posts each side at random, never at an inventory
     bound, over quotes with flat stretches and trade-throughs: every
-    window's wealth, objective and fills equal its scalar run exactly."""
+    window's wealth, objective and fills equal its scalar run exactly, and
+    its run_simulation equals the scalar run in every field."""
     monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 4)  # blocks of 4 and 2 windows
     monkeypatch.setattr(simulator, "NODE_CHUNK", 7)  # a short last chunk of steps
     params, policy = solved
@@ -382,7 +419,9 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     fills, totals = [], FillCounters()
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(random_policy, window, mode, params, RngStream(38, w))
+        r = run_scalar(random_policy, window, mode, params, RngStream(38, w))
+        _assert_same_result(run_simulation(random_policy, window, mode, params,
+                                           RngStream(38, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
@@ -411,7 +450,7 @@ def test_batch_matches_scalar_across_draw_chunks(solved, monkeypatch, variant):
     fills, totals = [], FillCounters()
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(policy, window, mode, params, RngStream(44, w))
+        r = run_scalar(policy, window, mode, params, RngStream(44, w))
         assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
         totals += r.counters
@@ -560,8 +599,9 @@ def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
     series = synthetic_quotes(params, params.n_dt, seed=31)
     with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
         run_batch(broken, series, EnvMode.benchmark(), params, master_seed=32)
-    with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
-        run_simulation(broken, series, EnvMode.benchmark(), params, RngStream(32))
+    for run in (run_scalar, run_simulation):
+        with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
+            run(broken, series, EnvMode.benchmark(), params, RngStream(32))
 
 
 def test_batch_settles_cash_in_event_order(solved):
@@ -577,7 +617,7 @@ def test_batch_settles_cash_in_event_order(solved):
     batch = run_batch(always, series, mode, busy, master_seed=28)
     for w in range(windows):
         window = series.window(w * busy.n_dt, busy.n_dt + 1)
-        r = run_simulation(always, window, mode, busy, RngStream(28, w))
+        r = run_scalar(always, window, mode, busy, RngStream(28, w))
         assert batch.terminal_wealths[w] == r.terminal_wealth
 
 
@@ -591,8 +631,9 @@ def test_posting_at_a_bound_raises_in_batch_and_oracle(solved, post_bid):
     series = synthetic_quotes(hot, 2 * hot.n_dt, seed=24)
     with pytest.raises(InventoryBoundBreachError):
         run_batch(one_sided, series, EnvMode.benchmark(), hot, master_seed=25)
-    with pytest.raises(InventoryBoundBreachError):
-        run_simulation(one_sided, series, EnvMode.benchmark(), hot, RngStream(25, 0))
+    for run in (run_scalar, run_simulation):
+        with pytest.raises(InventoryBoundBreachError):
+            run(one_sided, series, EnvMode.benchmark(), hot, RngStream(25, 0))
 
 
 def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
@@ -613,11 +654,40 @@ def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
     fills = []
     for w in range(5):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(policy, window, mode, params, RngStream(26, w))
+        r = run_scalar(policy, window, mode, params, RngStream(26, w))
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
     assert fills
     write_fill_log(FillColumns.from_events(fills), tmp_path / "replayed.csv")
     assert (out / "fills.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()
+
+
+def test_simulate_command_snapshots_agree_with_the_batch_outputs(solved, tmp_path):
+    """Each snapshot's last wealth is its window's row of batch_wealth.csv,
+    and its fills, priced at the snapshot's quotes, are the window's rows
+    of fills.csv."""
+    params, policy = solved
+    export_policy_csv(policy, tmp_path / "policy.csv")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--mode", "improved",
+                     "--windows", "5", "--snapshots", "3", "--seed", "49",
+                     "--out", str(out)]) == 0
+    wealths, _ = read_batch_wealth_csv(out / "batch_wealth.csv")
+    logged = read_fill_log(out / "fills.csv")
+    n = params.n_dt
+    for w in range(3):
+        snap = read_cells(out / f"snapshot_{w}.csv")
+        assert snap.floats("wealth")[-1] == wealths[w]
+        bid, ask = snap.floats("bid"), snap.floats("ask")
+        fills = [
+            (w * n + i, side == "ask", ask[i] if side == "ask" else bid[i], kind == "adverse")
+            for i, (sides, kinds) in enumerate(zip(snap.texts("fill_side"), snap.texts("fill_kind")))
+            if sides
+            for side, kind in zip(sides.split(";"), kinds.split(";"))
+        ]
+        rows = np.flatnonzero(logged.t_index // n == w)
+        assert fills == list(zip(logged.t_index[rows].tolist(), logged.is_ask[rows].tolist(),
+                                 logged.price[rows].tolist(), logged.is_adverse[rows].tolist()))
+        assert fills, "expected fills in every snapshot window on this seed"
 
 
 def test_simulate_command_rejects_a_negative_snapshot_count(solved, tmp_path, capsys):
@@ -627,6 +697,17 @@ def test_simulate_command_rejects_a_negative_snapshot_count(solved, tmp_path, ca
     assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--windows", "2",
                      "--snapshots", "-1", "--out", str(out)]) == 1
     assert "--snapshots must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_simulate_command_rejects_a_window_count_below_one(solved, tmp_path, capsys, windows):
+    _, policy = solved
+    export_policy_csv(policy, tmp_path / "policy.csv")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--policy", str(tmp_path / "policy.csv"), "--windows", windows,
+                     "--out", str(out)]) == 1
+    assert f"--windows must be >= 1, got {windows}" in capsys.readouterr().err
     assert not out.exists()
 
 
