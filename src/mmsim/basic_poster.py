@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .dynamics import RngStream, round_to_tick
-from .fills import FillCounters, FillEvent, FillKind, Side, classify_fill
+from .fills import FillEvent, FillKind, Side, classify_fill
 from .market_data import PriceSeries, check_tick
 from .params import OFFSET_TICKS_PRESETS
 from .table import write_table
@@ -75,7 +75,6 @@ class RestingOrder:
 @dataclass
 class FillLog:
     fills: list[FillEvent]
-    totals: FillCounters
 
 
 @dataclass(frozen=True)
@@ -94,23 +93,18 @@ def queue_fill_check(order: RestingOrder, traded_at_price: float) -> tuple[bool,
     return False, replace(order, queue_ahead=order.queue_ahead - traded_at_price)
 
 
-def _log_from_fills(fills: list[FillEvent]) -> FillLog:
-    return FillLog(fills=fills, totals=FillCounters.from_fills(fills))
-
-
 def run_example1(
     n_steps: int,
     walk_p: float = 0.25,
     seed: int = 0,
     tick: float = 0.01,
-    s0: float = 100.0,
 ) -> FillLog:
     """Always-posted MM with certain fills: one MO per step, 50/50 side.
 
-    The bid follows a tick random walk (up/down each with probability
-    ``walk_p``) and the ask sits one tick above.  The fill at step i
-    executes at that step's touch and is classified against the next
-    step's touch on the same side.
+    The bid starts at 100.0 and follows a tick random walk (up/down each
+    with probability ``walk_p``); the ask sits one tick above.  The fill
+    at step i executes at that step's touch and is classified against the
+    next step's touch on the same side.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -118,12 +112,12 @@ def run_example1(
         raise ValueError(f"walk_p must lie in [0, 0.5], got {walk_p}")
     check_tick(tick)
     if n_steps == 0:
-        return _log_from_fills([])
+        return FillLog([])
 
     gen = RngStream(seed=seed).generator()
     u = gen.random(n_steps)
     moves = np.where(u < walk_p, 1, np.where(u < 2 * walk_p, -1, 0)).tolist()
-    bid_ticks = list(accumulate(moves, initial=round(s0 / tick)))
+    bid_ticks = list(accumulate(moves, initial=round(100.0 / tick)))
 
     fills: list[FillEvent] = []
     # a buy market order lifts the ask, one tick above the bid; a sell hits the bid
@@ -131,7 +125,7 @@ def run_example1(
         side, above = (Side.ASK, 1) if buy_mo else (Side.BID, 0)
         now, nxt = _price(bid_ticks[i] + above, tick), _price(bid_ticks[i + 1] + above, tick)
         fills.append(FillEvent(i, side, now, classify_fill(side, now, nxt)))
-    return _log_from_fills(fills)
+    return FillLog(fills)
 
 
 def _price(ticks: int, tick: float) -> float:
@@ -287,15 +281,14 @@ def run_basic_posting(
         else:
             i = stop
 
-    return _log_from_fills(fills)
+    return FillLog(fills)
 
 
 def fill_type_table(log_: FillLog) -> FillTypeSummary:
     """Collapse a fill log into (total, adverse, non-adverse) counts."""
-    t = log_.totals
-    return FillTypeSummary(
-        total=t.n_plus + t.n_minus, adverse=t.afa + t.afb, non_adverse=t.nfa + t.nfb
-    )
+    total = len(log_.fills)
+    adverse = sum(f.kind is FillKind.ADVERSE for f in log_.fills)
+    return FillTypeSummary(total=total, adverse=adverse, non_adverse=total - adverse)
 
 
 def write_fill_summary_csv(rows: list[tuple[str, str, FillTypeSummary]], path) -> None:

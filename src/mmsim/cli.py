@@ -18,18 +18,12 @@ from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
-from .params import (
-    OFFSET_TICKS_PRESETS,
-    MarketParams,
-    SolverGrid,
-    UnstableSchemeError,
-    load_config,
-)
+from .params import OFFSET_TICKS_PRESETS, MarketParams, SolverGrid, load_config
 from .table import check_text_cell
 
-# every other validation error of the package subclasses ValueError; an
-# integer cell past the int64 range raises OverflowError
-_VALIDATION_ERRORS = (ValueError, OverflowError, UnstableSchemeError)
+# every validation error of the package subclasses ValueError; an integer
+# cell past the int64 range raises OverflowError
+_VALIDATION_ERRORS = (ValueError, OverflowError)
 
 # Each name the commands take from the modules they run, with its module
 # (a module's own name stands for the module).  A name is imported and bound
@@ -147,13 +141,27 @@ def _cmd_report(args) -> int:
     reporting = _cli.reporting
     wealths, _ = reporting.read_batch_wealth_csv(src / "batch_wealth.csv")
     fill_log = _cli.fills.read_fill_log(src / "fills.csv")
-    out = _out_dir(args)
+    # both are computed before --out is created, so a failure leaves no directory
     hist = reporting.terminal_cash_histogram(wealths, args.bins)
-    reporting.write_histogram_csv(hist, out / "histogram.csv")
     rows = reporting.summarize_fills(reporting.counters_from_fills(fill_log))
+    out = _out_dir(args)
+    reporting.write_histogram_csv(hist, out / "histogram.csv")
     reporting.write_fill_type_summary_csv(rows, out / "summary.csv")
     for name, count in rows:
         print(f"{name}: {count}")
+    return 0
+
+
+def _write_fill_experiment(args, log, contract: str, prefix: str) -> int:
+    """Write a fill experiment's fills.csv and summary.csv to --out and
+    print its counts after ``prefix``."""
+    basic_poster = _cli.basic_poster
+    summary = basic_poster.fill_type_table(log)
+    out = _out_dir(args)
+    _cli.write_fill_log(_cli.FillColumns.from_events(log.fills), out / "fills.csv")
+    basic_poster.write_fill_summary_csv([(args.date, contract, summary)], out / "summary.csv")
+    print(f"{prefix}{summary.total} fills, {summary.adverse} adverse, "
+          f"{summary.non_adverse} non-adverse")
     return 0
 
 
@@ -175,32 +183,18 @@ def _cmd_basic_post(args) -> int:
             replace(params, delta=2 * args.tick), args.steps,
             _cli.RngStream(seed=args.seed, stream_id=20_000), tick=args.tick,
         )
-    basic_poster = _cli.basic_poster
-    log = basic_poster.run_basic_posting(
+    log = _cli.basic_poster.run_basic_posting(
         series, offset_ticks=offset, tick=args.tick, seed=args.seed
     )
-    summary = basic_poster.fill_type_table(log)
-    out = _out_dir(args)
-    _cli.write_fill_log(_cli.FillColumns.from_events(log.fills), out / "fills.csv")
-    basic_poster.write_fill_summary_csv(
-        [(args.date, args.contract, summary)], out / "summary.csv"
-    )
-    print(f"{args.contract}: {summary.total} fills, "
-          f"{summary.adverse} adverse, {summary.non_adverse} non-adverse")
-    return 0
+    return _write_fill_experiment(args, log, args.contract, f"{args.contract}: ")
 
 
 def _cmd_example1(args) -> int:
     check_text_cell(args.date)
-    basic_poster = _cli.basic_poster
-    log = basic_poster.run_example1(args.steps, walk_p=args.walk_p, seed=args.seed)
-    summary = basic_poster.fill_type_table(log)
-    out = _out_dir(args)
-    _cli.write_fill_log(_cli.FillColumns.from_events(log.fills), out / "fills.csv")
-    basic_poster.write_fill_summary_csv([(args.date, "SYN", summary)], out / "summary.csv")
-    print(f"{summary.total} fills, {summary.adverse} adverse, "
-          f"{summary.non_adverse} non-adverse")
-    return 0
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    log = _cli.basic_poster.run_example1(args.steps, walk_p=args.walk_p, seed=args.seed)
+    return _write_fill_experiment(args, log, "SYN", "")
 
 
 def _build_parser() -> argparse.ArgumentParser:

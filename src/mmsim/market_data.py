@@ -421,15 +421,14 @@ def synthetic_quotes(
     n_steps: int,
     seed: int | RngStream = 0,
     move_prob: float = 0.25,
-    s0: float = 100.0,
-    level1_size: float = 10.0,
     tick: float | None = None,
 ) -> PriceSeries:
     """Tick random-walk quotes with a fixed spread (n_steps + 1 samples).
 
-    Per step the mid moves one tick up with probability ``move_prob``, one
-    tick down with the same probability, and otherwise stays put.  The bid
-    and ask sit a half-spread either side, so ask - bid == delta always.
+    The mid starts at 100.0.  Per step it moves one tick up with
+    probability ``move_prob``, one tick down with the same probability,
+    and otherwise stays put.  The bid and ask sit a half-spread either
+    side, so ask - bid == delta always, and each level-1 size is 10.0.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -443,8 +442,7 @@ def synthetic_quotes(
 
     u = gen.random(n_steps)
     moves = np.where(u < move_prob, 1, np.where(u < 2 * move_prob, -1, 0))
-    ticks0 = round(s0 / tick)
-    mid_ticks = ticks0 + np.concatenate([[0], np.cumsum(moves)])
+    mid_ticks = round(100.0 / tick) + np.concatenate([[0], np.cumsum(moves)])
     mid = np.round(mid_ticks * tick, 12)
 
     # canonicalize quotes on the half-tick grid (when the half-spread sits on
@@ -463,6 +461,6 @@ def synthetic_quotes(
         dt=params.dt,
         bid=bid,
         ask=ask,
-        level1_bid_sz=np.full(n, level1_size),
-        level1_ask_sz=np.full(n, level1_size),
+        level1_bid_sz=np.full(n, 10.0),
+        level1_ask_sz=np.full(n, 10.0),
     )

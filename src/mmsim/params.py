@@ -5,9 +5,8 @@ flat UTF-8 text, one ``key = value`` pair per line, ``#`` starts a comment,
 and keys must match the field names of :class:`MarketParams` or
 :class:`SolverGrid` exactly.  Unknown keys are rejected.
 
-The solver's :class:`UnstableSchemeError` and the ladder's contract presets
-live here too: the CLI needs them before it knows which command's modules
-to load (``solver`` and ``basic_poster`` re-export them).
+The ladder's contract presets live here too: the CLI needs them before it
+knows which command's modules to load (``basic_poster`` re-exports them).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "SolverGrid",
     "ConfigParseError",
     "ValidationError",
-    "UnstableSchemeError",
     "OFFSET_TICKS_PRESETS",
     "default_params",
     "default_grid",
@@ -119,17 +117,6 @@ class ValidationError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class UnstableSchemeError(RuntimeError):
-    """The explicit scheme produced a non-finite value."""
-
-    def __init__(self, t_index: int):
-        self.t_index = t_index
-        super().__init__(
-            f"non-finite value while updating time slice {t_index}; "
-            "increase substeps or refine the alpha grid"
-        )
 
 
 # Ladder spacing per contract, in ticks, for the static posting experiment.

@@ -38,7 +38,6 @@ __all__ = [
     "PolicyShapeMismatchError",
     "InventoryBoundBreachError",
     "terminal_wealth",
-    "nearest_node",
     "run_simulation",
     "run_batch",
     "write_snapshot_csv",
@@ -100,25 +99,9 @@ def terminal_wealth(c: float, q: int, s: float, params: MarketParams) -> float:
     return c + q * s + terminal_condition(q, params)
 
 
-def nearest_node(nodes: np.ndarray, alpha):
-    """Index of the node nearest to ``alpha`` (scalar or array), the lower
-    one on a tie.
-
-    The bracket ``nodes[c - 1] < alpha <= nodes[c]`` (the end pair outside
-    the nodes) is found by grid arithmetic (:class:`_NodeGrid`), and one
-    exact compare of the two neighbours' distances picks between them.
-    For finite, strictly increasing nodes and a finite ``alpha`` this
-    equals ``np.abs(nodes - alpha).argmin()`` whenever every gap between
-    neighbouring nodes exceeds the float spacing at
-    ``|alpha| + max|nodes|``: then no node beyond the bracket rounds to
-    the same distance.  On the default grid (gaps of 0.0016) that holds
-    for ``|alpha|`` up to about 1e12.
-    """
-    return _NodeGrid(nodes).nearest(alpha)
-
-
 class _NodeGrid:
-    """A node set prepared for :func:`nearest_node`, once per run.
+    """A node set prepared once per run to find the node nearest to an
+    ``alpha`` (scalar or array), the lower one on a tie.
 
     ``c``, the number of nodes below ``alpha`` (``np.searchsorted(nodes,
     alpha)``), is guessed as ``ceil((alpha - nodes[0]) / step)`` with
@@ -127,7 +110,15 @@ class _NodeGrid:
     element whose bracket ``padded[c] < alpha <= padded[c + 1]`` then
     fails (uneven nodes, or a NaN or -inf ``alpha``) is searched for; on
     evenly spaced nodes none is.  The bracket fixes ``c``, so the result
-    is the search's either way.
+    is the search's either way, and one exact compare of the two
+    neighbours' distances picks between them.
+
+    For finite, strictly increasing nodes and a finite ``alpha`` this
+    equals ``np.abs(nodes - alpha).argmin()`` whenever every gap between
+    neighbouring nodes exceeds the float spacing at
+    ``|alpha| + max|nodes|``: then no node beyond the bracket rounds to
+    the same distance.  On the default grid (gaps of 0.0016) that holds
+    for ``|alpha|`` up to about 1e12.
     """
 
     def __init__(self, nodes: np.ndarray):
@@ -221,10 +212,6 @@ def run_simulation(
     )
 
 
-def n_windows(series_len: int, n_dt: int) -> int:
-    return (series_len - 1) // n_dt
-
-
 # Windows stepped together.  A block holds per window step 4 event flag
 # bytes while its events are drawn, the 8-byte alpha path and one fill code
 # byte: about 1.6 MB at n_dt = 120 (and a DRAW_CHUNK buffer of uniforms
@@ -281,7 +268,7 @@ def run_batch(
     run bit for bit.
     """
     n = params.n_dt
-    count = n_windows(len(series), n)
+    count = (len(series) - 1) // n
     if count < 1:
         raise SeriesTooShortError(
             f"series of {len(series)} samples holds no full window of {n + 1}"

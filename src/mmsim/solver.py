@@ -48,14 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (
-    MarketParams,
-    SolverGrid,
-    UnstableSchemeError,
-    ValidationError,
-    render_config,
-    validate,
-)
+from .params import MarketParams, SolverGrid, ValidationError, render_config, validate
 from .table import read_cells, write_table
 
 __all__ = [
@@ -75,6 +68,18 @@ __all__ = [
 
 class GridTooCoarseError(ValueError):
     """The drift jump would leave the alpha grid entirely."""
+
+
+class UnstableSchemeError(ValueError):
+    """The explicit scheme produced a non-finite value: the config's grid
+    is one it cannot solve."""
+
+    def __init__(self, t_index: int):
+        self.t_index = t_index
+        super().__init__(
+            f"non-finite value while updating time slice {t_index}; "
+            "increase substeps or refine the alpha grid"
+        )
 
 
 @dataclass(eq=False)

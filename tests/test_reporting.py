@@ -163,6 +163,23 @@ def test_cli_report_rejects_a_bin_count_below_one_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_report_of_a_run_without_windows_writes_nothing(tmp_path, capsys):
+    (tmp_path / "batch_wealth.csv").write_text("window,terminal_wealth,objective\n")
+    (tmp_path / "fills.csv").write_text("t_index,side,price,kind\n")
+    out = tmp_path / "out"
+    assert _run(["report", "--in", tmp_path, "--out", out]) == 1
+    assert "EmptyValuesError: no terminal values to bin" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [-1, -5])
+def test_cli_example1_rejects_a_negative_step_count(tmp_path, capsys, steps):
+    out = tmp_path / "e1"
+    assert _run(["example1", "--steps", steps, "--out", out]) == 1
+    assert f"--steps must be >= 0, got {steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("steps", [0, -3])
 def test_cli_basic_post_rejects_a_step_count_below_one(tmp_path, capsys, steps):
     out = tmp_path / "bp"

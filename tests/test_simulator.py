@@ -28,7 +28,7 @@ from mmsim.simulator import (
     InventoryBoundBreachError,
     PolicyShapeMismatchError,
     SeriesTooShortError,
-    nearest_node,
+    _NodeGrid,
     run_batch,
     run_simulation,
     terminal_wealth,
@@ -496,7 +496,7 @@ def test_batch_peak_memory_stays_small(solved):
 
 def _separated(values, reach):
     """Sorted distinct nodes whose every gap exceeds the float spacing at
-    ``reach + max|node|``, the range ``nearest_node`` states."""
+    ``reach + max|node|``, the range ``_NodeGrid`` states."""
     nodes = np.unique(np.asarray(values, dtype=float))
     gap = np.spacing(reach + np.abs(nodes).max())
     kept = [nodes[0]]
@@ -525,11 +525,11 @@ def test_nearest_node_equals_argmin(values, free):
         [0.0, -0.0, -1e3, 1e3, free],
     ])
     want = [int(np.abs(nodes - a).argmin()) for a in probes]
-    assert nearest_node(nodes, probes).tolist() == want
-    assert [int(nearest_node(nodes, a)) for a in probes] == want
+    assert _NodeGrid(nodes).nearest(probes).tolist() == want
+    assert [int(_NodeGrid(nodes).nearest(a)) for a in probes] == want
     # a block of steps by windows, as the batch looks nodes up
     block = probes[:probes.size // 3 * 3].reshape(3, -1)
-    assert nearest_node(nodes, block).tolist() == np.reshape(want[:block.size], block.shape).tolist()
+    assert _NodeGrid(nodes).nearest(block).tolist() == np.reshape(want[:block.size], block.shape).tolist()
 
 
 def _node_probes(nodes, rng):
@@ -559,16 +559,16 @@ def test_nearest_node_takes_no_search_on_solver_grids(solved, tmp_path, monkeypa
     rng = np.random.default_rng(41)
 
     def no_search(*args, **kwargs):
-        raise AssertionError("nearest_node fell back to np.searchsorted")
+        raise AssertionError("_NodeGrid.nearest fell back to np.searchsorted")
 
     monkeypatch.setattr(np, "searchsorted", no_search)
     for nodes in node_sets:
         probes = _node_probes(nodes, rng)
         want = [int(np.abs(nodes - a).argmin()) for a in probes]
-        assert nearest_node(nodes, probes).tolist() == want
+        assert _NodeGrid(nodes).nearest(probes).tolist() == want
         block = probes[:probes.size // 2 * 2].reshape(2, -1)
-        assert nearest_node(nodes, block).reshape(-1).tolist() == want[:block.size]
-        assert [int(nearest_node(nodes, a)) for a in probes] == want
+        assert _NodeGrid(nodes).nearest(block).reshape(-1).tolist() == want[:block.size]
+        assert [int(_NodeGrid(nodes).nearest(a)) for a in probes] == want
 
 
 def test_nearest_node_of_a_non_finite_alpha(solved, tmp_path):
@@ -579,8 +579,8 @@ def test_nearest_node_of_a_non_finite_alpha(solved, tmp_path):
     for nodes in [np.array([0.5]), np.array([-1.0, 2.0]), *_solver_node_sets(solved, tmp_path)]:
         n = nodes.size
         want = [n - 1, 0, max(n - 2, 0)]
-        assert nearest_node(nodes, np.array([np.inf, -np.inf, np.nan])).tolist() == want
-        assert [int(nearest_node(nodes, a)) for a in (np.inf, -np.inf, np.nan)] == want
+        assert _NodeGrid(nodes).nearest(np.array([np.inf, -np.inf, np.nan])).tolist() == want
+        assert [int(_NodeGrid(nodes).nearest(a)) for a in (np.inf, -np.inf, np.nan)] == want
 
 
 @pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite"])

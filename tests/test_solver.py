@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmsim
 from mmsim.cli import cli_main
 from mmsim.params import SolverGrid, ValidationError, default_grid, default_params
 from mmsim.solver import (
@@ -179,6 +183,25 @@ def test_refinement_shrinks_intergrid_gap():
     assert d2 < d1
 
 
+def test_h_at_the_origin_converges_on_aligned_refinements():
+    """h(0, 0, 0) on ±0.05 with 51 nodes and 2 substeps, 101 and 8, 201
+    and 32: eps is 1, 2 and 4 cells and r at most 0.71.  Measured values
+    0.777263, 0.775242 and 0.774689 fall monotonely; their differences
+    shrink by a factor of 3.66 (order 1.87), and the Richardson estimate
+    of the finest value's error, |v2 - v1| / (ratio - 1), is 2.1e-4."""
+    params = default_params()
+    values = []
+    for n_alpha, substeps in [(51, 2), (101, 8), (201, 32)]:
+        grid = SolverGrid(alpha_min=-0.05, alpha_max=0.05, n_alpha=n_alpha, substeps=substeps)
+        h = solve_dpe(params, grid).h
+        values.append(h[0, n_alpha // 2, params.q_max])
+    v0, v1, v2 = values
+    assert v0 > v1 > v2
+    ratio = (v0 - v1) / (v1 - v2)
+    assert ratio > 1
+    assert (v1 - v2) / (ratio - 1) < 5e-4
+
+
 def test_value_stays_inside_a_priori_bound():
     params = default_params()
     grid = default_grid()
@@ -207,6 +230,23 @@ def test_cli_solve_of_an_unstable_config_exits_1(tmp_path, capsys):
     assert cli_main(["solve", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("UnstableSchemeError: non-finite value")
     assert not out.exists()
+
+
+def test_every_package_error_but_the_bound_breach_is_a_validation_error():
+    """The CLI exits 1 on a ValueError (or OverflowError), so every
+    exception the package defines is one, except InventoryBoundBreachError,
+    a program fault.  An unsolvable grid is a validation error too: the
+    test above pins its exit 1 and message."""
+    errors = {
+        name: obj
+        for info in pkgutil.iter_modules(mmsim.__path__)
+        for name, obj in vars(importlib.import_module(f"mmsim.{info.name}")).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException)
+        and obj.__module__ == f"mmsim.{info.name}"
+    }
+    assert {"UnstableSchemeError", "InventoryBoundBreachError"} <= set(errors)
+    assert not [name for name, cls in errors.items()
+                if name != "InventoryBoundBreachError" and not issubclass(cls, ValueError)]
 
 
 def test_jump_exceeding_grid_is_rejected():
