@@ -34,6 +34,7 @@ _LAZY = {
     "basic_poster": "basic_poster",
     "fills": "fills",
     "reporting": "reporting",
+    "BatchWindow": "dynamics",
     "RngStream": "dynamics",
     "EnvMode": "fills",
     "FillColumns": "fills",
@@ -122,10 +123,10 @@ def _cmd_simulate(args) -> int:
     _cli.write_batch_wealth_csv(batch, out / "batch_wealth.csv")
 
     _cli.write_fill_log(batch.fills, out / "fills.csv")
-    # snapshot windows rerun alone on their batch streams for the full paths
+    # snapshot windows rerun alone on their batch draws for the full paths
     for w in range(min(args.snapshots, batch.n_paths)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        result = _cli.run_simulation(policy, window, mode, params, _cli.RngStream(args.seed, w))
+        result = _cli.run_simulation(policy, window, mode, params, _cli.BatchWindow(args.seed, w))
         _cli.write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
     print(
         f"{batch.n_paths} windows in {mode.variant.value} mode: "

@@ -10,22 +10,26 @@ simulator steps it with Euler-Maruyama at the configured dt,
 Market-order arrivals are thinned to at most one per side per step with
 probability 1 - exp(-lambda * dt) (:func:`arrival_probabilities`).  A
 window's uniforms and alpha shocks are drawn before its first step, in the
-one layout of :func:`draw_window_events`, from a named :class:`RngStream`.
-The midprice is not stepped: the simulator takes it from the quote series
-it runs over.
+one layout of :func:`draw_events`: from a named :class:`RngStream` or a
+generator for a window run alone, and from its group's stream for a
+:class:`BatchWindow`, one of ``GROUP_WINDOWS`` windows of a batch drawn
+together.  The midprice is not stepped: the simulator takes it from the
+quote series it runs over.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RngStream",
-    "pcg64_stream_states",
+    "BatchWindow",
+    "GROUP_WINDOWS",
+    "draw_events",
     "draw_window_events",
     "arrival_probabilities",
     "round_to_tick",
@@ -51,108 +55,82 @@ class RngStream:
         )
 
 
-# numpy's SeedSequence hash constants (pool of four uint32 words)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
-
-
-def _hashmix(value, hash_const: int, mult: int):
-    """One SeedSequence hash of a uint32 word (a Python int or a uint32
-    array); returns it and the advanced hash constant."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _M32
-    value = value * hash_const & _M32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
-    return result ^ (result >> 16)
-
-
-def pcg64_stream_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``RngStream(seed, w).generator()`` for the
-    stream ids ``w`` in ``first .. first + count - 1``.
-
-    This is numpy's seeding, re-done for many ids at once.  The
-    SeedSequence entropy is the seed's uint32 words, zero-padded to the
-    pool size, then the one spawn-key word ``w``; so the pool after the
-    seed's words is the same for every id, and only the last word's mix and
-    ``generate_state(4, uint64)`` run per id, as uint32 array operations.
-    ``pcg64_set_seed``'s two LCG steps then run on Python ints.  Setting a
-    PCG64's ``state`` to the result positions it where numpy's own seeding
-    does; ``RngStream.generator`` stays the reference.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"expected a non-negative integer seed, got {seed}")
-    if first < 0 or first + count > 1 << 32:
-        raise ValueError(
-            f"stream ids {first} .. {first + count - 1} must lie in [0, 2**32)"
-        )
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    # the seed's words past the pool, then the spawn key, mix into every pool word
-    ids = np.arange(first, first + count, dtype=np.uint32)
-    for word in [*words[_POOL_SIZE:], ids]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-
-    # generate_state(4, uint64): eight words cycled from the pool, paired
-    # little-endian into seed[0], seed[1], inc[0], inc[1]
-    hash_const = _INIT_B
-    out = []
-    for k in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
-        out.append(value.astype(np.uint64))
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-    )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        # state = 0, one LCG step, add the seed, one more step
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        states.append((state, inc))
-    return states
-
-
 # columns of a window's uniforms: buy arrival, sell arrival, ask and bid thinning
 WINDOW_UNIFORMS = 4
 
+# Windows of a batch drawn from one stream, a group: window w is row
+# w % GROUP_WINDOWS of group w // GROUP_WINDOWS.
+GROUP_WINDOWS = 64
+
+# The first spawn-key word of a group's stream.  An RngStream's key is the
+# one word stream_id, so no group stream is an RngStream of the same seed.
+_GROUP_TAG = 1
+
+
+@dataclass(frozen=True)
+class BatchWindow:
+    """Window ``window`` of a ``run_batch`` session seeded with ``master_seed``."""
+
+    master_seed: int
+    window: int
+
+
+def _draw_rows(gen: np.random.Generator, rows: int, n_steps: int, shocks: int, out=None):
+    """The one layout of the event draws, for ``rows`` windows from one
+    generator: ``u = gen.random((rows, n_steps, 4))``, per window and step
+    the buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms,
+    then ``z = gen.standard_normal((shocks, n_steps))``, the alpha shocks of
+    the first ``shocks`` windows (the leading rows of all ``rows``
+    windows' shocks).  The uniforms are drawn into ``out`` when given."""
+    return gen.random((rows, n_steps, WINDOW_UNIFORMS), out=out), gen.standard_normal(
+        (shocks, n_steps))
+
+
+def draw_events(
+    rng: RngStream | np.random.Generator | BatchWindow, count: int, n_steps: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield the events of ``count`` windows from ``rng`` on, one group at
+    a time, as ``(k, u, z)``: the uniforms, shape (m, n_steps, 4), and the
+    shocks, shape (m, n_steps), of the windows k .. k+m-1 of the run.
+
+    An ``RngStream`` or a generator is one window, a group of one row.  A
+    ``BatchWindow`` starts a run of consecutive batch windows: each group
+    they touch is drawn once, from its own stream, its uniforms always for
+    all ``GROUP_WINDOWS`` rows; so a window's events depend only on
+    ``(master_seed, window, n_steps)``.  The uniforms of a batch group are
+    drawn into one buffer, which the next group overwrites.
+    """
+    if not isinstance(rng, BatchWindow):
+        if count != 1:
+            raise ValueError(f"a stream or generator draws one window, not {count}")
+        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        yield 0, *_draw_rows(gen, 1, n_steps, 1)
+        return
+    uniforms = np.empty((GROUP_WINDOWS, n_steps, WINDOW_UNIFORMS))
+    k = 0
+    while k < count:
+        group, row = divmod(rng.window + k, GROUP_WINDOWS)
+        m = min(count - k, GROUP_WINDOWS - row)
+        gen = np.random.default_rng(
+            np.random.SeedSequence(rng.master_seed, spawn_key=(_GROUP_TAG, group)))
+        u, z = _draw_rows(gen, GROUP_WINDOWS, n_steps, row + m, out=uniforms)
+        yield k, u[row:row + m], z[row:]
+        k += m
+
 
 def draw_window_events(
-    rng: RngStream | np.random.Generator, n_steps: int, out: np.ndarray | None = None
+    rng: RngStream | np.random.Generator | BatchWindow, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a window's random events in their fixed layout.
+    """Draw one window's random events: ``(u, z)``, the uniforms, shape
+    (n_steps, 4), and the alpha shocks, shape (n_steps,).
 
-    Returns ``(u, z)``: ``u = gen.random((n_steps, 4))`` holds per step the
-    buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms, then
-    ``z = gen.standard_normal(n_steps)`` the alpha shocks.  Every uniform
-    is drawn whether or not it is used, so no draw depends on the state.
-    The uniforms are drawn into ``out`` when given, a C-contiguous float
-    array of shape ``(n_steps, 4)``, which is then ``u``.
+    From an ``RngStream`` or a generator this is ``gen.random((n_steps,
+    4))``, then ``gen.standard_normal(n_steps)``; from a ``BatchWindow``,
+    the window's row of its group (``draw_events``).  Every uniform is
+    drawn whether or not it is used, so no draw depends on the state.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return gen.random((n_steps, WINDOW_UNIFORMS), out=out), gen.standard_normal(n_steps)
+    (_, u, z), = draw_events(rng, 1, n_steps)
+    return u[0], z[0]
 
 
 def arrival_probabilities(

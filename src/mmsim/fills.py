@@ -79,11 +79,6 @@ class FillCounters:
         return self.afb + self.nfb
 
     @classmethod
-    def from_fills(cls, fills: list[FillEvent]) -> "FillCounters":
-        """Count fill events by side and kind."""
-        return cls.from_columns(FillColumns.from_events(fills))
-
-    @classmethod
     def from_columns(cls, fills: "FillColumns") -> "FillCounters":
         """Count fills by side and kind with one ``bincount``."""
         # codes 0 adverse ask, 1 adverse bid, 2 non-adverse ask, 3 non-adverse bid

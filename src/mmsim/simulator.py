@@ -3,10 +3,11 @@
 One kernel, ``_run_block``, steps a block of windows of the optimal
 posting policy together; its docstring gives the order of a step.
 ``run_batch`` splits a session into consecutive non-overlapping windows
-that share only their boundary sample, each with its own deterministic
-RNG stream, and steps them in blocks.  ``run_simulation`` steps one window
-on the stream or generator it is given, as a block of one, and reads the
-window's cash, inventory and wealth paths off the kernel's fill codes.
+that share only their boundary sample, window w drawing its events as
+``BatchWindow(master_seed, w)``, and steps them in blocks.
+``run_simulation`` steps one window on the stream, generator or batch
+window it is given, as a block of one, and reads the window's cash,
+inventory and wealth paths off the kernel's fill codes.
 The tests hold both, bit for bit, to the scalar loop of
 ``tests/scalar_reference.py``, which steps one fill at a time.
 """
@@ -18,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    WINDOW_UNIFORMS,
-    RngStream,
-    arrival_probabilities,
-    draw_window_events,
-    pcg64_stream_states,
-)
+from .dynamics import WINDOW_UNIFORMS, BatchWindow, RngStream, arrival_probabilities, draw_events
 from .fills import FILL_EVENTS, EnvMode, FillColumns, FillCounters, FillEvent, fill_rule
 from .market_data import PriceSeries
 from .params import MarketParams
@@ -168,13 +163,13 @@ def run_simulation(
     series: PriceSeries,
     mode: EnvMode,
     params: MarketParams,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream | np.random.Generator | BatchWindow,
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 
     The window's events are drawn from ``rng`` and stepped by the batch's
-    kernel as a block of one window, so the window equals its run in a
-    batch on the same stream bit for bit.  Its paths are read off the
+    kernel as a block of one window, so on its ``BatchWindow`` the window
+    equals its run in a batch bit for bit.  Its paths are read off the
     kernel's per-step fill codes: inventory is the running sum of each
     code's change, the posting flags are its posting bits, cash is the
     running sum of the signed fill prices after each step's last fill, and
@@ -184,7 +179,7 @@ def run_simulation(
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
     _check_policy(policy, params)
-    _, penalty, events, t_index, codes = _run_block(policy, series, mode, params, [rng], 0, 1)
+    _, penalty, events, t_index, codes = _run_block(policy, series, mode, params, rng, 0, 1)
     fills = _fill_columns(series, events, t_index)
 
     inventory = np.zeros(n + 1, dtype=int)
@@ -214,16 +209,12 @@ def run_simulation(
 
 # Windows stepped together.  A block holds per window step 4 event flag
 # bytes while its events are drawn, the 8-byte alpha path and one fill code
-# byte: about 1.6 MB at n_dt = 120 (and a DRAW_CHUNK buffer of uniforms
-# while drawing), so one block runs a session of a thousand windows.
+# byte: about 1.6 MB at n_dt = 120 (and one group's uniforms while
+# drawing), so one block runs a session of a thousand windows.
 BLOCK_WINDOWS = 1024
 
 # Steps whose drift nodes are looked up together, in one _NodeGrid lookup.
 NODE_CHUNK = 8
-
-# Windows whose uniforms are drawn into one reused buffer and thresholded
-# together: 64 windows of 120 steps are 240 KB of uniforms.
-DRAW_CHUNK = 64
 
 # Bits of a window step's fill code.  The low four are known before the
 # first step: the ask and bid trade-throughs (improved mode only) and the
@@ -257,7 +248,8 @@ def run_batch(
     params: MarketParams,
     master_seed: int,
 ) -> BatchResult:
-    """Run every full window in a session; window w uses stream_id = w.
+    """Run every full window in a session; window w draws its events as
+    ``BatchWindow(master_seed, w)``.
 
     Windows cover samples [w n_dt, (w+1) n_dt] so consecutive windows share
     one boundary sample, and results do not depend on execution order.
@@ -277,9 +269,9 @@ def run_batch(
     blocks = []
     for w0 in range(0, count, BLOCK_WINDOWS):
         size = min(BLOCK_WINDOWS, count - w0)
-        streams = _stream_generators(master_seed, w0, size)
         # a batch keeps no block's fill codes
-        blocks.append(_run_block(policy, series, mode, params, streams, w0 * n, size)[:4])
+        blocks.append(_run_block(policy, series, mode, params, BatchWindow(master_seed, w0),
+                                 w0 * n, size)[:4])
     q, penalty, events, t_index = (np.concatenate(part) for part in zip(*blocks))
     fills = _fill_columns(series, events, t_index)
     cash = np.zeros(count)
@@ -292,15 +284,16 @@ def run_batch(
     )
 
 
-def _run_block(policy, series, mode, params, rngs, base, size):
+def _run_block(policy, series, mode, params, rng, base, size):
     """Step ``size`` windows together; only inventory is stepped.
 
-    Window k draws its events from the k-th of ``rngs``, streams or
-    generators (``_draw_block``), and starts at sample ``base + k n_dt`` of
-    ``series``.  Before the step loop, over the whole block: the alpha
-    path, written over the shocks, and the low four bits of each step's
-    fill code, from the event flags and one comparison of each quote
-    series with itself one sample on.  Step i (state at sample i,
+    The windows draw their events from ``rng`` on (``_draw_block``): a
+    stream or generator for a block of one, a ``BatchWindow`` for the
+    first window of a block of a batch.  Window k starts at sample
+    ``base + k n_dt`` of ``series``.  Before the step loop, over the whole
+    block: the alpha path, written over the shocks, and the low four bits
+    of each step's fill code, from the event flags and one comparison of
+    each quote series with itself one sample on.  Step i (state at sample i,
     transition to i+1) then
       1. reads the posting bits at (i, nearest drift node, inventory) and
          ORs them into the step's code; nodes are looked up ``NODE_CHUNK``
@@ -319,7 +312,7 @@ def _run_block(policy, series, mode, params, rngs, base, size):
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
     # the thresholds of a step's four uniforms
     limits = np.array([p_buy, p_sell, mode.rho_effective, mode.rho_effective])
-    flags, alpha = _draw_block(rngs, size, n, limits)
+    flags, alpha = _draw_block(rng, size, n, limits)
     n_alpha, n_q = policy.alpha_nodes.size, 2 * params.q_max + 1
     grid = _NodeGrid(policy.alpha_nodes)
     # the policy's posting bits, flattened over (step, node, inventory)
@@ -401,38 +394,20 @@ def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) 
     )
 
 
-def _stream_generators(master_seed, w0, size):
-    """One reused generator, set in turn to the start of stream
-    ``RngStream(master_seed, w)`` for w = w0 .. w0+size-1: the PCG64
-    states come from one ``pcg64_stream_states`` call."""
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
-    for state, inc in pcg64_stream_states(master_seed, w0, size):
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        yield gen
+def _draw_block(rng, size, n, limits):
+    """Event flags and shocks of ``size`` windows drawn from ``rng`` on
+    (``draw_events``).
 
-
-def _draw_block(rngs, size, n, limits):
-    """Event flags and shocks of ``size`` windows, window k drawn from the
-    k-th of ``rngs`` in the layout of ``draw_window_events``.
-
-    Each window's uniforms are drawn into its row of a buffer reused for
-    ``DRAW_CHUNK`` windows, which are thresholded by ``limits`` together:
-    flags of shape (size, n, 4), per step buy and sell arrival, ask and
-    bid thinning.  Its shocks go straight into its column of the alpha
-    path, shape (n + 1, size), whose row 0 is every window's initial
-    alpha, 0.
+    Each group's uniforms are thresholded by ``limits`` together into the
+    flags, shape (size, n, 4), per step buy and sell arrival, ask and bid
+    thinning.  Its shocks go into its windows' columns of the alpha path,
+    shape (n + 1, size), whose row 0 is every window's initial alpha, 0.
     """
     flags = np.empty((size, n, WINDOW_UNIFORMS), dtype=bool)
     alpha = np.zeros((n + 1, size))
-    uniforms = np.empty((min(DRAW_CHUNK, size), n, WINDOW_UNIFORMS))
-    rngs = iter(rngs)
-    for k0 in range(0, size, DRAW_CHUNK):
-        chunk = uniforms[:min(DRAW_CHUNK, size - k0)]
-        for k, u in enumerate(chunk, k0):
-            _, alpha[1:, k] = draw_window_events(next(rngs), n, out=u)
-        np.less(chunk, limits, out=flags[k0:k0 + len(chunk)])
+    for k, u, z in draw_events(rng, size, n):
+        np.less(u, limits, out=flags[k:k + len(u)])
+        alpha[1:, k:k + len(u)] = z.T
     return flags, alpha
 
 

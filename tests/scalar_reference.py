@@ -6,7 +6,8 @@ runs every window, alone or in a batch, through one vectorised kernel;
 the tests require its results to equal this loop's bit for bit.  The
 loop's helpers are the model's rules for one step: the fills of a step
 (``step_fills``), their settlement (``update_inventory``,
-``update_cash``) and the drift's Euler step (``step_alpha``).
+``update_cash``), their count (``counters_from_events``) and the drift's
+Euler step (``step_alpha``).
 
 This module holds no tests; the test modules import it.
 """
@@ -17,8 +18,16 @@ import math
 
 import numpy as np
 
-from mmsim.dynamics import RngStream, arrival_probabilities, draw_window_events
-from mmsim.fills import FILL_EVENTS, EnvMode, FillCounters, FillEvent, Side, fill_rule
+from mmsim.dynamics import BatchWindow, RngStream, arrival_probabilities, draw_window_events
+from mmsim.fills import (
+    FILL_EVENTS,
+    EnvMode,
+    FillColumns,
+    FillCounters,
+    FillEvent,
+    Side,
+    fill_rule,
+)
 from mmsim.market_data import PriceSeries
 from mmsim.params import MarketParams
 from mmsim.simulator import (
@@ -101,12 +110,17 @@ def update_cash(c: float, fills: list[FillEvent]) -> float:
     return c
 
 
+def counters_from_events(fills: list[FillEvent]) -> FillCounters:
+    """Count fill events by side and kind."""
+    return FillCounters.from_columns(FillColumns.from_events(fills))
+
+
 def run_simulation(
     policy: PostingPolicy,
     series: PriceSeries,
     mode: EnvMode,
     params: MarketParams,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream | np.random.Generator | BatchWindow,
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 
@@ -180,7 +194,7 @@ def run_simulation(
         fills=fills,
         posted_bid=posted_bid,
         posted_ask=posted_ask,
-        counters=FillCounters.from_fills(fills),
+        counters=counters_from_events(fills),
         terminal_wealth=final,
         objective=final - penalty,
     )

@@ -29,7 +29,7 @@ from mmsim.market_data import PriceSeries, synthetic_quotes
 from mmsim.params import default_grid, default_params
 from mmsim.simulator import run_simulation, terminal_wealth
 from mmsim.solver import extract_policy, solve_dpe, terminal_condition
-from scalar_reference import step_fills, update_cash, update_inventory
+from scalar_reference import counters_from_events, step_fills, update_cash, update_inventory
 
 
 @contextmanager
@@ -189,7 +189,7 @@ def test_criterion_7_fill_probability_calibration():
                 bid[i], ask[i], bid[i + 1], ask[i + 1],
                 bool(mo_buy[i]), bool(mo_sell[i]), mode, u[i, 0], u[i, 1], t_index=i,
             )
-            counters = counters + FillCounters.from_fills(fills)
+            counters = counters + counters_from_events(fills)
             for f in fills:
                 key = ("a" if f.kind is FillKind.ADVERSE else "n") + (
                     "fa" if f.side is Side.ASK else "fb"

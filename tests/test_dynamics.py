@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsim.dynamics import (
+    GROUP_WINDOWS,
+    BatchWindow,
     RngStream,
     arrival_probabilities,
+    draw_events,
     draw_window_events,
-    pcg64_stream_states,
     round_to_tick,
 )
 from mmsim.params import default_params
@@ -51,44 +53,61 @@ def test_window_events_follow_the_documented_layout():
     assert np.array_equal(z, gen.standard_normal(120))
 
 
-# seeds of one to five uint32 words, ids at both ends of the spawn-key word
-SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1]), st.integers(0, 2**128))
-STREAM_IDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("window", [0, 5, 63, 64, 130])
+def test_batch_window_events_are_their_row_of_the_group(window):
+    # the group's own stream: uniforms for the whole group, then its
+    # shocks; window w is row w % 64 of group w // 64
+    u, z = draw_window_events(BatchWindow(31, window), 12)
+    group, row = divmod(window, GROUP_WINDOWS)
+    gen = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(1, group)))
+    assert np.array_equal(u, gen.random((GROUP_WINDOWS, 12, 4))[row])
+    assert np.array_equal(z, gen.standard_normal((GROUP_WINDOWS, 12))[row])
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=SEEDS, first=STREAM_IDS, count=st.integers(1, 4))
-def test_stream_states_equal_numpy_seeding(seed, first, count):
-    first = min(first, 2**32 - count)
-    states = pcg64_stream_states(seed, first, count)
-    assert len(states) == count
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
-    for w, (state, inc) in zip(range(first, first + count), states):
-        numpy_seeded = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(w,)))
-        assert numpy_seeded.state["state"] == {"state": state, "inc": inc}
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        u, z = draw_window_events(gen, 6)
-        want_u, want_z = draw_window_events(RngStream(seed, w), 6)
-        assert np.array_equal(u, want_u) and np.array_equal(z, want_z)
+@settings(max_examples=40, deadline=None)
+@given(first=st.integers(0, 200), count=st.integers(1, 140))
+def test_batch_draws_do_not_depend_on_the_run(first, count):
+    """A run of batch windows, drawn group by group, gives each window the
+    events it draws alone."""
+    got_u, got_z, starts = [], [], []
+    for k, u, z in draw_events(BatchWindow(7, first), count, 3):
+        starts.append(k)
+        got_u.append(u.copy())
+        got_z.append(z)
+    # one yield per group touched
+    assert len(starts) == (first + count - 1) // GROUP_WINDOWS - first // GROUP_WINDOWS + 1
+    got_u, got_z = np.concatenate(got_u), np.concatenate(got_z)
+    assert got_u.shape == (count, 3, 4) and got_z.shape == (count, 3)
+    for k in {0, count // 2, count - 1}:
+        u, z = draw_window_events(BatchWindow(7, first + k), 3)
+        assert np.array_equal(got_u[k], u) and np.array_equal(got_z[k], z)
 
 
-def test_stream_states_of_no_ids_are_empty():
-    assert pcg64_stream_states(5, 2**32, 0) == []
+def test_a_stream_draws_one_window():
+    with pytest.raises(ValueError, match="one window"):
+        next(draw_events(RngStream(3), 2, 5))
 
 
-@pytest.mark.parametrize("first, count", [(2**32, 1), (2**32 - 1, 2), (-1, 1)])
-def test_stream_ids_outside_one_word_are_rejected(first, count):
-    with pytest.raises(ValueError, match="stream ids"):
-        pcg64_stream_states(0, first, count)
+def test_no_group_stream_is_an_rng_stream():
+    """A group's stream is keyed by two words, an RngStream's by one: no
+    group of a 32,768-window session starts where any RngStream of the
+    same seed with an id below 2**15 does, the CLI's quote streams 10,000
+    and 20,000 among them."""
+    def start(key):
+        return np.random.SeedSequence(40, spawn_key=key).generate_state(4, np.uint64).tobytes()
+
+    streams = {start((i,)) for i in range(2**15)}
+    assert len(streams) == 2**15
+    groups = {start((1, g)) for g in range(2**15 // GROUP_WINDOWS)}
+    assert len(groups) == 2**15 // GROUP_WINDOWS
+    assert not streams & groups
 
 
 def test_negative_seed_is_rejected_like_numpy():
     with pytest.raises(ValueError):
         np.random.SeedSequence(-1)
     with pytest.raises(ValueError, match="non-negative"):
-        pcg64_stream_states(-1, 0, 1)
+        draw_window_events(BatchWindow(-1, 0), 1)
 
 
 def test_alpha_step_is_one_expression_for_scalars_and_arrays():

@@ -22,7 +22,7 @@ from mmsim.fills import (
     write_fill_log,
 )
 from mmsim.params import default_params
-from scalar_reference import step_fills
+from scalar_reference import counters_from_events, step_fills
 
 
 def test_classify_direct_rules():
@@ -97,13 +97,13 @@ def test_nonadverse_frequency_matches_rho():
 def test_accumulate_cases():
     # accumulating a step's fills is adding their count to the running total
     zero = FillCounters()
-    assert zero + FillCounters.from_fills([]) == zero
+    assert zero + counters_from_events([]) == zero
 
-    one = zero + FillCounters.from_fills([FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE)])
+    one = zero + counters_from_events([FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE)])
     assert (one.afa, one.n_plus) == (1, 1)
     assert (one.nfa, one.afb, one.nfb, one.n_minus) == (0, 0, 0, 0)
 
-    mixed = zero + FillCounters.from_fills([
+    mixed = zero + counters_from_events([
         FillEvent(0, Side.ASK, 100.0, FillKind.ADVERSE),
         FillEvent(0, Side.ASK, 100.0, FillKind.NON_ADVERSE),
         FillEvent(1, Side.BID, 99.0, FillKind.ADVERSE),
@@ -125,7 +125,7 @@ fill_events = st.builds(
 
 @given(st.lists(fill_events, max_size=50))
 def test_counter_identity_always_holds(fills):
-    c = FillCounters.from_fills(fills)
+    c = counters_from_events(fills)
     assert c.n_plus == c.afa + c.nfa
     assert c.n_minus == c.afb + c.nfb
     assert c.n_plus + c.n_minus == len(fills)
@@ -270,4 +270,4 @@ def test_counters_from_columns_match_a_tally(sides_kinds):
         afb=tally[Side.BID, FillKind.ADVERSE], nfb=tally[Side.BID, FillKind.NON_ADVERSE],
     )
     assert FillCounters.from_columns(FillColumns.from_events(fills)) == want
-    assert FillCounters.from_fills(fills) == want
+    assert counters_from_events(fills) == want

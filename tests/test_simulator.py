@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsim import simulator
+from mmsim import dynamics, simulator
 from mmsim.cli import cli_main
-from mmsim.dynamics import RngStream
+from mmsim.dynamics import BatchWindow, RngStream, draw_window_events
 from mmsim.fills import (
     EnvMode,
     FillColumns,
@@ -206,7 +206,7 @@ def _constant_policy(params, nodes, post_ask: bool, post_bid: bool) -> PostingPo
 
 def test_window_events_do_not_depend_on_policy(solved):
     """An always-posted book in the benchmark environment fills exactly on
-    the arrival flags recovered from each window's stream."""
+    the arrival flags recovered from each window's batch draws."""
     params, policy = solved
     # a bound no window can reach: inventory moves at most one lot a step
     roomy = replace(params, q_max=params.n_dt)
@@ -218,11 +218,11 @@ def test_window_events_do_not_depend_on_policy(solved):
     p_arr = 1.0 - math.exp(-roomy.lambda_plus * roomy.dt)
     want_ask, want_bid = [], []
     for w in range(windows):
-        u = RngStream(19, w).generator().random((roomy.n_dt, 4))
+        u, _ = draw_window_events(BatchWindow(19, w), roomy.n_dt)
         want_ask += (w * roomy.n_dt + np.flatnonzero(u[:, 0] < p_arr)).tolist()
         want_bid += (w * roomy.n_dt + np.flatnonzero(u[:, 1] < p_arr)).tolist()
         window = series.window(w * roomy.n_dt, roomy.n_dt + 1)
-        r = run_simulation(always, window, EnvMode.benchmark(), roomy, RngStream(19, w))
+        r = run_simulation(always, window, EnvMode.benchmark(), roomy, BatchWindow(19, w))
         assert [f.t_index for f in r.fills if f.side is Side.ASK] == np.flatnonzero(
             u[:, 0] < p_arr).tolist()
         assert [f.t_index for f in r.fills if f.side is Side.BID] == np.flatnonzero(
@@ -284,7 +284,7 @@ def test_batch_equals_orderless_window_runs(solved):
     for w in reversed(range(5)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
         wealths[w] = run_scalar(policy, window, mode, params,
-                                RngStream(21, w)).terminal_wealth
+                                BatchWindow(21, w)).terminal_wealth
     assert np.array_equal(wealths, batch.terminal_wealths)
 
 
@@ -346,8 +346,8 @@ def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, l
     fills, totals, at_bound = [], FillCounters(), False
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_scalar(policy, window, mode, params, RngStream(23, w))
-        _assert_same_result(run_simulation(policy, window, mode, params, RngStream(23, w)), r)
+        r = run_scalar(policy, window, mode, params, BatchWindow(23, w))
+        _assert_same_result(run_simulation(policy, window, mode, params, BatchWindow(23, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
@@ -372,7 +372,7 @@ def test_batch_does_not_depend_on_block_size(solved, monkeypatch, variant):
     assert whole.fills.t_index.size > 0
     for w in range(7):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_scalar(policy, window, mode, params, RngStream(30, w))
+        r = run_scalar(policy, window, mode, params, BatchWindow(30, w))
         assert (whole.terminal_wealths[w], whole.objectives[w]) == (r.terminal_wealth, r.objective)
     for block in (1, 3):
         monkeypatch.setattr(simulator, "BLOCK_WINDOWS", block)
@@ -419,9 +419,9 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     fills, totals = [], FillCounters()
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_scalar(random_policy, window, mode, params, RngStream(38, w))
+        r = run_scalar(random_policy, window, mode, params, BatchWindow(38, w))
         _assert_same_result(run_simulation(random_policy, window, mode, params,
-                                           RngStream(38, w)), r)
+                                           BatchWindow(38, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
@@ -433,12 +433,12 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
 
 
 @pytest.mark.parametrize("variant", ["benchmark", "improved"])
-def test_batch_matches_scalar_across_draw_chunks(solved, monkeypatch, variant):
-    """Draw chunks of 3 windows split blocks of 5 and 3 windows unevenly
-    (3 + 2 and 3 windows): every window's wealth, objective and fills
+def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant):
+    """Groups of 3 windows straddle blocks of 5 and 3 windows (windows 0-2
+    and 3-4, then 5 and 6-7): every window's wealth, objective and fills
     equal its scalar run exactly."""
     monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 5)
-    monkeypatch.setattr(simulator, "DRAW_CHUNK", 3)
+    monkeypatch.setattr(dynamics, "GROUP_WINDOWS", 3)
     params, policy = solved
     params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=0.3)
     mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
@@ -450,7 +450,7 @@ def test_batch_matches_scalar_across_draw_chunks(solved, monkeypatch, variant):
     fills, totals = [], FillCounters()
     for w in range(windows):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_scalar(policy, window, mode, params, RngStream(44, w))
+        r = run_scalar(policy, window, mode, params, BatchWindow(44, w))
         assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
         totals += r.counters
@@ -458,11 +458,31 @@ def test_batch_matches_scalar_across_draw_chunks(solved, monkeypatch, variant):
     _assert_same_fills(batch.fills, fills)
 
 
+def test_batch_window_does_not_depend_on_session_length(solved):
+    """Windows 3 and 65, in the first and second group, give the same
+    wealth, objective and fills in a session of 70 windows and of 130."""
+    params, policy = solved
+    mode = EnvMode.improved(params)
+    n = params.n_dt
+    series = synthetic_quotes(params, 130 * n, seed=50)
+    long = run_batch(policy, series, mode, params, master_seed=51)
+    short = run_batch(policy, series.window(0, 70 * n + 1), mode, params, master_seed=51)
+    assert (short.n_paths, long.n_paths) == (70, 130)
+    for w in (3, 65):
+        assert short.terminal_wealths[w] == long.terminal_wealths[w]
+        assert short.objectives[w] == long.objectives[w]
+        mine = [batch.fills.t_index // n == w for batch in (short, long)]
+        assert mine[0].any()
+        for name in ("t_index", "is_ask", "price", "is_adverse"):
+            got, want = (getattr(b.fills, name)[m] for b, m in zip((short, long), mine))
+            assert np.array_equal(got, want), name
+
+
 # sha256 of run_batch's outputs on the session below: a change to the draw
 # layout, the alpha path, the node lookup or the event order moves it
 _GOLDEN_BATCH = {
-    "benchmark": "832c5c8c547ab35c60d00c2bbc13474330b0cb6761203c5597ae1079497032cc",
-    "improved": "385ee3b1fa732928a0ab7e3ba534e4cd599fccc07486c2e69bbb64d0d0bafdf2",
+    "benchmark": "4541aa7a0a5a502bb76d17a00787b90a2f4328dd72cfdaccf13f58fb6d8a2473",
+    "improved": "42ab1262fe777f3e1bb6d6c6c17dd9ad368ac089469b4b55dc7fb8aa424b2430",
 }
 
 
@@ -617,7 +637,7 @@ def test_batch_settles_cash_in_event_order(solved):
     batch = run_batch(always, series, mode, busy, master_seed=28)
     for w in range(windows):
         window = series.window(w * busy.n_dt, busy.n_dt + 1)
-        r = run_scalar(always, window, mode, busy, RngStream(28, w))
+        r = run_scalar(always, window, mode, busy, BatchWindow(28, w))
         assert batch.terminal_wealths[w] == r.terminal_wealth
 
 
@@ -633,7 +653,7 @@ def test_posting_at_a_bound_raises_in_batch_and_oracle(solved, post_bid):
         run_batch(one_sided, series, EnvMode.benchmark(), hot, master_seed=25)
     for run in (run_scalar, run_simulation):
         with pytest.raises(InventoryBoundBreachError):
-            run(one_sided, series, EnvMode.benchmark(), hot, RngStream(25, 0))
+            run(one_sided, series, EnvMode.benchmark(), hot, BatchWindow(25, 0))
 
 
 def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
@@ -654,7 +674,7 @@ def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
     fills = []
     for w in range(5):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_scalar(policy, window, mode, params, RngStream(26, w))
+        r = run_scalar(policy, window, mode, params, BatchWindow(26, w))
         fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
     assert fills
     write_fill_log(FillColumns.from_events(fills), tmp_path / "replayed.csv")
