@@ -204,17 +204,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def _common(p):
+        p.add_argument("--out", default="out", help="output directory")
+
+    def _seed(p):
         p.add_argument("--seed", type=int, default=0, help="master random seed")
+
+    def _config(p):
         p.add_argument("--config", default=None,
                        help="parameter file, or 'default' for built-in values")
-        p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("solve", help="solve the posting problem, export surface and policy")
     _common(p)
+    _config(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="batch-run a policy over a session")
     _common(p)
+    _seed(p)
+    _config(p)
     p.add_argument("--policy", default=None, help="policy CSV from `solve`")
     p.add_argument("--mode", choices=["benchmark", "improved"], default="improved")
     p.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
@@ -232,6 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basic-post", help="static ladder posting experiment")
     _common(p)
+    _seed(p)
+    _config(p)
     p.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
     p.add_argument("--steps", type=int, default=5000, help="synthetic series steps")
     p.add_argument("--contract", choices=sorted(OFFSET_TICKS_PRESETS),
@@ -244,6 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example1", help="always-posted MM with certain fills")
     _common(p)
+    _seed(p)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--walk-p", type=float, default=0.25)
     p.add_argument("--date", default="synthetic")

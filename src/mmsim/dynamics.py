@@ -30,7 +30,6 @@ __all__ = [
     "BatchWindow",
     "GROUP_WINDOWS",
     "draw_events",
-    "draw_window_events",
     "arrival_probabilities",
     "round_to_tick",
 ]
@@ -98,7 +97,8 @@ def draw_events(
     they touch is drawn once, from its own stream, its uniforms always for
     all ``GROUP_WINDOWS`` rows; so a window's events depend only on
     ``(master_seed, window, n_steps)``.  The uniforms of a batch group are
-    drawn into one buffer, which the next group overwrites.
+    drawn into one buffer, which the next group overwrites.  Every uniform
+    is drawn whether or not it is used, so no draw depends on the state.
     """
     if not isinstance(rng, BatchWindow):
         if count != 1:
@@ -116,21 +116,6 @@ def draw_events(
         u, z = _draw_rows(gen, GROUP_WINDOWS, n_steps, row + m, out=uniforms)
         yield k, u[row:row + m], z[row:]
         k += m
-
-
-def draw_window_events(
-    rng: RngStream | np.random.Generator | BatchWindow, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one window's random events: ``(u, z)``, the uniforms, shape
-    (n_steps, 4), and the alpha shocks, shape (n_steps,).
-
-    From an ``RngStream`` or a generator this is ``gen.random((n_steps,
-    4))``, then ``gen.standard_normal(n_steps)``; from a ``BatchWindow``,
-    the window's row of its group (``draw_events``).  Every uniform is
-    drawn whether or not it is used, so no draw depends on the state.
-    """
-    (_, u, z), = draw_events(rng, 1, n_steps)
-    return u[0], z[0]
 
 
 def arrival_probabilities(

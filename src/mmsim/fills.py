@@ -32,7 +32,6 @@ __all__ = [
     "EnvVariant",
     "EnvMode",
     "classify_fill",
-    "FILL_EVENTS",
     "fill_rule",
     "write_fill_log",
     "read_fill_log",
@@ -125,19 +124,10 @@ def classify_fill(side: Side, price_now: float, price_next: float) -> FillKind:
     return FillKind.ADVERSE if price_next > price_now else FillKind.NON_ADVERSE
 
 
-# A step's four fill events, in the order they settle: adverse ask, adverse
-# bid, non-adverse ask, non-adverse bid.
-FILL_EVENTS = (
-    (Side.ASK, FillKind.ADVERSE),
-    (Side.BID, FillKind.ADVERSE),
-    (Side.ASK, FillKind.NON_ADVERSE),
-    (Side.BID, FillKind.NON_ADVERSE),
-)
-
-
 def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit):
-    """The step's four fill events as flags in :data:`FILL_EVENTS` order,
-    for booleans or boolean arrays.
+    """The step's four fill events as flags, for booleans or boolean
+    arrays, in the order they settle: adverse ask, adverse bid, non-adverse
+    ask, non-adverse bid.
 
     ``ask_through`` and ``bid_through`` flag a trade-through the
     environment counts (the ask moved up, the bid down; improved mode
@@ -168,6 +158,11 @@ class FillColumns:
     def __len__(self) -> int:
         return self.t_index.size
 
+    def texts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each fill's side and kind as the texts the tables hold."""
+        return (np.where(self.is_ask, Side.ASK.value, Side.BID.value),
+                np.where(self.is_adverse, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value))
+
     @classmethod
     def from_events(cls, fills: list[FillEvent]) -> "FillColumns":
         return cls(
@@ -183,12 +178,8 @@ FILL_LOG_HEADER = ["t_index", "side", "price", "kind"]
 
 def write_fill_log(fills: FillColumns, path) -> None:
     """Fill log CSV: t_index, side, price, kind."""
-    write_table(path, FILL_LOG_HEADER, [
-        fills.t_index,
-        np.where(fills.is_ask, Side.ASK.value, Side.BID.value),
-        fills.price,
-        np.where(fills.is_adverse, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
-    ])
+    sides, kinds = fills.texts()
+    write_table(path, FILL_LOG_HEADER, [fills.t_index, sides, fills.price, kinds])
 
 
 def read_fill_log(path) -> FillColumns:

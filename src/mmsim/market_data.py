@@ -13,7 +13,7 @@ returns it as columns (:class:`LOBBook`), with NaN for each empty cell.
 Every file takes one route: blocks of lines cut by the tokenizer of
 :mod:`mmsim.table`, each converted by the word kernels when the file and
 the block are plain, else once per distinct cell text
-(:func:`mmsim.table.distinct_cells`) at the same cell positions.
+(:func:`mmsim.table.converted`) at the same cell positions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import RngStream
 from .params import MarketParams
-from .table import distinct_cells, lf_line_ends, plain_floats, plain_ints, split_cells
+from .table import converted, lf_line_ends, plain_floats, plain_ints, split_cells
 
 __all__ = [
     "LOBBook",
@@ -285,33 +285,18 @@ def _convert_cells(raw, buf, ends, starts, fields, linenos,
     width = np.diff(ends, prepend=starts[:n, None] - 1) - 1
     ts, ts_bad = plain_ints(buf, ends[:, 0], width[:, 0]), None
     if ts is None:
-        ts, ts_bad = _converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
-    cells, cells_bad = _converted(raw, ends[:, 1:], width[:, 1:], _cell_value, np.float64)
-    count_bad = (n, f"expected {_N_FIELDS} fields, got {fields[n]}") if n < fields.size else None
+        ts, ts_bad = converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
+    cells, cells_bad = converted(raw, ends[:, 1:], width[:, 1:], _cell_value, np.float64)
+    count_bad = ((n, "", f"expected {_N_FIELDS} fields, got {fields[n]}")
+                 if n < fields.size else None)
     # min keeps the first of equal rows: ts, then cells
-    r, reason = min(filter(None, [ts_bad, cells_bad, count_bad]), key=lambda found: found[0],
-                    default=(0, None))
+    r, _, reason = min(filter(None, [ts_bad, cells_bad, count_bad]), key=lambda found: found[0],
+                       default=(0, "", None))
     if reason is None:
         return ts, cells
     if r:
         _check_rows(ts[:r], cells[:r], linenos, prev_ts)
     raise MalformedRowError(linenos[r], reason)
-
-
-def _converted(raw, ends, width, convert, dtype) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """The cells' values, one ``convert()`` per distinct text, and the row
-    and message of the first text it rejects, None if none.  Rows from
-    that one on hold no values."""
-    texts, index = distinct_cells(raw, ends, width)
-    values = []
-    try:
-        for text in texts:
-            values.append(convert(text))
-    except ValueError as exc:
-        row = np.unravel_index(np.argmax(index == len(values)), index.shape)[0]
-        values += [0] * (len(texts) - len(values))
-        return np.array(values, dtype)[index], (int(row), str(exc))
-    return np.array(values, dtype)[index], None
 
 
 def _timestamp(text: str) -> int:

@@ -7,7 +7,8 @@ that share only their boundary sample, window w drawing its events as
 ``BatchWindow(master_seed, w)``, and steps them in blocks.
 ``run_simulation`` steps one window on the stream, generator or batch
 window it is given, as a block of one, and reads the window's cash,
-inventory and wealth paths off the kernel's fill codes.
+inventory and wealth paths off the kernel's fill codes.  Both return their
+fills as ``FillColumns``, in window, step and settlement order.
 The tests hold both, bit for bit, to the scalar loop of
 ``tests/scalar_reference.py``, which steps one fill at a time.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import WINDOW_UNIFORMS, BatchWindow, RngStream, arrival_probabilities, draw_events
-from .fills import FILL_EVENTS, EnvMode, FillColumns, FillCounters, FillEvent, fill_rule
+from .fills import EnvMode, FillColumns, FillCounters, fill_rule
 from .market_data import PriceSeries
 from .params import MarketParams
 from .solver import PostingPolicy, terminal_condition
@@ -54,12 +55,14 @@ class InventoryBoundBreachError(RuntimeError):
 
 @dataclass(eq=False)
 class SimResult:
-    """One window's paths; arrays hold n_dt+1 states, posting flags n_dt."""
+    """One window's paths; arrays hold n_dt+1 states, posting flags n_dt.
+    ``fills`` are the window's fills as columns with window-local
+    ``t_index``."""
 
     inventory: np.ndarray
     cash: np.ndarray
     wealth: np.ndarray
-    fills: list[FillEvent]
+    fills: FillColumns
     posted_bid: np.ndarray
     posted_ask: np.ndarray
     counters: FillCounters
@@ -197,8 +200,7 @@ def run_simulation(
         inventory=inventory,
         cash=cash,
         wealth=wealth,
-        fills=[FillEvent(t, side, price, kind) for t, price, (side, kind) in zip(
-            t_index.tolist(), fills.price.tolist(), map(FILL_EVENTS.__getitem__, events.tolist()))],
+        fills=fills,
         posted_bid=(codes[0] & _POSTED_BID) > 0,
         posted_ask=(codes[0] & _POSTED_ASK) > 0,
         counters=FillCounters.from_columns(fills),
@@ -226,8 +228,8 @@ _ASK_THROUGH, _BID_THROUGH, _ASK_HIT, _BID_HIT, _POSTED_BID, _POSTED_ASK = (
 
 
 def _code_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``fill_rule`` over every fill code: the (64, 4) events in
-    ``FILL_EVENTS`` order, and each code's inventory change."""
+    """``fill_rule`` over every fill code: the (64, 4) events in its
+    order, and each code's inventory change."""
     code = np.arange(64)
     adverse_ask, adverse_bid, ask, bid = fill_rule(
         *((code & bit) > 0 for bit in
@@ -304,7 +306,7 @@ def _run_block(policy, series, mode, params, rng, base, size):
     into their events.
 
     Returns the windows' final inventories and running penalties, their
-    fills as event indices into ``FILL_EVENTS`` and t_index from sample 0
+    fills as event indices in ``fill_rule``'s order and t_index from sample 0
     of ``series``, in window, step and event order, and the final fill
     codes, shape (size, n_dt).
     """
@@ -383,8 +385,9 @@ def _run_block(policy, series, mode, params, rng, base, size):
 
 
 def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) -> FillColumns:
-    """Fills as columns from their ``FILL_EVENTS`` indices, each at the
-    quote of its side at its step."""
+    """Fills as columns from their event indices (0 adverse ask, 1 adverse
+    bid, 2 non-adverse ask, 3 non-adverse bid), each at the quote of its
+    side at its step."""
     is_ask = events % 2 == 0
     return FillColumns(
         t_index=t_index,
@@ -417,10 +420,10 @@ def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:
     The last row is the terminal state: no posting flags and no fills.
     """
     n = result.posted_bid.size
-    by_step: dict[int, list[FillEvent]] = {}
-    for f in result.fills:
-        by_step.setdefault(f.t_index, []).append(f)
-    steps = [by_step.get(i, []) for i in range(n)] + [[]]
+    fills = result.fills
+    # row i's fills are fills[at[i]:at[i + 1]]; t_index is sorted
+    at = np.searchsorted(fills.t_index, np.arange(n + 2)).tolist()
+    sides, kinds = (texts.tolist() for texts in fills.texts())
     write_table(
         path,
         ["t_index", "bid", "ask", "mid", "posted_bid", "posted_ask",
@@ -429,8 +432,8 @@ def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:
             range(n + 1), series.bid[:n + 1], series.ask[:n + 1], series.mid[:n + 1],
             [*result.posted_bid.astype(int).tolist(), ""],
             [*result.posted_ask.astype(int).tolist(), ""],
-            [";".join(f.side.value for f in fills) for fills in steps],
-            [";".join(f.kind.value for f in fills) for fills in steps],
+            [";".join(sides[a:b]) for a, b in zip(at, at[1:])],
+            [";".join(kinds[a:b]) for a, b in zip(at, at[1:])],
             result.inventory, result.cash, result.wealth,
         ],
     )

@@ -11,7 +11,8 @@ through one tokenizer (:func:`split_cells`).  Two numpy word kernels
 (:func:`plain_floats`, :func:`plain_ints`) convert a whole column of plain
 cells with no Python object per cell: the LOB parser uses both, a table's
 integer columns the second.  Every cell the kernels decline, in a table or
-a LOB file, is converted once per distinct text (:func:`distinct_cells`).
+a LOB file, is converted once per distinct text (:func:`converted`), and
+the first text the conversion rejects names its row.
 A table file with a byte outside the tokenizer's alphabet is normalised as
 text first (rows split on whitespace).
 """
@@ -35,6 +36,7 @@ __all__ = [
     "lf_line_ends",
     "split_cells",
     "distinct_cells",
+    "converted",
     "plain_floats",
     "plain_ints",
 ]
@@ -355,6 +357,24 @@ def distinct_cells(data: bytes, ends: np.ndarray, width: np.ndarray) -> tuple[li
     return list(ids), index.reshape(shape)
 
 
+def converted(data: bytes, ends, width, convert, dtype) -> tuple[np.ndarray, tuple | None]:
+    """The cells' values, one ``convert()`` per distinct text
+    (:func:`distinct_cells`) in the order they first appear, and
+    ``(row, text, message)`` of the first cell whose text ``convert``
+    rejects with ValueError, None if none.  The row is the cell's index
+    along the first axis; the cells of that text and of every later one
+    hold 0.  A value ``dtype`` cannot hold raises as numpy raises it."""
+    texts, index = distinct_cells(data, ends, width)
+    values = np.zeros(len(texts), dtype)
+    for k, text in enumerate(texts):
+        try:
+            values[k] = convert(text)
+        except ValueError as exc:
+            row = np.unravel_index(np.argmax(index == k), index.shape)[0]
+            return values[index], (int(row), text, str(exc))
+    return values[index], None
+
+
 # -- typed columns of a table ------------------------------------------------
 
 # The bytes a table file may hold for the tokenizer as it is (CR only
@@ -367,7 +387,9 @@ class Cells:
     """A table's header and cells, converted to a typed column on request:
     by the integer word kernel where it takes the column, else one
     ``int()``, ``float()`` or flag match per distinct cell
-    (:func:`distinct_cells`), with the values and errors of one per cell."""
+    (:func:`converted`), with the values of one per cell.  A rejected cell
+    raises ValueError naming the file, its data row, the column and the
+    text, then the conversion's own words."""
 
     def __init__(self, path, header, data: bytes, ends, starts):
         self.path = path
@@ -387,32 +409,32 @@ class Cells:
         """The cell texts of a column."""
         return _decoded(self._data, *self._cells(name))
 
+    def _converted(self, name: str, convert, dtype) -> np.ndarray:
+        values, bad = converted(self._data, *self._cells(name), convert, dtype)
+        if bad is not None:
+            row, text, reason = bad
+            raise ValueError(f"{self.path}: data row {row + 1} has {name} {text!r}, {reason}")
+        return values
+
     def ints(self, name: str) -> np.ndarray:
         """A column of ``int()`` values, as int64."""
         values = plain_ints(np.frombuffer(self._data, dtype=np.uint8), *self._cells(name))
-        if values is None:
-            texts, index = distinct_cells(self._data, *self._cells(name))
-            values = np.fromiter(map(int, texts), np.int64, len(texts))[index]
-        return values
+        return self._converted(name, int, np.int64) if values is None else values
 
     def floats(self, name: str) -> np.ndarray:
         """A column of ``float()`` values, as float64."""
-        texts, index = distinct_cells(self._data, *self._cells(name))
-        return np.fromiter(map(float, texts), np.float64, len(texts))[index]
+        return self._converted(name, float, np.float64)
 
     def flags(self, name: str, true_text: str, false_text: str) -> np.ndarray:
-        """A two-valued column as booleans, True where the cell is ``true_text``.
+        """A two-valued column as booleans, True where the cell is
+        ``true_text``; any other cell is rejected."""
 
-        Any other cell raises ValueError naming its data row.
-        """
-        texts, index = distinct_cells(self._data, *self._cells(name))
-        for j, text in enumerate(texts):
+        def flag(text: str) -> bool:
             if text not in (true_text, false_text):
-                raise ValueError(
-                    f"{self.path}: data row {int(np.argmax(index == j)) + 1} has {name} "
-                    f"{text!r}, not {true_text!r} or {false_text!r}"
-                )
-        return np.array([text == true_text for text in texts], dtype=bool)[index]
+                raise ValueError(f"not {true_text!r} or {false_text!r}")
+            return text == true_text
+
+        return self._converted(name, flag, bool)
 
 
 def read_cells(path) -> Cells:

@@ -7,7 +7,9 @@ the tests require its results to equal this loop's bit for bit.  The
 loop's helpers are the model's rules for one step: the fills of a step
 (``step_fills``), their settlement (``update_inventory``,
 ``update_cash``), their count (``counters_from_events``) and the drift's
-Euler step (``step_alpha``).
+Euler step (``step_alpha``).  The loop keeps its fills as ``FillEvent``
+objects in ``FILL_EVENTS`` order and returns them as ``FillColumns``, as
+the simulator does; ``fill_events`` turns columns back into events.
 
 This module holds no tests; the test modules import it.
 """
@@ -18,13 +20,13 @@ import math
 
 import numpy as np
 
-from mmsim.dynamics import BatchWindow, RngStream, arrival_probabilities, draw_window_events
+from mmsim.dynamics import BatchWindow, RngStream, arrival_probabilities, draw_events
 from mmsim.fills import (
-    FILL_EVENTS,
     EnvMode,
     FillColumns,
     FillCounters,
     FillEvent,
+    FillKind,
     Side,
     fill_rule,
 )
@@ -39,6 +41,37 @@ from mmsim.simulator import (
     terminal_wealth,
 )
 from mmsim.solver import PostingPolicy
+
+# A step's four fill events, in the order they settle and ``fill_rule``
+# returns them: adverse ask, adverse bid, non-adverse ask, non-adverse bid.
+FILL_EVENTS = (
+    (Side.ASK, FillKind.ADVERSE),
+    (Side.BID, FillKind.ADVERSE),
+    (Side.ASK, FillKind.NON_ADVERSE),
+    (Side.BID, FillKind.NON_ADVERSE),
+)
+
+
+def fill_events(fills: FillColumns) -> list[FillEvent]:
+    """The inverse of ``FillColumns.from_events``: one event per row."""
+    return [
+        FillEvent(t, Side.ASK if ask else Side.BID, price,
+                  FillKind.ADVERSE if adverse else FillKind.NON_ADVERSE)
+        for t, ask, price, adverse in zip(fills.t_index.tolist(), fills.is_ask.tolist(),
+                                          fills.price.tolist(), fills.is_adverse.tolist())
+    ]
+
+
+def draw_window_events(
+    rng: RngStream | np.random.Generator | BatchWindow, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One window's random events: ``(u, z)``, the uniforms, shape
+    (n_steps, 4), and the alpha shocks, shape (n_steps,), from ``rng`` as
+    ``draw_events`` lays them out.  From an ``RngStream`` or a generator
+    this is ``gen.random((n_steps, 4))``, then ``gen.standard_normal(n_steps)``;
+    from a ``BatchWindow``, the window's row of its group."""
+    (_, u, z), = draw_events(rng, 1, n_steps)
+    return u[0], z[0]
 
 
 def step_alpha(
@@ -191,7 +224,7 @@ def run_simulation(
         inventory=inventory,
         cash=cash,
         wealth=wealth,
-        fills=fills,
+        fills=FillColumns.from_events(fills),
         posted_bid=posted_bid,
         posted_ask=posted_ask,
         counters=counters_from_events(fills),

@@ -29,7 +29,13 @@ from mmsim.market_data import PriceSeries, synthetic_quotes
 from mmsim.params import default_grid, default_params
 from mmsim.simulator import run_simulation, terminal_wealth
 from mmsim.solver import extract_policy, solve_dpe, terminal_condition
-from scalar_reference import counters_from_events, step_fills, update_cash, update_inventory
+from scalar_reference import (
+    counters_from_events,
+    fill_events,
+    step_fills,
+    update_cash,
+    update_inventory,
+)
 
 
 @contextmanager
@@ -244,7 +250,7 @@ def test_criterion_9_accounting_replay(table_solution):
             assert np.abs(r.inventory).max() <= params.q_max
 
             by_step: dict[int, list[FillEvent]] = {}
-            for f in r.fills:
+            for f in fill_events(r.fills):
                 by_step.setdefault(f.t_index, []).append(f)
             q, c = 0, 0.0
             mid = window.mid

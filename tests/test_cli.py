@@ -6,6 +6,7 @@ loads only the modules it runs; the commands call the library through
 sees every call.
 """
 
+import argparse
 import importlib
 import inspect
 import json
@@ -186,3 +187,37 @@ def test_a_wrapper_set_on_the_cli_module_sees_the_call(inputs, tmp_path, monkeyp
         assert set(read) <= set(arguments)
     if "path" in read:
         assert Path(calls[0]["path"]).is_file()
+
+
+# each command's option strings: an option no command reads shows up here
+OPTIONS = {
+    "solve": {"--config", "--out"},
+    "simulate": {"--seed", "--config", "--out", "--policy", "--mode", "--data", "--windows",
+                 "--snapshots"},
+    "report": {"--out", "--in", "--bins"},
+    "basic-post": {"--seed", "--config", "--out", "--data", "--steps", "--contract",
+                   "--offset-ticks", "--tick", "--date"},
+    "example1": {"--seed", "--out", "--steps", "--walk-p", "--date"},
+}
+
+
+def test_each_command_takes_the_options_of_its_table():
+    parser = mmsim.cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(OPTIONS)
+    for name, command in commands.items():
+        taken = {s for action in command._actions for s in action.option_strings}
+        assert taken - {"-h", "--help"} == OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv", [["solve", "--seed", "3"], ["report", "--seed", "3"],
+                                  ["report", "--config", "default"],
+                                  ["example1", "--config", "default"]],
+                         ids=["solve --seed", "report --seed", "report --config",
+                              "example1 --config"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(inputs, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    extra = ["--in", str(inputs / "run")] if argv[0] == "report" else []
+    assert cli_main([*argv, *extra, "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,11 +12,10 @@ from mmsim.dynamics import (
     RngStream,
     arrival_probabilities,
     draw_events,
-    draw_window_events,
     round_to_tick,
 )
 from mmsim.params import default_params
-from scalar_reference import step_alpha
+from scalar_reference import draw_window_events, step_alpha
 
 
 def _arrivals(p, u):

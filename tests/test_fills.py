@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mmsim.dynamics import RngStream
 from mmsim.fills import (
-    FILL_EVENTS,
     EnvMode,
     EnvVariant,
     FillColumns,
@@ -22,7 +21,7 @@ from mmsim.fills import (
     write_fill_log,
 )
 from mmsim.params import default_params
-from scalar_reference import counters_from_events, step_fills
+from scalar_reference import FILL_EVENTS, counters_from_events, step_fills
 
 
 def test_classify_direct_rules():

@@ -146,6 +146,24 @@ def test_cli_integer_cell_past_int64_fails_validation(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", ["batch_wealth", "fills"])
+def test_cli_report_names_the_bad_cell(tmp_path, capsys, table):
+    # a text in data row 2 of batch_wealth.csv, or a t_index of 1x in fills.csv
+    wealth = {"batch_wealth": "abc", "fills": "2.0"}[table]
+    t_index = {"batch_wealth": "1", "fills": "1x"}[table]
+    (tmp_path / "batch_wealth.csv").write_text(
+        f"window,terminal_wealth,objective\n0,1.0,1.0\n1,{wealth},1.0\n")
+    (tmp_path / "fills.csv").write_text(
+        f"t_index,side,price,kind\n0,bid,99.99,adverse\n{t_index},ask,100.01,adverse\n")
+    out = tmp_path / "out"
+    assert _run(["report", "--in", tmp_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    column, text = {"batch_wealth": ("terminal_wealth", "abc"), "fills": ("t_index", "1x")}[table]
+    assert err.startswith(f"ValueError: {tmp_path / f'{table}.csv'}: data row 2 has {column} "
+                          f"'{text}', ")
+    assert not out.exists()
+
+
 def test_cli_example1_checks_its_inputs_before_an_empty_run(tmp_path, capsys):
     out = tmp_path / "e1"
     assert _run(["example1", "--steps", 0, "--walk-p", 0.9, "--out", out]) == 1

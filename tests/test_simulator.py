@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mmsim import dynamics, simulator
 from mmsim.cli import cli_main
-from mmsim.dynamics import BatchWindow, RngStream, draw_window_events
+from mmsim.dynamics import BatchWindow, RngStream
 from mmsim.fills import (
     EnvMode,
     FillColumns,
@@ -32,6 +32,7 @@ from mmsim.simulator import (
     run_batch,
     run_simulation,
     terminal_wealth,
+    write_snapshot_csv,
 )
 from mmsim.solver import (
     PostingPolicy,
@@ -42,8 +43,8 @@ from mmsim.solver import (
     solve_dpe,
 )
 from mmsim.table import read_cells
+from scalar_reference import draw_window_events, fill_events, update_cash, update_inventory
 from scalar_reference import run_simulation as run_scalar
-from scalar_reference import update_cash, update_inventory
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_no_events_no_wealth(solved):
     quiet = replace(params, lambda_plus=0.0, lambda_minus=0.0)
     series = _constant_series(quiet.n_dt + 1)
     result = run_simulation(policy, series, EnvMode.improved(quiet), quiet, RngStream(0))
-    assert result.fills == []
+    assert len(result.fills) == 0
     assert np.all(result.wealth == 0.0)
     assert np.all(result.inventory == 0)
 
@@ -114,7 +115,7 @@ def test_simulation_is_deterministic(solved):
     assert np.array_equal(a.cash, b.cash)
     assert np.array_equal(a.inventory, b.inventory)
     assert np.array_equal(a.wealth, b.wealth)
-    assert a.fills == b.fills
+    assert fill_events(a.fills) == fill_events(b.fills)
     assert a.terminal_wealth == b.terminal_wealth
 
 
@@ -140,7 +141,7 @@ def test_accounting_replays_from_fill_log(solved):
     inventory = [0]
     cash = [0.0]
     by_step = {}
-    for f in result.fills:
+    for f in fill_events(result.fills):
         by_step.setdefault(f.t_index, []).append(f)
     for i in range(params.n_dt):
         step = by_step.get(i, [])
@@ -180,7 +181,7 @@ def test_benchmark_fills_exactly_on_posted_arrivals(solved):
     u = RngStream(4, 0).generator().random((params.n_dt, 4))
     p_arr = 1.0 - math.exp(-params.lambda_plus * params.dt)
     fills_by_step = {}
-    for f in result.fills:
+    for f in fill_events(result.fills):
         fills_by_step.setdefault((f.t_index, f.side), []).append(f)
     for i in range(params.n_dt):
         buy = u[i, 0] < p_arr
@@ -223,9 +224,10 @@ def test_window_events_do_not_depend_on_policy(solved):
         want_bid += (w * roomy.n_dt + np.flatnonzero(u[:, 1] < p_arr)).tolist()
         window = series.window(w * roomy.n_dt, roomy.n_dt + 1)
         r = run_simulation(always, window, EnvMode.benchmark(), roomy, BatchWindow(19, w))
-        assert [f.t_index for f in r.fills if f.side is Side.ASK] == np.flatnonzero(
+        events = fill_events(r.fills)
+        assert [f.t_index for f in events if f.side is Side.ASK] == np.flatnonzero(
             u[:, 0] < p_arr).tolist()
-        assert [f.t_index for f in r.fills if f.side is Side.BID] == np.flatnonzero(
+        assert [f.t_index for f in events if f.side is Side.BID] == np.flatnonzero(
             u[:, 1] < p_arr).tolist()
     fills = batch.fills
     assert fills.t_index[fills.is_ask].tolist() == want_ask
@@ -244,15 +246,16 @@ def test_nonadverse_count_matches_expectation(solved):
     for w in range(120):
         window = series.window(w * params.n_dt, params.n_dt + 1)
         r = run_simulation(policy, window, mode, params, RngStream(13, w))
-        adverse_ask = {f.t_index for f in r.fills
+        events = fill_events(r.fills)
+        adverse_ask = {f.t_index for f in events
                        if f.side is Side.ASK and f.kind is FillKind.ADVERSE}
-        adverse_bid = {f.t_index for f in r.fills
+        adverse_bid = {f.t_index for f in events
                        if f.side is Side.BID and f.kind is FillKind.ADVERSE}
         eligible += sum(1 for i in range(params.n_dt)
                         if r.posted_ask[i] and i not in adverse_ask)
         eligible += sum(1 for i in range(params.n_dt)
                         if r.posted_bid[i] and i not in adverse_bid)
-        observed += sum(1 for f in r.fills if f.kind is FillKind.NON_ADVERSE)
+        observed += sum(1 for f in events if f.kind is FillKind.NON_ADVERSE)
 
     p_fill = params.rho * p_arr
     expected = eligible * p_fill
@@ -288,10 +291,13 @@ def test_batch_equals_orderless_window_runs(solved):
     assert np.array_equal(wealths, batch.terminal_wealths)
 
 
+_FILL_COLUMNS = ("t_index", "is_ask", "price", "is_adverse")
+
+
 def _assert_same_fills(got: FillColumns, want: list[FillEvent]):
     want = FillColumns.from_events(want)
     assert len(got) == len(want)
-    for name in ("t_index", "is_ask", "price", "is_adverse"):
+    for name in _FILL_COLUMNS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -300,7 +306,9 @@ def _assert_same_result(got, want):
     for name in ("inventory", "cash", "wealth", "posted_bid", "posted_ask"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.fills == want.fills
+    for name in _FILL_COLUMNS:
+        a, b = getattr(got.fills, name), getattr(want.fills, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.counters == want.counters
     for name in ("terminal_wealth", "objective"):
         a, b = getattr(got, name), getattr(want, name)
@@ -350,7 +358,8 @@ def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, l
         _assert_same_result(run_simulation(policy, window, mode, params, BatchWindow(23, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
-        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt)
+                  for f in fill_events(r.fills)]
         totals += r.counters
         at_bound |= bool(np.any(np.abs(r.inventory) == params.q_max))
     assert batch.fill_totals == totals
@@ -424,7 +433,8 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
                                            BatchWindow(38, w)), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
-        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt)
+                  for f in fill_events(r.fills)]
         totals += r.counters
     assert batch.fill_totals == totals
     if mode.detect_adverse:
@@ -452,7 +462,8 @@ def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant):
         window = series.window(w * params.n_dt, params.n_dt + 1)
         r = run_scalar(policy, window, mode, params, BatchWindow(44, w))
         assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
-        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt)
+                  for f in fill_events(r.fills)]
         totals += r.counters
     assert batch.fill_totals == totals and len(fills) > 0
     _assert_same_fills(batch.fills, fills)
@@ -641,6 +652,37 @@ def test_batch_settles_cash_in_event_order(solved):
         assert batch.terminal_wealths[w] == r.terminal_wealth
 
 
+def test_snapshot_rows_join_a_step_fills_in_settlement_order(solved, tmp_path):
+    """The busy book above fills more than once in some steps: each
+    snapshot row's ';'-joined sides and kinds are its window's fill
+    columns at that step, adverse before non-adverse and ask before bid."""
+    params, policy = solved
+    busy = replace(params, q_max=params.n_dt, rho=1.0, lambda_plus=5.0, lambda_minus=5.0)
+    always = _constant_policy(busy, policy.alpha_nodes, True, True)
+    mode = EnvMode.improved(busy)
+    windows = 3
+    series = synthetic_quotes(busy, windows * busy.n_dt, seed=27)
+    joined = 0
+    for w in range(windows):
+        window = series.window(w * busy.n_dt, busy.n_dt + 1)
+        result = run_simulation(always, window, mode, busy, BatchWindow(28, w))
+        fills = result.fills
+        path = tmp_path / f"snapshot_{w}.csv"
+        write_snapshot_csv(result, window, path)
+        snap = read_cells(path)
+        assert snap.n_rows == busy.n_dt + 1
+        # 0 adverse ask, 1 adverse bid, 2 non-adverse ask, 3 non-adverse bid
+        rank = 2 * ~fills.is_adverse + ~fills.is_ask
+        for i, (sides, kinds) in enumerate(zip(snap.texts("fill_side"), snap.texts("fill_kind"))):
+            at = np.flatnonzero(fills.t_index == i)
+            assert (np.diff(rank[at]) > 0).all()
+            assert sides == ";".join(["bid", "ask"][a] for a in fills.is_ask[at].tolist())
+            assert kinds == ";".join(["non_adverse", "adverse"][a]
+                                     for a in fills.is_adverse[at].tolist())
+            joined += ";" in sides
+    assert joined, "expected a step with two fills"
+
+
 @pytest.mark.parametrize("post_bid", [True, False])
 def test_posting_at_a_bound_raises_in_batch_and_oracle(solved, post_bid):
     """A policy that keeps posting the bid at +q_max (or the ask at -q_max)
@@ -675,7 +717,8 @@ def test_simulate_command_fills_equal_window_replay(solved, tmp_path):
     for w in range(5):
         window = series.window(w * params.n_dt, params.n_dt + 1)
         r = run_scalar(policy, window, mode, params, BatchWindow(26, w))
-        fills += [replace(f, t_index=f.t_index + w * params.n_dt) for f in r.fills]
+        fills += [replace(f, t_index=f.t_index + w * params.n_dt)
+                  for f in fill_events(r.fills)]
     assert fills
     write_fill_log(FillColumns.from_events(fills), tmp_path / "replayed.csv")
     assert (out / "fills.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()

@@ -73,7 +73,8 @@ def _snapshot(path):
     )
     result = SimResult(
         inventory=np.array([0, 1, 1]), cash=np.array([0.0, -99.99, -99.97]),
-        wealth=np.array([0.0, 0.02, 0.1]), fills=FILLS,
+        wealth=np.array([0.0, 0.02, 0.1]),
+        fills=FillColumns.from_events(sorted(FILLS, key=lambda f: f.t_index)),
         posted_bid=np.array([True, True]), posted_ask=np.array([False, True]),
         counters=FillCounters(), terminal_wealth=0.1, objective=0.1,
     )
@@ -448,7 +449,8 @@ def _oracle_read_table(path):
 
 
 class _OracleCells:
-    """Columns converted one ``int()`` or ``float()`` per cell text."""
+    """Columns converted one ``int()`` or ``float()`` per cell text; the
+    first rejected cell raises naming its file, data row, column and text."""
 
     def __init__(self, path):
         self.path = path
@@ -458,13 +460,20 @@ class _OracleCells:
     def texts(self, name):
         return self._columns[self.header.index(name)]
 
+    def _values(self, name, convert):
+        """Each cell's ``convert()``; a rejected text raises naming its row."""
+        for r, text in enumerate(self.texts(name)):
+            try:
+                yield convert(text)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{self.path}: data row {r + 1} has {name} {text!r}, {exc}") from None
+
     def ints(self, name):
-        texts = self.texts(name)
-        return np.fromiter(map(int, texts), np.int64, len(texts))
+        return np.fromiter(self._values(name, int), np.int64, self.n_rows)
 
     def floats(self, name):
-        texts = self.texts(name)
-        return np.fromiter(map(float, texts), np.float64, len(texts))
+        return np.fromiter(self._values(name, float), np.float64, self.n_rows)
 
     def flags(self, name, true_text, false_text):
         for r, text in enumerate(self.texts(name)):
