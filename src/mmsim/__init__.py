@@ -31,6 +31,7 @@ _EXPORTS = {
     "terminal_cash_histogram": "reporting",
     "run_batch": "simulator",
     "run_simulation": "simulator",
+    "evaluate_policy": "solver",
     "extract_policy": "solver",
     "solve_dpe": "solver",
 }

@@ -42,11 +42,11 @@ _LAZY = {
     "parse_lob_csv": "market_data",
     "resample_forward_fill": "market_data",
     "synthetic_quotes": "market_data",
-    "PolicyShapeMismatchError": "simulator",
     "run_batch": "simulator",
     "run_simulation": "simulator",
     "write_batch_wealth_csv": "simulator",
     "write_snapshot_csv": "simulator",
+    "PolicyShapeMismatchError": "solver",
     "export_policy_csv": "solver",
     "export_surface_csv": "solver",
     "extract_policy": "solver",

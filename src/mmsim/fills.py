@@ -183,12 +183,19 @@ def write_fill_log(fills: FillColumns, path) -> None:
 
 
 def read_fill_log(path) -> FillColumns:
-    """Read a fill log back as columns; an unknown side or kind raises."""
+    """Read a fill log back as columns; an unknown side or kind, or a
+    negative or decreasing ``t_index``, raises."""
     cells = read_cells(path)
     if cells.header != FILL_LOG_HEADER:
         raise ValueError(f"unexpected fill log header {','.join(cells.header)!r}")
+    t_index = cells.ints("t_index")
+    back = np.flatnonzero(np.diff(t_index, prepend=0) < 0)
+    if back.size:
+        row = int(back[0])
+        cells.reject("t_index", row,
+                     f"below the {t_index[row - 1]} before it" if row else "below 0")
     return FillColumns(
-        t_index=cells.ints("t_index"),
+        t_index=t_index,
         is_ask=cells.flags("side", Side.ASK.value, Side.BID.value),
         price=cells.floats("price"),
         is_adverse=cells.flags("kind", FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),

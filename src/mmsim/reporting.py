@@ -66,8 +66,12 @@ def write_fill_type_summary_csv(rows: list[tuple[str, int]], path) -> None:
 
 
 def read_batch_wealth_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (terminal_wealths, objectives) written by the simulator."""
+    """Read back (terminal_wealths, objectives) written by the simulator,
+    whose windows run 0..n-1 in order."""
     cells = read_cells(path)
     if cells.header != ["window", "terminal_wealth", "objective"]:
         raise ValueError(f"unexpected batch wealth header {','.join(cells.header)!r}")
+    off = np.flatnonzero(cells.ints("window") != np.arange(cells.n_rows))
+    if off.size:
+        cells.reject("window", int(off[0]), f"not {off[0]}: windows run 0..n-1 in order")
     return cells.floats("terminal_wealth"), cells.floats("objective")

@@ -31,7 +31,6 @@ __all__ = [
     "SimResult",
     "BatchResult",
     "SeriesTooShortError",
-    "PolicyShapeMismatchError",
     "InventoryBoundBreachError",
     "terminal_wealth",
     "run_simulation",
@@ -42,10 +41,6 @@ __all__ = [
 
 
 class SeriesTooShortError(ValueError):
-    pass
-
-
-class PolicyShapeMismatchError(ValueError):
     pass
 
 
@@ -142,25 +137,6 @@ class _NodeGrid:
         return np.where(nodes[hi] - alpha < alpha - nodes[lo], hi, lo).reshape(shape)
 
 
-def _check_policy(policy: PostingPolicy, params: MarketParams) -> None:
-    nodes = policy.alpha_nodes
-    if not (nodes.size and np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
-        raise PolicyShapeMismatchError(
-            "policy alpha nodes must be non-empty, finite and strictly increasing"
-        )
-    expected = (params.n_dt + 1, nodes.size, 2 * params.q_max + 1)
-    if policy.post_ask.shape != expected or policy.post_bid.shape != expected:
-        raise PolicyShapeMismatchError(
-            f"policy shape {policy.post_ask.shape} does not match "
-            f"(n_dt+1, n_alpha, 2 q_max+1) = {expected}"
-        )
-    # the simulator reads inventory q at index q + q_max
-    if not np.array_equal(policy.q_nodes, np.arange(-params.q_max, params.q_max + 1)):
-        raise PolicyShapeMismatchError(
-            f"policy inventory nodes are not -q_max..q_max = {-params.q_max}..{params.q_max}"
-        )
-
-
 def run_simulation(
     policy: PostingPolicy,
     series: PriceSeries,
@@ -181,7 +157,7 @@ def run_simulation(
     n = params.n_dt
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
-    _check_policy(policy, params)
+    policy.check(params)
     _, penalty, events, t_index, codes = _run_block(policy, series, mode, params, rng, 0, 1)
     fills = _fill_columns(series, events, t_index)
 
@@ -267,7 +243,7 @@ def run_batch(
         raise SeriesTooShortError(
             f"series of {len(series)} samples holds no full window of {n + 1}"
         )
-    _check_policy(policy, params)
+    policy.check(params)
     blocks = []
     for w0 in range(0, count, BLOCK_WINDOWS):
         size = min(BLOCK_WINDOWS, count - w0)

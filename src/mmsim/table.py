@@ -409,11 +409,18 @@ class Cells:
         """The cell texts of a column."""
         return _decoded(self._data, *self._cells(name))
 
+    def reject(self, name: str, row: int, reason: str):
+        """Raise the ValueError of a rejected cell: the file, the data row
+        (``row`` counts from 0), the column and the cell's text, then
+        ``reason``."""
+        ends, width = self._cells(name)
+        text = _decoded(self._data, ends[row:row + 1], width[row:row + 1])[0]
+        raise ValueError(f"{self.path}: data row {row + 1} has {name} {text!r}, {reason}")
+
     def _converted(self, name: str, convert, dtype) -> np.ndarray:
         values, bad = converted(self._data, *self._cells(name), convert, dtype)
         if bad is not None:
-            row, text, reason = bad
-            raise ValueError(f"{self.path}: data row {row + 1} has {name} {text!r}, {reason}")
+            self.reject(name, bad[0], bad[2])
         return values
 
     def ints(self, name: str) -> np.ndarray:

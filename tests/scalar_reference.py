@@ -36,7 +36,6 @@ from mmsim.simulator import (
     SeriesTooShortError,
     SimResult,
     _bound_breach,
-    _check_policy,
     _NodeGrid,
     terminal_wealth,
 )
@@ -172,7 +171,7 @@ def run_simulation(
     n = params.n_dt
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
-    _check_policy(policy, params)
+    policy.check(params)
     u, z = draw_window_events(rng, n)
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
 

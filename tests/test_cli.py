@@ -36,7 +36,7 @@ EXPORTS = {
     "default_grid": "params", "default_params": "params",
     "summarize_fills": "reporting", "terminal_cash_histogram": "reporting",
     "run_batch": "simulator", "run_simulation": "simulator",
-    "extract_policy": "solver", "solve_dpe": "solver",
+    "evaluate_policy": "solver", "extract_policy": "solver", "solve_dpe": "solver",
 }
 MODULES = ("basic_poster", "dynamics", "fills", "market_data", "params", "reporting",
            "simulator", "solver", "table")
@@ -106,6 +106,17 @@ def test_importing_the_package_loads_no_module(tmp_path):
                    cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["mmsim"]
+
+
+def test_loading_a_policy_leaves_numpy_ma_unloaded(inputs, tmp_path):
+    # on numpy 2, np.unique without return_inverse imports numpy.ma for
+    # np.ma.is_masked: about 11 ms of every simulate
+    proc = _python("-c", "import sys; from mmsim.solver import load_policy_csv; "
+                   "assert 'numpy.ma' not in sys.modules; load_policy_csv(sys.argv[1]); "
+                   "print('numpy.ma' in sys.modules)",
+                   str(inputs / "solve" / "policy.csv"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", sorted(LOADED))

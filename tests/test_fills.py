@@ -252,6 +252,24 @@ def test_fill_log_round_trip(tmp_path):
     assert path.read_text().startswith("t_index,side,price,kind\n")
 
 
+@pytest.mark.parametrize("t_index,row,reason", [
+    ("-1,0", 1, "below 0"),
+    ("2,5,3", 3, "below the 5 before it"),
+    ("0,0,-3", 3, "below the 0 before it"),
+])
+def test_fill_log_t_index_is_non_negative_and_non_decreasing(tmp_path, t_index, row, reason):
+    path = tmp_path / "fills.csv"
+    rows = t_index.split(",")
+    path.write_text("t_index,side,price,kind\n"
+                    + "".join(f"{t},ask,81.9,adverse\n" for t in rows))
+    with pytest.raises(ValueError) as err:
+        read_fill_log(path)
+    assert str(err.value) == f"{path}: data row {row} has t_index '{rows[row - 1]}', {reason}"
+    # a step may settle more than one fill
+    path.write_text("t_index,side,price,kind\n0,ask,81.9,adverse\n0,bid,81.8,adverse\n")
+    assert read_fill_log(path).t_index.tolist() == [0, 0]
+
+
 def _assert_same_columns(got: FillColumns, want: FillColumns):
     for name in ("t_index", "is_ask", "price", "is_adverse"):
         a, b = getattr(got, name), getattr(want, name)

@@ -164,6 +164,37 @@ def test_cli_report_names_the_bad_cell(tmp_path, capsys, table):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("windows,row,text",
+                         [("0,2,1", 2, "2"), ("1,2", 1, "1"), ("0,1,1", 3, "1")])
+def test_batch_wealth_windows_run_from_0_in_order(tmp_path, windows, row, text):
+    path = tmp_path / "batch_wealth.csv"
+    path.write_text("window,terminal_wealth,objective\n"
+                    + "".join(f"{w},1.0,1.0\n" for w in windows.split(",")))
+    with pytest.raises(ValueError) as err:
+        read_batch_wealth_csv(path)
+    assert str(err.value) == (f"{path}: data row {row} has window '{text}', "
+                              f"not {row - 1}: windows run 0..n-1 in order")
+
+
+@pytest.mark.parametrize("table,cells,row,column,text", [
+    ("batch_wealth", "abc,7", 1, "window", "abc"),
+    ("batch_wealth", "0,7", 2, "window", "7"),
+    ("fills", "5,-3", 2, "t_index", "-3"),
+])
+def test_cli_report_rejects_tables_simulate_never_writes(tmp_path, capsys, table, cells, row,
+                                                         column, text):
+    windows, t_index = (cells, "5,6") if table == "batch_wealth" else ("0,1", cells)
+    (tmp_path / "batch_wealth.csv").write_text("window,terminal_wealth,objective\n" + "".join(
+        f"{w},1.0,1.0\n" for w in windows.split(",")))
+    (tmp_path / "fills.csv").write_text("t_index,side,price,kind\n" + "".join(
+        f"{t},bid,99.99,adverse\n" for t in t_index.split(",")))
+    out = tmp_path / "out"
+    assert _run(["report", "--in", tmp_path, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"ValueError: {tmp_path / f'{table}.csv'}: data row {row} has {column} '{text}', ")
+    assert not out.exists()
+
+
 def test_cli_example1_checks_its_inputs_before_an_empty_run(tmp_path, capsys):
     out = tmp_path / "e1"
     assert _run(["example1", "--steps", 0, "--walk-p", 0.9, "--out", out]) == 1

@@ -26,7 +26,6 @@ from mmsim.params import default_grid, default_params
 from mmsim.reporting import read_batch_wealth_csv
 from mmsim.simulator import (
     InventoryBoundBreachError,
-    PolicyShapeMismatchError,
     SeriesTooShortError,
     _NodeGrid,
     run_batch,
@@ -35,6 +34,7 @@ from mmsim.simulator import (
     write_snapshot_csv,
 )
 from mmsim.solver import (
+    PolicyShapeMismatchError,
     PostingPolicy,
     alpha_grid,
     export_policy_csv,

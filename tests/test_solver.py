@@ -13,9 +13,12 @@ from mmsim.cli import cli_main
 from mmsim.params import SolverGrid, ValidationError, default_grid, default_params
 from mmsim.solver import (
     GridTooCoarseError,
+    PolicyShapeMismatchError,
+    PostingPolicy,
     UnstableSchemeError,
     ValueSurface,
     alpha_grid,
+    evaluate_policy,
     export_policy_csv,
     export_surface_csv,
     extract_policy,
@@ -23,7 +26,7 @@ from mmsim.solver import (
     solve_dpe,
     terminal_condition,
 )
-from mmsim.solver import _interp_weights, _JumpShift
+from mmsim.solver import _interp_weights, _JumpShift, _stencil
 
 
 @pytest.fixture(scope="module")
@@ -383,21 +386,27 @@ def _reference_shifts(g, alpha, params, land=True):
     return _reference_shift_slice(g, idx_p, w_p), _reference_shift_slice(g, idx_m, w_m)
 
 
-def _reference_posting_gains(gp, gm, params):
+def _reference_posting_gains(gp, gm, params, post_ask=None, post_bid=None):
+    """The maximiser's gains of a slice, or with a pair of posting masks
+    each gain where its mask posts and 0 elsewhere; 0 at the inventory
+    bounds either way."""
     half = params.delta / 2.0
     ask = np.zeros_like(gp)
-    ask[:, 1:] = np.maximum(0.0, params.rho * (half + gp[:, :-1] - gp[:, 1:]))
+    ask[:, 1:] = params.rho * (half + gp[:, :-1] - gp[:, 1:])
     bid = np.zeros_like(gm)
-    bid[:, :-1] = np.maximum(0.0, params.rho * (half + gm[:, 1:] - gm[:, :-1]))
-    return ask, bid
+    bid[:, :-1] = params.rho * (half + gm[:, 1:] - gm[:, :-1])
+    if post_ask is None:
+        return np.maximum(0.0, ask), np.maximum(0.0, bid)
+    return np.where(post_ask, ask, 0.0), np.where(post_bid, bid, 0.0)
 
 
-def _reference_solve(params, grid, land=True):
+def _reference_solve(params, grid, land=True, policy=None):
     """The march with one numpy expression per term of the scheme, as
     solve_dpe evaluated it before it ran in place on preallocated buffers:
-    the oracle for solve_dpe's h, byte for byte.  With ``land=False`` every
-    jump is interpolated, even where all of them land on nodes: the
-    measure of how far taking the landing rows moves h."""
+    the oracle for solve_dpe's h, byte for byte, and with ``policy`` for
+    evaluate_policy's, slice k's masks on every substep into slice k.  With
+    ``land=False`` every jump is interpolated, even where all of them land
+    on nodes: the measure of how far taking the landing rows moves h."""
     alpha = alpha_grid(grid)
     q = np.arange(-params.q_max, params.q_max + 1)
     da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
@@ -425,7 +434,8 @@ def _reference_solve(params, grid, land=True):
                 d2[-1] = (g[-3] - 2.0 * g[-2] + g[-1]) / da**2
 
                 gp, gm = _reference_shifts(g, alpha, params, land)
-                gain_ask, gain_bid = _reference_posting_gains(gp, gm, params)
+                masks = () if policy is None else (policy.post_ask[k], policy.post_bid[k])
+                gain_ask, gain_bid = _reference_posting_gains(gp, gm, params, *masks)
 
                 g = g + tau * (
                     adv[:, None] * d1
@@ -596,3 +606,84 @@ def test_drawn_instability_is_reported_at_the_reference_step(eta, n_alpha, rho, 
     with pytest.raises(UnstableSchemeError) as err:
         solve_dpe(p, grid)
     assert err.value.t_index == want
+
+
+# -- evaluating a fixed policy -------------------------------------------------
+
+def _drawn_policy(params, grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (params.n_dt + 1, grid.n_alpha, 2 * params.q_max + 1)
+    return PostingPolicy(post_ask=rng.random(shape) < 0.5, post_bid=rng.random(shape) < 0.5,
+                         alpha_nodes=alpha_grid(grid),
+                         q_nodes=np.arange(-params.q_max, params.q_max + 1))
+
+
+def test_evaluation_is_bitwise_the_reference_on_the_default_config(default_solution):
+    params, _, policy = default_solution
+    grid = default_grid()
+    want = _reference_solve(params, grid, policy=policy)
+    assert evaluate_policy(policy, params, grid).h.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_solver_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_evaluation_is_bitwise_the_reference_scheme(inputs, seed):
+    # the masks post at the inventory bounds too, where the gain stays 0
+    params, grid = inputs
+    policy = _drawn_policy(params, grid, seed)
+    try:
+        want = _reference_solve(params, grid, policy=policy)
+    except UnstableSchemeError as err:
+        with pytest.raises(UnstableSchemeError) as got:
+            evaluate_policy(policy, params, grid)
+        assert got.value.t_index == err.t_index
+        return
+    assert evaluate_policy(policy, params, grid).h.tobytes() == want.tobytes()
+
+
+def test_evaluating_the_argmax_of_every_substep_is_h(default_solution):
+    # the march's own indicator, rho ((Dl/2 + h(q -+ 1)) - h(q)) > 0,
+    # re-derived before each substep: evaluating it is maximising
+    params, surface, _ = default_solution
+    grid = default_grid()
+    _, _, substep = _stencil(params, grid)
+    h = np.empty_like(surface.h)
+    h[-1] = surface.h[-1]
+    for k in range(params.n_dt - 1, -1, -1):
+        g = h[k + 1]
+        for _ in range(grid.substeps):
+            gp, gm = _reference_shifts(g, surface.alpha_nodes, params)
+            idle = np.concatenate(_reference_posting_gains(gp, gm, params)) == 0.0
+            g = substep(g, h[k], idle)
+    assert h.tobytes() == surface.h.tobytes()
+
+
+def test_the_stated_policy_is_worth_at_most_h(default_solution):
+    # extract_policy's indicator, Dl/2 + rho dh > 0, posts where the
+    # maximiser's gain is negative when rho < 1: 2.8% of h at the origin
+    params, surface, policy = default_solution
+    value = mmsim.evaluate_policy(policy, params, default_grid()).h
+    assert (value - surface.h).max() <= 0.0
+    origin = (0, surface.alpha_nodes.size // 2, params.q_max)
+    assert value[origin] == 0.8060323148756611
+    assert surface.h[origin] == 0.8294208224181926
+
+
+def test_a_policy_that_never_posts_keeps_a_flat_book_at_zero(default_solution):
+    params, _, policy = default_solution
+    idle = replace(policy, post_ask=np.zeros_like(policy.post_ask),
+                   post_bid=np.zeros_like(policy.post_bid))
+    value = evaluate_policy(idle, params, default_grid()).h
+    assert (value[:, :, params.q_max] == 0.0).all()
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda p, g: (replace(p, n_dt=p.n_dt - 1, horizon=(p.n_dt - 1) * p.dt), g), "policy shape"),
+    (lambda p, g: (replace(p, q_max=p.q_max - 1), g), "policy shape"),
+    (lambda p, g: (p, replace(g, n_alpha=g.n_alpha + 2)), "alpha nodes"),
+    (lambda p, g: (p, replace(g, alpha_min=-0.05, alpha_max=0.05)), "alpha nodes"),
+])
+def test_evaluation_rejects_a_policy_off_the_grid(default_solution, change, match):
+    params, _, policy = default_solution
+    with pytest.raises(PolicyShapeMismatchError, match=match):
+        evaluate_policy(policy, *change(params, default_grid()))

@@ -59,10 +59,11 @@ def _surface() -> ValueSurface:
     return ValueSurface(h=h, alpha_nodes=ALPHA, q_nodes=Q, params_fingerprint="")
 
 
+# in step order, as a simulator writes them and read_fill_log requires
 FILLS = [
+    FillEvent(0, Side.BID, 99.99, FillKind.NON_ADVERSE),
     FillEvent(1, Side.ASK, 100.02, FillKind.ADVERSE),
     FillEvent(1, Side.BID, 100.0, FillKind.NON_ADVERSE),
-    FillEvent(0, Side.BID, 99.99, FillKind.NON_ADVERSE),
 ]
 
 
@@ -74,7 +75,7 @@ def _snapshot(path):
     result = SimResult(
         inventory=np.array([0, 1, 1]), cash=np.array([0.0, -99.99, -99.97]),
         wealth=np.array([0.0, 0.02, 0.1]),
-        fills=FillColumns.from_events(sorted(FILLS, key=lambda f: f.t_index)),
+        fills=FillColumns.from_events(FILLS),
         posted_bid=np.array([True, True]), posted_ask=np.array([False, True]),
         counters=FillCounters(), terminal_wealth=0.1, objective=0.1,
     )
@@ -153,7 +154,7 @@ WRITERS = {
     "fill_log": (
         lambda path: write_fill_log(FillColumns.from_events(FILLS), path),
         "t_index,side,price,kind\n"
-        "1,ask,100.02,adverse\n1,bid,100.0,non_adverse\n0,bid,99.99,non_adverse\n",
+        "0,bid,99.99,non_adverse\n1,ask,100.02,adverse\n1,bid,100.0,non_adverse\n",
     ),
     "fill_log_empty": (
         lambda path: write_fill_log(FillColumns.from_events([]), path),
@@ -568,7 +569,13 @@ def test_read_fill_log_matches_the_per_text_oracle(tmp_path_factory, rows):
 
     def oracle():
         cells = _OracleCells(path)
-        return FillColumns(t_index=cells.ints("t_index"), is_ask=cells.flags("side", "ask", "bid"),
+        t_index = cells.ints("t_index")
+        for r, (before, t) in enumerate(zip([0, *t_index.tolist()], t_index.tolist())):
+            if t < before:
+                reason = f"below the {before} before it" if r else "below 0"
+                raise ValueError(f"{path}: data row {r + 1} has t_index "
+                                 f"{cells.texts('t_index')[r]!r}, {reason}")
+        return FillColumns(t_index=t_index, is_ask=cells.flags("side", "ask", "bid"),
                            price=cells.floats("price"),
                            is_adverse=cells.flags("kind", "adverse", "non_adverse"))
 
