@@ -610,14 +610,6 @@ def test_drawn_instability_is_reported_at_the_reference_step(eta, n_alpha, rho, 
 
 # -- evaluating a fixed policy -------------------------------------------------
 
-def _drawn_policy(params, grid, seed):
-    rng = np.random.default_rng(seed)
-    shape = (params.n_dt + 1, grid.n_alpha, 2 * params.q_max + 1)
-    return PostingPolicy(post_ask=rng.random(shape) < 0.5, post_bid=rng.random(shape) < 0.5,
-                         alpha_nodes=alpha_grid(grid),
-                         q_nodes=np.arange(-params.q_max, params.q_max + 1))
-
-
 def test_evaluation_is_bitwise_the_reference_on_the_default_config(default_solution):
     params, _, policy = default_solution
     grid = default_grid()
@@ -630,7 +622,11 @@ def test_evaluation_is_bitwise_the_reference_on_the_default_config(default_solut
 def test_evaluation_is_bitwise_the_reference_scheme(inputs, seed):
     # the masks post at the inventory bounds too, where the gain stays 0
     params, grid = inputs
-    policy = _drawn_policy(params, grid, seed)
+    rng = np.random.default_rng(seed)
+    shape = (params.n_dt + 1, grid.n_alpha, 2 * params.q_max + 1)
+    policy = PostingPolicy(post_ask=rng.random(shape) < 0.5, post_bid=rng.random(shape) < 0.5,
+                           alpha_nodes=alpha_grid(grid),
+                           q_nodes=np.arange(-params.q_max, params.q_max + 1))
     try:
         want = _reference_solve(params, grid, policy=policy)
     except UnstableSchemeError as err:

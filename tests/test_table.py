@@ -561,9 +561,12 @@ def test_read_cells_matches_the_per_text_oracle(tmp_path_factory, text):
 @given(rows=st.lists(st.tuples(_INT_CELLS, st.sampled_from(["ask", "bid", "buy", ""]),
                                st.one_of(_PLAIN_CELLS, _REPR_CELLS),
                                st.sampled_from(["adverse", "non_adverse", "adverse_", "Adverse"])),
-                     max_size=10))
+                     max_size=10),
+       in_order=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_read_fill_log_matches_the_per_text_oracle(tmp_path_factory, rows):
+def test_read_fill_log_matches_the_per_text_oracle(tmp_path_factory, rows, in_order):
+    if in_order:  # t_index 0, 1, ...: the other columns decide
+        rows = [(str(i), *r[1:]) for i, r in enumerate(rows)]
     path = tmp_path_factory.mktemp("fills") / "fills.csv"
     path.write_text("\n".join(["t_index,side,price,kind"] + [",".join(r) for r in rows]) + "\n")
 
