@@ -30,9 +30,10 @@ each 0 where q has no neighbour (ask at -q_max, bid at q_max):
                                 policy posts, 0 where it does not; its slice
                                 k holds over every substep into slice k
 
-The march runs in place.  Every buffer is allocated once per march, each
-array operation is one numpy call writing through ``out=``, and the last
-substep of a step writes straight into ``h[k]``.  Both jump-shifted slices
+The march runs in place on one (n_alpha, n_q) work slice, which each step
+stores into ``h[k]`` once.  Every buffer, every view of a buffer and every
+scalar operand is made once per march, so a substep is a straight run of
+numpy calls, each writing through its ``out``.  Both jump-shifted slices
 come from one row gather: of the landing rows, or of the stacked bracket
 rows that the interpolation then combines.  The posting gains of both
 sides are differenced along the flattened shifted buffer, and the column
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,7 +124,8 @@ class PostingPolicy:
 
     def check(self, params: MarketParams, alpha_nodes: np.ndarray | None = None) -> None:
         """Raise PolicyShapeMismatchError unless the policy fits ``params``,
-        on strictly increasing alpha nodes (``alpha_nodes`` if given)."""
+        on strictly increasing alpha nodes (``alpha_nodes`` if given), with
+        masks of dtype bool."""
         nodes = self.alpha_nodes
         if not (nodes.size and np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
             raise PolicyShapeMismatchError(
@@ -137,6 +140,12 @@ class PostingPolicy:
             raise PolicyShapeMismatchError(
                 f"policy shape {self.post_ask.shape} does not match "
                 f"(n_dt+1, n_alpha, 2 q_max+1) = {expected}"
+            )
+        # the march negates the masks and the simulator ORs them into its
+        # posting bits: a 0/1 integer mask breaks the one, a 2 the other
+        if self.post_ask.dtype != bool or self.post_bid.dtype != bool:
+            raise PolicyShapeMismatchError(
+                f"policy masks must be bool, not {self.post_ask.dtype} and {self.post_bid.dtype}"
             )
         # the simulator and the march read inventory q at index q + q_max
         if not np.array_equal(self.q_nodes, np.arange(-params.q_max, params.q_max + 1)):
@@ -184,7 +193,7 @@ class _JumpShift:
     between its bracketing nodes, and a row whose weight is exactly 1.0 (a
     node hit, or a clamp to the last node) takes b itself.  Rows, weights
     and hit rows are worked out once, so an interpolating evaluation is
-    one row gather and three in-place ufunc calls.
+    one row gather, three in-place ufunc calls and one masked copy.
     """
 
     def __init__(self, alpha: np.ndarray, params: MarketParams, n_q: int):
@@ -198,30 +207,39 @@ class _JumpShift:
             self.rows = lo + cell.astype(lo.dtype)
             return
         self.rows = np.concatenate([lo, lo + 1])
-        # a full weight array: broadcasting a column along the short q axis
-        # costs about twice as much per call
+        # full weight and hit arrays: broadcasting a column along the short
+        # q axis costs two to four times as much per call
         self.w = np.repeat(w[:, None], n_q, axis=1)
-        self.hit = np.flatnonzero(w == 1.0)
+        self.hit = self.w == 1.0
         self._ab = np.empty((2 * lo.size, n_q))
         self._a, self._b = self._ab[:lo.size], self._ab[lo.size:]
 
-    def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def bind(self, g: np.ndarray, out: np.ndarray):
+        """``self(g, out)`` as a call without arguments."""
         # the rows are in range; "clip" skips the buffered check of "raise"
         if self.lands:
-            return np.take(g, self.rows, axis=0, out=out, mode="clip")
-        a, b = self._a, self._b
-        np.take(g, self.rows, axis=0, out=self._ab, mode="clip")
-        np.subtract(b, a, out=out)
-        np.multiply(self.w, out, out=out)
-        np.add(a, out, out=out)
-        out[self.hit] = b[self.hit]
+            return partial(g.take, self.rows, 0, out, "clip")
+        take, rows, ab, a, b, w, hit = g.take, self.rows, self._ab, self._a, self._b, self.w, self.hit
+
+        def interpolate():
+            take(rows, 0, ab, "clip")
+            np.subtract(b, a, out)
+            np.multiply(w, out, out)
+            np.add(a, out, out)
+            np.copyto(out, b, where=hit)
+
+        return interpolate
+
+    def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.bind(g, out)()
         return out
 
 
 def _stencil(params: MarketParams, grid: SolverGrid):
-    """The alpha and q nodes, and ``substep(g, out, idle=None)``: one explicit
-    substep, maximising, or with 0 gains where the stacked (2 n_alpha, n_q)
-    mask ``idle`` (ask rows first) is True."""
+    """The alpha and q nodes, the (n_alpha, n_q) work slice ``g``, and
+    ``substep(idle=None)``: one explicit substep of ``g`` in place,
+    maximising, or with 0 gains where the stacked (2 n_alpha, n_q) mask
+    ``idle`` (ask rows first) is True."""
     alpha = alpha_grid(grid)
     q = np.arange(-params.q_max, params.q_max + 1)
     da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
@@ -233,10 +251,8 @@ def _stencil(params: MarketParams, grid: SolverGrid):
 
     n, m = alpha.size, q.size
     size = n * m
-    shift = _JumpShift(alpha, params, m)
-    tau = params.dt / grid.substeps
+    g = np.empty((n, m))
     source = (params.nu + alpha)[:, None] * q[None, :] - params.phi * (q.astype(float) ** 2)[None, :]
-    half = params.delta / 2.0
 
     # d[0], d[1]: first and second alpha differences, each divided by its
     # spacing and scaled by its coefficient in one call for both
@@ -257,52 +273,67 @@ def _stencil(params: MarketParams, grid: SolverGrid):
     shifted = np.empty((2 * n, m))
     plus_half = np.empty_like(shifted)
     gains = np.zeros_like(shifted)
+    shift = _JumpShift(alpha, params, m).bind(g, shifted)
     shifted_flat, plus_half_flat, gains_flat = shifted.ravel(), plus_half.ravel(), gains.ravel()
     gains_sides = gains.reshape(2, size)
 
-    def substep(g: np.ndarray, out: np.ndarray, idle: np.ndarray | None = None) -> np.ndarray:
+    # every view and scalar operand of a substep, made once: on these
+    # slices a numpy call costs about as much again as its arithmetic
+    two, zero, half, rho, tau = (np.array(float(x)) for x in (
+        2.0, 0.0, params.delta / 2.0, params.rho, params.dt / grid.substeps))
+    g_flat, g_next, g_in, g_prev = g.reshape(size), g[2:], g[1:-1], g[:-2]
+    d1_in, d2_in, d1_ends, d2_ends = d1[1:-1], d2[1:-1], d1[::n - 1], d2[::n - 1]
+    # rows (1, n-1) and (0, n-2); then the end rows (0, n-1) and the rows
+    # one and two cells inward of them (n_alpha >= 11)
+    g_upper, g_lower = g[1::n - 2], g[:n - 1:n - 2]
+    g_ends, g_ends_in, g_ends_in2 = g[::n - 1], g[1::n - 3], g[2::n - 5]
+    ask_plus_half, ask_shifted, ask_gains = plus_half_flat[:size - 1], shifted_flat[1:size], gains_flat[1:size]
+    bid_plus_half, bid_shifted, bid_gains = plus_half_flat[size + 1:], shifted_flat[size:-1], gains_flat[size:-1]
+    ask_rows, bid_rows, ask_edge, bid_edge = gains[:n], gains[n:], gains[:n, 0], gains[n:, -1]
+
+    def substep(idle: np.ndarray | None = None) -> None:
         # d1: (g[i+1] - g[i-1]) / 2da inside, one-sided at rows 0 and n-1
-        np.subtract(g[2:], g[:-2], out=d1[1:-1])
-        np.subtract(g[1::n - 2], g[:n - 1:n - 2], out=d1[::n - 1])
-        # d2: ((g[i+1] - 2 g[i]) + g[i-1]) / da^2; the one-sided
-        # stencil of row 0 is the central one of row 1
-        np.multiply(g[1:-1], 2.0, out=d2[1:-1])
-        np.subtract(g[2:], d2[1:-1], out=d2[1:-1])
-        np.add(d2[1:-1], g[:-2], out=d2[1:-1])
-        d2[0] = d2[1]
-        np.multiply(g[-2], 2.0, out=d2[-1])
-        np.subtract(g[-3], d2[-1], out=d2[-1])
-        np.add(d2[-1], g[-1], out=d2[-1])
-        np.divide(d, spacing, out=d)
-        np.multiply(coef, d, out=d)
+        np.subtract(g_next, g_prev, d1_in)
+        np.subtract(g_upper, g_lower, d1_ends)
+        # d2: ((g[i+1] - 2 g[i]) + g[i-1]) / da^2 inside; each end row takes
+        # the central stencil of its inner neighbour, counted from the end:
+        # ((g[2] - 2 g[1]) + g[0]) and ((g[n-3] - 2 g[n-2]) + g[n-1])
+        np.multiply(g_in, two, d2_in)
+        np.subtract(g_next, d2_in, d2_in)
+        np.add(d2_in, g_prev, d2_in)
+        np.multiply(g_ends_in, two, d2_ends)
+        np.subtract(g_ends_in2, d2_ends, d2_ends)
+        np.add(d2_ends, g_ends, d2_ends)
+        np.divide(d, spacing, d)
+        np.multiply(coef, d, d)
 
         # posting gains rho ((Dl/2 + h(q -+ 1)) - h(q)), maximised or masked,
         # then zeroed where q has no neighbour: ask at -q_max, bid at q_max
-        shift(g, out=shifted)
-        np.add(shifted_flat, half, out=plus_half_flat)
-        np.subtract(plus_half_flat[:size - 1], shifted_flat[1:size], out=gains_flat[1:size])
-        np.subtract(plus_half_flat[size + 1:], shifted_flat[size:-1], out=gains_flat[size:-1])
-        np.multiply(gains_flat, params.rho, out=gains_flat)
-        if idle is None:
-            np.maximum(0.0, gains_flat, out=gains_flat)
+        shift()
+        np.add(shifted_flat, half, plus_half_flat)
+        np.subtract(ask_plus_half, ask_shifted, ask_gains)
+        np.subtract(bid_plus_half, bid_shifted, bid_gains)
+        np.multiply(gains_flat, rho, gains_flat)
+        if idle is None:  # np.maximum deprecates a positional out
+            np.maximum(zero, gains_flat, out=gains_flat)
         else:
-            np.copyto(gains, 0.0, where=idle)
-        gains[:n, 0] = 0.0
-        gains[n:, -1] = 0.0
+            np.copyto(gains, zero, where=idle)
+        ask_edge.fill(0.0)
+        bid_edge.fill(0.0)
 
         # g + tau (adv d1 + diff d2 + source
         #          + lam+ (gain_ask + gp - g) + lam- (gain_bid + gm - g))
-        np.add(gains, shifted, out=gains)
-        np.subtract(gains_sides, g.reshape(size), out=gains_sides)
-        np.multiply(gains_sides, lam, out=gains_sides)
-        np.add(d1, d2, out=d1)
-        np.add(d1, source, out=d1)
-        np.add(d1, gains[:n], out=d1)
-        np.add(d1, gains[n:], out=d1)
-        np.multiply(d1, tau, out=d1)
-        return np.add(g, d1, out=out)
+        np.add(gains, shifted, gains)
+        np.subtract(gains_sides, g_flat, gains_sides)
+        np.multiply(gains_sides, lam, gains_sides)
+        np.add(d1, d2, d1)
+        np.add(d1, source, d1)
+        np.add(d1, ask_rows, d1)
+        np.add(d1, bid_rows, d1)
+        np.multiply(d1, tau, d1)
+        np.add(g, d1, g)
 
-    return alpha, q, substep
+    return alpha, q, g, substep
 
 
 def _march(params: MarketParams, grid: SolverGrid | None, policy: PostingPolicy | None = None):
@@ -313,7 +344,7 @@ def _march(params: MarketParams, grid: SolverGrid | None, policy: PostingPolicy 
     problems = validate(params, grid)
     if problems:
         raise ValidationError(problems)
-    alpha, q, substep = _stencil(params, grid)
+    alpha, q, g, substep = _stencil(params, grid)
     if policy is not None:
         policy.check(params, alpha)
         # where each slice does not post, stacked as the stencil's gains
@@ -321,14 +352,16 @@ def _march(params: MarketParams, grid: SolverGrid | None, policy: PostingPolicy 
 
     h = np.empty((params.n_dt + 1, alpha.size, q.size))
     h[-1] = np.broadcast_to(terminal_condition(q, params), h.shape[1:])
-    finite = np.empty(h.shape[1:], dtype=bool)
+    g[...] = h[-1]
+    finite = np.empty(g.shape, dtype=bool)
 
     # overflow of an unstable iteration is caught by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(params.n_dt - 1, -1, -1):
-            g, idle_k = h[k + 1], None if policy is None else idle[k]
+            idle_k = None if policy is None else idle[k]
             for _ in range(grid.substeps):
-                g = substep(g, h[k], idle_k)
+                substep(idle_k)
+            h[k] = g
             if not np.isfinite(g, out=finite).all():
                 raise UnstableSchemeError(k)
 
@@ -434,8 +467,8 @@ def load_policy_csv(path) -> PostingPolicy:
     """Rebuild a policy from either CSV layout written by the exporters.
 
     The file must list every node of the (t, alpha, q) grid it spans
-    exactly once, with finite alpha nodes and posting flags of ``1`` or
-    ``0``.
+    exactly once, with non-negative t indices, finite alpha nodes and
+    posting flags of ``1`` or ``0``.
     """
     cells = read_cells(path)
     required = {"t_index", "alpha", "q", "post_bid", "post_ask"}
@@ -446,6 +479,8 @@ def load_policy_csv(path) -> PostingPolicy:
         raise ValueError("policy file has no rows")
 
     t_idx = cells.ints("t_index")
+    if (t_idx < 0).any():
+        cells.reject("t_index", int(np.argmax(t_idx < 0)), "below 0")
     alphas = cells.floats("alpha")
     if not np.isfinite(alphas).all():
         row = int(np.argmin(np.isfinite(alphas)))

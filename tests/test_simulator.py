@@ -635,6 +635,20 @@ def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
             run(broken, series, EnvMode.benchmark(), params, RngStream(32))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_masks_that_are_not_bool_raise_in_batch_and_oracle(solved, dtype):
+    """The batch ORs mask values into its posting bits, where a bid mask of
+    2 would set the ask's bit; masks must be bool before any step."""
+    params, policy = solved
+    broken = replace(policy, post_bid=policy.post_bid.astype(dtype) * 2)
+    series = synthetic_quotes(params, params.n_dt, seed=31)
+    with pytest.raises(PolicyShapeMismatchError, match="masks must be bool"):
+        run_batch(broken, series, EnvMode.benchmark(), params, master_seed=32)
+    for run in (run_scalar, run_simulation):
+        with pytest.raises(PolicyShapeMismatchError, match="masks must be bool"):
+            run(broken, series, EnvMode.benchmark(), params, RngStream(32))
+
+
 def test_batch_settles_cash_in_event_order(solved):
     """An always-posted book with certain thinning fills a non-adverse ask
     in most steps where the bid is hit adversely; cash must take the

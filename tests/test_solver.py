@@ -346,6 +346,19 @@ def test_simulate_rejects_a_non_finite_alpha_node(tmp_path, default_solution, sp
     assert not (tmp_path / "run" / "batch_wealth.csv").exists()
 
 
+def test_policy_csv_rejects_a_negative_t_index(tmp_path, capsys):
+    # t_index -1 and 1 on one alpha node and one q: as many rows as the
+    # nodes of t = 0..1, so only the sign check can name the cell
+    path = tmp_path / "policy.csv"
+    path.write_text("t_index,alpha,q,post_bid,post_ask\n-1,0.0,0,0,0\n1,0.0,0,0,0\n",
+                    encoding="utf-8")
+    code = cli_main(["simulate", "--policy", str(path), "--windows", "2",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == f"ValueError: {path}: data row 1 has t_index '-1', below 0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_drift_nu_adds_its_carry_to_h():
     """dS = (nu + alpha) dt + sigma dW puts (nu + alpha) q in the source:
     with no events and no diffusion, nu adds (T - t) nu q to h."""
@@ -544,6 +557,21 @@ def test_march_is_bitwise_the_reference_on_the_default_config():
     assert solve_dpe(params, grid).h.tobytes() == _reference_solve(params, grid).tobytes()
 
 
+def test_march_and_evaluation_are_bitwise_the_reference_on_the_fine_grid():
+    # the benchmark's fine grid, cut short in time: 201 nodes on +-0.04,
+    # where both jumps are 5 cells and the gather takes whole node rows,
+    # and 10 substeps a step
+    params = replace(default_params(), q_max=10, n_dt=6, horizon=6.0, rho=0.2,
+                     lambda_plus=0.6, lambda_minus=0.6)
+    grid = replace(default_grid(), n_alpha=201, substeps=10)
+    assert _JumpShift(alpha_grid(grid), params, 1).lands
+    surface = solve_dpe(params, grid)
+    assert surface.h.tobytes() == _reference_solve(params, grid).tobytes()
+    policy = extract_policy(surface, params)
+    want = _reference_solve(params, grid, policy=policy)
+    assert evaluate_policy(policy, params, grid).h.tobytes() == want.tobytes()
+
+
 def _reference_policy(h, alpha, params, land=True):
     half = params.delta / 2.0
     post_ask = np.zeros(h.shape, dtype=bool)
@@ -642,15 +670,14 @@ def test_evaluating_the_argmax_of_every_substep_is_h(default_solution):
     # re-derived before each substep: evaluating it is maximising
     params, surface, _ = default_solution
     grid = default_grid()
-    _, _, substep = _stencil(params, grid)
+    _, _, g, substep = _stencil(params, grid)
     h = np.empty_like(surface.h)
-    h[-1] = surface.h[-1]
+    h[-1] = g[...] = surface.h[-1]
     for k in range(params.n_dt - 1, -1, -1):
-        g = h[k + 1]
         for _ in range(grid.substeps):
             gp, gm = _reference_shifts(g, surface.alpha_nodes, params)
-            idle = np.concatenate(_reference_posting_gains(gp, gm, params)) == 0.0
-            g = substep(g, h[k], idle)
+            substep(np.concatenate(_reference_posting_gains(gp, gm, params)) == 0.0)
+        h[k] = g
     assert h.tobytes() == surface.h.tobytes()
 
 
@@ -671,6 +698,14 @@ def test_a_policy_that_never_posts_keeps_a_flat_book_at_zero(default_solution):
                    post_bid=np.zeros_like(policy.post_bid))
     value = evaluate_policy(idle, params, default_grid()).h
     assert (value[:, :, params.q_max] == 0.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+def test_evaluation_rejects_masks_that_are_not_bool(default_solution, dtype):
+    params, _, policy = default_solution
+    ints = replace(policy, post_ask=policy.post_ask.astype(dtype))
+    with pytest.raises(PolicyShapeMismatchError, match="masks must be bool"):
+        evaluate_policy(ints, params, default_grid())
 
 
 @pytest.mark.parametrize("change,match", [
