@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import RngStream, round_to_tick
 from .fills import FillEvent, FillKind, Side, classify_fill
-from .market_data import PriceSeries, check_tick
+from .market_data import PriceSeries, check_tick, check_tick_count
 from .params import OFFSET_TICKS_PRESETS
 from .table import write_table
 
@@ -162,15 +162,16 @@ def run_basic_posting(
 ) -> FillLog:
     """Run the static ladder strategy over a top-of-book series.
 
-    Every bid and ask must lie within 1e-6 tick of the ``tick`` grid, else
-    ValueError names the first sample off it.  Queue consumption at the
-    touch is simulated: per step one unit of volume trades on each side
-    independently with probability ``mo_prob``.  The uniforms are drawn up
-    front as one ``gen.random((n - 1, 2))`` block for the series' n
-    samples, whatever the orders do: row i is step i, column 0 the sell
-    order (it hits the bid queue), column 1 the buy order.  Orders placed
-    at the current touch inherit the visible level-1 size as their queue;
-    orders placed away from the market start with ``default_queue`` ahead.
+    Every bid and ask must lie under 2**53 ticks from 0 and within 1e-6
+    tick of the ``tick`` grid, else ValueError names the first sample that
+    does not.  Queue consumption at the touch is simulated: per step one
+    unit of volume trades on each side independently with probability
+    ``mo_prob``.  The uniforms are drawn up front as one
+    ``gen.random((n - 1, 2))`` block for the series' n samples, whatever
+    the orders do: row i is step i, column 0 the sell order (it hits the
+    bid queue), column 1 the buy order.  Orders placed at the current
+    touch inherit the visible level-1 size as their queue; orders placed
+    away from the market start with ``default_queue`` ahead.
 
     Both sides follow one set of rules on signed ticks, where the buys'
     touch is the bid and the sells' is the negated ask.  At each step the
@@ -187,6 +188,7 @@ def run_basic_posting(
     if offset_ticks < 1:
         raise ValueError(f"offset_ticks must be >= 1, got {offset_ticks}")
     check_tick(tick)
+    check_tick_count(series.bid, series.ask, tick)
 
     quotes = np.stack([series.bid, series.ask]) / tick
     ticks = np.rint(quotes)

@@ -401,6 +401,17 @@ def check_tick(tick: float) -> None:
         raise ValueError(f"tick must be finite and positive, got {tick}")
 
 
+def check_tick_count(bid: np.ndarray, ask: np.ndarray, tick: float) -> None:
+    """Raise ValueError, naming the tick and the first such sample, if a
+    bid or ask is 2**53 ticks or more from 0: there a float stops counting
+    whole ticks exactly, so no tick grid check or int64 tick count holds."""
+    beyond = np.maximum(np.abs(bid), np.abs(ask)) >= 2.0**53 * tick
+    if beyond.any():
+        i = int(beyond.argmax())
+        raise ValueError(f"sample {i}: bid {float(bid[i])!r} or ask {float(ask[i])!r} is "
+                         f"2**53 ticks of {tick!r} or more; the tick is too small to count them")
+
+
 def synthetic_quotes(
     params: MarketParams,
     n_steps: int,
@@ -422,6 +433,9 @@ def synthetic_quotes(
     if tick is None:
         tick = params.delta
     check_tick(tick)
+    half = params.delta / 2.0
+    # sample 0: the mid starts at 100.0, and the walk counts whole ticks from it
+    check_tick_count(np.array([100.0 - half]), np.array([100.0 + half]), tick)
     stream = seed if isinstance(seed, RngStream) else RngStream(seed=seed)
     gen = stream.generator()
 
@@ -432,7 +446,6 @@ def synthetic_quotes(
 
     # canonicalize quotes on the half-tick grid (when the half-spread sits on
     # it) so equal prices repr equally across the series
-    half = params.delta / 2.0
     grid = tick / 2.0
     if abs(round(half / grid) * grid - half) < 1e-12:
         bid = np.round(np.round((mid - half) / grid) * grid, 12)

@@ -96,45 +96,45 @@ class _NodeGrid:
     """A node set prepared once per run to find the node nearest to an
     ``alpha`` (scalar or array), the lower one on a tie.
 
-    ``c``, the number of nodes below ``alpha`` (``np.searchsorted(nodes,
-    alpha)``), is guessed as ``ceil((alpha - nodes[0]) / step)`` with
-    ``step`` the nodes' mean spacing, clipped to ``[0, n]``, and corrected
-    one step each way against the nodes padded with -inf and +inf.  An
-    element whose bracket ``padded[c] < alpha <= padded[c + 1]`` then
-    fails (uneven nodes, or a NaN or -inf ``alpha``) is searched for; on
-    evenly spaced nodes none is.  The bracket fixes ``c``, so the result
-    is the search's either way, and one exact compare of the two
-    neighbours' distances picks between them.
+    The nodes are even when each lies within 1e-9 cell of ``a0 + k / inv``,
+    as ``alpha_grid``'s and every policy file's do.  There ``x = (alpha -
+    a0) inv``, alpha clipped to the nodes' range, is off alpha's place by
+    at most about 1e-9 cell (under a million nodes), so where ``x`` lies
+    within ``0.5 - 1e-6`` of its rounding ``k``, node ``k`` is nearer than
+    any other by about 2e-6 cell.  Other probes (near a midpoint, NaN),
+    and all on uneven nodes, compare the distances to their bracket's
+    nodes exactly: ``floor(x)`` and the next, or ``np.searchsorted``'s.
+    NaN takes the last bracket's lower node, +-inf an end node.
 
-    For finite, strictly increasing nodes and a finite ``alpha`` this
-    equals ``np.abs(nodes - alpha).argmin()`` whenever every gap between
-    neighbouring nodes exceeds the float spacing at
-    ``|alpha| + max|nodes|``: then no node beyond the bracket rounds to
-    the same distance.  On the default grid (gaps of 0.0016) that holds
-    for ``|alpha|`` up to about 1e12.
+    For finite, strictly increasing nodes and finite ``alpha`` it is
+    ``np.abs(nodes - alpha).argmin()`` while every gap exceeds the float
+    spacing at ``|alpha| + max|nodes|`` (``|alpha|`` to about 1e12 on the
+    default grid): the compare reads argmin's two distances, no node past
+    the bracket rounds as near, and a 2e-6-cell lead survives rounding.
     """
 
     def __init__(self, nodes: np.ndarray):
-        self.nodes = nodes
-        self.padded = np.concatenate(([-np.inf], nodes, [np.inf]))
-        span = nodes[-1] - nodes[0]
-        self.step = span / (nodes.size - 1) if span > 0 else 1.0
+        self.nodes, self.a0, last = nodes, nodes[0], nodes.size - 1
+        self.inv = last / (nodes[-1] - nodes[0]) if last else 1.0
+        self.even = bool((np.abs((nodes - self.a0) * self.inv - np.arange(last + 1)) < 1e-9).all())
 
     def nearest(self, alpha):
-        nodes, padded = self.nodes, self.padded
-        shape = np.shape(alpha)
+        nodes, last, shape = self.nodes, self.nodes.size - 1, np.shape(alpha)
         alpha = np.reshape(alpha, -1)
-        # fmax maps a NaN guess to 0, so the cast sees no NaN
-        guess = np.ceil((alpha - nodes[0]) / self.step)
-        c = np.fmin(np.fmax(guess, 0), nodes.size).astype(np.intp)
-        c += padded[c + 1] < alpha
-        c -= padded[c] >= alpha
-        off = ~((padded[c] < alpha) & (alpha <= padded[c + 1]))
+        if not self.even:
+            hi = np.minimum(np.searchsorted(nodes, alpha), last)
+            return self._closer(alpha, hi).reshape(shape)
+        x = (np.clip(alpha, self.a0, nodes[-1]) - self.a0) * self.inv  # NaN stays NaN
+        k = np.rint(x)
+        off = ~(np.abs(x - k) < 0.5 - 1e-6)
         if off.any():
-            c[off] = np.searchsorted(nodes, alpha[off])
-        hi = np.minimum(c, nodes.size - 1)
+            hi = np.fmin(np.floor(x[off]) + 1, last)  # NaN: the last bracket
+            k[off] = self._closer(alpha[off], hi.astype(np.intp))
+        return k.astype(np.intp).reshape(shape)
+
+    def _closer(self, alpha, hi):
         lo = np.maximum(hi - 1, 0)
-        return np.where(nodes[hi] - alpha < alpha - nodes[lo], hi, lo).reshape(shape)
+        return np.where(self.nodes[hi] - alpha < alpha - self.nodes[lo], hi, lo)
 
 
 def run_simulation(
@@ -192,6 +192,7 @@ def run_simulation(
 BLOCK_WINDOWS = 1024
 
 # Steps whose drift nodes are looked up together, in one _NodeGrid lookup.
+# On 1,000 windows a chunk of 30 ran no faster than 8, and 120 slower.
 NODE_CHUNK = 8
 
 # Bits of a window step's fill code.  The low four are known before the
@@ -275,7 +276,8 @@ def _run_block(policy, series, mode, params, rng, base, size):
     transition to i+1) then
       1. reads the posting bits at (i, nearest drift node, inventory) and
          ORs them into the step's code; nodes are looked up ``NODE_CHUNK``
-         steps at a time;
+         steps at a time, on the solver's even nodes by one rounding each
+         (``_NodeGrid``);
       2. adds the running penalty of the step's inventory;
       3. moves inventory by the code's change, raising at a bound breach.
     After the loop only the steps whose code holds an event are expanded

@@ -36,7 +36,6 @@ from mmsim.simulator import (
     SeriesTooShortError,
     SimResult,
     _bound_breach,
-    _NodeGrid,
     terminal_wealth,
 )
 from mmsim.solver import PostingPolicy
@@ -176,7 +175,7 @@ def run_simulation(
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
 
     bid, ask, mid = series.bid, series.ask, series.mid
-    grid = _NodeGrid(policy.alpha_nodes)
+    nodes = policy.alpha_nodes
     j0 = params.q_max
 
     inventory = np.zeros(n + 1, dtype=int)
@@ -193,7 +192,8 @@ def run_simulation(
     penalty = 0.0
 
     for i in range(n):
-        a_idx = int(grid.nearest(alpha))
+        # the nearest node, the lower on a tie: the kernel's stated contract
+        a_idx = int(np.abs(nodes - alpha).argmin())
         j = q + j0
         p_ask = bool(policy.post_ask[i, a_idx, j])
         p_bid = bool(policy.post_bid[i, a_idx, j])

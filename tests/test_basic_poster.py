@@ -422,6 +422,35 @@ def test_cli_basic_post_rejects_a_bad_tick(tmp_path, monkeypatch, capsys, tick, 
     assert "tick must be finite and positive" in capsys.readouterr().err
 
 
+def test_quotes_of_2_to_the_53_ticks_are_rejected():
+    # on a tick of 2**-50, 2**53 ticks are 8.0: sample 2's bid reaches it
+    tick = 2.0**-50
+    series = _series([1.0, 7.0, -8.0], [2.0, 7.5, -7.0])
+    want = r"sample 2: bid -8\.0 or ask -7\.0 is 2\*\*53 ticks of 8\.8"
+    with pytest.raises(ValueError, match=want):
+        run_basic_posting(series, offset_ticks=4, tick=tick)
+    run_basic_posting(_series([1.0, 7.0], [2.0, 7.5]), offset_ticks=4, tick=tick)
+    with pytest.raises(ValueError, match=r"sample 0: .* 2\*\*53 ticks of 1e-15"):
+        synthetic_quotes(default_params(), 10, seed=1, tick=1e-15)
+
+
+@pytest.mark.parametrize("tick", ["1e-300", "1e-15"])
+@pytest.mark.parametrize("data", [False, True], ids=["synthetic", "recorded"])
+def test_cli_basic_post_rejects_a_tick_too_small_for_whole_ticks(
+    tmp_path, monkeypatch, capsys, tick, data
+):
+    monkeypatch.chdir(tmp_path)
+    args = ["basic-post", "--tick", tick, "--steps", "50", "--out", "bp"]
+    if data:
+        (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
+        args += ["--data", "lob.csv"]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: sample 0: bid ")
+    assert f"is 2**53 ticks of {tick} or more" in err
+    assert not (tmp_path / "bp").exists()
+
+
 def test_quotes_off_the_tick_grid_are_rejected():
     series = _series([81.87, 81.87, 81.875], [81.88, 81.88, 81.89])
     with pytest.raises(ValueError, match="sample 2: bid 81.875 or ask 81.89 is off the tick grid"):

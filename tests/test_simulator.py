@@ -582,17 +582,19 @@ def _solver_node_sets(solved, tmp_path):
     return [*sets, load_policy_csv(tmp_path / "policy.csv").alpha_nodes]
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("_NodeGrid.nearest fell back to np.searchsorted")
+
+
 def test_nearest_node_takes_no_search_on_solver_grids(solved, tmp_path, monkeypatch):
     """On the solver's evenly spaced nodes, and on the nodes a policy file
-    reads back as, grid arithmetic finds every bracket: with the binary
-    search made to raise, every probe still gets argmin's node."""
+    reads back as, one rounding finds every node, and the exact compare
+    the rest: with the binary search made to raise, every probe still gets
+    argmin's node."""
     node_sets = _solver_node_sets(solved, tmp_path)
     rng = np.random.default_rng(41)
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("_NodeGrid.nearest fell back to np.searchsorted")
-
-    monkeypatch.setattr(np, "searchsorted", no_search)
+    monkeypatch.setattr(np, "searchsorted", _no_search)
     for nodes in node_sets:
         probes = _node_probes(nodes, rng)
         want = [int(np.abs(nodes - a).argmin()) for a in probes]
@@ -600,6 +602,43 @@ def test_nearest_node_takes_no_search_on_solver_grids(solved, tmp_path, monkeypa
         block = probes[:probes.size // 2 * 2].reshape(2, -1)
         assert _NodeGrid(nodes).nearest(block).reshape(-1).tolist() == want[:block.size]
         assert [int(_NodeGrid(nodes).nearest(a)) for a in probes] == want
+
+
+def _ulps(x, k):
+    """``x`` moved by 1 to ``k`` floats either way."""
+    down, up, out = x, x, []
+    for _ in range(k):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(5, 200), decade=st.floats(-6.0, 3.0), free=st.floats(-1.0, 1.0))
+def test_nearest_node_takes_no_search_on_drawn_solver_grids(m, decade, free):
+    """The same on drawn ``alpha_grid`` grids (odd ``n_alpha`` 11-401,
+    ``alpha_max`` over nine decades), probed at the nodes and midpoints,
+    1-3 floats either side of each, either side of the rounding's margin
+    (``0.5 - 1e-6`` cell from a node) by 1e-6 cell and by a float, and far
+    outside the grid."""
+    nodes = alpha_grid(replace(default_grid(), n_alpha=2 * m + 1, alpha_max=10.0 ** decade))
+    cell = nodes[1] - nodes[0]
+    mids = (nodes[:-1] + nodes[1:]) / 2
+    edges = np.concatenate([nodes[:-1] + (0.5 - 1e-6) * cell, nodes[1:] - (0.5 - 1e-6) * cell])
+    far = nodes[-1] * np.array([1.5, 10.0, 1e4, 1e6])
+    probes = np.concatenate([
+        nodes, mids, _ulps(nodes, 3), _ulps(mids, 3),
+        edges, edges - 1e-6 * cell, edges + 1e-6 * cell, _ulps(edges, 1),
+        far, -far, [free * nodes[-1], 0.0, -0.0],
+    ])
+    want = np.abs(nodes - probes[:, None]).argmin(axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "searchsorted", _no_search)
+        grid = _NodeGrid(nodes)
+        assert (grid.nearest(probes) == want).all()
+        block = probes[:probes.size // 4 * 4].reshape(4, -1)
+        assert (grid.nearest(block) == want[:block.size].reshape(4, -1)).all()
+        assert [int(grid.nearest(a)) for a in probes[::97]] == want[::97].tolist()
 
 
 def test_nearest_node_of_a_non_finite_alpha(solved, tmp_path):
