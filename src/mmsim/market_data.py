@@ -11,9 +11,10 @@ An empty cell is the only way to write "absent": literal ``nan``/``inf``
 cells are rejected.  :func:`parse_lob_csv` takes the file's bytes and
 returns it as columns (:class:`LOBBook`), with NaN for each empty cell.
 Every file takes one route: blocks of lines cut by the tokenizer of
-:mod:`mmsim.table`, each converted by the word kernels when the file and
-the block are plain, else once per distinct cell text
-(:func:`mmsim.table.converted`) at the same cell positions.
+:mod:`mmsim.table`, and one converter per block, which reads a column with
+the word kernels when they take it whole, else once per distinct cell text
+(:func:`mmsim.table.converted`) at the same cell positions.  A file with
+CR line ends is split as text first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .dynamics import RngStream
 from .params import MarketParams
-from .table import converted, lf_line_ends, plain_floats, plain_ints, split_cells
+from .table import converted, plain_floats, plain_ints, split_cells
 
 __all__ = [
     "LOBBook",
@@ -171,7 +172,7 @@ class TradeStats:
 
 
 _HEADER_BYTES = ",".join(LOB_CSV_HEADER).encode("ascii")
-# The bytes of a plain body, whose blocks may take the word kernels.
+# The bytes of a plain body, whose cells may take the float word kernel.
 _BODY_BYTES = b"0123456789.-,\n"
 _HEADER_LETTERS = _HEADER_BYTES.translate(None, _BODY_BYTES)
 
@@ -179,20 +180,17 @@ _HEADER_LETTERS = _HEADER_BYTES.translate(None, _BODY_BYTES)
 def parse_lob_csv(data: bytes) -> LOBBook:
     """Parse the bytes of a LOB CSV file into a :class:`LOBBook`.
 
-    A plain file (the schema's header, then only :data:`_BODY_BYTES`, CR
-    only before LF) is read with CRLF made LF; any other file is decoded as
-    UTF-8, split with ``str.splitlines`` and joined again with LF, which in
-    the plain alphabet gives the same lines, and is plain if the joined
-    bytes are (as a file with lone CR line ends is).  The body is cut into
-    blocks of :data:`BLOCK_ROWS` lines written into columns allocated once.
-    A block of a plain file may take the word kernels; any other block
-    takes the per-cell path, which alone reports a bad field count or
-    number.  The first bad row in file order raises, blank lines counted
-    in its line number; within a row the checks run in the order field
-    count, number parsing, crossed level 1, negative size, timestamp order.
+    A file other than a plain one (the schema's header, then only
+    :data:`_BODY_BYTES`) is decoded as UTF-8, split with ``str.splitlines``
+    and joined again with LF, which in the plain alphabet gives the same
+    lines, and is plain if the joined bytes are (as CRLF and CR spellings
+    are).  The body is cut into blocks of :data:`BLOCK_ROWS` lines, each
+    converted by :func:`_convert_block` into columns allocated once.  The
+    first bad row in file order raises, blank lines counted in its line
+    number; within a row the checks run in the order field count, number
+    parsing, crossed level 1, negative size, timestamp order.
     """
-    raw = lf_line_ends(data)
-    plain = raw is not None and _is_plain(raw)
+    raw, plain = data, _is_plain(data)
     if not plain:
         if not data:
             raise SchemaMismatchError("empty input, header row required")
@@ -223,10 +221,7 @@ def parse_lob_csv(data: bytes) -> LOBBook:
             continue  # blank lines only
         linenos = (np.flatnonzero(fields) + first + 2).tolist()
         prev_ts = int(ts_out[kept - 1]) if kept else None
-        converted = _convert_plain(buf, ends, starts, fields) if plain else None
-        if converted is None:
-            converted = _convert_cells(raw, buf, ends, starts, fields, linenos, prev_ts)
-        ts, cells = converted
+        ts, cells = _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts, plain)
         _check_rows(ts, cells, linenos, prev_ts)
         ts_out[kept:kept + ts.size] = ts
         cells_out[kept:kept + ts.size] = cells
@@ -240,53 +235,34 @@ def _is_plain(raw: bytes) -> bool:
             and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
 
 
-def _convert_plain(buf, ends, starts, fields) -> tuple[np.ndarray, np.ndarray] | None:
-    """ts and cells of a block whose cells are all plain, else None.
+def _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts,
+                   plain: bool) -> tuple[np.ndarray, np.ndarray]:
+    """ts and cells of a block, given :func:`split_cells` of it.
 
-    ``ends``, ``starts`` and ``fields`` are :func:`split_cells` of the
-    block, whose bytes are :data:`_BODY_BYTES` only.  Every non-empty line
-    must hold 23 fields.  ``ts`` is an optional ``-`` and up to 19 digits
-    inside the int64 range, converted by :func:`plain_ints`; every other
-    cell is plain in the sense of :func:`plain_floats`.  Both equal
-    ``int()`` and ``float()`` of the text bit for bit, with no Python object
-    per cell.
-    """
-    if not (fields[fields > 0] == _N_FIELDS).all():
-        return None
-    ends = ends.reshape(-1, _N_FIELDS)
-    ts = plain_ints(buf, ends[:, 0], ends[:, 0] - starts)
-    if ts is None:
-        return None
-    width = ends[:, 1:] - ends[:, :-1]
-    width -= 1
-    cells = plain_floats(buf, ends[:, 1:], width)
-    if cells is None:
-        return None
-    return ts, cells
-
-
-def _convert_cells(raw, buf, ends, starts, fields, linenos,
-                   prev_ts) -> tuple[np.ndarray, np.ndarray]:
-    """ts and cells of any block, one ``int()`` or ``float()`` per distinct
-    cell text.
-
-    Takes :func:`split_cells` of the block, like :func:`_convert_plain`.
-    ``ts`` is read by :func:`plain_ints` when every one is plain, as
-    timestamps rarely repeat; else it goes through :func:`_timestamp`.
-    The first bad row is the earlier of the first with a wrong field count
-    and the first holding a text that :func:`_timestamp` or
-    :func:`_cell_value` rejects, ``ts`` before cells.  It raises after the
-    rows before it are checked, so that an earlier crossed, negative-size
-    or time-travel row wins.
+    A column the word kernels take whole is converted by them with no
+    Python object per cell: ``ts`` by :func:`plain_ints`, which checks its
+    own bytes, and the other cells by :func:`plain_floats` only when
+    ``plain`` (the file is :data:`_BODY_BYTES` only, which that kernel
+    needs).  Both equal ``int()`` and ``float()`` of the text bit for bit.
+    A column they decline goes through :func:`converted`, one
+    :func:`_timestamp` or :func:`_cell_value` per distinct cell text.  The
+    first bad row is the earlier of the first with a wrong field count and
+    the first holding a text the conversion rejects, ``ts`` before cells.
+    It raises after the rows before it are checked, so that an earlier
+    crossed, negative-size or time-travel row wins.
     """
     fields = fields[fields > 0]
     n = int(np.argmax(fields != _N_FIELDS)) if (fields != _N_FIELDS).any() else fields.size
     ends = ends[:n * _N_FIELDS].reshape(n, _N_FIELDS)
-    width = np.diff(ends, prepend=starts[:n, None] - 1) - 1
-    ts, ts_bad = plain_ints(buf, ends[:, 0], width[:, 0]), None
+    ts_width = ends[:, 0] - starts[:n]
+    width = ends[:, 1:] - ends[:, :-1]
+    width -= 1
+    ts, ts_bad = plain_ints(buf, ends[:, 0], ts_width), None
     if ts is None:
-        ts, ts_bad = converted(raw, ends[:, 0], width[:, 0], _timestamp, np.int64)
-    cells, cells_bad = converted(raw, ends[:, 1:], width[:, 1:], _cell_value, np.float64)
+        ts, ts_bad = converted(raw, ends[:, 0], ts_width, _timestamp, np.int64)
+    cells, cells_bad = (plain_floats(buf, ends[:, 1:], width) if plain else None), None
+    if cells is None:
+        cells, cells_bad = converted(raw, ends[:, 1:], width, _cell_value, np.float64)
     count_bad = ((n, "", f"expected {_N_FIELDS} fields, got {fields[n]}")
                  if n < fields.size else None)
     # min keeps the first of equal rows: ts, then cells

@@ -482,9 +482,6 @@ def load_policy_csv(path) -> PostingPolicy:
     if (t_idx < 0).any():
         cells.reject("t_index", int(np.argmax(t_idx < 0)), "below 0")
     alphas = cells.floats("alpha")
-    if not np.isfinite(alphas).all():
-        row = int(np.argmin(np.isfinite(alphas)))
-        raise ValueError(f"{path}: data row {row + 1} has non-finite alpha {alphas[row]}")
     qs = cells.ints("q")
     bid = cells.flags("post_bid", "1", "0")
     ask = cells.flags("post_ask", "1", "0")

@@ -13,14 +13,15 @@ cells with no Python object per cell: the LOB parser uses both, a table's
 integer columns the second.  Every cell the kernels decline, in a table or
 a LOB file, is converted once per distinct text (:func:`converted`), and
 the first text the conversion rejects names its row.
-A table file with a byte outside the tokenizer's alphabet is normalised as
-text first (rows split on whitespace).
+A table file with a byte outside the tokenizer's alphabet, a CR included,
+is normalised as text first (rows split on whitespace).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import re
 import stat
@@ -33,7 +34,6 @@ __all__ = [
     "check_text_cell",
     "read_cells",
     "Cells",
-    "lf_line_ends",
     "split_cells",
     "distinct_cells",
     "converted",
@@ -170,19 +170,6 @@ def _gaps(positions: np.ndarray) -> np.ndarray:
     out[:1] = positions[:1] + 1
     np.subtract(positions[1:], positions[:-1], out=out[1:])
     return out
-
-
-def lf_line_ends(raw: bytes) -> bytes | None:
-    """``raw`` with every CRLF made LF, or None if a CR stands anywhere else.
-
-    A lone CR ends a line for ``str.splitlines`` and universal newlines but
-    not for the tokenizer, so the readers split such input as text first.
-    """
-    if b"\r" not in raw:
-        return raw
-    lf = raw.replace(b"\r\n", b"\n")
-    # a CR left over stood before no LF
-    return None if b"\r" in lf else lf
 
 
 def split_cells(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,10 +364,17 @@ def converted(data: bytes, ends, width, convert, dtype) -> tuple[np.ndarray, tup
 
 # -- typed columns of a table ------------------------------------------------
 
-# The bytes a table file may hold for the tokenizer as it is (CR only
-# before LF); a file with any other byte is normalised first.
+# The bytes a table file may hold for the tokenizer as it is; a file with
+# any other byte, a CR included, is normalised first.
 _TABLE_BYTES = (b"0123456789.-,\n_" + bytes(range(ord("a"), ord("z") + 1))
                 + bytes(range(ord("A"), ord("Z") + 1)))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 class Cells:
@@ -429,8 +423,9 @@ class Cells:
         return self._converted(name, int, np.int64) if values is None else values
 
     def floats(self, name: str) -> np.ndarray:
-        """A column of ``float()`` values, as float64."""
-        return self._converted(name, float, np.float64)
+        """A column of finite ``float()`` values, as float64; a cell that
+        reads as NaN or infinite is rejected."""
+        return self._converted(name, _finite, np.float64)
 
     def flags(self, name: str, true_text: str, false_text: str) -> np.ndarray:
         """A two-valued column as booleans, True where the cell is
@@ -448,25 +443,23 @@ def read_cells(path) -> Cells:
     """Read a table's header and cells from its bytes.
 
     A file that holds a byte other than letters, digits, ``_``, ``.``,
-    ``-``, ``,``, LF and CR before LF is decoded as UTF-8 and normalised
+    ``-``, ``,`` and LF (a CR among them) is decoded as UTF-8 and normalised
     first: its header is the first line stripped of whitespace, and its
     rows are the body split on whitespace, so blank lines and CR line ends
     are ignored.  A row whose field count differs from the header's raises.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lf = lf_line_ends(raw)
-    if lf is None or lf.translate(None, _TABLE_BYTES):
+    if raw.translate(None, _TABLE_BYTES):
         text = io.StringIO(raw.decode("utf-8"), newline=None)
-        lf = "\n".join([text.readline().strip(), *text.read().split()]).encode("utf-8")
-    del raw
-    head = lf.partition(b"\n")[0]
+        raw = "\n".join([text.readline().strip(), *text.read().split()]).encode("utf-8")
+    head = raw.partition(b"\n")[0]
     header = head.decode("utf-8").split(",")
     n_cols = len(header)
     # PAD zero bytes in front, and a final line end should the file lack one
     # (one more would make an empty last line, whose removal copies every cell end)
-    data = b"".join([bytes(PAD), lf, b"" if lf.endswith(b"\n") else b"\n"])
-    del lf
+    data = b"".join([bytes(PAD), raw, b"" if raw.endswith(b"\n") else b"\n"])
+    del raw
     ends, starts, fields = split_cells(np.frombuffer(data, dtype=np.uint8),
                                        PAD + len(head) + 1, len(data))
     fields = fields[fields > 0]

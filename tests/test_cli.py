@@ -3,7 +3,8 @@
 The package and the CLI resolve their names on first access, so a command
 loads only the modules it runs; the commands call the library through
 ``mmsim.cli``, so a wrapper set there (as the benchmark's tracer sets one)
-sees every call.
+sees every call.  The line ends of a command's input files change none of
+its outputs.
 """
 
 import argparse
@@ -153,6 +154,39 @@ def test_report_runs_as_the_main_module(inputs, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("AFA: ")
     assert (tmp_path / "out" / "summary.csv").is_file()
+
+
+def _tree(root):
+    """Every file under ``root``, by its path relative to it, with its bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_line_ends_of_the_inputs_change_no_output(inputs, tmp_path):
+    """The LOB CSV and the policy file spelled with CRLF or lone-CR line
+    ends give every output file of their LF spelling, byte for byte."""
+    lob = (inputs / "lob.csv").read_bytes()
+    policy = (inputs / "solve" / "policy.csv").read_bytes()
+    assert b"\r" not in lob + policy
+    trees = {}
+    for name, end in [("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")]:
+        root = tmp_path / name
+        root.mkdir()
+        (root / "lob.csv").write_bytes(lob.replace(b"\n", end))
+        (root / "policy.csv").write_bytes(policy.replace(b"\n", end))
+        data, policy_at = ["--data", str(root / "lob.csv")], ["--policy", str(root / "policy.csv")]
+        for out, argv in [
+            ("improved", ["simulate", *policy_at, *data, "--mode", "improved", "--snapshots", "2"]),
+            ("benchmark", ["simulate", *policy_at, *data, "--mode", "benchmark",
+                           "--snapshots", "2"]),
+            ("synthetic", ["simulate", *policy_at, "--windows", "2"]),
+            ("basic_post", ["basic-post", *data]),
+        ]:
+            assert cli_main([*argv, "--out", str(root / "out" / out)]) == 0, (name, out)
+        trees[name] = _tree(root / "out")
+    assert {"improved/snapshot_1.csv", "basic_post/fills.csv"} <= set(trees["lf"])
+    assert trees["crlf"] == trees["lf"]
+    assert trees["cr"] == trees["lf"]
 
 
 # (function on mmsim.cli, a command that calls it, the arguments read by name)

@@ -391,8 +391,8 @@ def test_non_ascii_input_takes_the_text_route():
             _row(30, 100.0, 100.01)]
     want = _parse("\n".join([HEADER, *rows]) + "\n")
     non_ascii = [rows[0], _row(20, 100.0, 100.01, trade_px=100.0, trade_sz="\u0663"), rows[2]]
-    # the kernel is never reached: every block goes to the per-cell path
-    with mock.patch.object(market_data, "_convert_plain", side_effect=AssertionError):
+    # the float kernel is never reached: every block's cells take the per-cell path
+    with mock.patch.object(market_data, "plain_floats", side_effect=AssertionError):
         _assert_same_book(_parse("\n".join([HEADER, *non_ascii]) + "\n"), want)
         # errors name file lines, blank lines counted
         with pytest.raises(MalformedRowError, match="could not convert") as err:
@@ -408,7 +408,7 @@ def test_cr_and_crlf_spellings_take_the_kernels(end):
     rows = [_row(10, 99.99, 100.0), _row(20, 100.0, 100.01, trade_px=100.0, trade_sz=3),
             _row(30, 100.0, 100.01)]
     want = _parse("\n".join([HEADER, *rows]) + "\n")
-    with mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
+    with mock.patch.object(market_data, "converted", side_effect=AssertionError):
         got = _parse(end.join([HEADER, *rows]) + end)
         assert got.ts.tobytes() == want.ts.tobytes()
         assert got.cells.tobytes() == want.cells.tobytes()
@@ -439,7 +439,8 @@ def _lobgen_style_text(n_rows, seed):
 
 
 def _without_kernel():
-    return mock.patch.object(market_data, "_convert_plain", lambda *tokens: None)
+    return mock.patch.multiple(market_data, plain_floats=lambda *cells: None,
+                               plain_ints=lambda *cells: None)
 
 
 def _outcome(text):
@@ -461,7 +462,7 @@ def _assert_kernel_matches_cells(text):
 def test_plain_blocks_take_the_kernel():
     text = _lobgen_style_text(3 * 700 + 5, seed=11)
     with mock.patch.object(market_data, "BLOCK_ROWS", 700), \
-            mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
+            mock.patch.object(market_data, "converted", side_effect=AssertionError):
         book = _parse(text)
     with _without_kernel():
         want = _parse(text)
@@ -493,7 +494,7 @@ _PLAIN_SAMPLES = ["0", "-0", "-0.0", "-.0", "5.", ".5", "-5.", "99999999", "-999
 @pytest.mark.parametrize("cell", _PLAIN_SAMPLES)
 def test_kernel_converts_plain_cells_like_float(cell):
     text = "\n".join([HEADER, _row(1, 99.99, 100.0, trade_px=cell)]) + "\n"
-    with mock.patch.object(market_data, "_convert_cells", side_effect=AssertionError):
+    with mock.patch.object(market_data, "converted", side_effect=AssertionError):
         value = _parse(text).column("trade_px")[0]
     assert np.float64(value).view(np.uint64) == np.float64(float(cell)).view(np.uint64)
 
@@ -684,5 +685,5 @@ def test_per_cell_path_matches_the_per_row_oracle(data, n_rows, block_rows):
         rows.insert(at, "")
     text = "\n".join(rows) + "\n"
     with mock.patch.object(market_data, "BLOCK_ROWS", block_rows), \
-            mock.patch.object(market_data, "_convert_plain", side_effect=AssertionError):
+            mock.patch.object(market_data, "plain_floats", side_effect=AssertionError):
         assert _outcome(text) == _oracle_outcome(text)

@@ -164,6 +164,24 @@ def test_cli_report_names_the_bad_cell(tmp_path, capsys, table):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("table,column", [("batch_wealth", "terminal_wealth"),
+                                          ("batch_wealth", "objective"), ("fills", "price")])
+def test_cli_report_rejects_a_non_finite_cell(tmp_path, capsys, text, table, column):
+    # the cell of data row 2 in the named column; every other cell is finite
+    wealth = {"terminal_wealth": f"{text},1.0", "objective": f"1.0,{text}"}.get(column, "2.0,1.0")
+    price = text if column == "price" else "100.01"
+    (tmp_path / "batch_wealth.csv").write_text(
+        f"window,terminal_wealth,objective\n0,1.0,1.0\n1,{wealth}\n")
+    (tmp_path / "fills.csv").write_text(
+        f"t_index,side,price,kind\n0,bid,99.99,adverse\n1,ask,{price},adverse\n")
+    out = tmp_path / "out"
+    assert _run(["report", "--in", tmp_path, "--out", out]) == 1
+    assert capsys.readouterr().err == (f"ValueError: {tmp_path / f'{table}.csv'}: data row 2 "
+                                       f"has {column} '{text}', not finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("windows,row,text",
                          [("0,2,1", 2, "2"), ("1,2", 1, "1"), ("0,1,1", 3, "1")])
 def test_batch_wealth_windows_run_from_0_in_order(tmp_path, windows, row, text):

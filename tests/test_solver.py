@@ -338,7 +338,7 @@ def test_simulate_rejects_a_non_finite_alpha_node(tmp_path, default_solution, sp
     lowest = repr(float(policy.alpha_nodes[0]))
     assert f",{lowest}," in text
     path.write_text(text.replace(f",{lowest},", f",{spelling},"), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"data row 1 has non-finite alpha {spelling}"):
+    with pytest.raises(ValueError, match=f"data row 1 has alpha '{spelling}', not finite"):
         load_policy_csv(path)
     code = cli_main(["simulate", "--policy", str(path), "--windows", "5",
                      "--out", str(tmp_path / "run")])

@@ -1,6 +1,7 @@
 """The CSV layout every output table shares, pinned byte for byte, and the
 readers' rejection of malformed tables."""
 
+import math
 import stat
 import string
 import threading
@@ -474,7 +475,12 @@ class _OracleCells:
         return np.fromiter(self._values(name, int), np.int64, self.n_rows)
 
     def floats(self, name):
-        return np.fromiter(self._values(name, float), np.float64, self.n_rows)
+        def finite(text):
+            if not math.isfinite(value := float(text)):
+                raise ValueError("not finite")
+            return value
+
+        return np.fromiter(self._values(name, finite), np.float64, self.n_rows)
 
     def flags(self, name, true_text, false_text):
         for r, text in enumerate(self.texts(name)):
