@@ -18,7 +18,7 @@ from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
-from .params import OFFSET_TICKS_PRESETS, MarketParams, SolverGrid, load_config
+from .params import OFFSET_TICKS_PRESETS, TICK_PRESETS, MarketParams, SolverGrid, load_config
 from .table import check_text_cell
 
 # every validation error of the package subclasses ValueError; an integer
@@ -173,6 +173,9 @@ def _cmd_basic_post(args) -> int:
     offset = args.offset_ticks
     if offset is None:
         offset = OFFSET_TICKS_PRESETS[args.contract]
+    tick = args.tick
+    if tick is None:
+        tick = TICK_PRESETS[args.contract]
     if args.data is not None:
         series = _recorded_series(args.data, params)
     else:
@@ -181,12 +184,11 @@ def _cmd_basic_post(args) -> int:
         # two-tick spread keeps synthetic touches on the tick grid so the
         # ladder's queue model sees orders at the touch
         series = _cli.synthetic_quotes(
-            replace(params, delta=2 * args.tick), args.steps,
-            _cli.RngStream(seed=args.seed, stream_id=20_000), tick=args.tick,
+            replace(params, delta=2 * tick), args.steps,
+            _cli.RngStream(seed=args.seed, stream_id=20_000), tick=tick,
         )
-    log = _cli.basic_poster.run_basic_posting(
-        series, offset_ticks=offset, tick=args.tick, seed=args.seed
-    )
+    log = _cli.basic_poster.run_basic_posting(series, offset_ticks=offset, tick=tick,
+                                              seed=args.seed)
     return _write_fill_experiment(args, log, args.contract, f"{args.contract}: ")
 
 
@@ -224,9 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _config(p)
     p.add_argument("--policy", default=None, help="policy CSV from `solve`")
     p.add_argument("--mode", choices=["benchmark", "improved"], default="improved")
-    p.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
-    p.add_argument("--windows", type=int, default=330,
-                   help="synthetic session length in windows")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
+    source.add_argument("--windows", type=int, default=330,
+                        help="synthetic session length in windows")
     p.add_argument("--snapshots", type=int, default=1,
                    help="number of per-window path snapshots to write")
     p.set_defaults(func=_cmd_simulate)
@@ -241,13 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     _seed(p)
     _config(p)
-    p.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
-    p.add_argument("--steps", type=int, default=5000, help="synthetic series steps")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="LOB CSV; synthetic quotes when omitted")
+    source.add_argument("--steps", type=int, default=5000, help="synthetic series steps")
     p.add_argument("--contract", choices=sorted(OFFSET_TICKS_PRESETS),
                    default="CL")
     p.add_argument("--offset-ticks", type=int, default=None,
                    help="override the per-contract ladder spacing")
-    p.add_argument("--tick", type=float, default=0.01)
+    p.add_argument("--tick", type=float, default=None,
+                   help="price tick; the contract's published tick when omitted")
     p.add_argument("--date", default="synthetic")
     p.set_defaults(func=_cmd_basic_post)
 

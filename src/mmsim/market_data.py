@@ -137,10 +137,19 @@ class PriceSeries:
         n = self.bid.size
         if not (self.ask.size == self.level1_bid_sz.size == self.level1_ask_sz.size == n):
             raise ValueError("series arrays must have equal length")
-        if not (np.isfinite(self.bid).all() and np.isfinite(self.ask).all()):
-            raise ValueError("non-finite quotes: every sample needs a bid and an ask")
-        if np.any(self.bid >= self.ask):
-            raise ValueError("crossed quotes: bid must stay below ask")
+        finite = np.isfinite(self.bid) & np.isfinite(self.ask)
+        if not finite.all():
+            self._reject(finite, "non-finite quotes: every sample needs a bid and an ask")
+        below = self.bid < self.ask
+        if not below.all():
+            self._reject(below, "crossed quotes: bid must stay below ask")
+
+    def _reject(self, ok: np.ndarray, problem: str):
+        """Raise ``problem``, naming the first sample where ``ok`` is False."""
+        i = int(ok.argmin())
+        ts = self.t0 + i * int(round(self.dt * NANOS))
+        raise ValueError(f"{problem}; sample {i} at ts {ts} has bid {float(self.bid[i])!r} "
+                         f"and ask {float(self.ask[i])!r}")
 
     def __len__(self) -> int:
         return self.bid.size

@@ -6,7 +6,8 @@ and keys must match the field names of :class:`MarketParams` or
 :class:`SolverGrid` exactly.  Unknown keys are rejected.
 
 The ladder's contract presets live here too: the CLI needs them before it
-knows which command's modules to load (``basic_poster`` re-exports them).
+knows which command's modules to load (``basic_poster`` re-exports the
+ladder spacings).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "ConfigParseError",
     "ValidationError",
     "OFFSET_TICKS_PRESETS",
+    "TICK_PRESETS",
     "default_params",
     "default_grid",
     "validate",
@@ -74,15 +76,19 @@ class MarketParams:
 class SolverGrid:
     """Discretization of the short-term-drift axis and solver substepping.
 
-    The grid is symmetric (alpha_min == -alpha_max) with an odd point count
-    so that alpha = 0 is a node.  ``substeps`` explicit substeps are taken
-    per dt to keep the scheme stable.
+    The grid is ``n_alpha`` evenly spaced nodes on [-alpha_max, alpha_max],
+    an odd count so that alpha = 0 is a node.  ``substeps`` explicit
+    substeps are taken per dt to keep the scheme stable.
     """
 
-    alpha_min: float = -0.04
     alpha_max: float = 0.04
     n_alpha: int = 51
     substeps: int = 2
+
+    @property
+    def cell(self) -> float:
+        """The node spacing, alpha_max over the nodes on either side of 0."""
+        return self.alpha_max / ((self.n_alpha - 1) // 2)
 
 
 def default_params() -> MarketParams:
@@ -119,13 +125,16 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-# Ladder spacing per contract, in ticks, for the static posting experiment.
+# Ladder spacing per contract, in ticks, for the static posting experiment,
+# and each contract's published minimum tick.
 OFFSET_TICKS_PRESETS = {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
+TICK_PRESETS = {"ES": 0.25, "CL": 0.01, "NQ": 0.25, "ZN": 1 / 64}
 
 
 def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
     """Check every invariant; return a list of problems (empty means valid).
 
+    The one config gate: ``load_config`` and the solver's march both run it.
     Never raises: any violation, including nonsensical field contents, is
     reported as an entry in the returned list.
     """
@@ -145,9 +154,11 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
             return True
         return False
 
-    for name in ("sigma", "zeta", "eta", "eps_plus", "eps_minus",
-                 "lambda_plus", "lambda_minus", "phi", "varphi"):
-        check("NegativeParameter", name, getattr(params, name), lambda v: v >= 0, "be >= 0")
+    non_negative = {
+        name: check("NegativeParameter", name, getattr(params, name), lambda v: v >= 0, "be >= 0")
+        for name in ("sigma", "zeta", "eta", "eps_plus", "eps_minus",
+                     "lambda_plus", "lambda_minus", "phi", "varphi")
+    }
     if not _finite(params.nu):
         problems.append(f"NegativeParameter: nu = {params.nu!r} must be finite")
     check("SpreadNonPositive", "delta", params.delta, lambda v: v > 0, "be > 0")
@@ -169,15 +180,20 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
 
     if grid is not None:
         alpha_max_ok = check("GridAsymmetric", "alpha_max", grid.alpha_max, lambda v: v > 0, "be > 0")
-        if alpha_max_ok and grid.alpha_min != -grid.alpha_max:
-            problems.append(
-                f"GridAsymmetric: alpha_min = {grid.alpha_min!r} "
-                f"must equal -alpha_max = {-grid.alpha_max!r}"
-            )
-        check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
-              "be odd and >= 11", integer=True)
+        n_alpha_ok = check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
+                           "be odd and >= 11", integer=True)
         check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1",
               integer=True)
+        # past one cell beyond a grid end the clamped shift stops resembling the jump
+        if alpha_max_ok and n_alpha_ok and non_negative["eps_plus"] and non_negative["eps_minus"]:
+            jump = max(params.eps_plus, params.eps_minus)
+            try:
+                cell = grid.cell
+            except OverflowError:  # an n_alpha past the float range
+                cell = 0.0
+            if jump > grid.alpha_max + cell:
+                problems.append(f"GridTooCoarse: drift jump {jump!r} exceeds the grid half-width "
+                                f"{grid.alpha_max!r} by more than one cell ({cell!r})")
 
     return problems
 

@@ -70,7 +70,6 @@ __all__ = [
     "PostingPolicy",
     "PolicyShapeMismatchError",
     "UnstableSchemeError",
-    "GridTooCoarseError",
     "terminal_condition",
     "alpha_grid",
     "solve_dpe",
@@ -80,10 +79,6 @@ __all__ = [
     "export_policy_csv",
     "load_policy_csv",
 ]
-
-
-class GridTooCoarseError(ValueError):
-    """The drift jump would leave the alpha grid entirely."""
 
 
 class UnstableSchemeError(ValueError):
@@ -168,8 +163,7 @@ def terminal_condition(q, params: MarketParams):
 
 def alpha_grid(grid: SolverGrid) -> np.ndarray:
     """Exactly mirror-symmetric nodes with alpha = 0 at the center."""
-    m = (grid.n_alpha - 1) // 2
-    pos = np.arange(1, m + 1) * (grid.alpha_max / m)
+    pos = np.arange(1, (grid.n_alpha - 1) // 2 + 1) * grid.cell
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
@@ -242,12 +236,7 @@ def _stencil(params: MarketParams, grid: SolverGrid):
     ``idle`` (ask rows first) is True."""
     alpha = alpha_grid(grid)
     q = np.arange(-params.q_max, params.q_max + 1)
-    da = grid.alpha_max / ((grid.n_alpha - 1) // 2)
-    if max(params.eps_plus, params.eps_minus) > grid.alpha_max + da:
-        raise GridTooCoarseError(
-            f"drift jump {max(params.eps_plus, params.eps_minus)!r} exceeds the grid "
-            f"half-width {grid.alpha_max!r} by more than one cell ({da!r})"
-        )
+    da = grid.cell
 
     n, m = alpha.size, q.size
     size = n * m
@@ -377,10 +366,10 @@ def solve_dpe(params: MarketParams, grid: SolverGrid | None = None) -> ValueSurf
     """March the reduced equation backward from the terminal slice, taking
     the better of posting and not posting on every substep.
 
-    Raises :class:`UnstableSchemeError` if a non-finite value appears, and
-    :class:`GridTooCoarseError` if a drift jump from the center node would
-    land beyond one cell past the grid boundary, where clamped
-    interpolation no longer resembles the true shift.
+    Raises :class:`ValidationError` for a parameter set or grid that
+    :func:`validate` rejects, a drift jump that lands more than one cell
+    past a grid end among them, and :class:`UnstableSchemeError` if a
+    non-finite value appears.
     """
     return _march(params, grid)
 
@@ -400,41 +389,35 @@ def evaluate_policy(policy: PostingPolicy, params: MarketParams,
 def extract_policy(surface: ValueSurface, params: MarketParams) -> PostingPolicy:
     """Evaluate the posting indicators on every node of the solved surface.
 
-    Each slice's inventory differences are taken on the flat jump-shifted
-    buffer, as in the march; the wrap column, where a row's last node
-    meets the next row's first, is cleared once at the end.
+    One pass per slice takes gap = rho (h(q) - h(q+1)) along the flat
+    stacked jump-shifted buffer, as the march does.  The ask posts where
+    gap > -Dl/2, the bid where gap < Dl/2: rounding keeps the sign of an
+    exact sum, so each is Dl/2 + rho dh > 0 exactly, NaN and inf included.
+    The wrap column, where a row's last node meets the next row's first, is
+    cleared once at the end.
     """
     alpha = surface.alpha_nodes
     n, n_q = alpha.size, surface.q_nodes.size
     size = n * n_q
     shift = _JumpShift(alpha, params, n_q)
     shifted = np.empty((2 * n, n_q))
-    up, down = shifted[:n].reshape(size), shifted[n:].reshape(size)
-    gain = np.empty(size - 1)
+    flat = shifted.reshape(2 * size)
+    gap = np.empty(2 * size - 1)
+    ask_gap, bid_gap = gap[:size - 1], gap[size:]
     half = params.delta / 2.0
 
     post_ask = np.empty(surface.h.shape, dtype=bool)
     post_bid = np.empty(surface.h.shape, dtype=bool)
     for k in range(surface.h.shape[0]):
         shift(surface.h[k], out=shifted)
-        # half + rho (h(a+e+, q-1) - h(a+e+, q)) > 0
-        np.subtract(up[:-1], up[1:], out=gain)
-        np.multiply(gain, params.rho, out=gain)
-        np.add(gain, half, out=gain)
-        np.greater(gain, 0.0, out=post_ask[k].reshape(size)[1:])
-        # half + rho (h(a-e-, q+1) - h(a-e-, q)) > 0
-        np.subtract(down[1:], down[:-1], out=gain)
-        np.multiply(gain, params.rho, out=gain)
-        np.add(gain, half, out=gain)
-        np.greater(gain, 0.0, out=post_bid[k].reshape(size)[:-1])
+        np.subtract(flat[:-1], flat[1:], out=gap)
+        np.multiply(gap, params.rho, out=gap)
+        np.greater(ask_gap, -half, out=post_ask[k].reshape(size)[1:])
+        np.less(bid_gap, half, out=post_bid[k].reshape(size)[:-1])
     post_ask[:, :, 0] = False
     post_bid[:, :, -1] = False
-    return PostingPolicy(
-        post_ask=post_ask,
-        post_bid=post_bid,
-        alpha_nodes=alpha.copy(),
-        q_nodes=surface.q_nodes.copy(),
-    )
+    return PostingPolicy(post_ask=post_ask, post_bid=post_bid,
+                         alpha_nodes=alpha.copy(), q_nodes=surface.q_nodes.copy())
 
 
 def _node_columns(alpha_nodes: np.ndarray, q_nodes: np.ndarray, shape) -> list[np.ndarray]:

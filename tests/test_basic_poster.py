@@ -21,7 +21,7 @@ from mmsim.cli import cli_main
 from mmsim.dynamics import RngStream, round_to_tick
 from mmsim.fills import FillEvent, FillKind, Side, classify_fill
 from mmsim.market_data import LOB_COLUMNS, LOBBook, PriceSeries, render_lob_csv, synthetic_quotes
-from mmsim.params import default_params
+from mmsim.params import TICK_PRESETS, default_params
 
 
 def _series(bids, asks, bid_sz=10.0, ask_sz=10.0):
@@ -155,6 +155,11 @@ def test_presets_match_contract_spacings():
     assert OFFSET_TICKS_PRESETS == {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
 
 
+def test_every_contract_has_its_published_tick():
+    assert TICK_PRESETS == {"ES": 0.25, "CL": 0.01, "NQ": 0.25, "ZN": 0.015625}
+    assert TICK_PRESETS.keys() == OFFSET_TICKS_PRESETS.keys()
+
+
 def test_empty_series_rejected():
     with pytest.raises(EmptySeriesError):
         run_basic_posting(_series([], []), offset_ticks=4, tick=0.01)
@@ -163,7 +168,7 @@ def test_empty_series_rejected():
 def test_random_walk_keeps_ladder_disciplined():
     # the run itself asserts bid rung < ask rung at every step
     from mmsim.market_data import synthetic_quotes
-    from mmsim.params import default_params
+    from mmsim.params import TICK_PRESETS, default_params
     from dataclasses import replace
 
     p = replace(default_params(), delta=0.02)
@@ -178,7 +183,7 @@ def test_ladder_kinds_agree_with_classification_rule():
     # every ladder fill, trade-through or queue, must classify exactly as
     # the quote-move rule applied at its own price level
     from mmsim.market_data import synthetic_quotes
-    from mmsim.params import default_params
+    from mmsim.params import TICK_PRESETS, default_params
     from dataclasses import replace
 
     p = replace(default_params(), delta=0.02)
@@ -336,7 +341,7 @@ def test_ladder_matches_the_reference_on_a_random_walk():
     # long enough for the search for active steps to cross many spans of
     # SEARCH_STEPS, which the short property-test series rarely do
     from mmsim.market_data import synthetic_quotes
-    from mmsim.params import default_params
+    from mmsim.params import TICK_PRESETS, default_params
     from dataclasses import replace
 
     series = synthetic_quotes(replace(default_params(), delta=0.02), 3000, seed=4, tick=0.01)
@@ -387,7 +392,8 @@ def _recorded_book(n=900, seed=8):
     (["--steps", "5000", "--seed", "2"],
      "324b0905392b04bb360e300d892479c5e9d3a2a6b0e9c1a76743a1f0b9f321eb",
      "20c7e744c1cfd79a5fcec7bc2a9ad64ccc2991a1e5d7498bf2e40f73c075dda7"),
-    (["--data", "lob.csv", "--contract", "ZN", "--seed", "3", "--date", "2024-04-23"],
+    (["--data", "lob.csv", "--contract", "ZN", "--tick", "0.01", "--seed", "3",
+      "--date", "2024-04-23"],
      "8e7d832c5211bf5ab585fac390e349b3c79211a6c21eed77b9c71626a3cce131",
      "e3a091fd932117e752f1cafaede773a28efb8170e7899a25621aa3c138437657"),
 ], ids=["synthetic", "recorded"])
@@ -414,12 +420,36 @@ def test_tick_must_be_finite_and_positive(tick):
 @pytest.mark.parametrize("data", [False, True], ids=["synthetic", "recorded"])
 def test_cli_basic_post_rejects_a_bad_tick(tmp_path, monkeypatch, capsys, tick, data):
     monkeypatch.chdir(tmp_path)
-    args = ["basic-post", f"--tick={tick}", "--steps", "50", "--out", "bp"]
+    args = ["basic-post", f"--tick={tick}", "--out", "bp"]
     if data:
         (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
         args += ["--data", "lob.csv"]
+    else:
+        args += ["--steps", "50"]
     assert cli_main(args) == 1
     assert "tick must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("contract", ["ES", "NQ", "ZN"])
+def test_cli_basic_post_steps_on_the_contract_tick(tmp_path, monkeypatch, contract):
+    """The recorded book's 0.01 tick counts, put on the contract's tick: the
+    ladder fills on that grid without --tick, as with it given."""
+    monkeypatch.chdir(tmp_path)
+    tick = TICK_PRESETS[contract]
+    book = _recorded_book()
+    cells = book.cells.copy()
+    for name in ("bid_px_1", "ask_px_1"):
+        column = LOB_COLUMNS.index(name)
+        cells[:, column] = np.rint(cells[:, column] / 0.01) * tick
+    (tmp_path / "lob.csv").write_text(render_lob_csv(LOBBook(ts=book.ts, cells=cells)),
+                                      encoding="utf-8")
+    run = ["basic-post", "--data", "lob.csv", "--contract", contract]
+    assert cli_main([*run, "--out", "preset"]) == 0
+    assert cli_main([*run, "--tick", repr(tick), "--out", "given"]) == 0
+    fills = (tmp_path / "preset" / "fills.csv").read_text(encoding="utf-8")
+    assert fills == (tmp_path / "given" / "fills.csv").read_text(encoding="utf-8")
+    prices = np.array([float(row.split(",")[2]) for row in fills.splitlines()[1:]])
+    assert prices.size and np.array_equal(prices / tick, np.rint(prices / tick))
 
 
 def test_quotes_of_2_to_the_53_ticks_are_rejected():
@@ -440,10 +470,12 @@ def test_cli_basic_post_rejects_a_tick_too_small_for_whole_ticks(
     tmp_path, monkeypatch, capsys, tick, data
 ):
     monkeypatch.chdir(tmp_path)
-    args = ["basic-post", "--tick", tick, "--steps", "50", "--out", "bp"]
+    args = ["basic-post", "--tick", tick, "--out", "bp"]
     if data:
         (tmp_path / "lob.csv").write_text(render_lob_csv(_recorded_book()), encoding="utf-8")
         args += ["--data", "lob.csv"]
+    else:
+        args += ["--steps", "50"]
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValueError: sample 0: bid ")

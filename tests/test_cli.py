@@ -255,14 +255,70 @@ def test_each_command_takes_the_options_of_its_table():
         assert taken - {"-h", "--help"} == OPTIONS[name], name
 
 
-@pytest.mark.parametrize("argv", [["solve", "--seed", "3"], ["report", "--seed", "3"],
-                                  ["report", "--config", "default"],
-                                  ["example1", "--config", "default"]],
-                         ids=["solve --seed", "report --seed", "report --config",
-                              "example1 --config"])
-def test_an_option_the_command_does_not_read_is_a_usage_error(inputs, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--seed", "3"], "unrecognized arguments"),
+    (["report", "--seed", "3"], "unrecognized arguments"),
+    (["report", "--config", "default"], "unrecognized arguments"),
+    (["example1", "--config", "default"], "unrecognized arguments"),
+    # a recorded session sets its own length
+    (["simulate", "--data", "lob.csv", "--windows", "2"],
+     "argument --windows: not allowed with argument --data"),
+    (["basic-post", "--data", "lob.csv", "--steps", "7"],
+     "argument --steps: not allowed with argument --data"),
+], ids=["solve --seed", "report --seed", "report --config", "example1 --config",
+        "simulate --data --windows", "basic-post --data --steps"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(inputs, tmp_path, capsys, argv,
+                                                              message):
     out = tmp_path / "out"
-    extra = ["--in", str(inputs / "run")] if argv[0] == "report" else []
+    argv = [str(inputs / arg) if arg == "lob.csv" else arg for arg in argv]
+    extra = {"report": ["--in", str(inputs / "run")],
+             "simulate": ["--policy", str(inputs / "solve" / "policy.csv")]}.get(argv[0], [])
     assert cli_main([*argv, *extra, "--out", str(out)]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_sets_the_grid_by_its_half_width_alone(tmp_path, capsys):
+    config = tmp_path / "wide.cfg"
+    config.write_text("alpha_max = 0.06\n", encoding="utf-8")
+    assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path / "wide")]) == 0
+    nodes = mmsim.solver.load_policy_csv(tmp_path / "wide" / "policy.csv").alpha_nodes
+    assert (nodes.size, nodes[0], nodes[-1]) == (51, -0.06, 0.06)
+    # the grid's lower end is no key of its own
+    config.write_text("rho = 0.1\nalpha_min = -0.06\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ConfigParseError: line 2: unknown key 'alpha_min'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "basic-post"])
+def test_a_jump_past_the_grid_exits_1_in_every_command_that_reads_a_config(
+    inputs, tmp_path, capsys, command
+):
+    # 0.05 lands more than one cell (0.0016) past a 51-node grid's 0.04
+    config = tmp_path / "jump.cfg"
+    config.write_text("eps_plus = 0.05\nalpha_max = 0.04\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main([*_argv(command, inputs, str(out)), "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "ValidationError: GridTooCoarse: drift jump 0.05 exceeds the grid half-width 0.04")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate --data", "basic-post --data"])
+def test_a_one_sided_sample_is_named_with_its_time(inputs, tmp_path, capsys, command):
+    book = _book()
+    cells = book.cells.copy()
+    cells[150:160, LOB_COLUMNS.index("ask_px_1")] = np.nan
+    lob = tmp_path / "one_sided.csv"
+    lob.write_text(render_lob_csv(LOBBook(ts=book.ts, cells=cells)), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = _argv(command, inputs, str(out))
+    argv[argv.index("--data") + 1] = str(lob)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: non-finite quotes: every sample needs a bid and an ask; "
+                          f"sample 150 at ts {book.ts[150]} has bid ")
+    assert err.endswith(" and ask nan\n")
     assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -358,6 +359,19 @@ def test_series_window_starts_on_its_sample_boundary():
     book = _parse("\n".join([HEADER, _row(0, 99.99, 100.0), _row(12 * SEC, 99.99, 100.0)]))
     resampled = resample_forward_fill(book, 0.3)
     assert resampled.window(3, 2).t0 == 900_000_000
+
+
+def test_series_names_its_first_bad_sample_and_that_sample_s_time():
+    # sample i is at t0 + i * round(dt * 1e9) ns, as series.window counts it
+    bid, size = np.full(4, 100.0), np.ones(4)
+    want = ("crossed quotes: bid must stay below ask; "
+            "sample 2 at ts 1000000007 has bid 100.0 and ask 100.0")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        PriceSeries(7, 0.5, bid, np.array([101.0, 100.5, 100.0, 99.0]), size, size)
+    want = ("non-finite quotes: every sample needs a bid and an ask; "
+            "sample 3 at ts 907 has bid 100.0 and ask inf")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        PriceSeries(7, 3e-7, bid, np.array([99.0, 101.0, 101.0, np.inf]), size, size)
 
 
 def test_series_rejects_crossed_or_ragged():

@@ -1,5 +1,7 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmsim.params import (
     ConfigParseError,
+    SolverGrid,
     ValidationError,
     default_grid,
     default_params,
@@ -79,7 +82,7 @@ def test_validate_says_a_non_finite_value_must_be_finite(name, value):
 @pytest.mark.parametrize(
     "change,expected",
     [
-        ({"alpha_min": -0.04, "alpha_max": 0.05}, "GridAsymmetric"),
+        ({"eps_plus": 0.05, "alpha_max": 0.04}, "GridTooCoarse: drift jump 0.05"),
         ({"n_alpha": 50}, "GridTooCoarse"),
         ({"n_alpha": 9}, "GridTooCoarse"),
         ({"substeps": 0}, "GridTooCoarse"),
@@ -90,9 +93,34 @@ def test_validate_says_a_non_finite_value_must_be_finite(name, value):
     ],
 )
 def test_validate_flags_grid_problems(change, expected):
-    grid = replace(default_grid(), **change)
-    problems = validate(default_params(), grid)
+    grid_fields = {f.name for f in fields(SolverGrid)}
+    grid = replace(default_grid(), **{k: v for k, v in change.items() if k in grid_fields})
+    params = replace(default_params(), **{k: v for k, v in change.items() if k not in grid_fields})
+    problems = validate(params, grid)
     assert any(expected in msg for msg in problems)
+
+
+def test_the_jump_rule_is_checked_on_the_node_spacing():
+    """A jump may land up to one cell (0.04 / 25 on 51 nodes over ±0.04)
+    past the grid end; the rule waits for the fields it reads to pass their
+    own checks, so validate still never raises."""
+    grid = SolverGrid(alpha_max=0.04, n_alpha=51, substeps=2)
+    assert grid.cell == 0.04 / 25
+    ok = replace(default_params(), eps_plus=grid.alpha_max + grid.cell)
+    assert validate(ok, grid) == []
+    too_far = replace(ok, eps_minus=math.nextafter(ok.eps_plus, 1.0))
+    assert validate(too_far, grid) == [
+        f"GridTooCoarse: drift jump {too_far.eps_minus!r} exceeds the grid half-width "
+        f"0.04 by more than one cell ({grid.cell!r})"
+    ]
+    for change in ({"eps_plus": "0.05"}, {"eps_minus": math.nan}):
+        problems = validate(replace(default_params(), **change), grid)
+        assert len(problems) == 1 and problems[0].startswith("NegativeParameter: eps_")
+    problems = validate(replace(default_params(), eps_plus=0.05), replace(grid, alpha_max=-1.0))
+    assert problems == ["GridAsymmetric: alpha_max = -1.0 must be > 0"]
+    # a node count past the float range leaves no cell to add; nothing raises
+    problems = validate(default_params(), replace(grid, n_alpha=10**400 + 1))
+    assert not any("drift jump" in p for p in problems)
 
 
 @given(
@@ -201,3 +229,10 @@ def test_market_params_is_immutable():
     p = default_params()
     with pytest.raises(AttributeError):
         p.rho = 0.9
+
+
+def test_the_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    params, grid = load_config(example)
+    assert (params.rho, grid.alpha_max) == (0.1, 0.06)

@@ -12,7 +12,6 @@ import mmsim
 from mmsim.cli import cli_main
 from mmsim.params import SolverGrid, ValidationError, default_grid, default_params
 from mmsim.solver import (
-    GridTooCoarseError,
     PolicyShapeMismatchError,
     PostingPolicy,
     UnstableSchemeError,
@@ -195,7 +194,7 @@ def test_h_at_the_origin_converges_on_aligned_refinements():
     params = default_params()
     values = []
     for n_alpha, substeps in [(51, 2), (101, 8), (201, 32)]:
-        grid = SolverGrid(alpha_min=-0.05, alpha_max=0.05, n_alpha=n_alpha, substeps=substeps)
+        grid = SolverGrid(alpha_max=0.05, n_alpha=n_alpha, substeps=substeps)
         h = solve_dpe(params, grid).h
         values.append(h[0, n_alpha // 2, params.q_max])
     v0, v1, v2 = values
@@ -254,7 +253,7 @@ def test_every_package_error_but_the_bound_breach_is_a_validation_error():
 
 def test_jump_exceeding_grid_is_rejected():
     p = replace(default_params(), eps_plus=0.05, eps_minus=0.05)
-    with pytest.raises(GridTooCoarseError):
+    with pytest.raises(ValidationError, match="GridTooCoarse: drift jump 0.05"):
         solve_dpe(p, default_grid())
 
 
@@ -471,8 +470,7 @@ def _solver_inputs(draw):
     unequal jumps, rho at both ends, and no market orders."""
     n_alpha = 2 * draw(st.integers(5, 20)) + 1
     alpha_max = draw(st.sampled_from([0.02, 0.04]))
-    grid = SolverGrid(alpha_min=-alpha_max, alpha_max=alpha_max, n_alpha=n_alpha,
-                      substeps=draw(st.integers(1, 4)))
+    grid = SolverGrid(alpha_max=alpha_max, n_alpha=n_alpha, substeps=draw(st.integers(1, 4)))
     half_cells = (n_alpha - 1) // 2
     da = alpha_max / half_cells
     eps = st.one_of(
@@ -525,7 +523,7 @@ def test_jump_shift_on_an_aligned_grid_is_the_node_row_gather(half_cells, alpha_
     # jumps of whole cells, zero included, and up to past the far end, so
     # that rows clamp at both ends
     n = 2 * half_cells + 1
-    alpha = alpha_grid(SolverGrid(alpha_min=-alpha_max, alpha_max=alpha_max, n_alpha=n))
+    alpha = alpha_grid(SolverGrid(alpha_max=alpha_max, n_alpha=n))
     da = alpha_max / half_cells
     params = replace(default_params(), eps_plus=k_plus * da, eps_minus=k_minus * da, q_max=3)
     rng = np.random.default_rng(seed)
@@ -581,6 +579,36 @@ def _reference_policy(h, alpha, params, land=True):
         post_ask[k, :, 1:] = half + params.rho * (gp[:, :-1] - gp[:, 1:]) > 0
         post_bid[k, :, :-1] = half + params.rho * (gm[:, 1:] - gm[:, :-1]) > 0
     return post_ask, post_bid
+
+
+_SPECIAL_VALUES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                            1e308, -1e308, 0.005, -0.005])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_alpha=st.sampled_from([11, 21, 51]), cells=st.sampled_from([1.0, 1.25, 2.0]),
+       rho=st.sampled_from([0.0, 1e-300, 0.2, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_the_one_pass_read_off_is_the_stated_indicator_on_any_surface(n_alpha, cells, rho,
+                                                                      seed):
+    """extract_policy's ask test gap > -Dl/2 and bid test gap < Dl/2 give
+    Dl/2 + rho dh > 0 bit for bit, on surfaces holding infinities, NaN,
+    signed zeros, subnormals and values that overflow when differenced."""
+    grid = replace(default_grid(), n_alpha=n_alpha)
+    alpha = alpha_grid(grid)
+    params = replace(default_params(), q_max=3, n_dt=4, horizon=4.0, rho=rho,
+                     eps_plus=cells * grid.cell, eps_minus=grid.cell)
+    rng = np.random.default_rng(seed)
+    shape = (params.n_dt + 1, n_alpha, 2 * params.q_max + 1)
+    h = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 3, shape)
+    special = rng.random(shape) < 0.2
+    h[special] = rng.choice(_SPECIAL_VALUES, special.sum())
+    surface = ValueSurface(h=h, alpha_nodes=alpha, q_nodes=np.arange(-3, 4),
+                           params_fingerprint="")
+    with np.errstate(all="ignore"):
+        policy = extract_policy(surface, params)
+        post_ask, post_bid = _reference_policy(h, alpha, params)
+    assert np.array_equal(policy.post_ask, post_ask)
+    assert np.array_equal(policy.post_bid, post_bid)
 
 
 @pytest.mark.parametrize("n_alpha,substeps", [(41, 2), (81, 4)])
@@ -712,7 +740,7 @@ def test_evaluation_rejects_masks_that_are_not_bool(default_solution, dtype):
     (lambda p, g: (replace(p, n_dt=p.n_dt - 1, horizon=(p.n_dt - 1) * p.dt), g), "policy shape"),
     (lambda p, g: (replace(p, q_max=p.q_max - 1), g), "policy shape"),
     (lambda p, g: (p, replace(g, n_alpha=g.n_alpha + 2)), "alpha nodes"),
-    (lambda p, g: (p, replace(g, alpha_min=-0.05, alpha_max=0.05)), "alpha nodes"),
+    (lambda p, g: (p, replace(g, alpha_max=0.05)), "alpha nodes"),
 ])
 def test_evaluation_rejects_a_policy_off_the_grid(default_solution, change, match):
     params, _, policy = default_solution
