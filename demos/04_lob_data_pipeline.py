@@ -22,7 +22,6 @@ from mmsim import (
     resample_forward_fill,
     run_simulation,
     solve_dpe,
-    trade_size_stats,
 )
 from mmsim.market_data import LOB_CSV_HEADER, render_lob_csv
 from mmsim.simulator import write_snapshot_csv
@@ -67,9 +66,10 @@ def main():
     print(f"parsed {len(book)} events spanning "
           f"{(book.ts[-1] - book.ts[0]) / SEC:.0f} s")
 
-    stats = trade_size_stats(book)
-    print(f"trade sizes: mean {stats.mean_size:.2f}, median {stats.median_size:.0f}, "
-          f"count {stats.count}")
+    sizes = book.column("trade_sz")
+    sizes = sizes[~np.isnan(sizes)]  # NaN marks an event without a trade
+    print(f"trade sizes: mean {sizes.mean():.2f}, median {np.median(sizes):.0f}, "
+          f"count {sizes.size}")
 
     params = default_params()
     series = resample_forward_fill(book, params.dt)

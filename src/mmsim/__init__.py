@@ -24,7 +24,6 @@ _EXPORTS = {
     "parse_lob_csv": "market_data",
     "resample_forward_fill": "market_data",
     "synthetic_quotes": "market_data",
-    "trade_size_stats": "market_data",
     "default_grid": "params",
     "default_params": "params",
     "summarize_fills": "reporting",

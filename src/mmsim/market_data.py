@@ -31,17 +31,14 @@ from .table import converted, plain_floats, plain_ints, split_cells
 __all__ = [
     "LOBBook",
     "PriceSeries",
-    "TradeStats",
     "SchemaMismatchError",
     "MalformedRowError",
     "NonMonotoneTimestampError",
     "EmptyInputError",
-    "NoTradesError",
     "LOB_CSV_HEADER",
     "parse_lob_csv",
     "render_lob_csv",
     "resample_forward_fill",
-    "trade_size_stats",
     "check_tick",
     "synthetic_quotes",
 ]
@@ -88,10 +85,6 @@ class NonMonotoneTimestampError(ValueError):
 
 
 class EmptyInputError(ValueError):
-    pass
-
-
-class NoTradesError(ValueError):
     pass
 
 
@@ -171,13 +164,6 @@ class PriceSeries:
             level1_bid_sz=self.level1_bid_sz[start:stop],
             level1_ask_sz=self.level1_ask_sz[start:stop],
         )
-
-
-@dataclass(frozen=True)
-class TradeStats:
-    mean_size: float
-    median_size: float
-    count: int
 
 
 _HEADER_BYTES = ",".join(LOB_CSV_HEADER).encode("ascii")
@@ -367,19 +353,6 @@ def _absent_as_zero(sizes: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(sizes), 0.0, sizes)
 
 
-def trade_size_stats(book: LOBBook) -> TradeStats:
-    """Mean and median executed size over all trade events."""
-    sizes = book.column("trade_sz")
-    sizes = sizes[~np.isnan(sizes)]
-    if not sizes.size:
-        raise NoTradesError("no trade sizes present in the input")
-    return TradeStats(
-        mean_size=float(sizes.mean()),
-        median_size=float(np.median(sizes)),
-        count=int(sizes.size),
-    )
-
-
 def check_tick(tick: float) -> None:
     """Raise unless the price grid's tick is finite and positive."""
     if not (math.isfinite(tick) and tick > 0):
@@ -410,6 +383,7 @@ def synthetic_quotes(
     probability ``move_prob``, one tick down with the same probability,
     and otherwise stays put.  The bid and ask sit a half-spread either
     side, so ask - bid == delta always, and each level-1 size is 10.0.
+    ``delta`` must be a whole number of ticks (``tick``, by default delta).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -421,6 +395,9 @@ def synthetic_quotes(
     half = params.delta / 2.0
     # sample 0: the mid starts at 100.0, and the walk counts whole ticks from it
     check_tick_count(np.array([100.0 - half]), np.array([100.0 + half]), tick)
+    grid = tick / 2.0
+    if not abs(round(half / grid) * grid - half) < 1e-12:
+        raise ValueError(f"delta = {params.delta!r} is not a whole number of ticks of {tick!r}")
     stream = seed if isinstance(seed, RngStream) else RngStream(seed=seed)
     gen = stream.generator()
 
@@ -429,15 +406,10 @@ def synthetic_quotes(
     mid_ticks = round(100.0 / tick) + np.concatenate([[0], np.cumsum(moves)])
     mid = np.round(mid_ticks * tick, 12)
 
-    # canonicalize quotes on the half-tick grid (when the half-spread sits on
-    # it) so equal prices repr equally across the series
-    grid = tick / 2.0
-    if abs(round(half / grid) * grid - half) < 1e-12:
-        bid = np.round(np.round((mid - half) / grid) * grid, 12)
-        ask = np.round(np.round((mid + half) / grid) * grid, 12)
-    else:
-        bid = mid - half
-        ask = mid + half
+    # canonicalize quotes on the half-tick grid so equal prices repr
+    # equally across the series
+    bid = np.round(np.round((mid - half) / grid) * grid, 12)
+    ask = np.round(np.round((mid + half) / grid) * grid, 12)
     n = n_steps + 1
     return PriceSeries(
         t0=0,

@@ -131,7 +131,7 @@ OFFSET_TICKS_PRESETS = {"ES": 4, "CL": 4, "NQ": 16, "ZN": 1}
 TICK_PRESETS = {"ES": 0.25, "CL": 0.01, "NQ": 0.25, "ZN": 1 / 64}
 
 
-def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
+def validate(params: MarketParams, grid: SolverGrid) -> list[str]:
     """Check every invariant; return a list of problems (empty means valid).
 
     The one config gate: ``load_config`` and the solver's march both run it.
@@ -178,22 +178,20 @@ def validate(params: MarketParams, grid: SolverGrid | None = None) -> list[str]:
                 f"{span!r} does not equal horizon = {params.horizon!r}"
             )
 
-    if grid is not None:
-        alpha_max_ok = check("GridAsymmetric", "alpha_max", grid.alpha_max, lambda v: v > 0, "be > 0")
-        n_alpha_ok = check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
-                           "be odd and >= 11", integer=True)
-        check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1",
-              integer=True)
-        # past one cell beyond a grid end the clamped shift stops resembling the jump
-        if alpha_max_ok and n_alpha_ok and non_negative["eps_plus"] and non_negative["eps_minus"]:
-            jump = max(params.eps_plus, params.eps_minus)
-            try:
-                cell = grid.cell
-            except OverflowError:  # an n_alpha past the float range
-                cell = 0.0
-            if jump > grid.alpha_max + cell:
-                problems.append(f"GridTooCoarse: drift jump {jump!r} exceeds the grid half-width "
-                                f"{grid.alpha_max!r} by more than one cell ({cell!r})")
+    alpha_max_ok = check("GridAsymmetric", "alpha_max", grid.alpha_max, lambda v: v > 0, "be > 0")
+    n_alpha_ok = check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
+                       "be odd and >= 11", integer=True)
+    check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1", integer=True)
+    # past one cell beyond a grid end the clamped shift stops resembling the jump
+    if alpha_max_ok and n_alpha_ok and non_negative["eps_plus"] and non_negative["eps_minus"]:
+        jump = max(params.eps_plus, params.eps_minus)
+        try:
+            cell = grid.cell
+        except OverflowError:  # an n_alpha past the float range
+            cell = 0.0
+        if jump > grid.alpha_max + cell:
+            problems.append(f"GridTooCoarse: drift jump {jump!r} exceeds the grid half-width "
+                            f"{grid.alpha_max!r} by more than one cell ({cell!r})")
 
     return problems
 
@@ -255,9 +253,8 @@ def load_config(text: str) -> tuple[MarketParams, SolverGrid]:
     return params, grid
 
 
-def render_config(params: MarketParams, grid: SolverGrid | None = None) -> str:
-    """Serialize a parameter set in the config-file format (round-trips)."""
-    lines = [f"{f.name} = {getattr(params, f.name)!r}" for f in fields(MarketParams)]
-    if grid is not None:
-        lines += [f"{f.name} = {getattr(grid, f.name)!r}" for f in fields(SolverGrid)]
+def render_config(params: MarketParams, grid: SolverGrid) -> str:
+    """Serialize a parameter set and grid in the config-file format (round-trips)."""
+    lines = [f"{f.name} = {getattr(obj, f.name)!r}"
+             for obj in (params, grid) for f in fields(obj)]
     return "\n".join(lines) + "\n"

@@ -96,45 +96,38 @@ class _NodeGrid:
     """A node set prepared once per run to find the node nearest to an
     ``alpha`` (scalar or array), the lower one on a tie.
 
-    The nodes are even when each lies within 1e-9 cell of ``a0 + k / inv``,
-    as ``alpha_grid``'s and every policy file's do.  There ``x = (alpha -
-    a0) inv``, alpha clipped to the nodes' range, is off alpha's place by
-    at most about 1e-9 cell (under a million nodes), so where ``x`` lies
-    within ``0.5 - 1e-6`` of its rounding ``k``, node ``k`` is nearer than
-    any other by about 2e-6 cell.  Other probes (near a midpoint, NaN),
-    and all on uneven nodes, compare the distances to their bracket's
-    nodes exactly: ``floor(x)`` and the next, or ``np.searchsorted``'s.
-    NaN takes the last bracket's lower node, +-inf an end node.
+    The nodes are even, each within 1e-9 cell of ``a0 + k / inv``, as
+    ``PostingPolicy.check`` requires and ``alpha_grid``'s and every policy
+    file's are.  So ``x = (alpha - a0) inv``, alpha clipped to the nodes'
+    range, is off alpha's place by at most about 1e-9 cell (under a million
+    nodes), and where ``x`` lies within ``0.5 - 1e-6`` of its rounding
+    ``k``, node ``k`` is nearer than any other by about 2e-6 cell.  Other
+    probes (near a midpoint, NaN) compare the distances to their bracket's
+    nodes, ``floor(x)`` and the next, exactly.  NaN takes the last
+    bracket's lower node, +-inf an end node.
 
-    For finite, strictly increasing nodes and finite ``alpha`` it is
-    ``np.abs(nodes - alpha).argmin()`` while every gap exceeds the float
-    spacing at ``|alpha| + max|nodes|`` (``|alpha|`` to about 1e12 on the
-    default grid): the compare reads argmin's two distances, no node past
-    the bracket rounds as near, and a 2e-6-cell lead survives rounding.
+    For finite ``alpha`` it is ``np.abs(nodes - alpha).argmin()`` while the
+    cell exceeds the float spacing at ``|alpha| + max|nodes|`` (``|alpha|``
+    to about 1e12 on the default grid): the compare reads argmin's two
+    distances, no node past the bracket rounds as near, and a 2e-6-cell
+    lead survives rounding.
     """
 
     def __init__(self, nodes: np.ndarray):
         self.nodes, self.a0, last = nodes, nodes[0], nodes.size - 1
         self.inv = last / (nodes[-1] - nodes[0]) if last else 1.0
-        self.even = bool((np.abs((nodes - self.a0) * self.inv - np.arange(last + 1)) < 1e-9).all())
 
     def nearest(self, alpha):
         nodes, last, shape = self.nodes, self.nodes.size - 1, np.shape(alpha)
         alpha = np.reshape(alpha, -1)
-        if not self.even:
-            hi = np.minimum(np.searchsorted(nodes, alpha), last)
-            return self._closer(alpha, hi).reshape(shape)
         x = (np.clip(alpha, self.a0, nodes[-1]) - self.a0) * self.inv  # NaN stays NaN
         k = np.rint(x)
         off = ~(np.abs(x - k) < 0.5 - 1e-6)
         if off.any():
-            hi = np.fmin(np.floor(x[off]) + 1, last)  # NaN: the last bracket
-            k[off] = self._closer(alpha[off], hi.astype(np.intp))
+            hi = np.fmin(np.floor(x[off]) + 1, last).astype(np.intp)  # NaN: the last bracket
+            lo = np.maximum(hi - 1, 0)
+            k[off] = np.where(nodes[hi] - alpha[off] < alpha[off] - nodes[lo], hi, lo)
         return k.astype(np.intp).reshape(shape)
-
-    def _closer(self, alpha, hi):
-        lo = np.maximum(hi - 1, 0)
-        return np.where(self.nodes[hi] - alpha < alpha - self.nodes[lo], hi, lo)
 
 
 def run_simulation(
@@ -166,7 +159,8 @@ def run_simulation(
     # a sequential sum from 0.0, the order in which fills settle; step i's
     # cash is the sum over the fills of steps before it
     settled = np.cumsum(np.concatenate(([0.0], np.where(fills.is_ask, fills.price, -fills.price))))
-    cash = settled[np.searchsorted(t_index, np.arange(n + 1))]
+    # the count of fills before step i, i = 0..n
+    cash = settled[np.cumsum(np.bincount(t_index + 1, minlength=n + 1))]
     mid = series.mid[:n + 1]
     wealth = np.zeros(n + 1)
     wealth[1:] = cash[1:] + inventory[1:] * mid[1:]
@@ -399,8 +393,9 @@ def write_snapshot_csv(result: SimResult, series: PriceSeries, path) -> None:
     """
     n = result.posted_bid.size
     fills = result.fills
-    # row i's fills are fills[at[i]:at[i + 1]]; t_index is sorted
-    at = np.searchsorted(fills.t_index, np.arange(n + 2)).tolist()
+    # row i's fills are fills[at[i]:at[i + 1]], at[i] counting the fills
+    # before step i; t_index is sorted
+    at = np.cumsum(np.bincount(fills.t_index + 1, minlength=n + 2)).tolist()
     sides, kinds = (texts.tolist() for texts in fills.texts())
     write_table(
         path,

@@ -119,13 +119,16 @@ class PostingPolicy:
 
     def check(self, params: MarketParams, alpha_nodes: np.ndarray | None = None) -> None:
         """Raise PolicyShapeMismatchError unless the policy fits ``params``,
-        on strictly increasing alpha nodes (``alpha_nodes`` if given), with
-        masks of dtype bool."""
+        on strictly increasing alpha nodes each within 1e-9 cell of an even
+        spacing (``alpha_nodes`` if given), with masks of dtype bool."""
         nodes = self.alpha_nodes
-        if not (nodes.size and np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
-            raise PolicyShapeMismatchError(
-                "policy alpha nodes must be non-empty, finite and strictly increasing"
-            )
+        last = nodes.size - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range
+            if not (nodes.size and np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()
+                    and (np.abs((nodes - nodes[0]) * (last / (nodes[-1] - nodes[0]) if last else 1.0)
+                                - np.arange(last + 1)) < 1e-9).all()):
+                raise PolicyShapeMismatchError("policy alpha nodes must be non-empty, finite, "
+                                               "strictly increasing and evenly spaced")
         if alpha_nodes is not None and not np.array_equal(nodes, alpha_nodes):
             raise PolicyShapeMismatchError(
                 f"policy alpha nodes are not the grid's {alpha_nodes.size} nodes"

@@ -33,7 +33,7 @@ EXPORTS = {
     "run_basic_posting": "basic_poster", "run_example1": "basic_poster",
     "RngStream": "dynamics", "EnvMode": "fills",
     "parse_lob_csv": "market_data", "resample_forward_fill": "market_data",
-    "synthetic_quotes": "market_data", "trade_size_stats": "market_data",
+    "synthetic_quotes": "market_data",
     "default_grid": "params", "default_params": "params",
     "summarize_fills": "reporting", "terminal_cash_histogram": "reporting",
     "run_batch": "simulator", "run_simulation": "simulator",
@@ -303,6 +303,20 @@ def test_a_jump_past_the_grid_exits_1_in_every_command_that_reads_a_config(
     assert cli_main([*_argv(command, inputs, str(out)), "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith(
         "ValidationError: GridTooCoarse: drift jump 0.05 exceeds the grid half-width 0.04")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_policy_on_uneven_nodes(inputs, tmp_path, capsys):
+    policy = mmsim.solver.load_policy_csv(inputs / "solve" / "policy.csv")
+    policy.alpha_nodes[1] = (policy.alpha_nodes[0] + policy.alpha_nodes[1]) / 2
+    mmsim.solver.export_policy_csv(policy, tmp_path / "uneven.csv")
+    out = tmp_path / "out"
+    argv = _argv("simulate", inputs, str(out))
+    argv[argv.index("--policy") + 1] = str(tmp_path / "uneven.csv")
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (
+        "PolicyShapeMismatchError: policy alpha nodes must be non-empty, finite, "
+        "strictly increasing and evenly spaced\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import re
 from unittest import mock
 
@@ -17,14 +18,12 @@ from mmsim.market_data import (
     LOBBook,
     MalformedRowError,
     NonMonotoneTimestampError,
-    NoTradesError,
     PriceSeries,
     SchemaMismatchError,
     parse_lob_csv,
     render_lob_csv,
     resample_forward_fill,
     synthetic_quotes,
-    trade_size_stats,
 )
 from mmsim.dynamics import RngStream
 from mmsim.params import default_grid, default_params
@@ -301,25 +300,6 @@ def test_forward_fill_never_invents_prices(offsets, bid_ticks):
     assert len(series) == (int(ts[-1]) - int(ts[0])) // SEC + 1
 
 
-def test_trade_stats_cases():
-    records = [
-        _quote_record(1, 99.9, 100.0, trade_px=100.0, trade_sz=1.0),
-        _quote_record(2, 99.9, 100.0),
-        _quote_record(3, 99.9, 100.0, trade_px=100.0, trade_sz=1.0),
-        _quote_record(4, 99.9, 100.0, trade_px=99.9, trade_sz=2.0),
-    ]
-    stats = trade_size_stats(_book(records))
-    assert stats.mean_size == pytest.approx(4.0 / 3.0)
-    assert stats.median_size == 1.0
-    assert stats.count == 3
-
-    single = trade_size_stats(_book([_quote_record(1, 99.9, 100.0, trade_px=99.9, trade_sz=5.0)]))
-    assert (single.mean_size, single.median_size) == (5.0, 5.0)
-
-    with pytest.raises(NoTradesError):
-        trade_size_stats(_book([_quote_record(1, 99.9, 100.0)]))
-
-
 def test_synthetic_quotes_frozen_walk():
     series = synthetic_quotes(default_params(), 50, seed=1, move_prob=0.0)
     assert np.all(series.bid == series.bid[0])
@@ -331,6 +311,14 @@ def test_synthetic_quotes_fixed_spread_any_seed():
         series = synthetic_quotes(p, 100, seed=seed)
         assert np.allclose(series.ask - series.bid, p.delta, atol=1e-9)
         assert len(series) == 101
+
+
+@pytest.mark.parametrize("delta, tick", [(0.01, 0.003), (0.015, 0.01), (0.01, 0.02)])
+def test_synthetic_quotes_reject_a_spread_of_part_ticks(delta, tick):
+    params = replace(default_params(), delta=delta)
+    with pytest.raises(ValueError, match=re.escape(
+            f"delta = {delta!r} is not a whole number of ticks of {tick!r}")):
+        synthetic_quotes(params, 10, seed=1, tick=tick)
 
 
 def test_synthetic_quotes_deterministic():

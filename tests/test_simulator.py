@@ -537,11 +537,18 @@ def _separated(values, reach):
     return np.array(kept)
 
 
+def _steps(first, cell, count):
+    """``count`` evenly spaced nodes from ``first``, as a policy must hold."""
+    return first + cell * np.arange(count)
+
+
 _NODE_LISTS = st.one_of(
-    st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=40),
-    # quarter steps: every midpoint is an exact tie
-    st.lists(st.integers(-2_000, 2_000).map(lambda k: k * 0.25), min_size=1, max_size=40),
-    st.lists(st.integers(-25, 25).map(lambda k: k * 0.0016), min_size=1, max_size=51),
+    st.builds(_steps, st.floats(-500.0, 500.0), st.floats(0.01, 50.0), st.integers(1, 40)),
+    # consecutive quarter steps: every midpoint is an exact tie
+    st.builds(lambda k, count: _steps(k, 1, count) * 0.25, st.integers(-2_000, 2_000),
+              st.integers(1, 40)),
+    st.builds(lambda k, count: _steps(k, 1, count) * 0.0016, st.integers(-25, 25),
+              st.integers(1, 51)),
 )
 
 
@@ -653,18 +660,20 @@ def test_nearest_node_of_a_non_finite_alpha(solved, tmp_path):
         assert [int(_NodeGrid(nodes).nearest(a)) for a in (np.inf, -np.inf, np.nan)] == want
 
 
-@pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite"])
+@pytest.mark.parametrize("nodes", ["reversed", "repeated", "not finite", "uneven"])
 def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
-    """The bracketing node lookup needs finite, strictly increasing nodes;
-    a policy without them is rejected before any step."""
+    """The node lookup rounds on finite, strictly increasing, evenly spaced
+    nodes; a policy without them is rejected before any step."""
     params, policy = solved
     bad = policy.alpha_nodes.copy()
     if nodes == "reversed":
         bad = bad[::-1]
     elif nodes == "repeated":
         bad[1] = bad[0]
-    else:
+    elif nodes == "not finite":
         bad[-1] = np.inf  # still increasing
+    else:
+        bad[1] = (bad[0] + bad[1]) / 2  # still increasing
     broken = replace(policy, alpha_nodes=bad)
     series = synthetic_quotes(params, params.n_dt, seed=31)
     with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
