@@ -81,7 +81,7 @@ class SolverGrid:
     substeps are taken per dt to keep the scheme stable.
     """
 
-    alpha_max: float = 0.04
+    alpha_max: float = 0.05
     n_alpha: int = 51
     substeps: int = 2
 
@@ -97,7 +97,7 @@ def default_params() -> MarketParams:
 
 
 def default_grid() -> SolverGrid:
-    """Grid wide enough to hold ~5 stationary standard deviations of alpha."""
+    """Grid wide enough to hold ~6.6 stationary standard deviations of alpha."""
     return SolverGrid()
 
 
@@ -164,7 +164,7 @@ def validate(params: MarketParams, grid: SolverGrid) -> list[str]:
     check("SpreadNonPositive", "delta", params.delta, lambda v: v > 0, "be > 0")
     check("RhoOutOfRange", "rho", params.rho, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
     check("NegativeParameter", "q_max", params.q_max, lambda v: v >= 1, "be >= 1", integer=True)
-    check("NegativeParameter", "dt", params.dt, lambda v: v > 0, "be > 0")
+    dt_ok = check("NegativeParameter", "dt", params.dt, lambda v: v > 0, "be > 0")
     check("NegativeParameter", "horizon", params.horizon, lambda v: v > 0, "be > 0")
     if (check("NegativeParameter", "n_dt", params.n_dt, lambda v: v >= 1, "be >= 1", integer=True)
             and _finite(params.dt) and params.dt > 0 and _finite(params.horizon)):
@@ -181,7 +181,8 @@ def validate(params: MarketParams, grid: SolverGrid) -> list[str]:
     alpha_max_ok = check("GridAsymmetric", "alpha_max", grid.alpha_max, lambda v: v > 0, "be > 0")
     n_alpha_ok = check("GridTooCoarse", "n_alpha", grid.n_alpha, lambda v: v >= 11 and v % 2,
                        "be odd and >= 11", integer=True)
-    check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1", integer=True)
+    substeps_ok = check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1",
+                        integer=True)
     # past one cell beyond a grid end the clamped shift stops resembling the jump
     if alpha_max_ok and n_alpha_ok and non_negative["eps_plus"] and non_negative["eps_minus"]:
         jump = max(params.eps_plus, params.eps_minus)
@@ -192,6 +193,23 @@ def validate(params: MarketParams, grid: SolverGrid) -> list[str]:
         if jump > grid.alpha_max + cell:
             problems.append(f"GridTooCoarse: drift jump {jump!r} exceeds the grid half-width "
                             f"{grid.alpha_max!r} by more than one cell ({cell!r})")
+    # r = (dt / substeps)(eta^2 / cell^2 + lambda_plus + lambda_minus), an explicit
+    # substep's weight off the centre node: every grid tried with r <= 1 stayed
+    # bounded and every blow-up had r > 1 (measured, not proven)
+    if (dt_ok and substeps_ok and alpha_max_ok and n_alpha_ok and non_negative["eta"]
+            and non_negative["lambda_plus"] and non_negative["lambda_minus"]):
+        try:
+            rate = params.dt * (params.eta**2 / grid.cell**2
+                                + params.lambda_plus + params.lambda_minus)
+            need = math.ceil(rate)
+        except (OverflowError, ZeroDivisionError):  # a cell or rate past the float range
+            need = math.inf
+        if need > grid.substeps:  # r > 1 exactly, substeps being an integer
+            problems.append(
+                f"GridTooCoarse: substeps = {grid.substeps!r} puts the explicit step's weight "
+                "r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus) above 1; take "
+                f"substeps = ceil(dt (eta^2/cell^2 + lambda_plus + lambda_minus)) = {need!r}"
+            )
 
     return problems
 

@@ -50,8 +50,8 @@ The optimal posting indicators read off the solved surface are
     post_bid(t, a, q) = 1{ Dl/2 + rho [h(t, a-e-, q+1) - h(t, a-e-, q)] > 0 } and q < q_max
 
 For rho < 1 this stated rule also posts where the maximiser's gain is
-negative; evaluated, it is worth 0.80603 at the origin of the default
-config against h = 0.82942, 2.8% less.
+negative; evaluated, it is worth 0.754531 at the origin of the default
+config against h = 0.777263, 2.9% less.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ class UnstableSchemeError(ValueError):
     def __init__(self, t_index: int):
         self.t_index = t_index
         super().__init__(
-            f"non-finite value while updating time slice {t_index}; "
-            "increase substeps or refine the alpha grid"
+            f"non-finite value while updating time slice {t_index}; increase substeps"
         )
 
 

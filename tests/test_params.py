@@ -123,6 +123,31 @@ def test_the_jump_rule_is_checked_on_the_node_spacing():
     assert not any("drift jump" in p for p in problems)
 
 
+def test_the_step_weight_rule_names_the_substeps_that_bring_r_to_1():
+    """r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus) must not
+    exceed 1: on 201 nodes over ±0.05 (cell 0.0005) r is 2.58 at 2 substeps,
+    and 6 bring it to 0.86.  The rule waits for the fields it reads to pass
+    their own checks, so validate still never raises."""
+    params, grid = default_params(), replace(default_grid(), n_alpha=201)
+    rule = ("GridTooCoarse: substeps = {} puts the explicit step's weight "
+            "r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus) above 1; take "
+            "substeps = ceil(dt (eta^2/cell^2 + lambda_plus + lambda_minus)) = {}")
+    assert validate(params, grid) == [rule.format(2, 6)]
+    assert validate(params, replace(grid, substeps=5)) == [rule.format(5, 6)]
+    assert validate(params, replace(grid, substeps=6)) == []
+    assert validate(params, default_grid()) == []
+    for change in ({"eta": "0.001"}, {"eta": math.inf}, {"lambda_plus": -1.0},
+                   {"lambda_minus": math.nan}, {"dt": 0.0}):
+        problems = validate(replace(params, **change), grid)
+        assert problems and not any("explicit step" in p for p in problems)
+    for bad in ({"substeps": 2.0}, {"n_alpha": 200}, {"alpha_max": 0.0}):
+        problems = validate(params, replace(grid, **bad))
+        assert problems and not any("explicit step" in p for p in problems)
+    # a cell past the float range: r is unbounded, and nothing raises
+    problems = validate(params, replace(grid, n_alpha=10**400 + 1))
+    assert problems == [rule.format(2, "inf")]
+
+
 @given(
     sigma=st.floats(allow_nan=True, allow_infinity=True),
     rho=st.floats(allow_nan=True, allow_infinity=True),
@@ -222,6 +247,9 @@ def test_render_round_trips_defaults():
 def test_render_round_trips_arbitrary_valid_sets(rho, sigma, eta, q_max, n_alpha):
     params = replace(default_params(), rho=rho, sigma=sigma, eta=eta, q_max=q_max)
     grid = replace(default_grid(), n_alpha=n_alpha)
+    # the fewest substeps that keep the explicit step's weight r <= 1
+    grid = replace(grid, substeps=max(1, math.ceil(params.dt * (
+        eta**2 / grid.cell**2 + params.lambda_plus + params.lambda_minus))))
     assert load_config(render_config(params, grid)) == (params, grid)
 
 

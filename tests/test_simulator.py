@@ -492,8 +492,8 @@ def test_batch_window_does_not_depend_on_session_length(solved):
 # sha256 of run_batch's outputs on the session below: a change to the draw
 # layout, the alpha path, the node lookup or the event order moves it
 _GOLDEN_BATCH = {
-    "benchmark": "4541aa7a0a5a502bb76d17a00787b90a2f4328dd72cfdaccf13f58fb6d8a2473",
-    "improved": "42ab1262fe777f3e1bb6d6c6c17dd9ad368ac089469b4b55dc7fb8aa424b2430",
+    "benchmark": "f1ecbf63d5700fbf73bd4c7fd8b059feaf8f06fde5695a3c936afd8aef9c5762",
+    "improved": "1d3802f46cbe89a67c30ca69e47ea6bdd2a0b80802a8a0af866b121ab39f3ca2",
 }
 
 
