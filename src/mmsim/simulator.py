@@ -130,6 +130,13 @@ class _NodeGrid:
         return k.astype(np.intp).reshape(shape)
 
 
+def _check_step(series: PriceSeries, params: MarketParams) -> None:
+    """Raise ValueError unless the series is sampled every ``params.dt``."""
+    if series.dt != params.dt:
+        raise ValueError(f"series sampled every {series.dt!r} s, "
+                         f"but the config's dt is {params.dt!r} s")
+
+
 def run_simulation(
     policy: PostingPolicy,
     series: PriceSeries,
@@ -148,6 +155,7 @@ def run_simulation(
     wealth marks to the mid.
     """
     n = params.n_dt
+    _check_step(series, params)
     if len(series) < n + 1:
         raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
     policy.check(params)
@@ -233,6 +241,7 @@ def run_batch(
     run bit for bit.
     """
     n = params.n_dt
+    _check_step(series, params)
     count = (len(series) - 1) // n
     if count < 1:
         raise SeriesTooShortError(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -681,6 +682,19 @@ def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
     for run in (run_scalar, run_simulation):
         with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
             run(broken, series, EnvMode.benchmark(), params, RngStream(32))
+
+
+def test_a_series_at_another_dt_is_rejected():
+    """A policy solved at dt = 0.5 s over a 60 s horizon does not backtest
+    a series sampled every 1 s: both entry points name both steps."""
+    params = replace(default_params(), dt=0.5, horizon=60.0)
+    policy = extract_policy(solve_dpe(params, default_grid()), params)
+    series = synthetic_quotes(default_params(), 240, seed=3)
+    message = re.escape("series sampled every 1.0 s, but the config's dt is 0.5 s")
+    with pytest.raises(ValueError, match=message):
+        run_batch(policy, series, EnvMode.benchmark(), params, master_seed=1)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(policy, series, EnvMode.benchmark(), params, RngStream(1))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
