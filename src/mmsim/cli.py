@@ -48,6 +48,7 @@ _LAZY = {
     "write_snapshot_csv": "simulator",
     "PolicyShapeMismatchError": "solver",
     "export_policy_csv": "solver",
+    "evaluate_policy": "solver",
     "export_surface_csv": "solver",
     "extract_policy": "solver",
     "load_policy_csv": "solver",
@@ -85,10 +86,14 @@ def _cmd_solve(args) -> int:
     params, grid = _load_params(args.config)
     surface = _cli.solve_dpe(params, grid)
     policy = _cli.extract_policy(surface, params)
+    # h and the stated policy's own value at (t, alpha, q) = (0, 0, 0)
+    origin = (0, grid.n_alpha // 2, params.q_max)
+    value = _cli.evaluate_policy(policy, params, grid).h[origin]
     out = _out_dir(args)
     _cli.export_surface_csv(surface, policy, out / "surface.csv")
     _cli.export_policy_csv(policy, out / "policy.csv")
     print(f"solved {surface.h.shape} surface -> {out / 'surface.csv'}")
+    print(f"h(0,0,0) = {surface.h[origin]:.6f}; the policy's value there = {value:.6f}")
     return 0
 
 

@@ -183,33 +183,31 @@ def validate(params: MarketParams, grid: SolverGrid) -> list[str]:
                        "be odd and >= 11", integer=True)
     substeps_ok = check("GridTooCoarse", "substeps", grid.substeps, lambda v: v >= 1, "be >= 1",
                         integer=True)
-    # past one cell beyond a grid end the clamped shift stops resembling the jump
-    if alpha_max_ok and n_alpha_ok and non_negative["eps_plus"] and non_negative["eps_minus"]:
-        jump = max(params.eps_plus, params.eps_minus)
+    if alpha_max_ok and n_alpha_ok:
         try:
             cell = grid.cell
         except OverflowError:  # an n_alpha past the float range
             cell = 0.0
-        if jump > grid.alpha_max + cell:
+        # past one cell beyond a grid end the clamped shift stops resembling the jump
+        if (non_negative["eps_plus"] and non_negative["eps_minus"]
+                and (jump := max(params.eps_plus, params.eps_minus)) > grid.alpha_max + cell):
             problems.append(f"GridTooCoarse: drift jump {jump!r} exceeds the grid half-width "
                             f"{grid.alpha_max!r} by more than one cell ({cell!r})")
-    # r = (dt / substeps)(eta^2 / cell^2 + lambda_plus + lambda_minus), an explicit
-    # substep's weight off the centre node: every grid tried with r <= 1 stayed
-    # bounded and every blow-up had r > 1 (measured, not proven)
-    if (dt_ok and substeps_ok and alpha_max_ok and n_alpha_ok and non_negative["eta"]
-            and non_negative["lambda_plus"] and non_negative["lambda_minus"]):
-        try:
-            rate = params.dt * (params.eta**2 / grid.cell**2
-                                + params.lambda_plus + params.lambda_minus)
-            need = math.ceil(rate)
-        except (OverflowError, ZeroDivisionError):  # a cell or rate past the float range
-            need = math.inf
-        if need > grid.substeps:  # r > 1 exactly, substeps being an integer
-            problems.append(
-                f"GridTooCoarse: substeps = {grid.substeps!r} puts the explicit step's weight "
-                "r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus) above 1; take "
-                f"substeps = ceil(dt (eta^2/cell^2 + lambda_plus + lambda_minus)) = {need!r}"
-            )
+        # r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus), a substep's
+        # weight off the centre node: every grid tried with r <= 1 stayed bounded
+        # and every blow-up had r > 1 (measured, not proven)
+        if dt_ok and substeps_ok and all(non_negative[name] for name in
+                                         ("eta", "lambda_plus", "lambda_minus")):
+            try:
+                need = math.ceil(params.dt * (params.eta**2 / cell**2
+                                              + params.lambda_plus + params.lambda_minus))
+            except (OverflowError, ZeroDivisionError):  # a cell or rate past the float range
+                need = math.inf
+            if need > grid.substeps:  # r > 1 exactly, substeps being an integer
+                problems.append(
+                    f"GridTooCoarse: substeps = {grid.substeps!r} puts the explicit step's weight "
+                    "r = (dt/substeps)(eta^2/cell^2 + lambda_plus + lambda_minus) above 1; take "
+                    f"substeps = ceil(dt (eta^2/cell^2 + lambda_plus + lambda_minus)) = {need!r}")
 
     return problems
 

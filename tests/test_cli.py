@@ -278,6 +278,13 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(inputs, tmp_path, 
     assert not out.exists()
 
 
+def test_solve_prints_h_and_the_policys_value_at_the_origin(tmp_path, capsys):
+    assert cli_main(["solve", "--out", str(tmp_path / "solve")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "h(0,0,0) = 0.777263; the policy's value there = 0.754531")
+    assert sorted(p.name for p in (tmp_path / "solve").iterdir()) == ["policy.csv", "surface.csv"]
+
+
 def test_a_config_sets_the_grid_by_its_half_width_alone(tmp_path, capsys):
     config = tmp_path / "wide.cfg"
     config.write_text("alpha_max = 0.06\n", encoding="utf-8")
