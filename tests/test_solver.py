@@ -570,8 +570,8 @@ def test_march_is_bitwise_the_reference_on_the_default_config():
 
 
 def test_march_and_evaluation_are_bitwise_the_reference_on_the_fine_grid():
-    # the benchmark's fine grid, cut short in time: 201 nodes on +-0.04,
-    # where both jumps are 5 cells and the gather takes whole node rows,
+    # the benchmark's fine grid, cut short in time: 201 nodes on +-0.05,
+    # where both jumps are 4 cells and the gather takes whole node rows,
     # and 10 substeps a step
     params = replace(default_params(), q_max=10, n_dt=6, horizon=6.0, rho=0.2,
                      lambda_plus=0.6, lambda_minus=0.6)
