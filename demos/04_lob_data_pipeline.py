@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mmsim import (
+    BatchWindow,
     EnvMode,
     RngStream,
     default_grid,
@@ -84,7 +85,7 @@ def main():
     surface = solve_dpe(params, default_grid())
     policy = extract_policy(surface, params)
     result = run_simulation(policy, series, EnvMode.improved(params), params,
-                            RngStream(seed=32))
+                            BatchWindow(32, 0))
     print(f"\none {params.n_dt} s window in the improved environment:")
     print(f"  fills: {len(result.fills)}  "
           f"(adverse {result.counters.afa + result.counters.afb}, "

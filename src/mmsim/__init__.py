@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "run_basic_posting": "basic_poster",
     "run_example1": "basic_poster",
+    "BatchWindow": "dynamics",
     "RngStream": "dynamics",
     "EnvMode": "fills",
     "parse_lob_csv": "market_data",

@@ -93,37 +93,35 @@ def queue_fill_check(order: RestingOrder, traded_at_price: float) -> tuple[bool,
     return False, replace(order, queue_ahead=order.queue_ahead - traded_at_price)
 
 
-def run_example1(
-    n_steps: int,
-    walk_p: float = 0.25,
-    seed: int = 0,
-    tick: float = 0.01,
-) -> FillLog:
+# The tick of Example 1's book, whose bid starts at 100.0.
+EXAMPLE1_TICK = 0.01
+
+
+def run_example1(n_steps: int, walk_p: float = 0.25, seed: int = 0) -> FillLog:
     """Always-posted MM with certain fills: one MO per step, 50/50 side.
 
-    The bid starts at 100.0 and follows a tick random walk (up/down each
-    with probability ``walk_p``); the ask sits one tick above.  The fill
-    at step i executes at that step's touch and is classified against the
-    next step's touch on the same side.
+    The bid starts at 100.0 and follows a random walk on the
+    ``EXAMPLE1_TICK`` tick (up/down each with probability ``walk_p``); the
+    ask sits one tick above.  The fill at step i executes at that step's
+    touch and is classified against the next step's touch on the same side.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not 0.0 <= walk_p <= 0.5:
         raise ValueError(f"walk_p must lie in [0, 0.5], got {walk_p}")
-    check_tick(tick)
     if n_steps == 0:
         return FillLog([])
 
     gen = RngStream(seed=seed).generator()
     u = gen.random(n_steps)
     moves = np.where(u < walk_p, 1, np.where(u < 2 * walk_p, -1, 0)).tolist()
-    bid_ticks = list(accumulate(moves, initial=round(100.0 / tick)))
+    bid_ticks = list(accumulate(moves, initial=round(100.0 / EXAMPLE1_TICK)))
 
     fills: list[FillEvent] = []
     # a buy market order lifts the ask, one tick above the bid; a sell hits the bid
     for i, buy_mo in enumerate((gen.random(n_steps) < 0.5).tolist()):
         side, above = (Side.ASK, 1) if buy_mo else (Side.BID, 0)
-        now, nxt = _price(bid_ticks[i] + above, tick), _price(bid_ticks[i + 1] + above, tick)
+        now, nxt = (_price(t + above, EXAMPLE1_TICK) for t in bid_ticks[i:i + 2])
         fills.append(FillEvent(i, side, now, classify_fill(side, now, nxt)))
     return FillLog(fills)
 

@@ -9,12 +9,12 @@ simulator steps it with Euler-Maruyama at the configured dt,
 
 Market-order arrivals are thinned to at most one per side per step with
 probability 1 - exp(-lambda * dt) (:func:`arrival_probabilities`).  A
-window's uniforms and alpha shocks are drawn before its first step, in the
-one layout of :func:`draw_events`: from a named :class:`RngStream` or a
-generator for a window run alone, and from its group's stream for a
-:class:`BatchWindow`, one of ``GROUP_WINDOWS`` windows of a batch drawn
-together.  The midprice is not stepped: the simulator takes it from the
-quote series it runs over.
+window is a :class:`BatchWindow`, one of the ``GROUP_WINDOWS`` windows of
+a batch group, whose uniforms and alpha shocks are drawn together from the
+group's stream before the first step, in the one layout of
+:func:`draw_events`; a window run alone is its batch's window.  The
+midprice is not stepped: the simulator takes it from the quote series it
+runs over.
 """
 
 from __future__ import annotations
@@ -74,46 +74,32 @@ class BatchWindow:
     window: int
 
 
-def _draw_rows(gen: np.random.Generator, rows: int, n_steps: int, shocks: int, out=None):
-    """The one layout of the event draws, for ``rows`` windows from one
-    generator: ``u = gen.random((rows, n_steps, 4))``, per window and step
-    the buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms,
-    then ``z = gen.standard_normal((shocks, n_steps))``, the alpha shocks of
-    the first ``shocks`` windows (the leading rows of all ``rows``
-    windows' shocks).  The uniforms are drawn into ``out`` when given."""
-    return gen.random((rows, n_steps, WINDOW_UNIFORMS), out=out), gen.standard_normal(
-        (shocks, n_steps))
-
-
 def draw_events(
-    rng: RngStream | np.random.Generator | BatchWindow, count: int, n_steps: int
+    first: BatchWindow, count: int, n_steps: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield the events of ``count`` windows from ``rng`` on, one group at
-    a time, as ``(k, u, z)``: the uniforms, shape (m, n_steps, 4), and the
-    shocks, shape (m, n_steps), of the windows k .. k+m-1 of the run.
+    """Yield the events of ``count`` consecutive batch windows from
+    ``first`` on, one group at a time, as ``(k, u, z)``: the uniforms,
+    shape (m, n_steps, 4), and the shocks, shape (m, n_steps), of the
+    windows k .. k+m-1 of the run.
 
-    An ``RngStream`` or a generator is one window, a group of one row.  A
-    ``BatchWindow`` starts a run of consecutive batch windows: each group
-    they touch is drawn once, from its own stream, its uniforms always for
-    all ``GROUP_WINDOWS`` rows; so a window's events depend only on
-    ``(master_seed, window, n_steps)``.  The uniforms of a batch group are
+    Each group the windows touch is drawn once, from its own stream:
+    ``u = gen.random((GROUP_WINDOWS, n_steps, 4))``, per window and step the
+    buy-arrival, sell-arrival, ask-thinning and bid-thinning uniforms, then
+    ``z = gen.standard_normal((r, n_steps))``, the shocks of the group's
+    leading r windows, up to the run's last.  So a window's events depend
+    only on ``(master_seed, window, n_steps)``.  The uniforms of a group are
     drawn into one buffer, which the next group overwrites.  Every uniform
     is drawn whether or not it is used, so no draw depends on the state.
     """
-    if not isinstance(rng, BatchWindow):
-        if count != 1:
-            raise ValueError(f"a stream or generator draws one window, not {count}")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        yield 0, *_draw_rows(gen, 1, n_steps, 1)
-        return
     uniforms = np.empty((GROUP_WINDOWS, n_steps, WINDOW_UNIFORMS))
     k = 0
     while k < count:
-        group, row = divmod(rng.window + k, GROUP_WINDOWS)
+        group, row = divmod(first.window + k, GROUP_WINDOWS)
         m = min(count - k, GROUP_WINDOWS - row)
         gen = np.random.default_rng(
-            np.random.SeedSequence(rng.master_seed, spawn_key=(_GROUP_TAG, group)))
-        u, z = _draw_rows(gen, GROUP_WINDOWS, n_steps, row + m, out=uniforms)
+            np.random.SeedSequence(first.master_seed, spawn_key=(_GROUP_TAG, group)))
+        u = gen.random((GROUP_WINDOWS, n_steps, WINDOW_UNIFORMS), out=uniforms)
+        z = gen.standard_normal((row + m, n_steps))
         yield k, u[row:row + m], z[row:]
         k += m
 

@@ -370,25 +370,27 @@ def check_tick_count(bid: np.ndarray, ask: np.ndarray, tick: float) -> None:
                          f"2**53 ticks of {tick!r} or more; the tick is too small to count them")
 
 
+# The chance per step that a synthetic mid moves one tick up, and that it
+# moves one tick down.
+MID_MOVE_PROB = 0.25
+
+
 def synthetic_quotes(
     params: MarketParams,
     n_steps: int,
     seed: int | RngStream = 0,
-    move_prob: float = 0.25,
     tick: float | None = None,
 ) -> PriceSeries:
     """Tick random-walk quotes with a fixed spread (n_steps + 1 samples).
 
     The mid starts at 100.0.  Per step it moves one tick up with
-    probability ``move_prob``, one tick down with the same probability,
+    probability ``MID_MOVE_PROB``, one tick down with the same probability,
     and otherwise stays put.  The bid and ask sit a half-spread either
     side, so ask - bid == delta always, and each level-1 size is 10.0.
     ``delta`` must be a whole number of ticks (``tick``, by default delta).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not 0.0 <= move_prob <= 0.5:
-        raise ValueError(f"move_prob must lie in [0, 0.5], got {move_prob}")
     if tick is None:
         tick = params.delta
     check_tick(tick)
@@ -402,7 +404,7 @@ def synthetic_quotes(
     gen = stream.generator()
 
     u = gen.random(n_steps)
-    moves = np.where(u < move_prob, 1, np.where(u < 2 * move_prob, -1, 0))
+    moves = np.where(u < MID_MOVE_PROB, 1, np.where(u < 2 * MID_MOVE_PROB, -1, 0))
     mid_ticks = round(100.0 / tick) + np.concatenate([[0], np.cumsum(moves)])
     mid = np.round(mid_ticks * tick, 12)
 

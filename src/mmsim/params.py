@@ -78,7 +78,11 @@ class SolverGrid:
 
     The grid is ``n_alpha`` evenly spaced nodes on [-alpha_max, alpha_max],
     an odd count so that alpha = 0 is a node.  ``substeps`` explicit
-    substeps are taken per dt to keep the scheme stable.
+    substeps are taken per dt to keep the scheme stable.  A grid on which
+    the drift jump is not a whole number of cells is admitted, but there
+    the interpolated jump overstates ``h``: 81 nodes on +-0.05 (eps 1.6
+    cells) give h(0,0,0) = 0.81782, against 0.777263 on 51 nodes and
+    0.775242 on 101 nodes at 8 substeps, where the jump lands on a node.
     """
 
     alpha_max: float = 0.05

@@ -5,10 +5,10 @@ posting policy together; its docstring gives the order of a step.
 ``run_batch`` splits a session into consecutive non-overlapping windows
 that share only their boundary sample, window w drawing its events as
 ``BatchWindow(master_seed, w)``, and steps them in blocks.
-``run_simulation`` steps one window on the stream, generator or batch
-window it is given, as a block of one, and reads the window's cash,
-inventory and wealth paths off the kernel's fill codes.  Both return their
-fills as ``FillColumns``, in window, step and settlement order.
+``run_simulation`` steps one batch window as a block of one, and reads
+the window's cash, inventory and wealth paths off the kernel's fill
+codes.  Both return their fills as ``FillColumns``, in window, step and
+settlement order.
 The tests hold both, bit for bit, to the scalar loop of
 ``tests/scalar_reference.py``, which steps one fill at a time.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import WINDOW_UNIFORMS, BatchWindow, RngStream, arrival_probabilities, draw_events
+from .dynamics import WINDOW_UNIFORMS, BatchWindow, arrival_probabilities, draw_events
 from .fills import EnvMode, FillColumns, FillCounters, fill_rule
 from .market_data import PriceSeries
 from .params import MarketParams
@@ -142,17 +142,16 @@ def run_simulation(
     series: PriceSeries,
     mode: EnvMode,
     params: MarketParams,
-    rng: RngStream | np.random.Generator | BatchWindow,
+    rng: BatchWindow,
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 
-    The window's events are drawn from ``rng`` and stepped by the batch's
-    kernel as a block of one window, so on its ``BatchWindow`` the window
-    equals its run in a batch bit for bit.  Its paths are read off the
-    kernel's per-step fill codes: inventory is the running sum of each
-    code's change, the posting flags are its posting bits, cash is the
-    running sum of the signed fill prices after each step's last fill, and
-    wealth marks to the mid.
+    The window draws the events of batch window ``rng`` and is stepped by
+    the batch's kernel as a block of one, so it equals that window's run in
+    a batch bit for bit.  Its paths are read off the kernel's per-step fill
+    codes: inventory is the running sum of each code's change, the posting
+    flags are its posting bits, cash is the running sum of the signed fill
+    prices after each step's last fill, and wealth marks to the mid.
     """
     n = params.n_dt
     _check_step(series, params)
@@ -266,17 +265,16 @@ def run_batch(
     )
 
 
-def _run_block(policy, series, mode, params, rng, base, size):
+def _run_block(policy, series, mode, params, first, base, size):
     """Step ``size`` windows together; only inventory is stepped.
 
-    The windows draw their events from ``rng`` on (``_draw_block``): a
-    stream or generator for a block of one, a ``BatchWindow`` for the
-    first window of a block of a batch.  Window k starts at sample
-    ``base + k n_dt`` of ``series``.  Before the step loop, over the whole
-    block: the alpha path, written over the shocks, and the low four bits
-    of each step's fill code, from the event flags and one comparison of
-    each quote series with itself one sample on.  Step i (state at sample i,
-    transition to i+1) then
+    The windows draw the events of the batch windows from ``first`` on
+    (``_draw_block``).  Window k starts at sample ``base + k n_dt`` of
+    ``series``.  Before the step loop, over the whole block: the alpha
+    path, written over the shocks, and the low four bits of each step's
+    fill code, from the event flags and one comparison of each quote series
+    with itself one sample on.  Step i (state at sample i, transition to
+    i+1) then
       1. reads the posting bits at (i, nearest drift node, inventory) and
          ORs them into the step's code; nodes are looked up ``NODE_CHUNK``
          steps at a time, on the solver's even nodes by one rounding each
@@ -295,7 +293,7 @@ def _run_block(policy, series, mode, params, rng, base, size):
     p_buy, p_sell = arrival_probabilities(params.lambda_plus, params.lambda_minus, params.dt)
     # the thresholds of a step's four uniforms
     limits = np.array([p_buy, p_sell, mode.rho_effective, mode.rho_effective])
-    flags, alpha = _draw_block(rng, size, n, limits)
+    flags, alpha = _draw_block(first, size, n, limits)
     n_alpha, n_q = policy.alpha_nodes.size, 2 * params.q_max + 1
     grid = _NodeGrid(policy.alpha_nodes)
     # the policy's posting bits, flattened over (step, node, inventory)
@@ -378,9 +376,9 @@ def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) 
     )
 
 
-def _draw_block(rng, size, n, limits):
-    """Event flags and shocks of ``size`` windows drawn from ``rng`` on
-    (``draw_events``).
+def _draw_block(first, size, n, limits):
+    """Event flags and shocks of the ``size`` batch windows from ``first``
+    on (``draw_events``).
 
     Each group's uniforms are thresholded by ``limits`` together into the
     flags, shape (size, n, 4), per step buy and sell arrival, ask and bid
@@ -389,7 +387,7 @@ def _draw_block(rng, size, n, limits):
     """
     flags = np.empty((size, n, WINDOW_UNIFORMS), dtype=bool)
     alpha = np.zeros((n + 1, size))
-    for k, u, z in draw_events(rng, size, n):
+    for k, u, z in draw_events(first, size, n):
         np.less(u, limits, out=flags[k:k + len(u)])
         alpha[1:, k:k + len(u)] = z.T
     return flags, alpha

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from mmsim.dynamics import BatchWindow, RngStream, arrival_probabilities, draw_events
+from mmsim.dynamics import BatchWindow, arrival_probabilities, draw_events
 from mmsim.fills import (
     EnvMode,
     FillColumns,
@@ -60,14 +60,10 @@ def fill_events(fills: FillColumns) -> list[FillEvent]:
     ]
 
 
-def draw_window_events(
-    rng: RngStream | np.random.Generator | BatchWindow, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One window's random events: ``(u, z)``, the uniforms, shape
-    (n_steps, 4), and the alpha shocks, shape (n_steps,), from ``rng`` as
-    ``draw_events`` lays them out.  From an ``RngStream`` or a generator
-    this is ``gen.random((n_steps, 4))``, then ``gen.standard_normal(n_steps)``;
-    from a ``BatchWindow``, the window's row of its group."""
+def draw_window_events(rng: BatchWindow, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One batch window's random events: ``(u, z)``, the uniforms, shape
+    (n_steps, 4), and the alpha shocks, shape (n_steps,), the window's row
+    of its group as ``draw_events`` lays them out."""
     (_, u, z), = draw_events(rng, 1, n_steps)
     return u[0], z[0]
 
@@ -151,7 +147,7 @@ def run_simulation(
     series: PriceSeries,
     mode: EnvMode,
     params: MarketParams,
-    rng: RngStream | np.random.Generator | BatchWindow,
+    rng: BatchWindow,
 ) -> SimResult:
     """Run one window of n_dt steps over the leading samples of a series.
 

@@ -17,7 +17,7 @@ import pytest
 
 from mmsim.basic_poster import fill_type_table, run_basic_posting, run_example1
 from mmsim.cli import cli_main
-from mmsim.dynamics import RngStream
+from mmsim.dynamics import BatchWindow, RngStream
 from mmsim.fills import (
     EnvMode,
     FillCounters,
@@ -246,7 +246,7 @@ def test_criterion_9_accounting_replay(table_solution):
         mode = EnvMode.improved(params)
         for w in range(windows):
             window = series.window(w * params.n_dt, params.n_dt + 1)
-            r = run_simulation(policy, window, mode, params, RngStream(91, w))
+            r = run_simulation(policy, window, mode, params, BatchWindow(91, w))
             assert np.abs(r.inventory).max() <= params.q_max
 
             by_step: dict[int, list[FillEvent]] = {}

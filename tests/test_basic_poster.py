@@ -412,8 +412,6 @@ def test_tick_must_be_finite_and_positive(tick):
         run_basic_posting(series, offset_ticks=4, tick=tick)
     with pytest.raises(ValueError, match="tick"):
         synthetic_quotes(default_params(), 10, seed=1, tick=tick)
-    with pytest.raises(ValueError, match="tick"):
-        run_example1(10, tick=tick)
 
 
 @pytest.mark.parametrize("tick", ["0", "nan", "-0.01"])

@@ -31,7 +31,7 @@ ENV = {**os.environ,
 # the names ``import mmsim`` bound before it resolved them lazily, with their modules
 EXPORTS = {
     "run_basic_posting": "basic_poster", "run_example1": "basic_poster",
-    "RngStream": "dynamics", "EnvMode": "fills",
+    "BatchWindow": "dynamics", "RngStream": "dynamics", "EnvMode": "fills",
     "parse_lob_csv": "market_data", "resample_forward_fill": "market_data",
     "synthetic_quotes": "market_data",
     "default_grid": "params", "default_params": "params",

@@ -25,10 +25,18 @@ def _arrivals(p, u):
     return u[:, 0] < p_buy, u[:, 1] < p_sell
 
 
-def _alpha_path(p, n_steps, rng):
-    """Alpha over one window of the simulator's event stream, from 0, and
-    the window's arrival flags."""
-    u, z = draw_window_events(rng, n_steps)
+def _stream_events(seed, n_steps):
+    """A long run of one stream's draws, ``n_steps`` steps' uniforms and
+    then their shocks, as a window's row lays them out; a batch group of
+    that many steps would draw 64 rows."""
+    gen = RngStream(seed=seed).generator()
+    return gen.random((n_steps, 4)), gen.standard_normal(n_steps)
+
+
+def _alpha_path(p, n_steps, seed):
+    """Alpha from 0 over ``n_steps`` of stream ``seed``'s events, and the
+    arrival flags."""
+    u, z = _stream_events(seed, n_steps)
     buy, sell = _arrivals(p, u)
     alpha = np.zeros(n_steps + 1)
     for i in range(n_steps):
@@ -45,11 +53,13 @@ def test_rng_stream_replays_identically():
 
 
 def test_window_events_follow_the_documented_layout():
-    # one (n, 4) block of uniforms, then n normal shocks, from the stream's start
-    u, z = draw_window_events(RngStream(seed=31, stream_id=3), 120)
-    gen = RngStream(seed=31, stream_id=3).generator()
-    assert np.array_equal(u, gen.random((120, 4)))
-    assert np.array_equal(z, gen.standard_normal(120))
+    # a whole group in one yield: one (64, n, 4) block of uniforms, then
+    # the (64, n) shocks, from the start of the group's stream
+    (k, u, z), = draw_events(BatchWindow(31, 3 * GROUP_WINDOWS), GROUP_WINDOWS, 120)
+    gen = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(1, 3)))
+    assert k == 0
+    assert np.array_equal(u, gen.random((GROUP_WINDOWS, 120, 4)))
+    assert np.array_equal(z, gen.standard_normal((GROUP_WINDOWS, 120)))
 
 
 @pytest.mark.parametrize("window", [0, 5, 63, 64, 130])
@@ -80,11 +90,6 @@ def test_batch_draws_do_not_depend_on_the_run(first, count):
     for k in {0, count // 2, count - 1}:
         u, z = draw_window_events(BatchWindow(7, first + k), 3)
         assert np.array_equal(got_u[k], u) and np.array_equal(got_z[k], z)
-
-
-def test_a_stream_draws_one_window():
-    with pytest.raises(ValueError, match="one window"):
-        next(draw_events(RngStream(3), 2, 5))
 
 
 def test_no_group_stream_is_an_rng_stream():
@@ -122,7 +127,7 @@ def test_alpha_step_is_one_expression_for_scalars_and_arrays():
 
 def test_zero_intensity_never_arrives():
     p = replace(default_params(), lambda_plus=0.0, lambda_minus=0.0)
-    u, _ = draw_window_events(RngStream(seed=0), 1000)
+    u, _ = _stream_events(0, 1000)
     buy, sell = _arrivals(p, u)
     assert not buy.any() and not sell.any()
 
@@ -133,7 +138,7 @@ def test_arrival_probability_matches_thinning_formula():
     assert expected == pytest.approx(0.4419, abs=5e-4)
     p = replace(default_params(), lambda_plus=lam, lambda_minus=lam, dt=1.0)
     n = 100_000
-    u, _ = draw_window_events(RngStream(seed=7), n)
+    u, _ = _stream_events(7, n)
     buy, _ = _arrivals(p, u)
     assert np.count_nonzero(buy) / n == pytest.approx(expected, abs=0.01)
 
@@ -142,7 +147,7 @@ def test_symmetric_intensities_give_matching_frequencies():
     lam = 0.5833
     p = replace(default_params(), lambda_plus=lam, lambda_minus=lam, dt=1.0)
     n = 100_000
-    u, _ = draw_window_events(RngStream(seed=11), n)
+    u, _ = _stream_events(11, n)
     buy, sell = _arrivals(p, u)
     assert abs(np.count_nonzero(buy) - np.count_nonzero(sell)) / n < 0.01
 
@@ -164,14 +169,14 @@ def test_round_to_tick_is_canonical():
 
 def test_alpha_lag1_autocorrelation_matches_mean_reversion():
     p = replace(default_params(), lambda_plus=0.0, lambda_minus=0.0)
-    a, _, _ = _alpha_path(p, 100_000, RngStream(seed=13))
+    a, _, _ = _alpha_path(p, 100_000, 13)
     corr = np.corrcoef(a[:-1], a[1:])[0, 1]
     assert corr == pytest.approx(math.exp(-p.zeta * p.dt), abs=0.02)
 
 
 def test_alpha_mean_near_zero_under_symmetry():
     p = default_params()
-    a, _, _ = _alpha_path(p, 100_000, RngStream(seed=17))
+    a, _, _ = _alpha_path(p, 100_000, 17)
     # standard error of an AR(1) sample mean: the naive one understates it
     # by sqrt((1+r)/(1-r)) at autocorrelation r
     r = math.exp(-p.zeta * p.dt)
@@ -181,7 +186,7 @@ def test_alpha_mean_near_zero_under_symmetry():
 
 def test_alpha_jumps_follow_arrivals():
     p = replace(default_params(), eta=0.0, sigma=0.0)
-    alpha, buy, sell = _alpha_path(p, 500, RngStream(seed=23))
+    alpha, buy, sell = _alpha_path(p, 500, 23)
     for i in range(500):
         expected = alpha[i] * (1 - p.zeta * p.dt)
         if buy[i]:

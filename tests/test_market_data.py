@@ -300,11 +300,6 @@ def test_forward_fill_never_invents_prices(offsets, bid_ticks):
     assert len(series) == (int(ts[-1]) - int(ts[0])) // SEC + 1
 
 
-def test_synthetic_quotes_frozen_walk():
-    series = synthetic_quotes(default_params(), 50, seed=1, move_prob=0.0)
-    assert np.all(series.bid == series.bid[0])
-
-
 def test_synthetic_quotes_fixed_spread_any_seed():
     p = default_params()
     for seed in (0, 1, 2):

@@ -101,7 +101,7 @@ def test_no_events_no_wealth(solved):
     params, policy = solved
     quiet = replace(params, lambda_plus=0.0, lambda_minus=0.0)
     series = _constant_series(quiet.n_dt + 1)
-    result = run_simulation(policy, series, EnvMode.improved(quiet), quiet, RngStream(0))
+    result = run_simulation(policy, series, EnvMode.improved(quiet), quiet, BatchWindow(0, 0))
     assert len(result.fills) == 0
     assert np.all(result.wealth == 0.0)
     assert np.all(result.inventory == 0)
@@ -111,8 +111,8 @@ def test_simulation_is_deterministic(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=5)
     mode = EnvMode.improved(params)
-    a = run_simulation(policy, series, mode, params, RngStream(9, 2))
-    b = run_simulation(policy, series, mode, params, RngStream(9, 2))
+    a = run_simulation(policy, series, mode, params, BatchWindow(9, 2))
+    b = run_simulation(policy, series, mode, params, BatchWindow(9, 2))
     assert np.array_equal(a.cash, b.cash)
     assert np.array_equal(a.inventory, b.inventory)
     assert np.array_equal(a.wealth, b.wealth)
@@ -123,7 +123,7 @@ def test_simulation_is_deterministic(solved):
 def test_wealth_identity_marks_to_mid(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=6)
-    result = run_simulation(policy, series, EnvMode.improved(params), params, RngStream(1))
+    result = run_simulation(policy, series, EnvMode.improved(params), params, BatchWindow(1, 0))
     mid = series.mid
     for i in range(params.n_dt):
         assert result.wealth[i] == result.cash[i] + result.inventory[i] * mid[i]
@@ -135,7 +135,7 @@ def test_wealth_identity_marks_to_mid(solved):
 def test_accounting_replays_from_fill_log(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=7)
-    result = run_simulation(policy, series, EnvMode.improved(params), params, RngStream(2))
+    result = run_simulation(policy, series, EnvMode.improved(params), params, BatchWindow(2, 0))
     assert result.fills, "expected fills on this seed"
 
     q, c = 0, 0.0
@@ -159,7 +159,7 @@ def test_inventory_stays_bounded_and_unposted_at_bounds(solved):
     # crank arrival rates so inventory pushes against the bounds
     hot = replace(params, lambda_plus=5.0, lambda_minus=5.0)
     series = synthetic_quotes(hot, hot.n_dt, seed=8)
-    result = run_simulation(policy, series, EnvMode.benchmark(), hot, RngStream(3))
+    result = run_simulation(policy, series, EnvMode.benchmark(), hot, BatchWindow(3, 0))
     assert np.abs(result.inventory).max() <= hot.q_max
     j0 = hot.q_max
     for i in range(hot.n_dt):
@@ -175,11 +175,12 @@ def test_benchmark_fills_exactly_on_posted_arrivals(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=11)
     mode = EnvMode.benchmark()
-    result = run_simulation(policy, series, mode, params, RngStream(4, 0))
+    result = run_simulation(policy, series, mode, params, BatchWindow(4, 0))
 
-    # one block of uniforms (buy arrival, sell arrival, ask and bid
-    # thinning per step), then the alpha shocks
-    u = RngStream(4, 0).generator().random((params.n_dt, 4))
+    # window 0 is row 0 of group 0: the group's uniforms (buy arrival,
+    # sell arrival, ask and bid thinning per step), then its alpha shocks
+    gen = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(1, 0)))
+    u = gen.random((dynamics.GROUP_WINDOWS, params.n_dt, 4))[0]
     p_arr = 1.0 - math.exp(-params.lambda_plus * params.dt)
     fills_by_step = {}
     for f in fill_events(result.fills):
@@ -246,7 +247,7 @@ def test_nonadverse_count_matches_expectation(solved):
     observed = 0
     for w in range(120):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        r = run_simulation(policy, window, mode, params, RngStream(13, w))
+        r = run_simulation(policy, window, mode, params, BatchWindow(13, w))
         events = fill_events(r.fills)
         adverse_ask = {f.t_index for f in events
                        if f.side is Side.ASK and f.kind is FillKind.ADVERSE}
@@ -275,7 +276,7 @@ def test_batch_window_count_and_short_series(solved):
     with pytest.raises(SeriesTooShortError):
         run_batch(policy, short, EnvMode.benchmark(), params, master_seed=5)
     with pytest.raises(SeriesTooShortError):
-        run_simulation(policy, short, EnvMode.benchmark(), params, RngStream(0))
+        run_simulation(policy, short, EnvMode.benchmark(), params, BatchWindow(0, 0))
 
 
 def test_batch_equals_orderless_window_runs(solved):
@@ -314,25 +315,6 @@ def _assert_same_result(got, want):
     for name in ("terminal_wealth", "objective"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b) is np.float64 and a == b, name
-
-
-@pytest.mark.parametrize("variant", ["benchmark", "improved"])
-def test_run_simulation_on_a_generator_equals_the_oracle(solved, variant):
-    """A np.random.Generator in place of an RngStream: run_simulation
-    equals the oracle fed the same generator state in every field, and
-    both leave their generator in the same state."""
-    params, policy = solved
-    params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=1.5)
-    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
-    series = synthetic_quotes(params, 3 * params.n_dt, seed=47)
-    got_rng, want_rng = np.random.default_rng(48), np.random.default_rng(48)
-    for w in range(3):
-        window = series.window(w * params.n_dt, params.n_dt + 1)
-        got = run_simulation(policy, window, mode, params, got_rng)
-        want = run_scalar(policy, window, mode, params, want_rng)
-        assert want.fills
-        _assert_same_result(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", [None, 5.0])
@@ -681,7 +663,7 @@ def test_unordered_alpha_nodes_raise_in_batch_and_oracle(solved, nodes):
         run_batch(broken, series, EnvMode.benchmark(), params, master_seed=32)
     for run in (run_scalar, run_simulation):
         with pytest.raises(PolicyShapeMismatchError, match="strictly increasing"):
-            run(broken, series, EnvMode.benchmark(), params, RngStream(32))
+            run(broken, series, EnvMode.benchmark(), params, BatchWindow(32, 0))
 
 
 def test_a_series_at_another_dt_is_rejected():
@@ -694,7 +676,7 @@ def test_a_series_at_another_dt_is_rejected():
     with pytest.raises(ValueError, match=message):
         run_batch(policy, series, EnvMode.benchmark(), params, master_seed=1)
     with pytest.raises(ValueError, match=message):
-        run_simulation(policy, series, EnvMode.benchmark(), params, RngStream(1))
+        run_simulation(policy, series, EnvMode.benchmark(), params, BatchWindow(1, 0))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
@@ -708,7 +690,7 @@ def test_masks_that_are_not_bool_raise_in_batch_and_oracle(solved, dtype):
         run_batch(broken, series, EnvMode.benchmark(), params, master_seed=32)
     for run in (run_scalar, run_simulation):
         with pytest.raises(PolicyShapeMismatchError, match="masks must be bool"):
-            run(broken, series, EnvMode.benchmark(), params, RngStream(32))
+            run(broken, series, EnvMode.benchmark(), params, BatchWindow(32, 0))
 
 
 def test_batch_settles_cash_in_event_order(solved):
@@ -861,7 +843,7 @@ def test_simulate_command_rejects_a_policy_with_shifted_inventory_nodes(solved, 
     assert not out.exists()
     series = synthetic_quotes(params, params.n_dt, seed=33)
     with pytest.raises(PolicyShapeMismatchError, match="inventory nodes"):
-        run_simulation(shifted, series, EnvMode.benchmark(), params, RngStream(33))
+        run_simulation(shifted, series, EnvMode.benchmark(), params, BatchWindow(33, 0))
 
 
 def test_batch_rejects_a_negative_seed(solved):
@@ -876,17 +858,17 @@ def test_policy_shape_mismatch_detected(solved):
     series = synthetic_quotes(params, params.n_dt, seed=16)
     shrunk = replace(params, n_dt=60, horizon=60.0)
     with pytest.raises(PolicyShapeMismatchError):
-        run_simulation(policy, series, EnvMode.benchmark(), shrunk, RngStream(0))
+        run_simulation(policy, series, EnvMode.benchmark(), shrunk, BatchWindow(0, 0))
 
 
 def test_objective_subtracts_running_penalty(solved):
     params, policy = solved
     series = synthetic_quotes(params, params.n_dt, seed=17)
     mode = EnvMode.benchmark()
-    base = run_simulation(policy, series, mode, params, RngStream(6))
+    base = run_simulation(policy, series, mode, params, BatchWindow(6, 0))
     assert base.objective == base.terminal_wealth  # phi = 0
 
     charged = replace(params, phi=1e-4)
-    r = run_simulation(policy, series, mode, charged, RngStream(6))
+    r = run_simulation(policy, series, mode, charged, BatchWindow(6, 0))
     penalty = charged.phi * np.sum(r.inventory[:-1].astype(float) ** 2) * charged.dt
     assert r.objective == pytest.approx(r.terminal_wealth - penalty, rel=1e-12)
