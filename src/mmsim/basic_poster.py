@@ -28,6 +28,7 @@ back through a canonical rounding so equal ticks compare equal as floats.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -164,12 +165,13 @@ def run_basic_posting(
     tick of the ``tick`` grid, else ValueError names the first sample that
     does not.  Queue consumption at the touch is simulated: per step one
     unit of volume trades on each side independently with probability
-    ``mo_prob``.  The uniforms are drawn up front as one
+    ``mo_prob``, which must lie in [0, 1].  The uniforms are drawn up front as one
     ``gen.random((n - 1, 2))`` block for the series' n samples, whatever
     the orders do: row i is step i, column 0 the sell order (it hits the
     bid queue), column 1 the buy order.  Orders placed at the current
     touch inherit the visible level-1 size as their queue; orders placed
-    away from the market start with ``default_queue`` ahead.
+    away from the market start with ``default_queue`` ahead, which must be
+    finite and non-negative.
 
     Both sides follow one set of rules on signed ticks, where the buys'
     touch is the bid and the sells' is the negated ask.  At each step the
@@ -185,6 +187,10 @@ def run_basic_posting(
         raise EmptySeriesError("series holds no samples")
     if offset_ticks < 1:
         raise ValueError(f"offset_ticks must be >= 1, got {offset_ticks}")
+    if not 0.0 <= mo_prob <= 1.0:  # NaN fails too
+        raise ValueError(f"mo_prob must lie in [0, 1], got {mo_prob!r}")
+    if not (math.isfinite(default_queue) and default_queue >= 0):
+        raise ValueError(f"default_queue must be finite and non-negative, got {default_queue!r}")
     check_tick(tick)
     check_tick_count(series.bid, series.ask, tick)
 

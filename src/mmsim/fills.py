@@ -99,10 +99,15 @@ class EnvVariant(enum.Enum):
 class EnvMode:
     """Simulation environment: benchmark ignores adverse fills and fills
     every posted order an arriving market order matches; improved forces
-    adverse fills on trade-through and thins the rest by rho."""
+    adverse fills on trade-through and thins the rest by rho, a fill
+    probability that must lie in [0, 1]."""
 
     variant: EnvVariant
     rho_effective: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rho_effective <= 1.0:  # NaN fails too
+            raise ValueError(f"rho_effective must lie in [0, 1], got {self.rho_effective!r}")
 
     @classmethod
     def benchmark(cls) -> "EnvMode":

@@ -152,7 +152,11 @@ class PriceSeries:
         return (self.bid + self.ask) / 2.0
 
     def window(self, start: int, n_samples: int) -> "PriceSeries":
-        """Contiguous sub-series of n_samples starting at sample index start."""
+        """Contiguous sub-series of n_samples starting at sample index start;
+        ValueError unless start >= 0 and n_samples >= 1."""
+        if start < 0 or n_samples < 1:
+            raise ValueError(f"window needs start >= 0 and n_samples >= 1, "
+                             f"got start={start}, n_samples={n_samples}")
         stop = start + n_samples
         if stop > len(self):
             raise ValueError(f"window [{start}, {stop}) exceeds series length {len(self)}")

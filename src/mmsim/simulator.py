@@ -196,29 +196,33 @@ BLOCK_WINDOWS = 1024
 # On 1,000 windows a chunk of 30 ran no faster than 8, and 120 slower.
 NODE_CHUNK = 8
 
-# Bits of a window step's fill code.  The low four are known before the
-# first step: the ask and bid trade-throughs (improved mode only) and the
-# ask and bid hits (a market order arrived on that side and passed the
-# thinning draw).  The posted bid and ask come from the policy, at the
-# step's drift node and inventory.
-_ASK_THROUGH, _BID_THROUGH, _ASK_HIT, _BID_HIT, _POSTED_BID, _POSTED_ASK = (
-    1 << bit for bit in range(6))
+# Bits of a window step's fill code.  The low six are known before the
+# first step: they are the step's four flag bytes packed in order
+# (``_run_block``), the buy and sell arrivals, the ask thinning draw with
+# the ask and bid trade-throughs (improved mode only) in its spare bits,
+# and the bid thinning draw.  The posted bid and ask come from the policy,
+# at the step's drift node and inventory.
+(_BUY, _SELL, _ASK_THIN, _ASK_THROUGH, _BID_THROUGH, _BID_THIN, _POSTED_BID,
+ _POSTED_ASK) = (1 << bit for bit in range(8))
 
 
 def _code_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``fill_rule`` over every fill code: the (64, 4) events in its
-    order, and each code's inventory change."""
-    code = np.arange(64)
+    """``fill_rule`` over every fill code: the (256, 4) events in its
+    order, and each code's inventory change.  A side is hit when a market
+    order arrived on it and passed the thinning draw."""
+    code = np.arange(256)
+    buy, sell, ask_thin, ask_through, bid_through, bid_thin, posted_bid, posted_ask = (
+        (code & bit) > 0 for bit in
+        (_BUY, _SELL, _ASK_THIN, _ASK_THROUGH, _BID_THROUGH, _BID_THIN, _POSTED_BID, _POSTED_ASK))
     adverse_ask, adverse_bid, ask, bid = fill_rule(
-        *((code & bit) > 0 for bit in
-          (_POSTED_ASK, _POSTED_BID, _ASK_THROUGH, _BID_THROUGH, _ASK_HIT, _BID_HIT)))
+        posted_ask, posted_bid, ask_through, bid_through, buy & ask_thin, sell & bid_thin)
     dq = bid.astype(np.intp) + adverse_bid - ask - adverse_ask
     return np.stack([adverse_ask, adverse_bid, ask, bid], axis=1), dq
 
 
 _CODE_EVENTS, _CODE_DQ = _code_tables()
 # whether a code holds any event, as a bytes.translate table
-_CODE_BUSY = _CODE_EVENTS.any(axis=1).tobytes().ljust(256, b"\0")
+_CODE_BUSY = _CODE_EVENTS.any(axis=1).tobytes()
 
 
 def run_batch(
@@ -270,17 +274,21 @@ def _run_block(policy, series, mode, params, first, base, size):
 
     The windows draw the events of the batch windows from ``first`` on
     (``_draw_block``).  Window k starts at sample ``base + k n_dt`` of
-    ``series``.  Before the step loop, over the whole block: the alpha
-    path, written over the shocks, and the low four bits of each step's
-    fill code, from the event flags and one comparison of each quote series
-    with itself one sample on.  Step i (state at sample i, transition to
-    i+1) then
-      1. reads the posting bits at (i, nearest drift node, inventory) and
+    ``series``.  Before the step loop, over the whole block: the improved
+    mode's trade-throughs, one comparison of each quote series with itself
+    one sample on, are ORed into the spare bits of each step's ask-thinning
+    flag byte; each step's four flag bytes are transposed to step-major
+    order as one 32-bit word and gathered by one multiply into the low six
+    bits of the step's fill code; and the alpha path is written over the
+    shocks, its jumps multiplied out of the code's arrival bits.  Step i
+    (state at sample i, transition to i+1) then
+      1. takes the posting bits at (i, nearest drift node, inventory) and
          ORs them into the step's code; nodes are looked up ``NODE_CHUNK``
          steps at a time, on the solver's even nodes by one rounding each
          (``_NodeGrid``);
       2. adds the running penalty of the step's inventory;
-      3. moves inventory by the code's change, raising at a bound breach.
+      3. moves inventory by the code's change, raising at a bound breach,
+         found by one unsigned maximum of the inventory columns.
     After the loop only the steps whose code holds an event are expanded
     into their events.
 
@@ -302,30 +310,38 @@ def _run_block(policy, series, mode, params, first, base, size):
 
     # the step's fill bits, window by window, then laid out step by step
     span = size * n
-    codes = (flags[:, :, 0] & flags[:, :, 2]) * np.uint8(_ASK_HIT)
-    codes |= (flags[:, :, 1] & flags[:, :, 3]) * np.uint8(_BID_HIT)
     if mode.detect_adverse:
         ask = series.ask[base:base + span + 1]
         bid = series.bid[base:base + span + 1]
-        codes |= (ask[1:] > ask[:-1]).reshape(size, n) * np.uint8(_ASK_THROUGH)
-        codes |= (bid[1:] < bid[:-1]).reshape(size, n) * np.uint8(_BID_THROUGH)
-    codes = codes.T.copy()
-    buy, sell = flags[:, :, :2].transpose(2, 1, 0).copy()
+        # the trade-throughs as bits 1 and 2 of the ask-thinning flag byte
+        moved = (ask[1:] > ask[:-1]).view(np.uint8) << 1
+        moved |= (bid[1:] < bid[:-1]).view(np.uint8) << 2
+        lane = flags.view(np.uint8)[:, :, 2]
+        np.bitwise_or(lane, moved.reshape(size, n), out=lane)
+        del moved, lane
+    # a step's four flag bytes as one little-endian word, transposed as one
+    words = flags.view("<u4").reshape(size, n).T.copy()
     del flags
+    # the words' bits gathered into a code's low six: the multiply puts
+    # byte 0 at bit 24, byte 1 at 25, byte 2 at 26-28 and byte 3 at 29,
+    # and its cross terms, each at a distinct bit under 24, carry into none
+    words *= np.uint32(1 << 24 | 1 << 17 | 1 << 10 | 1 << 5)
+    words >>= 24
+    codes = words.astype(np.uint8)
+    del words
+    buy, sell = (codes & _BUY) > 0, (codes & _SELL) > 0
 
     # alpha' = alpha (1 - zeta dt) + eta sqrt(dt) z + eps_plus 1{buy}
-    #          - eps_minus 1{sell}, a window step's jumps looked up by the flag
+    #          - eps_minus 1{sell}, a step's jumps multiplied out of its arrival bits
     alpha[1:] *= params.eta * math.sqrt(params.dt)
     decay = 1.0 - params.zeta * params.dt
-    up = params.eps_plus * np.array([False, True])
-    down = params.eps_minus * np.array([False, True])
-    scaled = np.empty(size)
+    scaled, jump = np.empty(size), np.empty(size)
     for i in range(n):
         out = alpha[i + 1]
         np.multiply(alpha[i], decay, out=scaled)
         out += scaled
-        out += up.take(buy[i].view(np.uint8))
-        out -= down.take(sell[i].view(np.uint8))
+        out += np.multiply(buy[i], params.eps_plus, out=jump)
+        out -= np.multiply(sell[i], params.eps_minus, out=jump)
     del buy, sell
 
     q_nodes = np.arange(-params.q_max, params.q_max + 1)
@@ -343,10 +359,10 @@ def _run_block(policy, series, mode, params, first, base, size):
         rows *= n_q
         for row, code in zip(rows, codes[i0:i1]):
             np.add(row, j, out=at)
-            code |= posting[at]
-            penalty += charge[j]
+            code |= posting.take(at)
+            penalty += charge.take(j)
             j += _CODE_DQ.take(code)
-            if j.min() < 0 or j.max() >= n_q:
+            if j.view(np.uintp).max() >= n_q:  # a column below 0 reads as huge
                 q = j - params.q_max
                 raise _bound_breach(int(q[(np.abs(q) > params.q_max).argmax()]), params.q_max)
     del alpha
@@ -367,7 +383,7 @@ def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) 
     """Fills as columns from their event indices (0 adverse ask, 1 adverse
     bid, 2 non-adverse ask, 3 non-adverse bid), each at the quote of its
     side at its step."""
-    is_ask = events % 2 == 0
+    is_ask = (events & 1) == 0
     return FillColumns(
         t_index=t_index,
         is_ask=is_ask,
@@ -380,15 +396,22 @@ def _draw_block(first, size, n, limits):
     """Event flags and shocks of the ``size`` batch windows from ``first``
     on (``draw_events``).
 
-    Each group's uniforms are thresholded by ``limits`` together into the
-    flags, shape (size, n, 4), per step buy and sell arrival, ask and bid
-    thinning.  Its shocks go into its windows' columns of the alpha path,
-    shape (n + 1, size), whose row 0 is every window's initial alpha, 0.
+    Each group's uniforms are thresholded in one contiguous ``np.less``,
+    against ``limits`` laid out like the group's uniforms (rebuilt only
+    when a group's size differs from the last one's), into the flags,
+    shape (size, n, 4), per step buy and sell arrival, ask and bid
+    thinning.  Broadcasting the four limits instead runs a 4-element inner
+    loop per window step, about eight times slower.  Its shocks go into
+    its windows' columns of the alpha path, shape (n + 1, size), whose
+    row 0 is every window's initial alpha, 0.
     """
     flags = np.empty((size, n, WINDOW_UNIFORMS), dtype=bool)
     alpha = np.zeros((n + 1, size))
+    laid = np.empty(0)
     for k, u, z in draw_events(first, size, n):
-        np.less(u, limits, out=flags[k:k + len(u)])
+        if laid.shape != u.shape:
+            laid = np.broadcast_to(limits, u.shape).copy()
+        np.less(u, laid, out=flags[k:k + len(u)])
         alpha[1:, k:k + len(u)] = z.T
     return flags, alpha
 

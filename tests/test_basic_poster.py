@@ -165,6 +165,17 @@ def test_empty_series_rejected():
         run_basic_posting(_series([], []), offset_ticks=4, tick=0.01)
 
 
+@pytest.mark.parametrize("arg, value", [
+    ("mo_prob", 1.5), ("mo_prob", -1.0), ("mo_prob", math.nan),
+    ("default_queue", -5.0), ("default_queue", math.nan), ("default_queue", math.inf),
+])
+def test_bad_mo_prob_or_default_queue_rejected_before_any_draw(monkeypatch, arg, value):
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew uniforms"))
+    series = _series([100.0, 100.0], [100.01, 100.01])
+    with pytest.raises(ValueError, match=arg):
+        run_basic_posting(series, offset_ticks=4, tick=0.01, **{arg: value})
+
+
 def test_random_walk_keeps_ladder_disciplined():
     # the run itself asserts bid rung < ask rung at every step
     from mmsim.market_data import synthetic_quotes

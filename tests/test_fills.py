@@ -162,6 +162,14 @@ def test_env_mode_constructors():
     assert improved.rho_effective == p.rho and improved.detect_adverse
 
 
+@pytest.mark.parametrize("rho", [1.5, -0.5, float("nan"), float("inf")])
+def test_env_mode_rejects_an_unusable_fill_probability(rho):
+    with pytest.raises(ValueError, match="rho_effective"):
+        EnvMode(EnvVariant.IMPROVED, rho)
+    for usable in (0.0, 1.0):
+        assert EnvMode(EnvVariant.IMPROVED, usable).rho_effective == usable
+
+
 def _naive_replay(bids, asks, posted_bid, posted_ask, mo_buy, mo_sell, mode, u):
     """Step-by-step literal restatement of the fill rules; ``u[i]`` holds
     step i's ask and bid thinning uniforms."""

@@ -333,6 +333,13 @@ def test_series_window_slicing():
         series.window(200, 121)
 
 
+@pytest.mark.parametrize("start, n_samples", [(-5, 10), (-1, 1), (0, 0), (10, -3)])
+def test_series_window_rejects_a_negative_start_or_an_empty_window(start, n_samples):
+    series = synthetic_quotes(default_params(), 40, seed=8)
+    with pytest.raises(ValueError, match=r"start=.*n_samples="):
+        series.window(start, n_samples)
+
+
 def test_series_window_starts_on_its_sample_boundary():
     n = 40
     series = PriceSeries(7, 0.3, np.full(n, 99.99), np.full(n, 100.0), np.ones(n), np.ones(n))

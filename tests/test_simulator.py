@@ -425,31 +425,43 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     _assert_same_fills(batch.fills, fills)
 
 
-@pytest.mark.parametrize("variant", ["benchmark", "improved"])
-def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant):
-    """Groups of 3 windows straddle blocks of 5 and 3 windows (windows 0-2
-    and 3-4, then 5 and 6-7): every window's wealth, objective and fills
-    equal its scalar run exactly."""
-    monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 5)
-    monkeypatch.setattr(dynamics, "GROUP_WINDOWS", 3)
+@pytest.mark.parametrize("variant, patched", [
+    pytest.param(variant, patched, id=variant if patched else f"{variant}-64")
+    for patched in (True, False) for variant in ("benchmark", "improved")])
+def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant, patched):
+    """Patched, groups of 3 windows straddle blocks of 5 and 3 windows
+    (windows 0-2 and 3-4, then 5 and 6-7), and every window is checked.
+    Unpatched, 70 windows are a full group of 64 then a short one, and
+    windows 60-69 are checked across the boundary.  Each checked window's
+    wealth, objective and fills equal its scalar run exactly."""
+    if patched:
+        monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 5)
+        monkeypatch.setattr(dynamics, "GROUP_WINDOWS", 3)
+        windows, checked = 8, range(8)
+    else:
+        assert dynamics.GROUP_WINDOWS == 64
+        windows, checked = 70, range(60, 70)
     params, policy = solved
     params = replace(params, phi=1e-4, lambda_plus=2.0, lambda_minus=0.3)
     mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
-    windows = 8
-    series = synthetic_quotes(params, windows * params.n_dt, seed=43)
+    n = params.n_dt
+    series = synthetic_quotes(params, windows * n, seed=43)
     batch = run_batch(policy, series, mode, params, master_seed=44)
     assert batch.n_paths == windows
 
     fills, totals = [], FillCounters()
-    for w in range(windows):
-        window = series.window(w * params.n_dt, params.n_dt + 1)
+    for w in checked:
+        window = series.window(w * n, n + 1)
         r = run_scalar(policy, window, mode, params, BatchWindow(44, w))
         assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
-        fills += [replace(f, t_index=f.t_index + w * params.n_dt)
-                  for f in fill_events(r.fills)]
+        fills += [replace(f, t_index=f.t_index + w * n) for f in fill_events(r.fills)]
         totals += r.counters
-    assert batch.fill_totals == totals and len(fills) > 0
-    _assert_same_fills(batch.fills, fills)
+    at = np.searchsorted(batch.fills.t_index, [checked.start * n, checked.stop * n])
+    got = FillColumns(**{name: getattr(batch.fills, name)[slice(*at)] for name in _FILL_COLUMNS})
+    assert FillCounters.from_columns(got) == totals and len(fills) > 0
+    if len(checked) == windows:
+        assert batch.fill_totals == totals
+    _assert_same_fills(got, fills)
 
 
 def test_batch_window_does_not_depend_on_session_length(solved):
