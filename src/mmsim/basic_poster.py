@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -42,14 +42,12 @@ from .params import OFFSET_TICKS_PRESETS
 from .table import write_table
 
 __all__ = [
-    "RestingOrder",
     "FillLog",
     "FillTypeSummary",
     "EmptySeriesError",
     "OFFSET_TICKS_PRESETS",
     "run_example1",
     "run_basic_posting",
-    "queue_fill_check",
     "fill_type_table",
     "write_fill_summary_csv",
 ]
@@ -64,15 +62,6 @@ class EmptySeriesError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RestingOrder:
-    """One resting unit order and the volume queued ahead of it."""
-
-    side: Side
-    price: float
-    queue_ahead: float = 0.0
-
-
 @dataclass
 class FillLog:
     fills: list[FillEvent]
@@ -83,15 +72,6 @@ class FillTypeSummary:
     total: int
     adverse: int
     non_adverse: int
-
-
-def queue_fill_check(order: RestingOrder, traded_at_price: float) -> tuple[bool, RestingOrder]:
-    """Consume traded volume; fill once it strictly exceeds the queue ahead."""
-    if traded_at_price < 0:
-        raise ValueError(f"traded volume must be >= 0, got {traded_at_price}")
-    if traded_at_price > order.queue_ahead:
-        return True, replace(order, queue_ahead=0.0)
-    return False, replace(order, queue_ahead=order.queue_ahead - traded_at_price)
 
 
 # The tick of Example 1's book, whose bid starts at 100.0.
@@ -237,7 +217,7 @@ def run_basic_posting(
                 if (touch >= x > touch_next) or far_next <= x:
                     fills.append(FillEvent(i, side, _price(sign * x, tick), FillKind.ADVERSE))
                 elif x >= touch and mo_now:
-                    # queue_fill_check(order, 1.0): fill once volume exceeds the queue
+                    # the order's one traded unit fills only past the volume queued ahead
                     ahead = queue[x]
                     if 1.0 > ahead:
                         price = _price(sign * x, tick)

@@ -80,9 +80,7 @@ class FillCounters:
     @classmethod
     def from_columns(cls, fills: "FillColumns") -> "FillCounters":
         """Count fills by side and kind with one ``bincount``."""
-        # codes 0 adverse ask, 1 adverse bid, 2 non-adverse ask, 3 non-adverse bid
-        codes = 2 * ~fills.is_adverse + ~fills.is_ask
-        afa, afb, nfa, nfb = np.bincount(codes, minlength=4).tolist()
+        afa, afb, nfa, nfb = np.bincount(fills.event, minlength=4).tolist()
         return cls(afa=afa, nfa=nfa, afb=afb, nfb=nfb)
 
     def __add__(self, other: "FillCounters") -> "FillCounters":
@@ -147,34 +145,55 @@ def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit
             posted_ask & ask_hit & ~adverse_ask, posted_bid & bid_hit & ~adverse_bid)
 
 
+# fill_rule's four events in its order, as (side, kind)
+_EVENTS = ((Side.ASK, FillKind.ADVERSE), (Side.BID, FillKind.ADVERSE),
+           (Side.ASK, FillKind.NON_ADVERSE), (Side.BID, FillKind.NON_ADVERSE))
+# each event's side and kind texts
+_EVENT_SIDES, _EVENT_KINDS = (np.array([e.value for e in column]) for column in zip(*_EVENTS))
+
+
+def _events(is_ask: np.ndarray, is_adverse: np.ndarray) -> np.ndarray:
+    """The event indices of fills flagged by side and kind."""
+    return (2 * ~is_adverse + ~is_ask).astype(np.uint8)
+
+
 @dataclass(eq=False)
 class FillColumns:
     """Fills as columns, one entry per fill in log order.
 
-    ``is_ask`` marks ask-side fills (the rest are bids) and ``is_adverse``
-    adverse ones; prices are the posted quote each fill executed at.
+    ``event`` is each fill's index among ``fill_rule``'s four events
+    (``_EVENTS``), one byte a fill; prices are the posted quote each fill
+    executed at.
     """
 
     t_index: np.ndarray
-    is_ask: np.ndarray
+    event: np.ndarray
     price: np.ndarray
-    is_adverse: np.ndarray
 
     def __len__(self) -> int:
         return self.t_index.size
 
+    @property
+    def is_ask(self) -> np.ndarray:
+        """Ask-side fills; the rest are bids."""
+        return (self.event & 1) == 0
+
+    @property
+    def is_adverse(self) -> np.ndarray:
+        """Adverse fills."""
+        return self.event < 2
+
     def texts(self) -> tuple[np.ndarray, np.ndarray]:
         """Each fill's side and kind as the texts the tables hold."""
-        return (np.where(self.is_ask, Side.ASK.value, Side.BID.value),
-                np.where(self.is_adverse, FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value))
+        return _EVENT_SIDES.take(self.event), _EVENT_KINDS.take(self.event)
 
     @classmethod
     def from_events(cls, fills: list[FillEvent]) -> "FillColumns":
         return cls(
             t_index=np.array([f.t_index for f in fills], dtype=np.int64),
-            is_ask=np.array([f.side is Side.ASK for f in fills], dtype=bool),
+            event=_events(np.array([f.side is Side.ASK for f in fills], dtype=bool),
+                          np.array([f.kind is FillKind.ADVERSE for f in fills], dtype=bool)),
             price=np.array([f.price for f in fills], dtype=float),
-            is_adverse=np.array([f.kind is FillKind.ADVERSE for f in fills], dtype=bool),
         )
 
 
@@ -199,9 +218,7 @@ def read_fill_log(path) -> FillColumns:
         row = int(back[0])
         cells.reject("t_index", row,
                      f"below the {t_index[row - 1]} before it" if row else "below 0")
-    return FillColumns(
-        t_index=t_index,
-        is_ask=cells.flags("side", Side.ASK.value, Side.BID.value),
-        price=cells.floats("price"),
-        is_adverse=cells.flags("kind", FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value),
-    )
+    is_ask = cells.flags("side", Side.ASK.value, Side.BID.value)
+    price = cells.floats("price")
+    is_adverse = cells.flags("kind", FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value)
+    return FillColumns(t_index=t_index, event=_events(is_ask, is_adverse), price=price)

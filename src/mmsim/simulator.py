@@ -376,20 +376,14 @@ def _run_block(policy, series, mode, params, first, base, size):
     flat = np.flatnonzero(_CODE_EVENTS.take(codes.take(steps), axis=0))
     t_index = steps.take(flat >> 2)
     t_index += base
-    return j - params.q_max, penalty, flat & 3, t_index, codes
+    return j - params.q_max, penalty, flat.astype(np.uint8) & 3, t_index, codes
 
 
 def _fill_columns(series: PriceSeries, events: np.ndarray, t_index: np.ndarray) -> FillColumns:
-    """Fills as columns from their event indices (0 adverse ask, 1 adverse
-    bid, 2 non-adverse ask, 3 non-adverse bid), each at the quote of its
-    side at its step."""
-    is_ask = (events & 1) == 0
-    return FillColumns(
-        t_index=t_index,
-        is_ask=is_ask,
-        price=np.where(is_ask, series.ask[t_index], series.bid[t_index]),
-        is_adverse=events < 2,
-    )
+    """Fills as columns, each at the quote of its side at its step."""
+    fills = FillColumns(t_index=t_index, event=events, price=series.bid[t_index])
+    np.copyto(fills.price, series.ask[t_index], where=fills.is_ask)
+    return fills
 
 
 def _draw_block(first, size, n, limits):

@@ -10,9 +10,7 @@ from mmsim.basic_poster import (
     EmptySeriesError,
     OFFSET_TICKS_PRESETS,
     SEARCH_STEPS,
-    RestingOrder,
     fill_type_table,
-    queue_fill_check,
     run_basic_posting,
     run_example1,
     write_fill_summary_csv,
@@ -31,28 +29,6 @@ def _series(bids, asks, bid_sz=10.0, ask_sz=10.0):
         bid=np.asarray(bids, dtype=float), ask=np.asarray(asks, dtype=float),
         level1_bid_sz=np.full(n, bid_sz), level1_ask_sz=np.full(n, ask_sz),
     )
-
-
-def test_queue_fill_check_cases():
-    filled, order = queue_fill_check(RestingOrder(Side.BID, 100.0, 0.0), 1.0)
-    assert filled and order.queue_ahead == 0.0
-
-    filled, order = queue_fill_check(RestingOrder(Side.BID, 100.0, 10.0), 4.0)
-    assert not filled and order.queue_ahead == 6.0
-
-    filled, order = queue_fill_check(RestingOrder(Side.BID, 100.0, 10.0), 0.0)
-    assert not filled and order.queue_ahead == 10.0
-
-    with pytest.raises(ValueError):
-        queue_fill_check(RestingOrder(Side.BID, 100.0, 10.0), -1.0)
-
-
-def test_queue_fill_is_strict_about_volume():
-    order = RestingOrder(Side.ASK, 100.0, 10.0)
-    filled, order = queue_fill_check(order, 10.0)
-    assert not filled and order.queue_ahead == 0.0
-    filled, _ = queue_fill_check(order, 1.0)
-    assert filled
 
 
 def test_example1_empty_run():
@@ -226,8 +202,9 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
     def price(ticks):
         return round_to_tick(ticks * tick, tick)
 
-    buys: dict[int, RestingOrder] = {}
-    sells: dict[int, RestingOrder] = {}
+    # each resting rung's tick and the volume queued ahead of it
+    buys: dict[int, float] = {}
+    sells: dict[int, float] = {}
 
     def queue_at_placement(side, ticks, i):
         if side is Side.BID:
@@ -256,7 +233,7 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
                 return
             if ticks <= bid_t[i]:
                 return
-        book[ticks] = RestingOrder(side, price(ticks), queue_at_placement(side, ticks, i))
+        book[ticks] = queue_at_placement(side, ticks, i)
 
     spread_t = ask_t[0] - bid_t[0]
     below = max(0, (offset_ticks - spread_t) // 2)
@@ -271,29 +248,31 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
 
         filled = []
         for ticks in sorted(buys, reverse=True):
-            order = buys[ticks]
             swept = (bid_t[i] >= ticks > bid_t[i + 1]) or ask_t[i + 1] <= ticks
             if swept:
-                fills.append(FillEvent(i, Side.BID, order.price, FillKind.ADVERSE))
+                fills.append(FillEvent(i, Side.BID, price(ticks), FillKind.ADVERSE))
                 filled.append((Side.BID, ticks))
             elif ticks >= bid_t[i] and mo_sell:
-                done, buys[ticks] = queue_fill_check(order, 1.0)
-                if done:
-                    kind = classify_fill(Side.BID, order.price, price(bid_t[i + 1]))
-                    fills.append(FillEvent(i, Side.BID, order.price, kind))
+                # one traded unit fills the order only past the volume ahead of it
+                if 1.0 > buys[ticks]:
+                    kind = classify_fill(Side.BID, price(ticks), price(bid_t[i + 1]))
+                    fills.append(FillEvent(i, Side.BID, price(ticks), kind))
                     filled.append((Side.BID, ticks))
+                else:
+                    buys[ticks] -= 1.0
         for ticks in sorted(sells):
-            order = sells[ticks]
             swept = (ask_t[i] <= ticks < ask_t[i + 1]) or bid_t[i + 1] >= ticks
             if swept:
-                fills.append(FillEvent(i, Side.ASK, order.price, FillKind.ADVERSE))
+                fills.append(FillEvent(i, Side.ASK, price(ticks), FillKind.ADVERSE))
                 filled.append((Side.ASK, ticks))
             elif ticks <= ask_t[i] and mo_buy:
-                done, sells[ticks] = queue_fill_check(order, 1.0)
-                if done:
-                    kind = classify_fill(Side.ASK, order.price, price(ask_t[i + 1]))
-                    fills.append(FillEvent(i, Side.ASK, order.price, kind))
+                # one traded unit fills the order only past the volume ahead of it
+                if 1.0 > sells[ticks]:
+                    kind = classify_fill(Side.ASK, price(ticks), price(ask_t[i + 1]))
+                    fills.append(FillEvent(i, Side.ASK, price(ticks), kind))
                     filled.append((Side.ASK, ticks))
+                else:
+                    sells[ticks] -= 1.0
 
         for side, ticks in filled:
             del (buys if side is Side.BID else sells)[ticks]

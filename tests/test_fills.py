@@ -279,7 +279,7 @@ def test_fill_log_t_index_is_non_negative_and_non_decreasing(tmp_path, t_index, 
 
 
 def _assert_same_columns(got: FillColumns, want: FillColumns):
-    for name in ("t_index", "is_ask", "price", "is_adverse"):
+    for name in ("t_index", "event", "price"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
@@ -296,3 +296,24 @@ def test_counters_from_columns_match_a_tally(sides_kinds):
     )
     assert FillCounters.from_columns(FillColumns.from_events(fills)) == want
     assert counters_from_events(fills) == want
+
+
+@pytest.mark.parametrize("side, kind, counter, flags", [
+    (Side.ASK, FillKind.ADVERSE, "afa", {"posted_ask": True, "ask_through": True}),
+    (Side.BID, FillKind.ADVERSE, "afb", {"posted_bid": True, "bid_through": True}),
+    (Side.ASK, FillKind.NON_ADVERSE, "nfa", {"posted_ask": True, "ask_hit": True}),
+    (Side.BID, FillKind.NON_ADVERSE, "nfb", {"posted_bid": True, "bid_hit": True}),
+])
+def test_event_code_is_the_index_of_fill_rules_event(side, kind, counter, flags):
+    """A fill's event code is the place of its flag in ``fill_rule``'s
+    return, and every reader of the code reads back its side and kind."""
+    names = ("posted_ask", "posted_bid", "ask_through", "bid_through", "ask_hit", "bid_hit")
+    events = [bool(e) for e in fill_rule(**{n: np.bool_(flags.get(n, False)) for n in names})]
+    assert events.count(True) == 1
+
+    fills = FillColumns.from_events([FillEvent(0, side, 100.0, kind)])
+    assert fills.event.dtype == np.uint8 and fills.event.tolist() == [events.index(True)]
+    assert fills.is_ask.tolist() == [side is Side.ASK]
+    assert fills.is_adverse.tolist() == [kind is FillKind.ADVERSE]
+    assert [texts.tolist() for texts in fills.texts()] == [[side.value], [kind.value]]
+    assert FillCounters.from_columns(fills) == FillCounters(**{counter: 1})

@@ -293,7 +293,7 @@ def test_batch_equals_orderless_window_runs(solved):
     assert np.array_equal(wealths, batch.terminal_wealths)
 
 
-_FILL_COLUMNS = ("t_index", "is_ask", "price", "is_adverse")
+_FILL_COLUMNS = ("t_index", "event", "price")
 
 
 def _assert_same_fills(got: FillColumns, want: list[FillEvent]):
@@ -372,7 +372,7 @@ def test_batch_does_not_depend_on_block_size(solved, monkeypatch, variant):
         assert np.array_equal(split.terminal_wealths, whole.terminal_wealths)
         assert np.array_equal(split.objectives, whole.objectives)
         assert split.fill_totals == whole.fill_totals
-        for name in ("t_index", "is_ask", "price", "is_adverse"):
+        for name in _FILL_COLUMNS:
             assert np.array_equal(getattr(split.fills, name), getattr(whole.fills, name)), name
 
 
@@ -479,7 +479,7 @@ def test_batch_window_does_not_depend_on_session_length(solved):
         assert short.objectives[w] == long.objectives[w]
         mine = [batch.fills.t_index // n == w for batch in (short, long)]
         assert mine[0].any()
-        for name in ("t_index", "is_ask", "price", "is_adverse"):
+        for name in _FILL_COLUMNS:
             got, want = (getattr(b.fills, name)[m] for b, m in zip((short, long), mine))
             assert np.array_equal(got, want), name
 
@@ -506,14 +506,17 @@ def test_batch_outputs_equal_their_recorded_digest(solved, variant):
     assert h.hexdigest() == _GOLDEN_BATCH[variant]
 
 
-def test_batch_peak_memory_stays_small(solved):
+@pytest.mark.parametrize("variant", ["benchmark", "improved"])
+def test_batch_peak_memory_stays_small(solved, variant):
     """Beyond its alpha path the batch keeps one byte per window step: a
-    thousand windows of 120 steps peak under 3 MiB of traced memory."""
+    thousand windows of 120 steps peak under 3 MiB of traced memory in
+    either environment."""
     params, policy = solved
+    mode = EnvMode.benchmark() if variant == "benchmark" else EnvMode.improved(params)
     series = synthetic_quotes(params, 1000 * params.n_dt, seed=39)
     tracemalloc.start()
     try:
-        run_batch(policy, series, EnvMode.improved(params), params, master_seed=40)
+        run_batch(policy, series, mode, params, master_seed=40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -741,11 +744,9 @@ def test_snapshot_rows_join_a_step_fills_in_settlement_order(solved, tmp_path):
         write_snapshot_csv(result, window, path)
         snap = read_cells(path)
         assert snap.n_rows == busy.n_dt + 1
-        # 0 adverse ask, 1 adverse bid, 2 non-adverse ask, 3 non-adverse bid
-        rank = 2 * ~fills.is_adverse + ~fills.is_ask
         for i, (sides, kinds) in enumerate(zip(snap.texts("fill_side"), snap.texts("fill_kind"))):
             at = np.flatnonzero(fills.t_index == i)
-            assert (np.diff(rank[at]) > 0).all()
+            assert (np.diff(fills.event[at].astype(int)) > 0).all()
             assert sides == ";".join(["bid", "ask"][a] for a in fills.is_ask[at].tolist())
             assert kinds == ";".join(["non_adverse", "adverse"][a]
                                      for a in fills.is_adverse[at].tolist())

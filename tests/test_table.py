@@ -5,6 +5,7 @@ import math
 import stat
 import string
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -584,12 +585,12 @@ def test_read_fill_log_matches_the_per_text_oracle(tmp_path_factory, rows, in_or
                 reason = f"below the {before} before it" if r else "below 0"
                 raise ValueError(f"{path}: data row {r + 1} has t_index "
                                  f"{cells.texts('t_index')[r]!r}, {reason}")
-        return FillColumns(t_index=t_index, is_ask=cells.flags("side", "ask", "bid"),
-                           price=cells.floats("price"),
-                           is_adverse=cells.flags("kind", "adverse", "non_adverse"))
+        return SimpleNamespace(t_index=t_index, is_ask=cells.flags("side", "ask", "bid"),
+                               price=cells.floats("price"),
+                               is_adverse=cells.flags("kind", "adverse", "non_adverse"))
 
     got, want = _result(lambda: read_fill_log(path)), _result(oracle)
-    if isinstance(want, FillColumns):
+    if isinstance(want, SimpleNamespace):
         assert isinstance(got, FillColumns)
         for field in ("t_index", "is_ask", "price", "is_adverse"):
             assert _result(lambda: getattr(got, field)) == _result(lambda: getattr(want, field))
