@@ -152,7 +152,7 @@ _EVENTS = ((Side.ASK, FillKind.ADVERSE), (Side.BID, FillKind.ADVERSE),
 _EVENT_SIDES, _EVENT_KINDS = (np.array([e.value for e in column]) for column in zip(*_EVENTS))
 
 
-def _events(is_ask: np.ndarray, is_adverse: np.ndarray) -> np.ndarray:
+def _event_of(is_ask: np.ndarray, is_adverse: np.ndarray) -> np.ndarray:
     """The event indices of fills flagged by side and kind."""
     return (2 * ~is_adverse + ~is_ask).astype(np.uint8)
 
@@ -191,7 +191,7 @@ class FillColumns:
     def from_events(cls, fills: list[FillEvent]) -> "FillColumns":
         return cls(
             t_index=np.array([f.t_index for f in fills], dtype=np.int64),
-            event=_events(np.array([f.side is Side.ASK for f in fills], dtype=bool),
+            event=_event_of(np.array([f.side is Side.ASK for f in fills], dtype=bool),
                           np.array([f.kind is FillKind.ADVERSE for f in fills], dtype=bool)),
             price=np.array([f.price for f in fills], dtype=float),
         )
@@ -221,4 +221,4 @@ def read_fill_log(path) -> FillColumns:
     is_ask = cells.flags("side", Side.ASK.value, Side.BID.value)
     price = cells.floats("price")
     is_adverse = cells.flags("kind", FillKind.ADVERSE.value, FillKind.NON_ADVERSE.value)
-    return FillColumns(t_index=t_index, event=_events(is_ask, is_adverse), price=price)
+    return FillColumns(t_index=t_index, event=_event_of(is_ask, is_adverse), price=price)
