@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation/parameter error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from importlib import import_module
@@ -287,8 +288,33 @@ def cli_main(argv=None) -> int:
         return 2
 
 
+def _flush_std_streams() -> bool:
+    """Flush stdout and stderr; False if either is None or its flush fails."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            return False
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            return False
+    return True
+
+
 def main() -> None:
-    raise SystemExit(cli_main())
+    """Run the command line and end the process with its exit code.
+
+    Every command closes each file it reads or writes, so once stdout and
+    stderr are flushed the interpreter's teardown, which frees numpy and
+    every loaded module object by object, has nothing left to write: the
+    process ends at once with ``os._exit``, and ``atexit`` handlers do not
+    run.  A missing standard stream or a failed flush (a closed pipe) leaves
+    the exit to the interpreter, which reports a failed flush and exits 120.
+    An embedding program calls :func:`cli_main` instead.
+    """
+    code = cli_main()
+    if not _flush_std_streams():
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

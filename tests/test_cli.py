@@ -8,12 +8,15 @@ its outputs.
 """
 
 import argparse
+import gc
 import importlib
+import io
 import inspect
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,9 @@ from mmsim.cli import cli_main
 from mmsim.market_data import LOB_COLUMNS, LOBBook, render_lob_csv
 
 SRC = Path(mmsim.__file__).resolve().parents[1]
-ENV = {**os.environ,
+# the children run without PYTHONUNBUFFERED, so their stdout is a block-buffered
+# pipe, as in a shell redirect, and an output left unflushed at exit is lost
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 # the names ``import mmsim`` bound before it resolved them lazily, with their modules
@@ -148,12 +153,133 @@ def test_dir_lists_every_export_and_an_unknown_name_raises():
         mmsim.cli.solver  # noqa: B018
 
 
-def test_report_runs_as_the_main_module(inputs, tmp_path):
-    proc = _python("-m", "mmsim.cli", *_argv("report", inputs, str(tmp_path / "out")),
-                   cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].startswith("AFA: ")
-    assert (tmp_path / "out" / "summary.csv").is_file()
+@pytest.mark.parametrize("command", ["solve", "simulate --data", "report", "basic-post"])
+def test_each_command_runs_as_the_main_module(inputs, tmp_path, capsys, command):
+    """Run as ``python -m mmsim.cli``, which ends without the interpreter's
+    teardown, each command prints, writes and exits as through ``cli_main``."""
+    out = tmp_path / "out"
+    argv = _argv(command, inputs, str(out))
+    assert cli_main(argv) == 0
+    printed, written = capsys.readouterr().out, _tree(out)
+    proc = _python("-m", "mmsim.cli", *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed
+    assert printed.count("\n") == {"solve": 2, "report": 4}.get(command, 1)
+    assert _tree(out) == written
+
+
+class _Stream(io.StringIO):
+    """A standard stream that says whether it was flushed after its last
+    write; its flush raises ``error`` when one is given."""
+
+    def __init__(self, error=None):
+        super().__init__()
+        self.error, self.dirty = error, False
+
+    def write(self, text):
+        self.dirty = True
+        return super().write(text)
+
+    def flush(self):
+        if self.error is not None:
+            raise self.error
+        self.dirty = False
+
+
+@pytest.fixture
+def hard_exits(monkeypatch):
+    """The calls ``main`` makes to ``os._exit``: each code, with whether
+    stdout and stderr were left unflushed at the call."""
+    calls = []
+    monkeypatch.setattr(os, "_exit",
+                        lambda code: calls.append((code, sys.stdout.dirty, sys.stderr.dirty)))
+    return calls
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["example1", "--steps", "10"], 0, "stdout"),
+    (["example1", "--steps", "-1"], 1, "stderr"),
+    (["no-such-command"], 2, "stderr"),
+    (["report", "--in", "no-such-dir"], 2, "stderr"),
+], ids=["success", "validation error", "usage error", "I/O error"])
+def test_main_flushes_both_streams_then_ends_with_the_commands_code(
+    tmp_path, monkeypatch, hard_exits, argv, code, stream
+):
+    streams = {"stdout": _Stream(), "stderr": _Stream()}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["mmsim", *argv, "--out", "out"])
+    monkeypatch.setattr(sys, "stdout", streams["stdout"])
+    monkeypatch.setattr(sys, "stderr", streams["stderr"])
+    mmsim.cli.main()
+    assert hard_exits == [(code, False, False)]
+    assert streams[stream].getvalue()
+
+
+@pytest.mark.parametrize("name, error", [
+    ("stdout", BrokenPipeError(32, "Broken pipe")),
+    ("stderr", ValueError("I/O operation on closed file.")),
+    ("stdout", None),
+    ("stderr", None),
+], ids=["stdout flush raises", "stderr flush raises", "no stdout", "no stderr"])
+def test_a_stream_that_cannot_be_flushed_leaves_the_exit_to_the_interpreter(
+    tmp_path, monkeypatch, hard_exits, name, error
+):
+    streams = {"stdout": _Stream(), "stderr": _Stream()}
+    streams[name] = None if error is None else _Stream(error)
+    monkeypatch.setattr(sys, "argv", ["mmsim", "example1", "--steps", "-1",
+                                      "--out", str(tmp_path / "out")])
+    monkeypatch.setattr(sys, "stdout", streams["stdout"])
+    monkeypatch.setattr(sys, "stderr", streams["stderr"])
+    with pytest.raises(SystemExit) as exit_info:
+        mmsim.cli.main()
+    assert exit_info.value.code == 1
+    assert hard_exits == []
+
+
+def test_an_exception_inside_a_command_propagates_out_of_main(tmp_path, monkeypatch,
+                                                              hard_exits):
+    def fail(*args, **kwargs):
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setattr(mmsim.cli, "solve_dpe", fail)
+    monkeypatch.setattr(sys, "argv", ["mmsim", "solve", "--out", str(tmp_path / "out")])
+    with pytest.raises(RuntimeError, match="solver failed"):
+        mmsim.cli.main()
+    assert hard_exits == []
+
+
+def test_a_closed_stdout_pipe_is_reported_by_the_interpreter(tmp_path):
+    """Block-buffered output to a pipe whose reader is gone fails at the
+    flush; the interpreter then reports the error and exits 120."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmsim.cli", "example1", "--steps", "200",
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=ENV, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120, proc.stderr
+    assert proc.stderr.startswith("Exception ignored")
+    assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "out" / "fills.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "simulate --data", "report",
+                                     "basic-post", "basic-post --data", "example1"])
+def test_no_command_leaves_a_file_open(inputs, tmp_path, command):
+    """``main`` ends the process without the interpreter's teardown, which
+    would flush and close a file left open: each command closes its own."""
+    argv = _argv(command, inputs, str(tmp_path / "out"))
+    if command == "simulate --data":
+        argv += ["--snapshots", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli_main(argv) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def _tree(root):
