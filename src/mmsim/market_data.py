@@ -183,11 +183,12 @@ def parse_lob_csv(data: bytes) -> LOBBook:
     :data:`_BODY_BYTES`) is decoded as UTF-8, split with ``str.splitlines``
     and joined again with LF, which in the plain alphabet gives the same
     lines, and is plain if the joined bytes are (as CRLF and CR spellings
-    are).  The body is cut into blocks of :data:`BLOCK_ROWS` lines, each
-    converted by :func:`_convert_block` into columns allocated once.  The
-    first bad row in file order raises, blank lines counted in its line
-    number; within a row the checks run in the order field count, number
-    parsing, crossed level 1, negative size, timestamp order.
+    are).  Blocks of :data:`BLOCK_ROWS` lines convert (:func:`_convert_block`)
+    straight into the book's columns, allocated once, up to the first row
+    that does not.  One :func:`_check_rows` then raises for the first bad
+    row by its file line, blank lines counted; within a row the checks run
+    in the order field count, number parsing, crossed level 1, negative
+    size, timestamp order.
     """
     raw, plain = data, _is_plain(data)
     if not plain:
@@ -210,22 +211,20 @@ def parse_lob_csv(data: bytes) -> LOBBook:
     line_ends += body
     ts_out = np.empty(line_ends.size, dtype=np.int64)
     cells_out = np.empty((line_ends.size, len(LOB_COLUMNS)))
-    kept = 0
+    kept, reason = 0, None
     for first in range(0, line_ends.size, BLOCK_ROWS):
         last = min(first + BLOCK_ROWS, line_ends.size)
         lo = int(line_ends[first - 1]) + 1 if first else body
         hi = int(line_ends[last - 1]) + 1
-        ends, starts, fields = split_cells(buf, lo, hi)
-        if not starts.size:
-            continue  # blank lines only
-        linenos = (np.flatnonzero(fields) + first + 2).tolist()
-        prev_ts = int(ts_out[kept - 1]) if kept else None
-        ts, cells = _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts, plain)
-        _check_rows(ts, cells, linenos, prev_ts)
+        ts, cells, reason = _convert_block(raw, buf, *split_cells(buf, lo, hi), plain)
         ts_out[kept:kept + ts.size] = ts
         cells_out[kept:kept + ts.size] = cells
         kept += ts.size
-    return LOBBook(ts_out[:kept], cells_out[:kept])
+        if reason is not None:
+            break
+    ts_out, cells_out = ts_out[:kept], cells_out[:kept]
+    _check_rows(ts_out, cells_out, reason, line_ends, body)
+    return LOBBook(ts_out, cells_out)
 
 
 def _is_plain(raw: bytes) -> bool:
@@ -234,9 +233,9 @@ def _is_plain(raw: bytes) -> bool:
             and raw.translate(None, _BODY_BYTES) == _HEADER_LETTERS)
 
 
-def _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts,
-                   plain: bool) -> tuple[np.ndarray, np.ndarray]:
-    """ts and cells of a block, given :func:`split_cells` of it.
+def _convert_block(raw, buf, ends, starts, fields,
+                   plain: bool) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """ts and cells of a block's rows before the first it cannot convert, and why.
 
     A column the word kernels take whole is converted by them with no
     Python object per cell: ``ts`` by :func:`plain_ints`, which checks its
@@ -245,10 +244,9 @@ def _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts,
     needs).  Both equal ``int()`` and ``float()`` of the text bit for bit.
     A column they decline goes through :func:`converted`, one
     :func:`_timestamp` or :func:`_cell_value` per distinct cell text.  The
-    first bad row is the earlier of the first with a wrong field count and
-    the first holding a text the conversion rejects, ``ts`` before cells.
-    It raises after the rows before it are checked, so that an earlier
-    crossed, negative-size or time-travel row wins.
+    row they cannot convert is the earlier of the first with a wrong field
+    count and the first holding a text the conversion rejects, ``ts``
+    before cells; its reason is None if there is none.  Nothing raises.
     """
     fields = fields[fields > 0]
     n = int(np.argmax(fields != _N_FIELDS)) if (fields != _N_FIELDS).any() else fields.size
@@ -266,12 +264,8 @@ def _convert_block(raw, buf, ends, starts, fields, linenos, prev_ts,
                  if n < fields.size else None)
     # min keeps the first of equal rows: ts, then cells
     r, _, reason = min(filter(None, [ts_bad, cells_bad, count_bad]), key=lambda found: found[0],
-                       default=(0, "", None))
-    if reason is None:
-        return ts, cells
-    if r:
-        _check_rows(ts[:r], cells[:r], linenos, prev_ts)
-    raise MalformedRowError(linenos[r], reason)
+                       default=(n, "", None))
+    return ts[:r], cells[:r], reason
 
 
 def _timestamp(text: str) -> int:
@@ -292,23 +286,28 @@ def _cell_value(text: str) -> float:
     return value
 
 
-def _check_rows(ts: np.ndarray, cells: np.ndarray, linenos, prev_ts: int | None) -> None:
-    """Raise for the first crossed, negative-size or time-travelling row."""
+def _check_rows(ts: np.ndarray, cells: np.ndarray, reason: str | None,
+                line_ends: np.ndarray, body: int) -> None:
+    """Raise for the file's first bad row: the first crossed, negative-size or
+    time-travelling converted row, else the next one if it failed to convert
+    for ``reason``.  Only its file line is found, from ``line_ends``, blanks counted."""
     bid, ask = cells[:, _BID_PX_1], cells[:, _ASK_PX_1]
     crossed = bid >= ask  # false where either side is absent
-    negative = (cells[:, _BOOK_SIZES] < 0).any(axis=1)
-    prev = np.concatenate(([ts[0] if prev_ts is None else prev_ts], ts[:-1]))
-    back = ts < prev
+    # compared whole, then picked: picking the float columns first copies them
+    negative = (cells < 0)[:, _BOOK_SIZES].any(axis=1)
+    back = np.concatenate(([False], ts[1:] < ts[:-1]))
     bad = crossed | negative | back
-    if bad.any():
-        r = int(bad.argmax())
-        if crossed[r]:
-            raise MalformedRowError(
-                linenos[r], f"crossed book: bid {float(bid[r])} >= ask {float(ask[r])}"
-            )
-        if negative[r]:
-            raise MalformedRowError(linenos[r], "negative size")
-        raise NonMonotoneTimestampError(linenos[r], int(ts[r]), int(prev[r]))
+    r = int(bad.argmax()) if bad.any() else ts.size
+    if r == ts.size and reason is None:
+        return
+    line = int(np.flatnonzero(np.diff(line_ends, prepend=body - 1) > 1)[r]) + 2
+    if r == ts.size:
+        raise MalformedRowError(line, reason)
+    if crossed[r]:
+        raise MalformedRowError(line, f"crossed book: bid {float(bid[r])} >= ask {float(ask[r])}")
+    if negative[r]:
+        raise MalformedRowError(line, "negative size")
+    raise NonMonotoneTimestampError(line, int(ts[r]), int(ts[r - 1]))
 
 
 def render_lob_csv(book: LOBBook) -> str:

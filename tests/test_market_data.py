@@ -165,7 +165,7 @@ def test_time_travel_at_block_boundary_reports_its_line():
     assert err.value.line == BLOCK_ROWS + 2
 
 
-@pytest.mark.parametrize("bad_rows, exc, line", [
+_FIRST_BAD_ROW_CASES = [
     # an earlier row wins whatever its kind of error
     ({3: "9,1,2", 6: _row(9, 100.01, 100.0)}, MalformedRowError, 3),
     ({4: _row(9, 100.01, 100.0), 6: "9,1,2"}, MalformedRowError, 4),
@@ -175,8 +175,25 @@ def test_time_travel_at_block_boundary_reports_its_line():
     # within one row: crossed before negative size before time order
     ({4: _row(1, 100.01, 100.0, bid_sz=-1)}, MalformedRowError, 4),
     ({4: _row(1, 99.99, 100.0, ask_sz=-1)}, MalformedRowError, 4),
-])
+]
+
+
+@pytest.mark.parametrize("bad_rows, exc, line", _FIRST_BAD_ROW_CASES)
 def test_first_bad_row_within_a_block(bad_rows, exc, line):
+    _assert_first_bad_row(bad_rows, exc, line)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("bad_rows, exc, line", _FIRST_BAD_ROW_CASES)
+def test_first_bad_row_across_small_blocks(bad_rows, exc, line, block_rows):
+    """The same cases cut into blocks of 1 to 3 lines, so each precedence
+    case straddles block boundaries, across which the one check of the
+    converted rows reads each row's previous timestamp."""
+    with mock.patch.object(market_data, "BLOCK_ROWS", block_rows):
+        _assert_first_bad_row(bad_rows, exc, line)
+
+
+def _assert_first_bad_row(bad_rows, exc, line):
     rows = [_row(10 * i, 99.99, 100.0) for i in range(8)]
     for lineno, text in bad_rows.items():
         rows[lineno - 2] = text

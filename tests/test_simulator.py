@@ -14,6 +14,7 @@ from mmsim.cli import cli_main
 from mmsim.dynamics import BatchWindow, RngStream
 from mmsim.fills import (
     EnvMode,
+    EnvVariant,
     FillColumns,
     FillCounters,
     FillEvent,
@@ -44,6 +45,7 @@ from mmsim.solver import (
     solve_dpe,
 )
 from mmsim.table import read_cells
+from backtest_oracle import backtest_value
 from scalar_reference import draw_window_events, fill_events, update_cash, update_inventory
 from scalar_reference import run_simulation as run_scalar
 
@@ -263,6 +265,28 @@ def test_nonadverse_count_matches_expectation(solved):
     expected = eligible * p_fill
     sd = math.sqrt(eligible * p_fill * (1 - p_fill))
     assert abs(observed - expected) <= 3 * sd
+
+
+@pytest.mark.parametrize("env", ["benchmark", "thinned", "improved"])
+def test_backtest_recovers_its_oracle(solved, env):
+    """On 2,000 windows of ``simulate``'s synthetic quotes, the backtest's
+    mean objective lies within 3 SE of the oracle's value of the policy it
+    runs, with alpha refined until the oracle moves by under 0.1 SE."""
+    params, policy = solved
+    mode = {"benchmark": EnvMode.benchmark(),
+            "thinned": EnvMode(EnvVariant.BENCHMARK, params.rho),
+            "improved": EnvMode.improved(params)}[env]
+    series = synthetic_quotes(params, 2000 * params.n_dt, RngStream(seed=7, stream_id=10_000))
+    objectives = run_batch(policy, series, mode, params, master_seed=7).objectives
+    se = objectives.std(ddof=1) / math.sqrt(objectives.size)
+    refine, value = 3, backtest_value(policy, params, mode, 3)
+    while True:
+        finer = backtest_value(policy, params, mode, 2 * refine + 1)
+        if abs(finer - value) < 0.1 * se:
+            break
+        assert refine < 50, "the oracle does not settle under refinement"
+        refine, value = 2 * refine + 1, finer
+    assert abs(objectives.mean() - finer) < 3 * se
 
 
 def test_batch_window_count_and_short_series(solved):
