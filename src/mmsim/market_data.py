@@ -332,7 +332,8 @@ def resample_forward_fill(book: LOBBook, dt: float) -> PriceSeries:
         raise EmptyInputError("no records to resample")
     step = int(round(dt * NANOS))
     if step <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive, got {dt}" if dt <= 0 else
+                         f"dt {dt} s is under the timestamps' 1 ns resolution")
     first, last = int(book.ts[0]), int(book.ts[-1])
     start = ((first + NANOS - 1) // NANOS) * NANOS
     if last < start:

@@ -105,18 +105,6 @@ def default_grid() -> SolverGrid:
     return SolverGrid()
 
 
-def stationary_alpha_std(params: MarketParams) -> float:
-    """Stationary standard deviation of the mean-reverting drift process."""
-    if params.zeta <= 0:
-        return math.inf
-    var_rate = (
-        params.eta**2
-        + params.lambda_plus * params.eps_plus**2
-        + params.lambda_minus * params.eps_minus**2
-    )
-    return math.sqrt(var_rate / (2.0 * params.zeta))
-
-
 class ConfigParseError(ValueError):
     """Raised for malformed or unknown configuration entries."""
 

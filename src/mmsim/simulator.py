@@ -5,11 +5,10 @@ posting policy together; its docstring gives the order of a step.
 ``run_batch`` splits a session into consecutive non-overlapping windows
 that share only their boundary sample, window w drawing its events as
 ``BatchWindow(master_seed, w)``, and steps them in blocks.
-``run_simulation`` steps one batch window as a block of one, and reads
-the window's cash, inventory and wealth paths off the kernel's fill
-codes.  Both return their fills as ``FillColumns``, in window, step and
-settlement order.
-The tests hold both, bit for bit, to the scalar loop of
+``run_simulation`` steps one batch window as a block of one.  A
+window's paths are read off its batch's fill codes (``BatchResult.window``);
+fills are ``FillColumns``, in window, step and settlement order.
+The tests hold every window, bit for bit, to the scalar loop of
 ``tests/scalar_reference.py``, which steps one fill at a time.
 """
 
@@ -67,14 +66,54 @@ class SimResult:
 
 @dataclass(eq=False)
 class BatchResult:
-    """Per-window terminal wealths and objectives, fill totals, and every
-    fill as columns with session-global ``t_index = w n_dt + i``."""
+    """Per-window terminal wealths and objectives, fill totals, every fill
+    as columns with session-global ``t_index = w n_dt + i``, and each
+    window step's fill code, shape (n_paths, n_dt)."""
 
     terminal_wealths: np.ndarray
     objectives: np.ndarray
     fill_totals: FillCounters
     n_paths: int
     fills: FillColumns
+    codes: np.ndarray
+
+    def window(self, w: int, series: PriceSeries) -> SimResult:
+        """Window ``w``'s paths over ``series``, the session of the batch.
+
+        Inventory is the running sum of each fill code's change, the
+        posting flags are its posting bits, cash is the running sum of the
+        window's signed fill prices after each step's last fill, and wealth
+        marks to the mid; the terminal wealth and objective are the batch's.
+        """
+        if not 0 <= w < self.n_paths:
+            raise IndexError(f"window {w} outside a batch of {self.n_paths}")
+        codes = self.codes[w]
+        n = codes.size
+        lo, hi = np.searchsorted(self.fills.t_index, [w * n, (w + 1) * n])
+        fills = FillColumns(t_index=self.fills.t_index[lo:hi] - w * n,
+                            event=self.fills.event[lo:hi], price=self.fills.price[lo:hi])
+        inventory = np.zeros(n + 1, dtype=int)
+        np.cumsum(_CODE_DQ.take(codes), out=inventory[1:])
+        # a sequential sum from 0.0, the order in which fills settle; step i's
+        # cash is the sum over the fills of steps before it
+        settled = np.cumsum(np.concatenate(([0.0], np.where(fills.is_ask, fills.price, -fills.price))))
+        # the count of fills before step i, i = 0..n
+        cash = settled[np.cumsum(np.bincount(fills.t_index + 1, minlength=n + 1))]
+        mid = series.window(w * n, n + 1).mid
+        wealth = np.zeros(n + 1)
+        wealth[1:] = cash[1:] + inventory[1:] * mid[1:]
+        wealth[n] = self.terminal_wealths[w]
+        return SimResult(
+            inventory=inventory,
+            cash=cash,
+            wealth=wealth,
+            fills=fills,
+            posted_bid=(codes & _POSTED_BID) > 0,
+            posted_ask=(codes & _POSTED_ASK) > 0,
+            counters=FillCounters.from_columns(fills),
+            terminal_wealth=self.terminal_wealths[w],
+            objective=self.objectives[w],
+        )
 
 
 def _bound_breach(q: int, q_max: int) -> InventoryBoundBreachError:
@@ -144,46 +183,10 @@ def run_simulation(
     params: MarketParams,
     rng: BatchWindow,
 ) -> SimResult:
-    """Run one window of n_dt steps over the leading samples of a series.
-
-    The window draws the events of batch window ``rng`` and is stepped by
-    the batch's kernel as a block of one, so it equals that window's run in
-    a batch bit for bit.  Its paths are read off the kernel's per-step fill
-    codes: inventory is the running sum of each code's change, the posting
-    flags are its posting bits, cash is the running sum of the signed fill
-    prices after each step's last fill, and wealth marks to the mid.
-    """
-    n = params.n_dt
-    _check_step(series, params)
-    if len(series) < n + 1:
-        raise SeriesTooShortError(f"need {n + 1} samples, series has {len(series)}")
-    policy.check(params)
-    _, penalty, events, t_index, codes = _run_block(policy, series, mode, params, rng, 0, 1)
-    fills = _fill_columns(series, events, t_index)
-
-    inventory = np.zeros(n + 1, dtype=int)
-    np.cumsum(_CODE_DQ.take(codes[0]), out=inventory[1:])
-    # a sequential sum from 0.0, the order in which fills settle; step i's
-    # cash is the sum over the fills of steps before it
-    settled = np.cumsum(np.concatenate(([0.0], np.where(fills.is_ask, fills.price, -fills.price))))
-    # the count of fills before step i, i = 0..n
-    cash = settled[np.cumsum(np.bincount(t_index + 1, minlength=n + 1))]
-    mid = series.mid[:n + 1]
-    wealth = np.zeros(n + 1)
-    wealth[1:] = cash[1:] + inventory[1:] * mid[1:]
-    final = terminal_wealth(cash[n], int(inventory[n]), mid[n], params)
-    wealth[n] = final
-    return SimResult(
-        inventory=inventory,
-        cash=cash,
-        wealth=wealth,
-        fills=fills,
-        posted_bid=(codes[0] & _POSTED_BID) > 0,
-        posted_ask=(codes[0] & _POSTED_ASK) > 0,
-        counters=FillCounters.from_columns(fills),
-        terminal_wealth=final,
-        objective=final - penalty[0],
-    )
+    """Batch window ``rng`` run over the leading n_dt + 1 samples of a
+    series as a batch of one, so it equals that window in a batch bit for bit."""
+    count = min(1, (len(series) - 1) // params.n_dt)
+    return _run(policy, series, mode, params, rng, count).window(0, series)
 
 
 # Windows stepped together.  A block holds per window step 4 event flag
@@ -237,15 +240,19 @@ def run_batch(
 
     Windows cover samples [w n_dt, (w+1) n_dt] so consecutive windows share
     one boundary sample, and results do not depend on execution order.
-    The windows of a block are stepped together (``_run_block``).  Cash is
-    settled from the fill columns afterwards: ``np.add.at`` applies each
-    window's fills in step and event order, the order ``run_simulation``
-    sums them in, so each window's results equal its ``run_simulation``
-    run bit for bit.
+    """
+    count = (len(series) - 1) // params.n_dt
+    return _run(policy, series, mode, params, BatchWindow(master_seed, 0), count)
+
+
+def _run(policy, series, mode, params, first: BatchWindow, count: int) -> BatchResult:
+    """Step ``count`` windows in blocks (``_run_block``), window k from
+    sample k n_dt drawing batch window ``first.window + k``'s events.  Cash
+    is settled from the fill columns afterwards: ``np.add.at`` applies each
+    window's fills in step and event order, as ``BatchResult.window`` sums them.
     """
     n = params.n_dt
     _check_step(series, params)
-    count = (len(series) - 1) // n
     if count < 1:
         raise SeriesTooShortError(
             f"series of {len(series)} samples holds no full window of {n + 1}"
@@ -254,10 +261,9 @@ def run_batch(
     blocks = []
     for w0 in range(0, count, BLOCK_WINDOWS):
         size = min(BLOCK_WINDOWS, count - w0)
-        # a batch keeps no block's fill codes
-        blocks.append(_run_block(policy, series, mode, params, BatchWindow(master_seed, w0),
-                                 w0 * n, size)[:4])
-    q, penalty, events, t_index = (np.concatenate(part) for part in zip(*blocks))
+        blocks.append(_run_block(policy, series, mode, params,
+                                 BatchWindow(first.master_seed, first.window + w0), w0 * n, size))
+    q, penalty, events, t_index, codes = (np.concatenate(part) for part in zip(*blocks))
     fills = _fill_columns(series, events, t_index)
     cash = np.zeros(count)
     np.add.at(cash, t_index // n, np.where(fills.is_ask, fills.price, -fills.price))
@@ -265,7 +271,7 @@ def run_batch(
     wealths = terminal_wealth(cash, q, mid, params)
     return BatchResult(
         terminal_wealths=wealths, objectives=wealths - penalty,
-        fill_totals=FillCounters.from_columns(fills), n_paths=count, fills=fills,
+        fill_totals=FillCounters.from_columns(fills), n_paths=count, fills=fills, codes=codes,
     )
 
 

@@ -329,7 +329,6 @@ WRAPPED = [
     ("export_policy_csv", "solve", ("path",)),
     ("load_policy_csv", "simulate", ()),
     ("run_batch", "simulate", ("mode", "params")),
-    ("run_simulation", "simulate", ()),
     ("write_batch_wealth_csv", "simulate", ()),
     ("write_snapshot_csv", "simulate", ()),
     ("write_fill_log", "simulate", ("fills",)),
@@ -358,6 +357,20 @@ def test_a_wrapper_set_on_the_cli_module_sees_the_call(inputs, tmp_path, monkeyp
         assert set(read) <= set(arguments)
     if "path" in read:
         assert Path(calls[0]["path"]).is_file()
+
+
+def test_simulate_reads_its_snapshots_off_its_one_batch(inputs, tmp_path, monkeypatch):
+    calls = {"run_batch": 0, "run_simulation": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(mmsim.cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mmsim.cli, name, spy)
+    out = tmp_path / "out"
+    assert cli_main([*_argv("simulate", inputs, str(out)), "--snapshots", "2"]) == 0
+    assert calls == {"run_batch": 1, "run_simulation": 0}
+    assert (out / "snapshot_1.csv").is_file()
 
 
 # each command's option strings: an option no command reads shows up here
@@ -436,6 +449,17 @@ def test_a_jump_past_the_grid_exits_1_in_every_command_that_reads_a_config(
     assert cli_main([*_argv(command, inputs, str(out)), "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith(
         "ValidationError: GridTooCoarse: drift jump 0.05 exceeds the grid half-width 0.04")
+    assert not out.exists()
+
+
+def test_a_step_under_a_nanosecond_exits_1_on_recorded_data(inputs, tmp_path, capsys):
+    # the config admits dt = 1e-10 s, but it rounds to a 0 ns resampling step
+    config = tmp_path / "fine_dt.cfg"
+    config.write_text("dt = 1e-10\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main([*_argv("basic-post --data", inputs, str(out)), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "ValueError: dt 1e-10 s is under the timestamps' 1 ns resolution\n")
     assert not out.exists()
 
 

@@ -294,6 +294,18 @@ def test_forward_fill_default_alignment_starts_on_whole_second():
     assert series.bid.tolist() == [100.0, 100.0]
 
 
+@pytest.mark.parametrize("dt, message", [
+    (1e-10, "dt 1e-10 s is under the timestamps' 1 ns resolution"),
+    (4e-10, "dt 4e-10 s is under the timestamps' 1 ns resolution"),
+    (0.0, "dt must be positive, got 0.0"),
+    (-1.0, "dt must be positive, got -1.0"),
+], ids=["1e-10", "4e-10", "zero", "negative"])
+def test_forward_fill_rejects_a_step_that_rounds_to_no_nanosecond(dt, message):
+    records = [_quote_record(0, 100.0, 100.01), _quote_record(2 * SEC, 100.0, 100.01)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resample_forward_fill(_book(records), dt)
+
+
 def test_forward_fill_rejects_empty():
     with pytest.raises(EmptyInputError):
         resample_forward_fill(_book([]), 1.0)

@@ -15,7 +15,6 @@ from mmsim.params import (
     default_params,
     load_config,
     render_config,
-    stationary_alpha_std,
     validate,
 )
 
@@ -43,7 +42,9 @@ def test_defaults_validate_clean():
 
 def test_default_grid_spans_stationary_alpha():
     p = default_params()
-    sd = stationary_alpha_std(p)
+    # the stationary standard deviation of the drift
+    sd = math.sqrt((p.eta**2 + p.lambda_plus * p.eps_plus**2 + p.lambda_minus * p.eps_minus**2)
+                   / (2 * p.zeta))
     assert sd == pytest.approx(0.0075, abs=5e-4)
     assert default_grid().alpha_max >= 5 * sd
 

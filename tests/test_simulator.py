@@ -301,6 +301,9 @@ def test_batch_window_count_and_short_series(solved):
         run_batch(policy, short, EnvMode.benchmark(), params, master_seed=5)
     with pytest.raises(SeriesTooShortError):
         run_simulation(policy, short, EnvMode.benchmark(), params, BatchWindow(0, 0))
+    for w in (-1, 2):
+        with pytest.raises(IndexError, match=f"window {w} outside a batch of 2"):
+            batch.window(w, series)
 
 
 def test_batch_equals_orderless_window_runs(solved):
@@ -346,7 +349,8 @@ def _assert_same_result(got, want):
 def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, lam):
     """Every window of the vectorised batch equals its scalar oracle run:
     wealth, objective, counters and fills, with no tolerance.  Each
-    window's run_simulation equals the oracle in every field."""
+    window's run_simulation, and the window as its batch reads it, equal
+    the oracle in every field."""
     monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 3)  # blocks of 3, 3 and 1 windows
     params, policy = solved
     params = replace(params, phi=1e-4)  # a running penalty, so objectives differ from wealth
@@ -363,6 +367,7 @@ def test_batch_matches_scalar_oracle_bit_for_bit(solved, monkeypatch, variant, l
         window = series.window(w * params.n_dt, params.n_dt + 1)
         r = run_scalar(policy, window, mode, params, BatchWindow(23, w))
         _assert_same_result(run_simulation(policy, window, mode, params, BatchWindow(23, w)), r)
+        _assert_same_result(batch.window(w, series), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt)
@@ -416,7 +421,8 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
     """A policy that posts each side at random, never at an inventory
     bound, over quotes with flat stretches and trade-throughs: every
     window's wealth, objective and fills equal its scalar run exactly, and
-    its run_simulation equals the scalar run in every field."""
+    its run_simulation and the window its batch reads equal the scalar run
+    in every field."""
     monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 4)  # blocks of 4 and 2 windows
     monkeypatch.setattr(simulator, "NODE_CHUNK", 7)  # a short last chunk of steps
     params, policy = solved
@@ -438,6 +444,7 @@ def test_batch_matches_scalar_on_a_random_policy(solved, monkeypatch, variant):
         r = run_scalar(random_policy, window, mode, params, BatchWindow(38, w))
         _assert_same_result(run_simulation(random_policy, window, mode, params,
                                            BatchWindow(38, w)), r)
+        _assert_same_result(batch.window(w, series), r)
         assert batch.terminal_wealths[w] == r.terminal_wealth
         assert batch.objectives[w] == r.objective
         fills += [replace(f, t_index=f.t_index + w * params.n_dt)
@@ -456,8 +463,8 @@ def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant, patche
     """Patched, groups of 3 windows straddle blocks of 5 and 3 windows
     (windows 0-2 and 3-4, then 5 and 6-7), and every window is checked.
     Unpatched, 70 windows are a full group of 64 then a short one, and
-    windows 60-69 are checked across the boundary.  Each checked window's
-    wealth, objective and fills equal its scalar run exactly."""
+    windows 60-69 are checked across the boundary.  Each checked window,
+    as its batch reads it, equals its scalar run in every field."""
     if patched:
         monkeypatch.setattr(simulator, "BLOCK_WINDOWS", 5)
         monkeypatch.setattr(dynamics, "GROUP_WINDOWS", 3)
@@ -477,6 +484,7 @@ def test_batch_matches_scalar_across_groups(solved, monkeypatch, variant, patche
     for w in checked:
         window = series.window(w * n, n + 1)
         r = run_scalar(policy, window, mode, params, BatchWindow(44, w))
+        _assert_same_result(batch.window(w, series), r)
         assert (batch.terminal_wealths[w], batch.objectives[w]) == (r.terminal_wealth, r.objective)
         fills += [replace(f, t_index=f.t_index + w * n) for f in fill_events(r.fills)]
         totals += r.counters

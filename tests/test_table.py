@@ -148,7 +148,8 @@ WRITERS = {
             BatchResult(terminal_wealths=np.array([0.1, -2.5]),
                         objectives=np.array([1e-17, 0.1 + 0.2]),
                         fill_totals=FillCounters(), n_paths=2,
-                        fills=FillColumns.from_events([])),
+                        fills=FillColumns.from_events([]),
+                        codes=np.zeros((2, 1), dtype=np.uint8)),
             path,
         ),
         "window,terminal_wealth,objective\n0,0.1,1e-17\n1,-2.5,0.30000000000000004\n",
