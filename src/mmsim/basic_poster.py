@@ -10,9 +10,9 @@ picked off:
 * a static ladder strategy that rests a buy and a sell ``offset_ticks``
   apart around the market.  A resting order stays until it fills; none is
   ever cancelled.  An order fills adversely when the quote sweeps through
-  its level, or non-adversely at (or inside) the touch once simulated
-  traded volume strictly exhausts the queue ahead of it; a rung that
-  improves the market starts with an empty queue.
+  its level, or at (or inside) the touch once simulated traded volume
+  strictly exhausts the queue ahead of it, adversely if its touch then
+  moves through it; a rung improving the market starts with an empty queue.
 
 The ladder keeps each side's rungs in signed ticks: +t for a buy at tick t,
 -t for a sell, so on both sides a better price is a larger number and one
@@ -31,12 +31,11 @@ import logging
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .dynamics import RngStream, round_to_tick
-from .fills import FillEvent, FillKind, Side, classify_fill
+from .fills import FillEvent, FillKind, Side
 from .market_data import PriceSeries, check_tick, check_tick_count
 from .params import OFFSET_TICKS_PRESETS
 from .table import write_table
@@ -90,21 +89,21 @@ def run_example1(n_steps: int, walk_p: float = 0.25, seed: int = 0) -> FillLog:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if not 0.0 <= walk_p <= 0.5:
         raise ValueError(f"walk_p must lie in [0, 0.5], got {walk_p}")
-    if n_steps == 0:
-        return FillLog([])
 
     gen = RngStream(seed=seed).generator()
     u = gen.random(n_steps)
-    moves = np.where(u < walk_p, 1, np.where(u < 2 * walk_p, -1, 0)).tolist()
-    bid_ticks = list(accumulate(moves, initial=round(100.0 / EXAMPLE1_TICK)))
-
-    fills: list[FillEvent] = []
+    moves = np.where(u < walk_p, 1, np.where(u < 2 * walk_p, -1, 0))
     # a buy market order lifts the ask, one tick above the bid; a sell hits the bid
-    for i, buy_mo in enumerate((gen.random(n_steps) < 0.5).tolist()):
-        side, above = (Side.ASK, 1) if buy_mo else (Side.BID, 0)
-        now, nxt = (_price(t + above, EXAMPLE1_TICK) for t in bid_ticks[i:i + 2])
-        fills.append(FillEvent(i, side, now, classify_fill(side, now, nxt)))
-    return FillLog(fills)
+    buy = gen.random(n_steps) < 0.5
+    # each step's touch in ticks, before that step's move of the bid
+    touch = round(100.0 / EXAMPLE1_TICK) + np.cumsum(moves) - moves + buy
+    # the fill is adverse when its touch then moves through it
+    adverse = moves == np.where(buy, 1, -1)
+    return FillLog([
+        FillEvent(i, Side.ASK if b else Side.BID, _price(t, EXAMPLE1_TICK),
+                  FillKind.ADVERSE if a else FillKind.NON_ADVERSE)
+        for i, (b, t, a) in enumerate(zip(buy.tolist(), touch.tolist(), adverse.tolist()))
+    ])
 
 
 def _price(ticks: int, tick: float) -> float:
@@ -215,19 +214,19 @@ def run_basic_posting(
             floor = min(touch, touch_next + 1, far_next)
             for x in reversed(rungs[bisect_left(rungs, floor):]):
                 if (touch >= x > touch_next) or far_next <= x:
-                    fills.append(FillEvent(i, side, _price(sign * x, tick), FillKind.ADVERSE))
+                    kind = FillKind.ADVERSE
                 elif x >= touch and mo_now:
                     # the order's one traded unit fills only past the volume queued ahead
                     ahead = queue[x]
                     if 1.0 > ahead:
-                        price = _price(sign * x, tick)
-                        kind = classify_fill(side, price, _price(sign * touch_next, tick))
-                        fills.append(FillEvent(i, side, price, kind))
+                        # adverse when the touch then moves through the rung
+                        kind = FillKind.ADVERSE if touch_next < x else FillKind.NON_ADVERSE
                     else:
                         queue[x] = ahead - 1.0
                         continue
                 else:
                     continue
+                fills.append(FillEvent(i, side, _price(sign * x, tick), kind))
                 filled.append((s, other, x))
 
         for s, _, x in filled:

@@ -31,7 +31,6 @@ __all__ = [
     "FillColumns",
     "EnvVariant",
     "EnvMode",
-    "classify_fill",
     "fill_rule",
     "write_fill_log",
     "read_fill_log",
@@ -120,13 +119,6 @@ class EnvMode:
         return self.variant is EnvVariant.IMPROVED
 
 
-def classify_fill(side: Side, price_now: float, price_next: float) -> FillKind:
-    """A fill is adverse when the first subsequent touch move is against it."""
-    if side is Side.BID:
-        return FillKind.ADVERSE if price_next < price_now else FillKind.NON_ADVERSE
-    return FillKind.ADVERSE if price_next > price_now else FillKind.NON_ADVERSE
-
-
 def fill_rule(posted_ask, posted_bid, ask_through, bid_through, ask_hit, bid_hit):
     """The step's four fill events as flags, for booleans or boolean
     arrays, in the order they settle: adverse ask, adverse bid, non-adverse
@@ -213,7 +205,7 @@ def read_fill_log(path) -> FillColumns:
     if cells.header != FILL_LOG_HEADER:
         raise ValueError(f"unexpected fill log header {','.join(cells.header)!r}")
     t_index = cells.ints("t_index")
-    back = np.flatnonzero(np.diff(t_index, prepend=0) < 0)
+    back = np.flatnonzero(t_index < np.concatenate(([0], t_index[:-1])))
     if back.size:
         row = int(back[0])
         cells.reject("t_index", row,

@@ -321,7 +321,8 @@ def render_lob_csv(book: LOBBook) -> str:
 def resample_forward_fill(book: LOBBook, dt: float) -> PriceSeries:
     """Sample the last-known book state on a uniform grid of boundaries.
 
-    Boundaries run every dt seconds from the first whole second at or after
+    Boundaries run every dt seconds, rounded to whole nanoseconds (the
+    series' ``dt`` is that step), from the first whole second at or after
     the first record to the last record (nanoseconds); each sample is the
     most recent record at or before its boundary, so every boundary has
     one.  A book whose records span no whole-second boundary is rejected.
@@ -345,7 +346,7 @@ def resample_forward_fill(book: LOBBook, dt: float) -> PriceSeries:
     rows = np.searchsorted(book.ts, boundaries, side="right") - 1
     return PriceSeries(
         t0=start,
-        dt=dt,
+        dt=step / NANOS,
         bid=book.cells[rows, _BID_PX_1],
         ask=book.cells[rows, _ASK_PX_1],
         level1_bid_sz=_absent_as_zero(book.cells[rows, _BID_SZ_1]),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from mmsim.basic_poster import (
 )
 from mmsim.cli import cli_main
 from mmsim.dynamics import RngStream, round_to_tick
-from mmsim.fills import FillEvent, FillKind, Side, classify_fill
+from mmsim.fills import FillEvent, FillKind, Side
 from mmsim.market_data import LOB_COLUMNS, LOBBook, PriceSeries, render_lob_csv, synthetic_quotes
 from mmsim.params import TICK_PRESETS, default_params
 
@@ -29,6 +30,13 @@ def _series(bids, asks, bid_sz=10.0, ask_sz=10.0):
         bid=np.asarray(bids, dtype=float), ask=np.asarray(asks, dtype=float),
         level1_bid_sz=np.full(n, bid_sz), level1_ask_sz=np.full(n, ask_sz),
     )
+
+
+def _kind_by_prices(side, price_now, price_next):
+    """The classification rule stated on prices: a fill is adverse when the
+    touch on its side then moves through it, a bid down or an ask up."""
+    through = price_next < price_now if side is Side.BID else price_next > price_now
+    return FillKind.ADVERSE if through else FillKind.NON_ADVERSE
 
 
 def test_example1_empty_run():
@@ -59,16 +67,29 @@ def test_example1_deterministic():
 
 
 def test_example1_classification_agrees_with_fill_rules():
-    log = run_example1(300, walk_p=0.3, seed=4)
-    fills = log.fills
-    # price path per side is recoverable from consecutive same-side fills
-    by_side = {Side.BID: [], Side.ASK: []}
-    for f in fills:
-        by_side[f.side].append(f)
-    for side, side_fills in by_side.items():
-        for a, b in zip(side_fills, side_fills[1:]):
-            if b.t_index == a.t_index + 1:
-                assert a.kind is classify_fill(side, a.price, b.price)
+    for walk_p, seed in itertools.product([0.25, 0.3, 0.5], [4, 11]):
+        _check_example1_kinds(walk_p, seed)
+
+
+def _check_example1_kinds(walk_p, seed):
+    """Every Example-1 fill against the price rule, on the walk redrawn."""
+    n, tick = 300, 0.01
+    log = run_example1(n, walk_p=walk_p, seed=seed)
+    # the walk and the market-order sides redrawn as the docstring states them
+    gen = RngStream(seed=seed).generator()
+    bid = [100.0]
+    for u in gen.random(n).tolist():
+        bid.append(bid[-1] + (tick if u < walk_p else -tick if u < 2 * walk_p else 0.0))
+    buys = (gen.random(n) < 0.5).tolist()
+
+    def touch(side, i):
+        return round_to_tick(bid[i] + (tick if side is Side.ASK else 0.0), tick)
+
+    assert len(log.fills) == n
+    assert 0 < fill_type_table(log).adverse < n
+    for i, (f, buy) in enumerate(zip(log.fills, buys)):
+        assert (f.t_index, f.side, f.price) == (i, Side.ASK if buy else Side.BID, touch(f.side, i))
+        assert f.kind is _kind_by_prices(f.side, f.price, touch(f.side, i + 1))
 
 
 def test_ladder_walkthrough_replay():
@@ -168,18 +189,26 @@ def test_random_walk_keeps_ladder_disciplined():
 
 def test_ladder_kinds_agree_with_classification_rule():
     # every ladder fill, trade-through or queue, must classify exactly as
-    # the quote-move rule applied at its own price level
-    from mmsim.market_data import synthetic_quotes
-    from mmsim.params import TICK_PRESETS, default_params
+    # the quote-move rule applied at its own price level, on each preset's
+    # tick and offset; a 1-tick offset rests rungs inside the 2-tick spread,
+    # where a queue fill's touch can then move through it
+    _check_ladder_kinds(0.01, 1)
+    for contract in sorted(TICK_PRESETS):
+        _check_ladder_kinds(TICK_PRESETS[contract], OFFSET_TICKS_PRESETS[contract])
+
+
+def _check_ladder_kinds(tick, offset):
     from dataclasses import replace
 
-    p = replace(default_params(), delta=0.02)
-    series = synthetic_quotes(p, 4000, seed=11, tick=0.01)
-    log = run_basic_posting(series, offset_ticks=1, tick=0.01, seed=11, mo_prob=0.6)
-    assert log.fills
+    p = replace(default_params(), delta=2 * tick)
+    series = synthetic_quotes(p, 20_000, seed=11, tick=tick)
+    # empty queues away from the touch, so queue fills come often on every preset
+    log = run_basic_posting(series, offset_ticks=offset, tick=tick, seed=11, mo_prob=0.6,
+                            default_queue=0.0)
+    assert {f.kind for f in log.fills} == {FillKind.ADVERSE, FillKind.NON_ADVERSE}
     for f in log.fills:
         nxt = series.bid[f.t_index + 1] if f.side is Side.BID else series.ask[f.t_index + 1]
-        assert f.kind is classify_fill(f.side, f.price, float(nxt))
+        assert f.kind is _kind_by_prices(f.side, f.price, float(nxt))
 
 
 def test_summary_csv_format(tmp_path):
@@ -255,7 +284,7 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
             elif ticks >= bid_t[i] and mo_sell:
                 # one traded unit fills the order only past the volume ahead of it
                 if 1.0 > buys[ticks]:
-                    kind = classify_fill(Side.BID, price(ticks), price(bid_t[i + 1]))
+                    kind = _kind_by_prices(Side.BID, price(ticks), price(bid_t[i + 1]))
                     fills.append(FillEvent(i, Side.BID, price(ticks), kind))
                     filled.append((Side.BID, ticks))
                 else:
@@ -268,7 +297,7 @@ def _reference_posting(series, offset_ticks=4, tick=0.01, seed=0, default_queue=
             elif ticks <= ask_t[i] and mo_buy:
                 # one traded unit fills the order only past the volume ahead of it
                 if 1.0 > sells[ticks]:
-                    kind = classify_fill(Side.ASK, price(ticks), price(ask_t[i + 1]))
+                    kind = _kind_by_prices(Side.ASK, price(ticks), price(ask_t[i + 1]))
                     fills.append(FillEvent(i, Side.ASK, price(ticks), kind))
                     filled.append((Side.ASK, ticks))
                 else:

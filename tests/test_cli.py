@@ -463,6 +463,25 @@ def test_a_step_under_a_nanosecond_exits_1_on_recorded_data(inputs, tmp_path, ca
     assert not out.exists()
 
 
+def test_a_step_rounded_to_whole_nanoseconds_exits_1_on_recorded_data(tmp_path, capsys):
+    # dt = 1.5 ns resamples two records 30 ns apart every 2 ns, which is not the
+    # config's dt; the 16 samples would hold one 10-step window
+    cells = np.full((2, len(LOB_COLUMNS)), np.nan)
+    cells[:, LOB_COLUMNS.index("bid_px_1")] = 100.0
+    cells[:, LOB_COLUMNS.index("ask_px_1")] = 100.01
+    (tmp_path / "lob.csv").write_text(
+        render_lob_csv(LOBBook(ts=np.array([10**9, 10**9 + 30]), cells=cells)), encoding="utf-8")
+    config = tmp_path / "ns_dt.cfg"
+    config.write_text("dt = 1.5e-9\nhorizon = 1.5e-8\n", encoding="utf-8")
+    assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_main([*_argv("simulate --data", tmp_path, str(out)), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "ValueError: series sampled every 2e-09 s, but the config's dt is 1.5e-09 s\n")
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_policy_on_uneven_nodes(inputs, tmp_path, capsys):
     policy = mmsim.solver.load_policy_csv(inputs / "solve" / "policy.csv")
     policy.alpha_nodes[1] = (policy.alpha_nodes[0] + policy.alpha_nodes[1]) / 2

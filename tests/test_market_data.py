@@ -306,6 +306,18 @@ def test_forward_fill_rejects_a_step_that_rounds_to_no_nanosecond(dt, message):
         resample_forward_fill(_book(records), dt)
 
 
+@pytest.mark.parametrize("dt, step_dt", [
+    (1.5e-9, 2e-9), *((dt, dt) for dt in [1.0, 0.5, 0.25, 0.1, 0.001, 2.5, 1e-9]),
+])
+def test_forward_fill_carries_the_step_it_samples(dt, step_dt):
+    # dt rounded to whole nanoseconds is the series' step: records 30 steps
+    # apart from a whole second give 31 samples, 2 ns apart for dt = 1.5 ns
+    step = round(dt * SEC)
+    records = [_quote_record(SEC, 100.0, 100.01), _quote_record(SEC + 30 * step, 100.0, 100.01)]
+    series = resample_forward_fill(_book(records), dt)
+    assert (len(series), series.t0, series.dt) == (31, SEC, step_dt)
+
+
 def test_forward_fill_rejects_empty():
     with pytest.raises(EmptyInputError):
         resample_forward_fill(_book([]), 1.0)
